@@ -44,10 +44,21 @@ class TransientResult:
         #: True when the engine gave up before reaching t_stop.
         self.aborted = False
         self.abort_reason: str | None = None
+        #: Chord fixed-point iterations of the DC start (0 without one).
+        self.dc_iterations = 0
+        #: Whether the DC start converged; None when no DC start ran.
+        self.dc_converged: bool | None = None
 
     # ------------------------------------------------------------------
     # Construction (used by engines)
     # ------------------------------------------------------------------
+
+    def record_dc_start(self, iterations: int, converged: bool | None) -> None:
+        """Record the DC start; a non-converged one is a convergence failure."""
+        self.dc_iterations = iterations
+        self.dc_converged = converged
+        if converged is False:
+            self.convergence_failures += 1
 
     def append(self, t: float, state: np.ndarray) -> None:
         """Record an accepted time point."""
@@ -146,6 +157,7 @@ class TransientResult:
             f"rejected={self.rejected_steps} "
             f"convergence_failures={self.convergence_failures}",
         ]
+        lines.extend(_dc_start_lines(self))
         if self.iteration_counts:
             counts = np.array(self.iteration_counts)
             lines.append(
@@ -159,6 +171,14 @@ class TransientResult:
     def __repr__(self) -> str:
         return (f"TransientResult(engine={self.engine!r}, points={len(self)}, "
                 f"nodes={len(self.node_names)})")
+
+
+def _dc_start_lines(result) -> list[str]:
+    """The summary line describing a result's DC start, if one ran."""
+    if result.dc_converged is None:
+        return []
+    state = "converged" if result.dc_converged else "NOT CONVERGED"
+    return [f"dc start: {state} after {result.dc_iterations} iterations"]
 
 
 class EnsembleTransientResult:
@@ -193,6 +213,11 @@ class EnsembleTransientResult:
         #: instance index -> ``[(t, device_g_row), ...]`` for the
         #: instances named in ``trace_instances``.
         self.conductance_trace: dict[int, list] = {}
+        #: Chord fixed-point iterations of the DC start (0 without one).
+        self.dc_iterations = 0
+        #: Whether every instance's DC start converged; None when no DC
+        #: start ran.
+        self.dc_converged: bool | None = None
 
     # ------------------------------------------------------------------
 
@@ -261,6 +286,7 @@ class EnsembleTransientResult:
         result.rejected_steps = self.rejected_steps
         result.aborted = self.aborted
         result.abort_reason = self.abort_reason
+        result.record_dc_start(self.dc_iterations, self.dc_converged)
         if k in self.conductance_trace:
             result.conductance_trace = [  # type: ignore[attr-defined]
                 (t, g.copy()) for t, g in self.conductance_trace[k]]
@@ -275,6 +301,7 @@ class EnsembleTransientResult:
             f"steps: accepted={self.accepted_steps} "
             f"rejected={self.rejected_steps}",
         ]
+        lines.extend(_dc_start_lines(self))
         if self.backend is not None:
             lines.append(f"backend={self.backend}")
         if self.aborted:

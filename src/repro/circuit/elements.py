@@ -173,6 +173,11 @@ class TwoTerminalDeviceInstance(Element):
         return self.multiplicity * self.model.chord_conductance_derivative(
             voltage)
 
+    def chord_pair(self, voltage: float) -> tuple[float, float]:
+        """Chord and its derivative in one device-law evaluation."""
+        g, dg_dv = self.model.chord_pair(voltage)
+        return self.multiplicity * g, self.multiplicity * dg_dv
+
 
 class MosfetInstance(Element):
     """Level-1 MOSFET with nodes ``(drain, gate, source)``.

@@ -9,7 +9,7 @@ backend-specific half of that recipe for a stack of K same-topology
 :class:`~repro.mna.assembler.MnaSystem` instances:
 
 ``dense``
-    Per-instance dense assembly with scipy LU
+    Per-instance dense assembly with LAPACK LU
     (:class:`~repro.mna.linsolve.LinearSolver`), optionally wrapped in
     the :class:`~repro.mna.linsolve.CachedFactorization` reuse cache.
     The classic K = 1 SWEC path.
@@ -201,14 +201,16 @@ class _DenseStorageBackend(SolverBackend):
         self._g = np.empty((K, n, n))
         self._a = np.empty((K, n, n))
         self._stamper = ConductanceStamper(_conductance_pairs(self.system), n)
+        # Devices then MOSFETs, the stamper's column order.
+        self._n_devices = len(self.system.device_terminals())
+        self._values = np.empty((K, self._stamper.n_values))
 
     def stamp(self, device_g: np.ndarray, mosfet_g: np.ndarray) -> None:
         np.copyto(self._g, self._g_base)
-        values = np.concatenate(
-            (np.asarray(device_g, dtype=float), np.asarray(mosfet_g, dtype=float)),
-            axis=-1,
-        )
-        if values.shape[-1]:
+        if self._stamper.n_values:
+            values, split = self._values, self._n_devices
+            values[:, :split] = device_g
+            values[:, split:] = mosfet_g
             self._stamper.stamp(self._g, values)
 
     def g_diagonal(self) -> np.ndarray:
@@ -272,7 +274,7 @@ class _PerInstanceSolvers:
 
 
 class DenseBackend(_PerInstanceSolvers, _DenseStorageBackend):
-    """Per-instance dense LU (scipy LAPACK) with optional factor reuse.
+    """Per-instance dense LU (LAPACK getrf/getrs) with optional factor reuse.
 
     This is the classic single-instance SWEC path: one
     :class:`~repro.mna.linsolve.LinearSolver` per instance, wrapped in

@@ -5,7 +5,7 @@
 or solve raises :class:`~repro.errors.SingularMatrixError`, rebuilds
 the same system stack on the next backend in a degradation chain —
 ``sparse`` → ``dense`` and ``stack`` → ``dense`` by default (``dense``
-is terminal: scipy LU with partial pivoting is the most robust engine
+is terminal: dense LAPACK LU with partial pivoting is the most robust engine
 in the registry, so a failure there is a genuinely singular system and
 re-raises).  The replacement is re-stamped with the cached chord
 conductances and the solve is repeated, so the caller never sees the

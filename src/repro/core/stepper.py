@@ -444,11 +444,11 @@ class LinearStepper:
             return scalar[None, :]
         from repro.devices.mosfet import mosfet_chord_stack
 
-        voltages = self.linearization.mosfet_voltages(states)
+        vgs, vds = self.linearization.mosfet_vgs_vds(states)
         p = self._mosfet_params
         conductances = mosfet_chord_stack(
-            voltages[..., 0],
-            voltages[..., 1],
+            vgs,
+            vds,
             kp=p["kp"],
             w=p["w"],
             l=p["l"],
@@ -497,13 +497,21 @@ class LinearStepper:
         max_iter: int = 200,
         tol: float = 1e-9,
     ) -> np.ndarray:
-        """Batched chord fixed point at time *t* (DC operating points)."""
+        """Batched chord fixed point at time *t* (DC operating points).
+
+        The iteration count and whether every instance settled within
+        *tol* are recorded on *result* (``dc_iterations``,
+        ``dc_converged``): a march that starts from a non-converged
+        state says so instead of silently using it.
+        """
         K, n = self.n_instances, self.size
         b = self._sources.assemble(t, np.empty((K, n)))
         damping = np.ones(K)
         prev_delta = np.full(K, np.inf)
         flops = result.flops
+        result.dc_iterations, result.dc_converged = 0, False
         for _ in range(max_iter):
+            result.dc_iterations += 1
             self._stamp(states, None, None, None, flops)
             new_states = self.backend.solve_conductance(b)
             delta = np.max(np.abs(new_states - states), axis=1) if n else np.zeros(K)
@@ -512,6 +520,7 @@ class LinearStepper:
             prev_delta = delta
             states = states + damping[:, None] * (new_states - states)
             if np.all(delta < tol):
+                result.dc_converged = True
                 break
         return states
 
@@ -614,7 +623,7 @@ class LinearStepper:
                 new_states = self._solve_step(t, h, states, b_buf, b2_buf)
                 if opts.dv_limit is not None:
                     nn = self.system.num_nodes
-                    dv = float(np.max(np.abs(new_states[:, :nn] - states[:, :nn])))
+                    dv = float(np.abs(new_states[:, :nn] - states[:, :nn]).max())
                     if dv > opts.dv_limit and h > opts.step.h_min * 1.001:
                         result.rejected_steps += 1
                         h = max(h * 0.5, opts.step.h_min)

@@ -24,7 +24,13 @@ import numpy as np
 
 
 class TwoTerminalDevice:
-    """Abstract two-terminal nonlinear device model."""
+    """Abstract two-terminal nonlinear device model.
+
+    A custom model implements :meth:`current` (and ideally an analytic
+    :meth:`differential_conductance`); the chord methods, their
+    vectorized forms and the SWEC step's :meth:`chord_pair` all follow
+    from those two.
+    """
 
     #: Voltage magnitude below which the chord conductance switches to its
     #: analytic limit ``dI/dV(0)`` to avoid 0/0.
@@ -71,6 +77,23 @@ class TwoTerminalDevice:
         i = self.current(voltage)
         g = self.differential_conductance(voltage)
         return (voltage * g - i) / (voltage * voltage)
+
+    def chord_pair(self, voltage: float) -> tuple[float, float]:
+        """Return ``(chord_conductance(V), chord_conductance_derivative(V))``.
+
+        The SWEC step needs both when the eq.-5 predictor is on; this
+        evaluates ``I(V)`` once for the pair instead of once per method,
+        with bitwise the same results.  Every model gets it for free from
+        :meth:`current` and :meth:`differential_conductance`; a model may
+        override it to share more of its arithmetic, and must override it
+        if it overrides either chord method.
+        """
+        if abs(voltage) < self.chord_epsilon:
+            return (self.chord_conductance(voltage),
+                    self.chord_conductance_derivative(voltage))
+        i = self.current(voltage)
+        g = self.differential_conductance(voltage)
+        return i / voltage, (voltage * g - i) / (voltage * voltage)
 
     def current_many(self, voltages) -> np.ndarray:
         """Vectorized :meth:`current` over an array of branch voltages.

@@ -129,12 +129,17 @@ class ConductanceStamper:
         self._positions = np.asarray(positions, dtype=np.intp)
         self._columns = np.asarray(columns, dtype=np.intp)
         self._signs = np.asarray(signs, dtype=float)
+        self._plans: dict[int, tuple] = {}
 
     def stamp(self, matrix: np.ndarray, values: np.ndarray) -> None:
         """Stamp *values* into *matrix* in place.
 
         *matrix* is ``(n, n)`` or a C-contiguous ``(K, n, n)`` stack;
         *values* correspondingly ``(n_values,)`` or ``(K, n_values)``.
+        The stack is gathered and scattered as flat arrays: instance
+        ``k``'s entries sit ``k * n * n`` further on, so no two
+        instances share a position and each keeps its device-then-entry
+        order.
         """
         if self._positions.size == 0:
             return
@@ -142,13 +147,17 @@ class ConductanceStamper:
             # reshape on a non-contiguous array would copy and the
             # in-place scatter would be lost.
             raise ValueError("stamp target must be C-contiguous")
-        values = np.asarray(values, dtype=float)
-        contributions = values[..., self._columns] * self._signs
-        flat = matrix.reshape(*matrix.shape[:-2], self.size * self.size)
-        if flat.ndim == 1:
-            np.add.at(flat, self._positions, contributions)
-        else:
-            flat2 = flat.reshape(-1, self.size * self.size)
-            rows = np.arange(flat2.shape[0], dtype=np.intp)[:, None]
-            np.add.at(flat2, (rows, self._positions[None, :]),
-                      contributions.reshape(flat2.shape[0], -1))
+        positions, columns, signs = self._batch_plan(matrix.size // self.size ** 2)
+        values = np.asarray(values, dtype=float).reshape(-1)
+        np.add.at(matrix.reshape(-1), positions, values.take(columns) * signs)
+
+    def _batch_plan(self, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``(positions, value columns, signs)`` for a batch of stacks."""
+        plan = self._plans.get(batch)
+        if plan is None:
+            offsets = np.arange(batch, dtype=np.intp)[:, None]
+            plan = ((offsets * self.size ** 2 + self._positions).reshape(-1),
+                    (offsets * self.n_values + self._columns).reshape(-1),
+                    np.tile(self._signs, batch))
+            self._plans[batch] = plan
+        return plan

@@ -1,16 +1,25 @@
 """Dense linear solves with flop accounting.
 
 All paper circuits are tiny (a handful of nodes), so the default path is
-dense LAPACK via scipy.  A :class:`LinearSolver` caches the LU
-factorization; engines that keep the matrix fixed across several solves
-(e.g. Newton with a frozen Jacobian, or linear circuits with a constant
-step) pay the factorization once, and the flop counter reflects that.
+dense LU.  :class:`LinearSolver` calls LAPACK ``dgetrf``/``dgetrs``
+directly.  At the sizes SWEC marches (n ~ 8) the ``scipy.linalg``
+``lu_factor``/``lu_solve`` wrappers cost about ten times the LAPACK
+work they wrap; they call the very same routines, so skipping them
+leaves every result bitwise unchanged.  The checks live here instead:
+a square, finite matrix, no zero or non-finite pivot, a right-hand
+side of matching length and a finite solution — each failure raises
+:class:`~repro.errors.SingularMatrixError`.
+
+The factorization is cached between calls; engines that keep the matrix
+fixed across several solves (e.g. Newton with a frozen Jacobian, or
+linear circuits with a constant step) pay it once, and the flop counter
+reflects that.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from repro.errors import SingularMatrixError
 from repro.perf.flops import FlopCounter
@@ -37,41 +46,54 @@ class LinearSolver:
     def __init__(self, flops: FlopCounter | None = None) -> None:
         self.flops = flops
         self._lu = None
+        self._piv = None
         self._n = 0
 
     def factor(self, matrix: np.ndarray) -> None:
-        """Factor *matrix*; raises :class:`SingularMatrixError` if unusable."""
+        """Factor *matrix*; raises :class:`SingularMatrixError` if unusable.
+
+        A failed call leaves no factorization behind for :meth:`solve`.
+        """
+        self._lu = None
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise SingularMatrixError(
                 f"expected a square matrix, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise SingularMatrixError("matrix contains non-finite entries")
-        self._n = matrix.shape[0]
-        try:
-            self._lu = linalg.lu_factor(matrix, check_finite=False)
-        except linalg.LinAlgError as exc:  # pragma: no cover - scipy raises
-            raise SingularMatrixError(str(exc)) from exc
-        # LAPACK getrf signals exact singularity through U's diagonal.
-        diag = np.abs(np.diag(self._lu[0]))
-        if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-            raise SingularMatrixError(
-                "MNA matrix is singular (floating node or short loop?)")
+        n = matrix.shape[0]
+        if n:
+            # getrf copies its input (overwrite_a=0) and reports the
+            # first exactly-zero pivot of U through info > 0; a pivot
+            # that overflowed shows up non-finite on U's diagonal.
+            lu, piv, info = lapack.dgetrf(matrix)
+            if info > 0 or not np.isfinite(lu.diagonal()).all():
+                raise SingularMatrixError(
+                    "MNA matrix is singular (floating node or short loop?)")
+        else:
+            lu, piv = matrix.copy(), np.empty(0, dtype=np.int32)
+        self._lu, self._piv, self._n = lu, piv, n
         if self.flops is not None:
-            self.flops.count_factorization(self._n)
+            self.flops.count_factorization(n)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute against the cached factorization."""
+        """Back-substitute against the cached factorization.
+
+        *rhs* is ``(n,)`` or ``(n, k)``; the solution has its shape.
+        """
         if self._lu is None:
             raise SingularMatrixError("factor() must be called before solve()")
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self._n:
             raise SingularMatrixError(
                 f"rhs length {rhs.shape[0]} does not match matrix size {self._n}")
-        solution = linalg.lu_solve(self._lu, rhs, check_finite=False)
+        if self._n:
+            solution, _info = lapack.dgetrs(self._lu, self._piv, rhs)
+        else:
+            solution = rhs.copy()
         if self.flops is not None:
             self.flops.count_solve(self._n)
-        if not np.all(np.isfinite(solution)):
+        if not np.isfinite(solution).all():
             raise SingularMatrixError("solution contains non-finite entries")
         return solution
 

@@ -96,17 +96,26 @@ class SwecLinearization:
         vc = state[..., self._cathode_idx] * self._cathode_mask
         return va - vc
 
+    def mosfet_vgs_vds(self, state: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """``(vgs, vds)``: two arrays over the MOSFETs.
+
+        *state* is ``(n,)`` or a ``(K, n)`` stack; each array is
+        ``(..., n_mosfets)``.
+        """
+        state = np.asarray(state, dtype=float)
+        vd = state[..., self._drain_idx] * self._drain_mask
+        vg = state[..., self._gate_idx] * self._gate_mask
+        vs = state[..., self._source_idx] * self._source_mask
+        return vg - vs, vd - vs
+
     def mosfet_voltages(self, state: np.ndarray) -> np.ndarray:
         """``(vgs, vds)`` rows for each MOSFET.
 
         *state* is ``(n,)`` or a ``(K, n)`` stack; the result is
         ``(..., n_mosfets, 2)``.
         """
-        state = np.asarray(state, dtype=float)
-        vd = state[..., self._drain_idx] * self._drain_mask
-        vg = state[..., self._gate_idx] * self._gate_mask
-        vs = state[..., self._source_idx] * self._source_mask
-        return np.stack((vg - vs, vd - vs), axis=-1)
+        return np.stack(self.mosfet_vgs_vds(state), axis=-1)
 
     # ------------------------------------------------------------------
     # Chord conductances (paper Section 3.2 / eq. 5)
@@ -120,43 +129,49 @@ class SwecLinearization:
         """Chord conductance per two-terminal device, Taylor-corrected.
 
         ``prev_state``/``h_prev`` provide the finite-difference ``dV/dt``
-        of eq. (9); ``h_next`` is the step the prediction targets.
+        of eq. (9); ``h_next`` is the step the prediction targets.  With
+        the predictor on, each device's law is evaluated once per call
+        (:meth:`~repro.devices.base.TwoTerminalDevice.chord_pair`).  The
+        loop runs on Python floats, which round exactly like numpy's
+        float64 scalars and cost less per operation.
         """
-        voltages = self.device_voltages(state)
-        conductances = np.zeros_like(voltages)
+        devices = self.circuit.devices
+        voltages = self.device_voltages(state).tolist()
         predict = (self.use_predictor and prev_state is not None
                    and h_prev and h_next)
-        prev_voltages = (self.device_voltages(prev_state)
-                         if predict else None)
-        for k, device in enumerate(self.circuit.devices):
-            v = voltages[k]
-            g = device.chord_conductance(v)
-            if flops is not None:
-                # The chord is one current evaluation plus a division —
-                # cheaper than the Jacobian's current+derivative pair.
-                flops.count_device_eval("rtd_current")
-            if predict:
-                dv_dt = (v - prev_voltages[k]) / h_prev
-                dg_dv = device.chord_conductance_derivative(v)
+        conductances = []
+        if predict:
+            prev_voltages = self.device_voltages(prev_state).tolist()
+            for device, v, v_prev in zip(devices, voltages, prev_voltages):
+                g, dg_dv = device.chord_pair(v)
+                dv_dt = (v - v_prev) / h_prev
                 g = g + 0.5 * h_next * dg_dv * dv_dt
-                if flops is not None:
-                    flops.count_device_eval("rtd_conductance")
-            # The chord of a passive device is mathematically >= 0; the
-            # predictor extrapolation may overshoot slightly, so clamp.
-            conductances[k] = max(g, 0.0)
-        return conductances
+                # The chord of a passive device is mathematically >= 0;
+                # the predictor extrapolation may overshoot, so clamp.
+                conductances.append(max(g, 0.0))
+        else:
+            for device, v in zip(devices, voltages):
+                conductances.append(max(device.chord_conductance(v), 0.0))
+        if flops is not None and devices:
+            # The chord is one current evaluation plus a division —
+            # cheaper than the Jacobian's current+derivative pair; the
+            # predictor adds the derivative's share.
+            flops.count_device_eval("rtd_current", count=len(devices))
+            if predict:
+                flops.count_device_eval("rtd_conductance", count=len(devices))
+        return np.array(conductances, dtype=float)
 
     def mosfet_conductances(self, state: np.ndarray,
                             flops: FlopCounter | None = None) -> np.ndarray:
         """Chord conductance ``Ids/Vds`` per MOSFET (paper eq. 3)."""
-        voltages = self.mosfet_voltages(state)
-        conductances = np.zeros(len(self.circuit.mosfets))
-        for k, mosfet in enumerate(self.circuit.mosfets):
-            vgs, vds = voltages[k]
-            conductances[k] = max(mosfet.chord_conductance(vgs, vds), 0.0)
-            if flops is not None:
-                flops.count_device_eval("mosfet")
-        return conductances
+        mosfets = self.circuit.mosfets
+        vgs, vds = self.mosfet_vgs_vds(state)
+        conductances = [
+            max(mosfet.chord_conductance(a, b), 0.0)
+            for mosfet, a, b in zip(mosfets, vgs.tolist(), vds.tolist())]
+        if flops is not None and mosfets:
+            flops.count_device_eval("mosfet", count=len(mosfets))
+        return np.array(conductances, dtype=float)
 
     # ------------------------------------------------------------------
     # Stamping

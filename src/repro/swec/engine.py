@@ -187,6 +187,7 @@ class SwecTransient:
         result.rejected_steps = ensemble.rejected_steps
         result.aborted = ensemble.aborted
         result.abort_reason = ensemble.abort_reason
+        result.record_dc_start(ensemble.dc_iterations, ensemble.dc_converged)
         result.factor_reuses = ensemble.factor_reuses
         result.backend = getattr(ensemble, "backend", self.backend_name)
         result.fallback_events = list(getattr(ensemble, "fallback_events", ()))

@@ -18,7 +18,7 @@ shared time grid, with every factor/solve delegated to a
     — grid-scale ensembles that would not fit (or crawl) as dense
     stacks.
 ``dense``
-    One scipy LU per instance — the serial reference the stack path
+    One LAPACK LU per instance — the serial reference the stack path
     is benchmarked against.
 
 Two marching modes:

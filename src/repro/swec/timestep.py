@@ -216,6 +216,7 @@ class EnsembleStepController(AdaptiveStepController):
         self._rc_instances, self._rc_nodes = np.nonzero(c > 0.0)
         self._rc_scaled = (self.options.epsilon
                            * c[self._rc_instances, self._rc_nodes])
+        self._rc_ratio = np.empty_like(self._rc_scaled)
 
     def node_rc_bound_stack(self, diagonal_stack) -> float:
         """``min_{k,j} eps C_j^k / G_jj^k`` over the whole ensemble.
@@ -227,10 +228,12 @@ class EnsembleStepController(AdaptiveStepController):
             return math.inf
         diag = np.asarray(diagonal_stack)[self._rc_instances,
                                           self._rc_nodes]
-        mask = diag > 0.0
-        if not mask.any():
-            return math.inf
-        return float(np.min(self._rc_scaled[mask] / diag[mask]))
+        # Only nodes with positive total conductance bound the step; the
+        # rest are masked out of the divide and the min alike.
+        conducting = diag > 0.0
+        ratio = np.divide(self._rc_scaled, diag, out=self._rc_ratio,
+                          where=conducting)
+        return float(ratio.min(where=conducting, initial=math.inf))
 
     def next_step_from_diagonal(self, t: float, h_prev: float,
                                 diagonal_stack, t_stop: float) -> float:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from repro.circuit import Circuit, Pulse
 from repro.errors import AssemblyError, SingularMatrixError
@@ -192,6 +193,53 @@ class TestLinearSolver:
     def test_nonsquare_rejected(self):
         with pytest.raises(SingularMatrixError):
             LinearSolver().factor(np.ones((2, 3)))
+
+
+class TestLinearSolverMatchesScipy:
+    """The direct getrf/getrs path against the lu_factor/lu_solve
+    wrappers it replaced: the same LAPACK routines, so bitwise equal."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bitwise_equal_to_lu_factor_lu_solve(self, n):
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((n, n)) + n * np.eye(n)
+        vector = rng.standard_normal(n)
+        block = rng.standard_normal((n, 3))
+        lu_piv = linalg.lu_factor(matrix, check_finite=False)
+        solver = LinearSolver()
+        solver.factor(matrix)
+        for rhs in (vector, block):
+            expected = linalg.lu_solve(lu_piv, rhs, check_finite=False)
+            got = solver.solve(rhs)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.ones((3, 2)),
+        np.ones(3),
+    ], ids=["rank-deficient", "zero-row", "inf", "nan", "non-square", "1-d"])
+    def test_unusable_matrix_raises(self, matrix):
+        with pytest.raises(SingularMatrixError):
+            LinearSolver().factor(matrix)
+
+    def test_bad_rhs_raises(self):
+        solver = LinearSolver()
+        with pytest.raises(SingularMatrixError):
+            solver.solve(np.ones(2))
+        solver.factor(np.eye(2))
+        for rhs in (np.ones(3), np.ones((3, 2))):
+            with pytest.raises(SingularMatrixError):
+                solver.solve(rhs)
+
+    def test_overflowing_solution_raises(self):
+        solver = LinearSolver()
+        solver.factor(np.diag([1.0, 1e-300]))
+        with pytest.raises(SingularMatrixError):
+            solver.solve(np.array([1.0, 1e300]))
 
 
 class TestFlopCounter:

@@ -10,13 +10,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuit.elements import TwoTerminalDeviceInstance
 from repro.devices import (
     Diode,
     MultiPeakRTT,
     QuantizedNanowire,
+    RTD_LOGIC,
     SCHULMAN_INGAAS,
     SchulmanParameters,
     SchulmanRTD,
+    TabulatedDevice,
+    TwoTerminalDevice,
     nmos,
 )
 
@@ -162,3 +166,45 @@ class TestRttProperties:
     @settings(max_examples=100, deadline=None)
     def test_finite(self, v):
         assert math.isfinite(MultiPeakRTT().current(v))
+
+
+#: Every shipped two-terminal model, built fresh per example.
+TWO_TERMINAL_MODELS = {
+    "schulman-paper": SchulmanRTD,
+    "schulman-ingaas": lambda: SchulmanRTD(SCHULMAN_INGAAS),
+    "schulman-logic": lambda: SchulmanRTD(RTD_LOGIC),
+    "diode": Diode,
+    "nanowire": QuantizedNanowire,
+    "rtt": MultiPeakRTT,
+    "tabulated": lambda: TabulatedDevice([-1.0, 0.0, 0.4, 0.8, 1.5],
+                                         [-2e-3, 0.0, 1e-3, 2e-4, 3e-3]),
+}
+
+#: The origin and the chord_epsilon band around it, where both chord
+#: methods switch to their analytic limits.
+_EPS = TwoTerminalDevice.chord_epsilon
+near_origin = st.sampled_from(
+    [0.0, -0.0, 0.5 * _EPS, -0.5 * _EPS, 0.999 * _EPS, -0.999 * _EPS,
+     _EPS, -_EPS])
+
+
+def _bits(pair):
+    return [float(x).hex() for x in pair]
+
+
+class TestChordPairProperties:
+    """chord_pair is the SWEC step's one device-law evaluation; it must
+    equal the two chord methods it replaced, bit for bit."""
+
+    @given(name=st.sampled_from(sorted(TWO_TERMINAL_MODELS)),
+           v=st.one_of(near_origin, voltages),
+           multiplicity=st.sampled_from([1.0, 0.5, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_pair_equals_separate_methods(self, name, v, multiplicity):
+        model = TWO_TERMINAL_MODELS[name]()
+        device = TwoTerminalDeviceInstance("X1", "a", "0", model,
+                                           multiplicity=multiplicity)
+        for target in (model, device):
+            expected = (target.chord_conductance(v),
+                        target.chord_conductance_derivative(v))
+            assert _bits(target.chord_pair(v)) == _bits(expected)

@@ -439,33 +439,56 @@ class TestServiceDaemon:
         assert forced["cached"] is False
         assert client.status()["executed"] == 2
 
-    def test_concurrent_identical_submissions_coalesce(self, daemon):
-        client = ServiceClient(daemon.socket_path, timeout=60)
-        slow = {**SPEC, "t_stop": 2e-9, "label": "slow"}
-        running = threading.Event()
+    def test_concurrent_identical_submissions_coalesce(self, daemon, monkeypatch):
+        # The one execution is held on a gate until the duplicate has
+        # coalesced onto it, so the outcome never depends on how long
+        # the job takes.
+        from repro.runtime import runner
+
+        release = threading.Event()
+        execute = runner._execute_job
+
+        def gated_execute(*args, **kwargs):
+            assert release.wait(60), "the test never released the job"
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_execute_job", gated_execute)
+        running, coalesced = threading.Event(), threading.Event()
         box = {}
 
-        def first_submission():
-            box["first"] = client.submit(
-                slow, seed=0,
-                on_event=lambda e: (e.get("event") == "running"
-                                    and running.set()))
+        def submit(name, seen, **expected):
+            def on_event(event):
+                if event.get("event") == "running" and all(
+                        event.get(k) == v for k, v in expected.items()):
+                    seen.set()
+            box[name] = ServiceClient(daemon.socket_path, timeout=60).submit(
+                SPEC, seed=0, on_event=on_event)
 
-        worker = threading.Thread(target=first_submission, daemon=True)
-        worker.start()
-        # the first 'running' event guarantees the in-flight slot is
-        # registered, so this second submission must coalesce onto it
-        assert running.wait(30)
-        second = ServiceClient(daemon.socket_path, timeout=60).submit(
-            slow, seed=0)
-        worker.join(60)
+        first = threading.Thread(target=submit, args=("first", running),
+                                 daemon=True)
+        second = threading.Thread(target=submit, args=("second", coalesced),
+                                  kwargs={"coalesced": True}, daemon=True)
+        try:
+            first.start()
+            # 'running' is sent once the in-flight slot is registered;
+            # the job itself is still held at the gate.
+            assert running.wait(30)
+            second.start()
+            assert coalesced.wait(30)
+        finally:
+            release.set()
+        first.join(60)
+        second.join(60)
+        assert not first.is_alive() and not second.is_alive()
         assert box["first"]["event"] == "done"
-        assert second["event"] == "done" and second["cached"] is True
+        assert box["first"]["cached"] is False
+        assert box["second"]["event"] == "done"
+        assert box["second"]["cached"] is True
         status = ServiceClient(daemon.socket_path).status()
         assert status["executed"] == 1
         assert status["coalesced"] == 1
         assert json.dumps(box["first"]["record"], sort_keys=True) == \
-            json.dumps(second["record"], sort_keys=True)
+            json.dumps(box["second"]["record"], sort_keys=True)
 
     def test_gc_and_status_ops(self, daemon):
         client = ServiceClient(daemon.socket_path, timeout=60)

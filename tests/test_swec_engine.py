@@ -1,11 +1,14 @@
 """Tests for the SWEC transient engine — the paper's core contribution."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from repro.circuit import Circuit, DC, Pulse
+from repro.circuits_lib import fet_rtd_inverter
+from repro.core.stepper import LinearStepper
 from repro.devices import SCHULMAN_INGAAS, SchulmanRTD
 from repro.errors import AnalysisError
 from repro.swec import SwecOptions, SwecTransient
@@ -311,6 +314,71 @@ class TestTraceAccounting:
         assert (traced.flops.device_evaluations
                 == plain.flops.device_evaluations)
         assert len(traced.conductance_trace) == traced.accepted_steps
+
+
+def fig8_inverter_engine():
+    """A short Fig. 8 FET-RTD inverter march (rising input edge)."""
+    vin = Pulse(0.0, 5.0, delay=0.5e-9, rise=0.3e-9, fall=0.3e-9,
+                width=2e-9, period=5e-9)
+    circuit, _ = fet_rtd_inverter(vin=vin)
+    options = SwecOptions(
+        step=StepControlOptions(epsilon=0.05, h_min=1e-13, h_max=0.2e-9,
+                                h_initial=1e-12),
+        dv_limit=0.5)
+    return SwecTransient(circuit, options)
+
+
+class TestTableOneAccounting:
+    def test_fig8_inverter_flop_counts_are_pinned(self):
+        """The Table-I bill of a K = 1 march, event for event: 33 DC
+        chord iterations plus 941 steps, each one factorization, one
+        solve and the chords of two RTDs (plus the eq.-5 predictor past
+        the first step) and one MOSFET."""
+        result = fig8_inverter_engine().run(1.5e-9)
+        flops = result.flops
+        assert flops.by_category() == {
+            "device": 450888, "factor": 105192, "solve": 48700}
+        assert flops.device_evaluations == 4802
+        assert flops.factorizations == 974
+        assert flops.linear_solves == 974
+        assert result.accepted_steps == 941
+        assert result.dc_iterations == 33
+
+
+class TestDcStart:
+    def test_converged_start_is_reported(self):
+        result = fig8_inverter_engine().run(0.2e-9)
+        assert result.dc_converged is True
+        assert 1 <= result.dc_iterations < 200
+        assert result.convergence_failures == 0
+        assert (f"dc start: converged after {result.dc_iterations} "
+                "iterations") in result.summary()
+
+    def test_no_dc_start_reports_nothing(self):
+        engine = fig8_inverter_engine()
+        engine.options.initialize_dc = False
+        result = engine.run(0.2e-9)
+        assert result.dc_converged is None
+        assert result.dc_iterations == 0
+        assert "dc start" not in result.summary()
+
+    def test_dc_initialize_reports_non_convergence(self):
+        stepper = fig8_inverter_engine()._stepper
+        result = stepper._new_result()
+        states = stepper._initial_state_stack(None)
+        stepper._dc_initialize(states, result, max_iter=1)
+        assert result.dc_iterations == 1
+        assert result.dc_converged is False
+
+    def test_non_converged_start_counts_as_convergence_failure(
+            self, monkeypatch):
+        monkeypatch.setattr(
+            LinearStepper, "_dc_initialize",
+            functools.partialmethod(LinearStepper._dc_initialize, max_iter=1))
+        result = fig8_inverter_engine().run(0.2e-9)
+        assert result.dc_converged is False
+        assert result.convergence_failures == 1
+        assert "dc start: NOT CONVERGED after 1 iterations" in result.summary()
 
 
 class TestVectorizedCurrents:
