@@ -115,9 +115,7 @@ def tangent_conductances(
     Returns ``(device_g, mosfet_partials)``: the tangent ``dI/dV`` of
     every two-terminal device (element multiplicity folded in) and the
     ``(gm, gds)`` pair of every MOSFET.  :func:`linearize` evaluates
-    them once at the DC operating point; the shooting monodromy of
-    :mod:`repro.pss` re-evaluates them along an orbit, point by point,
-    to turn the marched chord map into its exact Jacobian.
+    them once at the DC operating point.
     """
     device_g = np.zeros(len(circuit.devices))
     for k, (anode, cathode) in enumerate(system.device_terminals()):

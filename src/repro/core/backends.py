@@ -344,7 +344,9 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
     of :class:`~repro.mna.sparse.SparseOperators` — the conductance
     stamps of all K instances scatter into a ``(K, nnz)`` stack in one
     ``np.add.at`` call — and each instance pays an O(nnz) SuperLU
-    factor instead of the dense O(n^3).  With ``factor_rtol`` the
+    factor instead of the dense O(n^3).  The factor reads one
+    preallocated CSC matrix whose ``.data`` is permuted in from the
+    CSR data row (the pattern's CSC plan).  With ``factor_rtol`` the
     per-instance :class:`~repro.mna.linsolve.CachedFactorization`
     reuse cache applies exactly as on the dense path.
     """
@@ -378,6 +380,11 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
         self._columns = columns
         self._signs = signs
         self._diag_positions, self._diag_mask = pattern.diagonal_positions()
+        # One CSC matrix for the shared pattern, refilled in place per
+        # solve; the reuse cache keeps its own copy, so aliasing it
+        # across steps and instances is safe.
+        self._csc = pattern.csc_matrix()
+        self._csc_order = pattern.csc_order
         self._make_solvers(SparseSolver)
 
     def stamp(self, device_g: np.ndarray, mosfet_g: np.ndarray) -> None:
@@ -409,8 +416,9 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
 
     def _factor_solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out = np.empty((self.n_instances, self.size))
+        matrix = self._csc
         for k, solver in enumerate(self._solvers):
-            matrix = self._ops[k].matrix_from_data(data[k]).tocsc()
+            np.take(data[k], self._csc_order, out=matrix.data)
             solver.factor(matrix)
             out[k] = solver.solve(rhs[k])
         return out

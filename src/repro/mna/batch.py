@@ -151,6 +151,17 @@ class ConductanceStamper:
         values = np.asarray(values, dtype=float).reshape(-1)
         np.add.at(matrix.reshape(-1), positions, values.take(columns) * signs)
 
+    def flat_entries(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, entries)`` that stamp each row of *values*.
+
+        For a ``(rows, n_values)`` array, ``np.add.at(matrix.reshape(-1),
+        positions, entries[k])`` adds row ``k`` into an ``(n, n)``
+        matrix exactly as :meth:`stamp` would — the form for a caller
+        that stamps many value rows one matrix at a time.
+        """
+        values = np.asarray(values, dtype=float)
+        return self._positions, values[..., self._columns] * self._signs
+
     def _batch_plan(self, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat ``(positions, value columns, signs)`` for a batch of stacks."""
         plan = self._plans.get(batch)

@@ -3,11 +3,12 @@
 Transient marching finds a periodic orbit the slow way: integrate until
 the transients die out, which for a high-Q or slowly-contracting
 circuit means tens to hundreds of periods.  Shooting instead treats one
-marched period as a map and Newton-solves for its fixed point, using a
-monodromy matrix assembled from the same per-element linearization the
-AC analysis uses — typically 3 iterations on the RTD relaxation
-oscillator, 5-7x cheaper than the brute-force march, with the residual
-``max|x(T) - x(0)|`` certified below tolerance.
+marched period as a map and Newton-solves for its fixed point.  Each
+Newton system is solved by GMRES on matrix-free products with the
+monodromy ``dPhi/dx0``, which re-run the differentiated march with the
+same per-element tangents the AC analysis uses — 6 iterations on the
+RTD relaxation oscillator, 5-7x cheaper than the brute-force march,
+with the residual ``max|x(T) - x(0)|`` certified below tolerance.
 
 * :func:`run_pss` / :class:`ShootingPSS` — the engine, driven
   (fixed/auto-detected period) or autonomous (period is an unknown,

@@ -8,8 +8,10 @@ returns the endpoint.  A periodic steady state is a fixed point
 ``Phi(x*) = x*``; Newton's method on the residual ``r = Phi(x0) - x0``
 needs the sensitivity ``M = dPhi/dx0`` — the monodromy matrix.
 
-``M`` is accumulated exactly, step by step, by differentiating the
-marched update itself.  Each BE step solved
+``M`` is never formed.  Newton's linear system is solved by GMRES,
+which only needs products ``M v``, and each product re-runs the
+differentiated march (matrix-free Newton–Krylov shooting, after
+Telichevesky, Kundert & White, DAC 1995).  Each BE step solved
 
 .. math:: A_n x_{n+1} = b(t_{n+1}) + (C/h)\\,x_n,
           \\qquad A_n = G_{base} + G_{chord}(x_n) + C/h,
@@ -17,12 +19,18 @@ marched update itself.  Each BE step solved
 so ``dx_{n+1}/dx_n = A_n^{-1} (C/h - D_n)`` where ``D_n`` collects the
 state dependence of the chord stamps: a two-terminal device stamped
 ``g_{ch}(v_n) w_{n+1}`` contributes ``g_{ch}'(v_n) w_{n+1}``, and the
-chord/tangent identity ``g_{ch}'(v)\\,v = dI/dV - g_{ch}`` ties that
-correction to the AC linearization machinery
-(:func:`repro.ac.linearize.tangent_conductances`).  The result is a
-Jacobian consistent with the *discretized* map to machine precision,
-which is what gives quadratic convergence — typically 3 iterations on
-the RTD relaxation oscillator.
+chord/tangent identity ``g_{ch}'(v)\\,v = dI/dV - g_{ch}`` turns that
+into the device's tangent conductance minus its chord.  ``M v`` chains
+``v <- A_n^{-1} (C/h - D_n) v`` along the march's stored states,
+factoring each ``A_n`` with the march's own solver backend (SuperLU on
+``sparse``, LAPACK on ``dense``/``stack``).  No factorization outlives
+its step: beyond the marched trajectory a product keeps O(n +
+n_devices) numbers per step.  The products are exact for the
+*discretized* map, so driven Newton converges quadratically (linear
+circuits in one iteration).  The autonomous period column below is
+the endpoint velocity, a first-order estimate of ``dPhi/dT``, so
+autonomous Newton converges linearly: 5-6 iterations on the RTD
+oscillators of the golden corpus.
 
 Two modes:
 
@@ -31,19 +39,26 @@ Two modes:
   iteration.
 * **autonomous** — free-running oscillators have no imposed period and
   a translation-invariant orbit, so ``T`` joins the unknowns and a
-  phase condition pins one state component: the augmented system
+  phase condition pins one state component: the bordered system
 
-  .. math:: \\begin{pmatrix} M - I & f_T \\\\ e_k^\\top & 0
+  .. math:: \\begin{pmatrix} M - I & f_T T \\\\ e_k^\\top & 0
             \\end{pmatrix}
-            \\begin{pmatrix} d \\\\ dT \\end{pmatrix}
+            \\begin{pmatrix} d \\\\ dT/T \\end{pmatrix}
             = \\begin{pmatrix} -r \\\\ 0 \\end{pmatrix}
 
-  with ``f_T`` the endpoint state velocity.  The initial guess comes
-  from a short adaptive settle march plus a level-crossing period
-  estimate, refined on the fixed grid.
+  with ``f_T`` the endpoint state velocity.  The period unknown is the
+  relative change ``dT/T``, which puts its column on the scale of the
+  state columns.  The phase row pins ``d_k = 0``, so GMRES solves the
+  system with that row eliminated: column ``k`` of ``M - I`` carries
+  the period column, and unknown ``k`` is ``dT/T``.  The initial guess
+  comes from a short adaptive settle march plus a level-crossing
+  period estimate, refined on the fixed grid.
 
-The converged orbit satisfies ``max|x(T) - x(0)| < tolerance`` on the
-discrete map; anything less raises :class:`~repro.errors.PSSError`
+GMRES stops at an absolute residual of ``1e-3 * tolerance``, so a
+linear circuit still closes in one Newton step; a GMRES run that
+misses it raises :class:`~repro.errors.PSSError`.  The converged orbit
+satisfies ``max|x(T) - x(0)| < tolerance`` on the discrete map;
+anything less raises :class:`~repro.errors.PSSError`
 (converged-or-raised, never silently wrong).
 """
 
@@ -54,14 +69,19 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from repro.analysis.measure import crossing_times
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import Pulse, Sine
-from repro.errors import AnalysisError, PSSError
+from repro.errors import AnalysisError, PSSError, SingularMatrixError
+from repro.mna.batch import ConductanceStamper
 from repro.perf.flops import FlopCounter
 
 __all__ = [
+    "Monodromy",
     "PSSOptions",
     "PSSResult",
     "ShootingPSS",
@@ -73,6 +93,17 @@ __all__ = [
 #: correction (the chord tends to the tangent there, so the correction
 #: term ``(dI/dV - g_ch)/v`` is a removable 0/0).
 _V_EPS = 1e-12
+
+#: GMRES stops at an absolute residual of this fraction of
+#: ``PSSOptions.tolerance``.
+_KRYLOV_TOLERANCE = 1e-3
+
+#: Krylov basis size between GMRES restarts.  The basis holds this
+#: many state vectors.
+_KRYLOV_RESTART = 60
+
+#: GMRES restart cycles before the solve counts as failed.
+_KRYLOV_CYCLES = 4
 
 
 @dataclass
@@ -95,7 +126,9 @@ class PSSOptions:
         point of *this* grid's map; oracle comparisons must march the
         same grid.
     tolerance:
-        Convergence threshold on ``max|x(T) - x(0)|``.
+        Convergence threshold on ``max|x(T) - x(0)|``.  GMRES solves
+        each Newton system to an absolute residual of ``1e-3`` times
+        this.
     max_iterations:
         Newton iteration cap; exceeding it raises
         :class:`~repro.errors.PSSError`.
@@ -183,8 +216,9 @@ class PSSResult:
         self.phase_node = phase_node
         #: Resolved solver backend the marches ran on.
         self.backend = backend
-        #: Merged work counters: every Newton march plus the uniform
-        #: per-step monodromy accounting (backend-invariant events).
+        #: Merged work counters: every Newton march plus one
+        #: factorization and one solve per step of every ``M v``
+        #: product (backend-invariant events).
         self.flops = flops if flops is not None else FlopCounter()
 
     def __len__(self) -> int:
@@ -276,6 +310,227 @@ def detect_drive_period(circuit: Circuit) -> float | None:
     return reference
 
 
+def _branch_incidence(pairs, size: int) -> sparse.csr_matrix:
+    """``(len(pairs), size)`` map from a state to the branch voltages
+    ``x[plus] - x[minus]`` of *pairs* (index -1 is ground)."""
+    rows, cols, signs = [], [], []
+    for row, (plus, minus) in enumerate(pairs):
+        for col, sign in ((plus, 1.0), (minus, -1.0)):
+            if col >= 0:
+                rows.append(row)
+                cols.append(col)
+                signs.append(sign)
+    return sparse.csr_matrix((signs, (rows, cols)),
+                             shape=(len(pairs), size))
+
+
+def _correction_scale(chord, v, w) -> np.ndarray:
+    """``w / v`` where the chord-derivative correction applies, else 0.
+
+    A clamped chord (``g <= 0``) has no state dependence, and below
+    :data:`_V_EPS` the correction is a removable 0/0.
+    """
+    active = (chord > 0.0) & (np.abs(v) > _V_EPS)
+    return np.where(active, w / np.where(active, v, 1.0), 0.0)
+
+
+class _ChordSensitivity:
+    """Per-step chords and the chord-derivative term ``D_n``.
+
+    ``D_n v = E (c_n * (P v))``: ``P`` maps a state to the controlling
+    branch voltages (device branches, MOSFET drain-source, MOSFET
+    gate-source), ``c_n`` holds one coefficient per control branch and
+    step, and ``E`` scatters the resulting currents into the device and
+    MOSFET drain-source stamps.  Two products per step and no
+    ``(n, n)`` matrix; ``P`` and ``E`` are sparse on the sparse backend
+    and plain arrays for the small dense systems, where numpy beats
+    scipy's per-call sparse dispatch.
+    """
+
+    def __init__(self, system, linearization, dense: bool) -> None:
+        circuit = system.circuit
+        self._linearization = linearization
+        self._mosfets = circuit.mosfets
+        self.n_devices = len(circuit.devices)
+        self._multiplicity = np.array(
+            [device.multiplicity for device in circuit.devices])
+        groups: dict = {}
+        for k, device in enumerate(circuit.devices):
+            model = device.model
+            groups.setdefault(model.batch_key(), (model, []))[1].append(k)
+        self._groups = [(model, np.asarray(indices, dtype=np.intp))
+                        for model, indices in groups.values()]
+        drain_source = [(d, s) for d, _g, s in system.mosfet_terminals()]
+        gate_source = [(g, s) for _d, g, s in system.mosfet_terminals()]
+        #: Chord stamp pairs, devices then MOSFET drain-source.
+        self.pairs = list(system.device_terminals()) + drain_source
+        self._control = _branch_incidence(self.pairs + gate_source,
+                                          system.size)
+        self._output = _branch_incidence(self.pairs + drain_source,
+                                         system.size).T.tocsr()
+        if dense:
+            self._control = self._control.toarray()
+            self._output = self._output.toarray()
+        self.coupled = self._control.shape[0] > 0
+
+    def step_terms(self, states: np.ndarray):
+        """``(chords, coefficients)`` for every step of a march.
+
+        ``chords[n]`` are the clamped chords the march stamped at
+        ``x_n`` (devices, then MOSFETs); ``coefficients[n]`` are the
+        ``c_n`` of ``D_n``, each a tangent minus a chord (or a ``gm``)
+        times ``w_{n+1} / v_n``.  Both are ``(steps, count)`` arrays,
+        evaluated with the vectorized device laws over all steps.
+        """
+        lin = self._linearization
+        v = lin.device_voltages(states[:-1])
+        w = lin.device_voltages(states[1:])
+        chord = np.empty_like(v)
+        tangent = np.empty_like(v)
+        for model, idx in self._groups:
+            multiplicity = self._multiplicity[idx]
+            chord[:, idx] = multiplicity * model.chord_conductance_many(
+                v[:, idx])
+            tangent[:, idx] = multiplicity * \
+                model.differential_conductance_many(v[:, idx])
+        np.maximum(chord, 0.0, out=chord)
+        vgs, vds = lin.mosfet_vgs_vds(states[:-1])
+        _, wds = lin.mosfet_vgs_vds(states[1:])
+        mosfet_chord = np.empty_like(vds)
+        gm = np.empty_like(vds)
+        gds = np.empty_like(vds)
+        for j, mosfet in enumerate(self._mosfets):
+            mosfet_chord[:, j] = mosfet.model.chord_conductance_many(
+                vgs[:, j], vds[:, j])
+            gm[:, j], gds[:, j] = np.array([
+                mosfet.partials(a, b)
+                for a, b in zip(vgs[:, j].tolist(), vds[:, j].tolist())
+            ]).T
+        np.maximum(mosfet_chord, 0.0, out=mosfet_chord)
+        device_scale = _correction_scale(chord, v, w)
+        mosfet_scale = _correction_scale(mosfet_chord, vds, wds)
+        coefficients = np.concatenate((
+            (tangent - chord) * device_scale,
+            (gds - mosfet_chord) * mosfet_scale,
+            gm * mosfet_scale,
+        ), axis=1)
+        return np.concatenate((chord, mosfet_chord), axis=1), coefficients
+
+    def apply(self, coefficients: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``D_n v`` for the step whose coefficients are given."""
+        return self._output @ (coefficients * (self._control @ v))
+
+
+class _DenseStepSolver:
+    """``A_n`` on dense LAPACK ``getrf``/``getrs``: the dense and stack
+    backends' family.
+
+    ``A_n = C/h + G_base`` plus the chord stamps is assembled in one
+    ``(n, n)`` buffer, factored and solved — one factorization alive at
+    a time.  These are the routines
+    :class:`~repro.mna.linsolve.LinearSolver` wraps, called directly:
+    at n = 4-6 that wrapper's per-call finiteness checks cost as much
+    as the LAPACK work, and a product repeats them on matrices the
+    march already factored through them.  A sweep checks each pivot
+    through ``getrf``'s ``info``, and :class:`Monodromy` checks the
+    product's finiteness once.
+    """
+
+    def __init__(self, system, pairs) -> None:
+        self._base = system.conductance_base()
+        self._c = system.capacitance_matrix()
+        self._a = np.empty(self._base.shape)
+        self._stamper = ConductanceStamper(pairs, system.size)
+
+    def sweep(self, x, steps, chords, coefficients, sensitivity):
+        """Chain ``x <- A_n^{-1} (C/h - D_n) x`` over every step."""
+        a, base, c = self._a, self._base, self._c
+        flat = a.reshape(-1)
+        positions, entries = self._stamper.flat_entries(chords)
+        for n, h in enumerate(steps):
+            rhs = c @ x
+            rhs /= h
+            if sensitivity.coupled:
+                rhs -= sensitivity.apply(coefficients[n], x)
+            np.multiply(c, 1.0 / h, out=a)
+            a += base
+            np.add.at(flat, positions, entries[n])
+            lu, piv, info = lapack.dgetrf(a)
+            if info > 0:
+                raise SingularMatrixError(
+                    f"step matrix {n} of the period is singular")
+            x, _ = lapack.dgetrs(lu, piv, rhs)
+        return x
+
+
+class _BackendStepSolver:
+    """``A_n`` through a solver backend's own stamp/factor/solve.
+
+    The sparse family: the backend's cached pattern, CSC plan and
+    SuperLU factor, exactly as the march factors.
+    """
+
+    def __init__(self, backend, n_devices: int) -> None:
+        self._backend = backend
+        self._split = n_devices
+        # Start from empty caches and count nothing here: Monodromy
+        # counts each product's work itself.
+        backend.begin_run(None)
+
+    def sweep(self, x, steps, chords, coefficients, sensitivity):
+        """Chain ``x <- A_n^{-1} (C/h - D_n) x`` over every step."""
+        backend, split = self._backend, self._split
+        for n, h in enumerate(steps):
+            rhs = backend.c_matvec(x[None, :])
+            rhs /= h
+            if sensitivity.coupled:
+                rhs[0] -= sensitivity.apply(coefficients[n], x)
+            backend.stamp(chords[None, n, :split], chords[None, n, split:])
+            x = backend.solve_transient(h, rhs)[0]
+        return x
+
+
+class Monodromy:
+    """Matrix-free monodromy ``M = dPhi/dx0`` of one marched period.
+
+    :meth:`matvec` chains ``v <- A_n^{-1} (C/h - D_n) v`` along the
+    march's stored states, where ``A_n`` is the matrix the march
+    factored at step ``n`` (base stamps + clamped chords + ``C/h``),
+    assembled and factored again in the march backend's solver family.
+    A product refactors every step and keeps no factorization; per
+    step the operator stores only ``h``, the chords and the ``D_n``
+    coefficients — O(n_devices) numbers.  ``velocity`` is the endpoint
+    state velocity ``f_T``, the autonomous period column.  Each
+    product counts one ``n x n`` factorization and one solve per step
+    into *flops*, whatever the backend.
+    """
+
+    def __init__(self, step_solver, sensitivity: _ChordSensitivity,
+                 times: np.ndarray, states: np.ndarray,
+                 flops: FlopCounter | None = None) -> None:
+        states = np.asarray(states, dtype=float)
+        self._step_solver = step_solver
+        self._sensitivity = sensitivity
+        self._flops = flops
+        self._h = np.diff(np.asarray(times, dtype=float))
+        self._chords, self._coefficients = sensitivity.step_terms(states)
+        self.size = states.shape[1]
+        self.velocity = (states[-1] - states[-2]) / self._h[-1]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """The product ``M v``."""
+        x = self._step_solver.sweep(
+            np.array(v, dtype=float).reshape(self.size), self._h.tolist(),
+            self._chords, self._coefficients, self._sensitivity)
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrixError("monodromy product is non-finite")
+        if self._flops is not None:
+            count = len(self._h)
+            self._flops.count_factorization(self.size, count=count)
+            self._flops.count_solve(self.size, count=count)
+        return x
+
+
 class ShootingPSS:
     """Shooting-Newton periodic steady-state analysis of one circuit.
 
@@ -300,15 +555,18 @@ class ShootingPSS:
         # The predictor extrapolates chords from march history, which
         # crosses the period boundary between Newton iterations and
         # floors the achievable periodicity at ~1e-7; BE is the one
-        # formula the exact monodromy differentiates.
+        # formula the matrix-free monodromy differentiates.
         self._swec = replace(swec, use_predictor=False,
                              initialize_dc=False, method="be",
                              trace_conductance=False)
         self.engine = SwecTransient(circuit, self._swec)
         self.system = self.engine.system
         self.linearization = self.engine.linearization
-        self._base = self.system.conductance_base()
-        self._capacitance = self.system.capacitance_matrix()
+        sparse_family = self.backend_name == "sparse"
+        self._sensitivity = _ChordSensitivity(
+            self.system, self.linearization, dense=not sparse_family)
+        self._dense_solver = None if sparse_family else _DenseStepSolver(
+            self.system, self._sensitivity.pairs)
         period = self.options.period
         if period is None and self.options.period_guess is None:
             period = detect_drive_period(circuit)
@@ -352,78 +610,66 @@ class ShootingPSS:
             h_initial=period_guess / 4096.0))
 
     # ------------------------------------------------------------------
-    # Monodromy
+    # Newton–Krylov linear algebra
     # ------------------------------------------------------------------
 
-    def _monodromy(self, states: np.ndarray, grid: np.ndarray,
-                   flops: FlopCounter) -> tuple[np.ndarray, np.ndarray]:
-        """Exact Jacobian ``M = dPhi/dx0`` of the marched chord map.
+    def monodromy(self, times: np.ndarray, states: np.ndarray,
+                  flops: FlopCounter | None = None) -> Monodromy:
+        """Matrix-free ``M = dPhi/dx0`` along one marched period."""
+        step_solver = self._dense_solver or _BackendStepSolver(
+            self.engine.backend, self._sensitivity.n_devices)
+        return Monodromy(step_solver, self._sensitivity, times, states,
+                         flops)
 
-        Chains ``A_n^{-1} (C/h - D_n)`` over the period, where ``A_n``
-        is exactly the matrix the march factored at step ``n`` (base
-        stamps + clamped chords + ``C/h``) and ``D_n`` holds the chord
-        derivatives, rewritten through the tangent identity
-        ``g_ch'(v) v = dI/dV - g_ch`` so the correction reuses the AC
-        linearization's per-element tangents.  Also returns the
-        endpoint state velocity ``f_T`` (the autonomous period
-        column).
+    @staticmethod
+    def newton_operator(monodromy: Monodromy, period: float | None = None,
+                        phase_index: int | None = None) -> LinearOperator:
+        """Newton's shooting matrix as a :class:`LinearOperator`.
+
+        ``M - I`` in driven mode (*phase_index* ``None``).  In
+        autonomous mode, the bordered system with its phase row
+        eliminated: the row pins ``d[phase_index] = 0``, so that column
+        of ``M - I`` is free to carry the period column
+        ``f_T * period``, and entry ``phase_index`` of the unknown is
+        the relative period change ``dT/T``.  Same solution, one
+        Krylov dimension fewer than the ``(n + 1)`` bordered matrix.
         """
-        from repro.ac.linearize import tangent_conductances
+        n = monodromy.size
+        if phase_index is None:
+            def driven(d):
+                d = np.ravel(d)
+                return monodromy.matvec(d) - d
 
-        system, lin = self.system, self.linearization
-        n = system.size
-        monodromy = np.eye(n)
-        device_terminals = system.device_terminals()
-        mosfet_terminals = system.mosfet_terminals()
-        for i in range(len(grid) - 1):
-            h = grid[i + 1] - grid[i]
-            xn, xn1 = states[i], states[i + 1]
-            c_over_h = self._capacitance / h
-            a = self._base + c_over_h
-            device_chords = lin.device_conductances(xn)
-            mosfet_chords = lin.mosfet_conductances(xn)
-            lin.stamp(a, device_chords, mosfet_chords)
-            b = c_over_h.copy()
-            device_tangents, mosfet_partials = tangent_conductances(
-                self.circuit, system, xn)
-            for k, (anode, cathode) in enumerate(device_terminals):
-                g_ch = device_chords[k]
-                if g_ch <= 0.0:
-                    continue
-                vn = (xn[anode] if anode >= 0 else 0.0) \
-                    - (xn[cathode] if cathode >= 0 else 0.0)
-                if abs(vn) <= _V_EPS:
-                    continue
-                w = (xn1[anode] if anode >= 0 else 0.0) \
-                    - (xn1[cathode] if cathode >= 0 else 0.0)
-                system.stamp_two_terminal(
-                    b, anode, cathode,
-                    -(device_tangents[k] - g_ch) * (w / vn))
-            for k, (drain, gate, source) in enumerate(mosfet_terminals):
-                c_ch = mosfet_chords[k]
-                if c_ch <= 0.0:
-                    continue
-                vds = (xn[drain] if drain >= 0 else 0.0) \
-                    - (xn[source] if source >= 0 else 0.0)
-                if abs(vds) <= _V_EPS:
-                    continue
-                w = (xn1[drain] if drain >= 0 else 0.0) \
-                    - (xn1[source] if source >= 0 else 0.0)
-                gm, gds = mosfet_partials[k]
-                scale = w / vds
-                system.stamp_two_terminal(
-                    b, drain, source, -(gds - c_ch) * scale)
-                system.stamp_transconductance(
-                    b, drain, source, gate, source, -gm * scale)
-            monodromy = np.linalg.solve(a, b @ monodromy)
-        # Uniform, backend-independent accounting: one factorization
-        # plus an n-column solve per step, regardless of how numpy
-        # dispatches the chained solve.
-        steps = len(grid) - 1
-        flops.count_factorization(n, count=steps)
-        flops.count_solve(n, count=steps * n)
-        velocity = (states[-1] - states[-2]) / (grid[-1] - grid[-2])
-        return monodromy, velocity
+            return LinearOperator((n, n), matvec=driven, dtype=float)
+        column = monodromy.velocity * period
+
+        def bordered(z):
+            z = np.ravel(z)
+            d = z.copy()
+            d[phase_index] = 0.0
+            return monodromy.matvec(d) - d + column * z[phase_index]
+
+        return LinearOperator((n, n), matvec=bordered, dtype=float)
+
+    def _krylov_solve(self, operator: LinearOperator, rhs: np.ndarray,
+                      iteration: int, defect: float) -> np.ndarray:
+        """GMRES on the Newton system to ``1e-3 * tolerance``; or raise."""
+        atol = _KRYLOV_TOLERANCE * self.options.tolerance
+        size = operator.shape[0]
+        try:
+            solution, info = gmres(
+                operator, rhs, rtol=0.0, atol=atol,
+                restart=min(size, _KRYLOV_RESTART), maxiter=_KRYLOV_CYCLES)
+        except SingularMatrixError as exc:
+            raise PSSError(
+                f"shooting Jacobian product failed: {exc}",
+                iterations=iteration, residual=defect) from exc
+        if info != 0 or not np.all(np.isfinite(solution)):
+            raise PSSError(
+                f"GMRES did not solve the shooting Newton system to "
+                f"{atol:g} (is the circuit missing dynamics?)",
+                iterations=iteration, residual=defect)
+        return solution
 
     # ------------------------------------------------------------------
     # Autonomous period bootstrap
@@ -518,7 +764,6 @@ class ShootingPSS:
             phase_node = None
             x0 = (self.system.initial_state() if initial_state is None
                   else np.asarray(initial_state, dtype=float))
-        n = self.system.size
         for iteration in range(1, self.options.max_iterations + 1):
             march = self._march(x0, period, 1, flops)
             residual = march.states[-1] - march.states[0]
@@ -529,42 +774,25 @@ class ShootingPSS:
                     march, period=period, iterations=iteration - 1,
                     residual=defect, history=history,
                     phase_node=phase_node, flops=flops)
-            monodromy, velocity = self._monodromy(
-                march.states, march.times, flops)
+            monodromy = self.monodromy(march.times, march.states, flops)
             if self.mode == "autonomous":
-                jacobian = np.zeros((n + 1, n + 1))
-                jacobian[:n, :n] = monodromy - np.eye(n)
-                jacobian[:n, n] = velocity
-                jacobian[n, phase_index] = 1.0
-                rhs = np.zeros(n + 1)
-                rhs[:n] = -residual
-                try:
-                    delta = np.linalg.solve(jacobian, rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise PSSError(
-                        f"singular shooting Jacobian: {exc}",
-                        iterations=iteration, residual=defect) from exc
-                flops.count_factorization(n + 1)
-                flops.count_solve(n + 1)
-                x0 = x0 + delta[:n]
-                period = period + float(delta[n])
+                operator = self.newton_operator(monodromy, period,
+                                                phase_index)
+                delta = self._krylov_solve(operator, -residual,
+                                           iteration, defect)
+                relative_dt = float(delta[phase_index])
+                delta[phase_index] = 0.0
+                x0 = x0 + delta
+                period = period + period * relative_dt
                 if not math.isfinite(period) or period <= 0.0:
                     raise PSSError(
                         f"shooting period update diverged to "
                         f"{period!r}; check period_guess=",
                         iterations=iteration, residual=defect)
             else:
-                try:
-                    delta = np.linalg.solve(
-                        monodromy - np.eye(n), -residual)
-                except np.linalg.LinAlgError as exc:
-                    raise PSSError(
-                        f"singular shooting Jacobian (is the circuit "
-                        f"missing dynamics?): {exc}",
-                        iterations=iteration, residual=defect) from exc
-                flops.count_factorization(n)
-                flops.count_solve(n)
-                x0 = x0 + delta
+                operator = self.newton_operator(monodromy)
+                x0 = x0 + self._krylov_solve(operator, -residual,
+                                             iteration, defect)
             if not np.all(np.isfinite(x0)):
                 raise PSSError(
                     "shooting Newton update diverged (non-finite state)",

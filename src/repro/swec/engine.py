@@ -174,6 +174,11 @@ class SwecTransient:
         """Registry name of the resolved solver backend."""
         return self._stepper.backend_name
 
+    @property
+    def backend(self):
+        """The resolved :class:`~repro.core.backends.SolverBackend`."""
+        return self._stepper.backend
+
     # ------------------------------------------------------------------
 
     def _scalar_result(self,

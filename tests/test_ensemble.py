@@ -120,6 +120,18 @@ class TestBatchPrimitives:
             stamper.stamp(single, values[k])
             assert np.array_equal(stack[k], single)
 
+    def test_flat_entries_match_stamp(self):
+        pairs = [(0, 1), (1, -1), (-1, 2), (0, 0)]
+        stamper = ConductanceStamper(pairs, 3)
+        rows = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 0.0, 2.5]])
+        positions, entries = stamper.flat_entries(rows)
+        for k, values in enumerate(rows):
+            expected = np.arange(9.0).reshape(3, 3)
+            stamper.stamp(expected, values)
+            matrix = np.arange(9.0).reshape(3, 3)
+            np.add.at(matrix.reshape(-1), positions, entries[k])
+            assert np.array_equal(matrix, expected)
+
 
 class TestVectorizedLinearization:
     """Index-gather device/mosfet voltage extraction (satellite)."""

@@ -92,14 +92,46 @@ def test_memory_array_golden(golden_json):
                 payload, significant_digits=SIGNIFICANT_DIGITS)
 
 
+def _assert_no_harmonics(orbit, node):
+    """A linear mesh under a sine drive answers at the drive frequency
+    only: harmonics 2 and 3 are roundoff."""
+    fundamental = orbit.harmonic_magnitude(node, 1)
+    for order in (2, 3):
+        assert orbit.harmonic_magnitude(node, order) < 1e-12 * fundamental
+
+
 def test_power_grid_mesh_golden(golden_json):
     circuit, info = power_grid_mesh(rows=8, cols=8)
     orbit = run_pss(circuit, steps_per_period=100)
     assert orbit.residual < 1e-9
+    for node in (info.corner, info.far_corner):
+        _assert_no_harmonics(orbit, node)
     payload = _summary(orbit, info.corner)
     payload["far_corner"] = _summary(orbit, info.far_corner)
     payload["waveform"] = _waveform(orbit, info.far_corner)
     golden_json(CORPUS / "power_grid_mesh.expected.json",
+                payload, significant_digits=SIGNIFICANT_DIGITS)
+
+
+def test_power_grid_mesh_40x40_golden(golden_json):
+    """Grid-scale driven orbit (n > 1600) on the sparse backend.
+
+    Only the fundamental is pinned: the higher harmonics of this
+    linear mesh are roundoff, asserted small instead of snapshotted.
+    """
+    circuit, info = power_grid_mesh(rows=40, cols=40)
+    orbit = run_pss(circuit, steps_per_period=100, backend="sparse")
+    assert orbit.residual < 1e-9
+    assert orbit.states.shape[1] > 1600
+    payload = {}
+    for key, node in (("corner", info.corner),
+                      ("far_corner", info.far_corner)):
+        _assert_no_harmonics(orbit, node)
+        summary = _summary(orbit, node)
+        summary["harmonics"] = summary["harmonics"][:1]
+        payload[key] = summary
+    payload["waveform"] = _waveform(orbit, info.far_corner)
+    golden_json(CORPUS / "power_grid_mesh_40x40.expected.json",
                 payload, significant_digits=SIGNIFICANT_DIGITS)
 
 
@@ -110,6 +142,7 @@ def test_corpus_has_no_orphan_snapshots():
         "coupled_oscillator_bank.expected.json",
         "rtd_memory_array.expected.json",
         "power_grid_mesh.expected.json",
+        "power_grid_mesh_40x40.expected.json",
     }
     assert {p.name for p in CORPUS.glob("*.json")} == expected
 
@@ -117,8 +150,8 @@ def test_corpus_has_no_orphan_snapshots():
 @pytest.mark.parametrize("rows,cols", [(40, 40)])
 def test_large_mesh_transient_workload(rows, cols):
     """Beyond-30x30 regular-array workload: the mesh template builds
-    and marches at scale (transient only — PSS monodromy is
-    O(steps * n^3) and belongs to the small-mesh golden above)."""
+    and marches at scale on the default backend.  Its periodic steady
+    state is pinned by ``test_power_grid_mesh_40x40_golden`` above."""
     import numpy as np
 
     from repro.mna import MnaSystem

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu, spsolve
 
 from repro.circuit import Circuit, DC, Pulse
 from repro.circuits_lib import rc_mesh, rtd_mesh
@@ -22,6 +23,15 @@ def small_options(**kwargs):
                                 h_initial=1e-12), **kwargs)
 
 
+def _stamped_data(operators, device_g, mosfet_g):
+    """``G_base`` plus the chord stamps via the batch-assembly views."""
+    data = operators.base_data.copy()
+    positions, columns, signs = operators.stamp_indices()
+    values = np.concatenate((device_g, mosfet_g))
+    np.add.at(data, positions, values[columns] * signs)
+    return data
+
+
 class TestSparseOperators:
     def test_matches_dense_assembly(self, rtd):
         circuit, _ = rtd_mesh(3, 3)
@@ -34,7 +44,8 @@ class TestSparseOperators:
         mosfet_g = linearization.mosfet_conductances(state)
         dense = system.conductance_base()
         linearization.stamp(dense, device_g, mosfet_g)
-        sparse_matrix = operators.conductance(device_g, mosfet_g)
+        data = _stamped_data(operators, device_g, mosfet_g)
+        sparse_matrix = operators.matrix_from_data(data)
         assert np.allclose(sparse_matrix.toarray(), dense)
 
     def test_transient_matrix_includes_c_over_h(self):
@@ -42,9 +53,23 @@ class TestSparseOperators:
         system = MnaSystem(circuit)
         operators = SparseOperators(system)
         h = 1e-12
-        a = operators.transient_matrix(np.array([]), np.array([]), h)
+        data = operators.base_data + operators.c_data / h
+        a = operators.matrix_from_data(data)
         dense = system.conductance_base() + system.capacitance_matrix() / h
         assert np.allclose(a.toarray(), dense)
+
+    def test_csc_plan_matches_csr_assembly(self):
+        circuit, _ = rtd_mesh(4, 3)
+        system = MnaSystem(circuit)
+        operators = SparseOperators(system)
+        device_g = np.linspace(1e-3, 2e-3, len(circuit.devices))
+        data = _stamped_data(operators, device_g, np.zeros(0))
+        data += operators.c_data / 1e-12
+        csc = operators.csc_matrix()
+        np.take(data, operators.csc_order, out=csc.data)
+        assert csc.format == "csc" and csc.has_sorted_indices
+        assert np.array_equal(csc.toarray(),
+                              operators.matrix_from_data(data).toarray())
 
 
 class TestSparseSolver:
@@ -71,6 +96,63 @@ class TestSparseSolver:
     def test_nonsquare_rejected(self):
         with pytest.raises(SingularMatrixError):
             SparseSolver().factor(sparse.csc_matrix((2, 3)))
+
+    def test_failed_factor_leaves_no_factorization(self):
+        solver = SparseSolver()
+        solver.factor(sparse.csc_matrix(np.eye(3)))
+        with pytest.raises(SingularMatrixError):
+            solver.factor(sparse.csc_matrix((3, 3)))
+        with pytest.raises(SingularMatrixError):
+            solver.solve(np.ones(3))
+
+
+class TestSymmetricOrdering:
+    """The minimum-degree ``A^T + A`` ordering against ``spsolve``."""
+
+    @staticmethod
+    def _relative_error(solution, reference):
+        return float(np.max(np.abs(solution - reference))
+                     / np.max(np.abs(reference)))
+
+    @pytest.fixture(scope="class")
+    def mesh_system(self):
+        """The 30x30 RTD mesh transient matrix with its CSC plan."""
+        circuit, _ = rtd_mesh(30, 30)
+        system = MnaSystem(circuit)
+        operators = SparseOperators(system)
+        rng = np.random.default_rng(3)
+        device_g = rng.uniform(1e-4, 5e-3, len(circuit.devices))
+        data = _stamped_data(operators, device_g, np.zeros(0))
+        data += operators.c_data / 1e-12
+        matrix = operators.csc_matrix()
+        np.take(data, operators.csc_order, out=matrix.data)
+        return matrix, rng.standard_normal(system.size)
+
+    def test_mesh_solution_matches_spsolve(self, mesh_system):
+        matrix, rhs = mesh_system
+        solver = SparseSolver()
+        solver.factor(matrix)
+        reference = spsolve(matrix, rhs)
+        assert self._relative_error(solver.solve(rhs), reference) < 1e-12
+
+    def test_mesh_fill_no_larger_than_colamd(self, mesh_system):
+        matrix, _ = mesh_system
+        solver = SparseSolver()
+        solver.factor(matrix)
+        colamd = splu(matrix, permc_spec="COLAMD")
+        assert solver.fill <= colamd.L.nnz + colamd.U.nnz
+
+    def test_complex_ac_system_matches_spsolve(self):
+        from repro.ac import linearize
+        from repro.circuits_lib.inverter import fet_rtd_inverter
+
+        small = linearize(fet_rtd_inverter(vin=2.5)[0])
+        matrix = sparse.csc_matrix(small.g0 + 2j * np.pi * 1e9 * small.c)
+        rhs = small.excitation().astype(complex)
+        solver = SparseSolver()
+        solver.factor(matrix)
+        reference = spsolve(matrix, rhs)
+        assert self._relative_error(solver.solve(rhs), reference) < 1e-12
 
 
 class TestSparseEngine:
