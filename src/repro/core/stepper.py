@@ -138,9 +138,9 @@ class _SourceBank:
 
 
 class _DeviceSlot:
-    """Chord evaluation for one two-terminal device slot across K
-    instances, grouped by the models' ``batch_key`` so equal-parameter
-    models share one vectorized call."""
+    """One two-terminal device slot across K instances: multiplicities,
+    and the instances grouped by the models' ``batch_key`` so
+    equal-parameter models share one vectorized call."""
 
     def __init__(self, elements) -> None:
         n = len(elements)
@@ -158,29 +158,6 @@ class _DeviceSlot:
             (model, np.asarray(indices, dtype=np.intp)) for model, indices in grouped
         ]
         self.single = len(self.groups) == 1 and self.groups[0][1].size == n
-
-    def chord(self, voltages: np.ndarray) -> np.ndarray:
-        """``(K,)`` chord conductances (multiplicity applied)."""
-        if self.single:
-            model = self.groups[0][0]
-            return self.multiplicity * model.chord_conductance_many(voltages)
-        out = np.empty_like(voltages)
-        for model, idx in self.groups:
-            conductance = model.chord_conductance_many(voltages[idx])
-            out[idx] = self.multiplicity[idx] * conductance
-        return out
-
-    def chord_derivative(self, voltages: np.ndarray) -> np.ndarray:
-        """``(K,)`` chord derivatives for the eq.-5 predictor."""
-        if self.single:
-            model = self.groups[0][0]
-            derivative = model.chord_conductance_derivative_many(voltages)
-            return self.multiplicity * derivative
-        out = np.empty_like(voltages)
-        for model, idx in self.groups:
-            derivative = model.chord_conductance_derivative_many(voltages[idx])
-            out[idx] = self.multiplicity[idx] * derivative
-        return out
 
 
 class LinearStepper:
@@ -286,17 +263,18 @@ class LinearStepper:
         ]
         # Cross-slot grouping: device slots whose K models all share one
         # parameter record evaluate as a single (K, n_slots) vectorized
-        # call — a 20x20 RTD mesh pays one chord_conductance_many call
-        # per step instead of 400.  Slots with per-instance parameter
-        # variations keep the per-slot grouped path.
+        # call — a 20x20 RTD mesh pays one law pass per step instead of
+        # 400.  A slot with per-instance parameter variations adds one
+        # (instances, slot) group per distinct model.  Each group is
+        # (model, index into the (K, n_devices) arrays, multiplicities).
         if self._device_slots:
             stacked = [slot.multiplicity for slot in self._device_slots]
-            self._multiplicity = np.stack(stacked, axis=1)
+            multiplicity = np.stack(stacked, axis=1)
         else:
-            self._multiplicity = np.zeros((self.n_instances, 0))
+            multiplicity = np.zeros((self.n_instances, 0))
         uniform: dict = {}
         order: list = []
-        self._mixed_slots: list[int] = []
+        mixed: list = []
         for j, slot in enumerate(self._device_slots):
             if slot.single:
                 key = slot.groups[0][0].batch_key()
@@ -305,11 +283,17 @@ class LinearStepper:
                     order.append(key)
                 uniform[key][1].append(j)
             else:
-                self._mixed_slots.append(j)
-        grouped = [uniform[key] for key in order]
-        self._uniform_groups = [
-            (model, np.asarray(indices, dtype=np.intp)) for model, indices in grouped
+                mixed.extend((model, (rows, j)) for model, rows in slot.groups)
+        uniform_groups = [
+            (model, (slice(None), np.asarray(columns, dtype=np.intp)))
+            for model, columns in (uniform[key] for key in order)
         ]
+        self._device_groups = [
+            (model, at, multiplicity[at]) for model, at in uniform_groups + mixed
+        ]
+        # (states, branch voltages) of the last vectorized chord
+        # evaluation, reused as the next predicted step's previous point.
+        self._gathered: tuple = (None, None)
         # Single instance, few devices: the vectorized laws pay more in
         # numpy small-array overhead than they save, so the K = 1 slice
         # of small circuits evaluates chords through the scalar
@@ -405,27 +389,28 @@ class LinearStepper:
         K = self.n_instances
         if not self._device_slots:
             return voltages
-        conductances = np.empty_like(voltages)
+        previous, self._gathered = self._gathered, (states, voltages)
         predict = self.options.use_predictor and prev_states is not None
         predict = predict and bool(h_prev) and bool(h_next)
+        half_h = dv_dt = None
         if predict:
-            prev_voltages = self.linearization.device_voltages(prev_states)
+            # A march hands back the states it stamped last step; their
+            # branch voltages are already gathered.
+            if prev_states is previous[0]:
+                prev_voltages = previous[1]
+            else:
+                prev_voltages = self.linearization.device_voltages(prev_states)
             dv_dt = (voltages - prev_voltages) / h_prev
-        for model, idx in self._uniform_groups:
-            v = voltages[:, idx]
-            g = self._multiplicity[:, idx] * model.chord_conductance_many(v)
-            if predict:
-                derivative = model.chord_conductance_derivative_many(v)
-                dg_dv = self._multiplicity[:, idx] * derivative
-                g = g + 0.5 * h_next * dg_dv * dv_dt[:, idx]
-            conductances[:, idx] = g
-        for j in self._mixed_slots:
-            slot = self._device_slots[j]
-            g = slot.chord(voltages[:, j])
-            if predict:
-                dg_dv = slot.chord_derivative(voltages[:, j])
-                g = g + 0.5 * h_next * dg_dv * dv_dt[:, j]
-            conductances[:, j] = g
+            half_h = 0.5 * h_next
+        conductances = np.empty_like(voltages)
+        for model, at, multiplicity in self._device_groups:
+            if dv_dt is None:
+                chord = model.chord_conductance_many(voltages[at])
+                conductances[at] = multiplicity * chord
+            else:
+                chord, derivative = model.chord_pair_many(voltages[at])
+                correction = half_h * (multiplicity * derivative) * dv_dt[at]
+                conductances[at] = multiplicity * chord + correction
         np.maximum(conductances, 0.0, out=conductances)
         if flops is not None:
             flops.count_device_eval("rtd_current", count=K * len(self._device_slots))

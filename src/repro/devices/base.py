@@ -138,18 +138,40 @@ class TwoTerminalDevice:
 
     def chord_conductance_derivative_many(self, voltages) -> np.ndarray:
         """Vectorized :meth:`chord_conductance_derivative`."""
+        return self.chord_pair_many(voltages)[1]
+
+    def chord_pair_many(self, voltages) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`chord_pair`: ``(chord, chord derivative)``.
+
+        The lockstep march's predicted step needs both; one
+        :meth:`_law_many` evaluation serves the pair.  The chord is
+        bitwise :meth:`chord_conductance_many`.  Inside ``chord_epsilon``
+        the derivative takes its L'Hopital limit ``I''(0) / 2``,
+        estimated by finite differences as in the scalar method.
+        """
         v = np.asarray(voltages, dtype=float)
         small = np.abs(v) < self.chord_epsilon
         safe = np.where(small, 1.0, v)
-        i = self.current_many(safe)
-        g = self.differential_conductance_many(safe)
+        i, g = self._law_many(safe)
+        chord = i / safe
         derivative = (safe * g - i) / (safe * safe)
         if small.any():
             h = self.fd_step
             second = (self.current(h) - 2.0 * self.current(0.0)
                       + self.current(-h)) / (h * h)
+            chord = np.where(small, self.differential_conductance(0.0), chord)
             derivative = np.where(small, 0.5 * second, derivative)
-        return derivative
+        return chord, derivative
+
+    def _law_many(self, voltages) -> tuple[np.ndarray, np.ndarray]:
+        """``(I, dI/dV)`` over an array of voltages.
+
+        One :meth:`current_many` and one
+        :meth:`differential_conductance_many` call; a model whose law
+        shares arithmetic between the two overrides this with one pass.
+        """
+        return (self.current_many(voltages),
+                self.differential_conductance_many(voltages))
 
     # ------------------------------------------------------------------
     # Conveniences shared by every model

@@ -68,20 +68,20 @@ def _exp_clipped(x: float) -> float:
     return math.exp(min(x, _EXP_CLIP))
 
 
-def _softplus_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized stable softplus: ``log1p(exp(-|x|)) + max(x, 0)``."""
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+#: ``exp(-_EXP_CLIP)``, the smallest ``exp`` the logistic uses; computed
+#: by numpy's ``exp`` so it has the bits numpy gives that argument.
+_EXP_FLOOR = float(np.exp(np.array([-_EXP_CLIP]))[0])
 
 
-def _logistic_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized stable logistic, mirroring the scalar ``_logistic``."""
-    out = np.empty_like(x)
-    positive = x >= 0.0
-    out[positive] = 1.0 / (
-        1.0 + np.exp(-np.minimum(x[positive], _EXP_CLIP)))
-    ex = np.exp(np.maximum(x[~positive], -_EXP_CLIP))
-    out[~positive] = ex / (1.0 + ex)
-    return out
+def _logistic_from_exp(x: np.ndarray, abs_x: np.ndarray,
+                       exp_neg_abs: np.ndarray) -> np.ndarray:
+    """Vectorized stable logistic from ``exp(-|x|)``, mirroring the
+    scalar ``_logistic`` and its clip: ``exp(-min(|x|, _EXP_CLIP))``
+    differs from ``exp(-|x|)`` only past the clip, where it is
+    ``_EXP_FLOOR``."""
+    e = np.where(abs_x > _EXP_CLIP, _EXP_FLOOR, exp_neg_abs)
+    denominator = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / denominator, e / denominator)
 
 
 @dataclass(frozen=True)
@@ -170,22 +170,40 @@ class SchulmanRTD(TwoTerminalDevice):
         return self.resonance_current(voltage) + self.thermionic_current(voltage)
 
     def current_many(self, voltages) -> np.ndarray:
-        """Vectorized I-V law: eq. (4) over an array of voltages.
+        """Vectorized I-V law: eq. (4) over an array of voltages."""
+        return self._law_many(voltages, slope=False)[0]
 
-        One numpy pass instead of a Python loop per point; mirrors the
-        scalar clipping behaviour (``exp`` arguments capped at
-        ``_EXP_CLIP``, softplus evaluated in its stable form).
+    def _law_many(self, voltages, slope: bool = True):
+        """``(J, dJ/dV)`` over an array of voltages in one numpy pass.
+
+        The softplus and logistic terms share one ``exp(-|x|)`` per
+        argument, and the arctangent and the thermionic ``exp`` serve
+        both outputs.  Mirrors the scalar clipping (``exp`` arguments
+        capped at ``_EXP_CLIP``, softplus in its stable form
+        ``log1p(exp(-|x|)) + max(x, 0)``).  With ``slope=False`` the
+        derivative is skipped and returned as None.
         """
         p = self.parameters
         v = np.asarray(voltages, dtype=float)
         upper = (p.b - p.c + p.n1 * v) / self._vt
         lower = (p.b - p.c - p.n1 * v) / self._vt
-        log_term = _softplus_array(upper) - _softplus_array(lower)
-        angle = math.pi / 2.0 + np.arctan((p.c - p.n1 * v) / p.d)
-        resonance = p.a * log_term * angle
-        thermionic = p.h * (
-            np.exp(np.minimum(p.n2 * v / self._vt, _EXP_CLIP)) - 1.0)
-        return resonance + thermionic
+        abs_upper, abs_lower = np.abs(upper), np.abs(lower)
+        exp_upper, exp_lower = np.exp(-abs_upper), np.exp(-abs_lower)
+        log_term = ((np.log1p(exp_upper) + np.maximum(upper, 0.0))
+                    - (np.log1p(exp_lower) + np.maximum(lower, 0.0)))
+        u = (p.c - p.n1 * v) / p.d
+        angle = math.pi / 2.0 + np.arctan(u)
+        growth = np.exp(np.minimum(p.n2 * v / self._vt, _EXP_CLIP))
+        current = p.a * log_term * angle + p.h * (growth - 1.0)
+        if not slope:
+            return current, None
+        dlog = (p.n1 / self._vt) * (
+            _logistic_from_exp(upper, abs_upper, exp_upper)
+            + _logistic_from_exp(lower, abs_lower, exp_lower))
+        dangle = -(p.n1 / p.d) / (1.0 + u * u)
+        dj1 = p.a * (dlog * angle + log_term * dangle)
+        dj2 = (p.h * p.n2 / self._vt) * growth
+        return current, dj1 + dj2
 
     def batch_key(self):
         """Hashable key under which ensemble instances may be grouped.
@@ -203,20 +221,7 @@ class SchulmanRTD(TwoTerminalDevice):
 
     def differential_conductance_many(self, voltages) -> np.ndarray:
         """Vectorized analytic ``dJ/dV``, mirroring the scalar form."""
-        p = self.parameters
-        v = np.asarray(voltages, dtype=float)
-        upper = (p.b - p.c + p.n1 * v) / self._vt
-        lower = (p.b - p.c - p.n1 * v) / self._vt
-        log_term = _softplus_array(upper) - _softplus_array(lower)
-        dlog = (p.n1 / self._vt) * (_logistic_array(upper)
-                                    + _logistic_array(lower))
-        u = (p.c - p.n1 * v) / p.d
-        angle = math.pi / 2.0 + np.arctan(u)
-        dangle = -(p.n1 / p.d) / (1.0 + u * u)
-        dj1 = p.a * (dlog * angle + log_term * dangle)
-        dj2 = (p.h * p.n2 / self._vt) * np.exp(
-            np.minimum(p.n2 * v / self._vt, _EXP_CLIP))
-        return dj1 + dj2
+        return self._law_many(voltages)[1]
 
     def differential_conductance(self, voltage: float) -> float:
         """Analytic ``dJ/dV`` — negative inside the NDR region."""

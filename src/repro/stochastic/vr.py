@@ -19,8 +19,9 @@ control variates
 antithetic variates
     Gaussian increments are mirrored in pairs: path ``2q`` draws from
     pair stream ``q``, path ``2q + 1`` uses the negated draws.  Pair
-    streams are spawned up front from one ``SeedSequence``, so any
-    chunk split at even path boundaries reproduces bit-identically.
+    stream ``q`` is child ``q`` of one ``SeedSequence`` whichever batch
+    draws it, so any chunk split at even path boundaries reproduces
+    bit-identically.
 
 adaptive trial counts
     Paths run in batches through the chunked ``(K, n, n)`` stack march;
@@ -471,10 +472,38 @@ def _adaptive_mc(
     )
 
 
+class _PathSeeds:
+    """The first *count* children of *parent*, each built when a batch
+    slices it out.
+
+    Child ``i`` is ``SeedSequence(entropy, spawn_key=spawn_key + (i,),
+    pool_size=pool_size)`` of a parent that has spawned nothing, exactly
+    what ``parent.spawn`` builds, so an estimate that stops after a few
+    batches never pays for the ``max_trials`` streams it does not draw.
+    """
+
+    def __init__(self, parent: np.random.SeedSequence, count: int) -> None:
+        self._parent = parent
+        self._count = count
+
+    def __getitem__(self, window: slice) -> list:
+        parent = self._parent
+        return [
+            np.random.SeedSequence(
+                parent.entropy,
+                spawn_key=parent.spawn_key + (i,),
+                pool_size=parent.pool_size,
+            )
+            for i in range(*window.indices(self._count))
+        ]
+
+
 def _spawn_children(seed, count: int):
     if isinstance(seed, np.random.SeedSequence):
+        # spawn() also advances the caller's n_children_spawned, so a
+        # caller's SeedSequence still hands out fresh children afterwards.
         return seed.spawn(count)
-    return np.random.SeedSequence(seed).spawn(count)
+    return _PathSeeds(np.random.SeedSequence(seed), count)
 
 
 def _batch_normals(children, offset, size, steps, m, antithetic) -> np.ndarray:
@@ -519,9 +548,9 @@ def run_circuit_ensemble_vr(
     delegate here whenever a variance-reduction knob is switched on;
     *chunks*/*runner* select the parallel execution path (batches split
     over :class:`~repro.runtime.EnsembleTransientJob` chunks).  Path
-    streams are spawned up front from ``SeedSequence(seed)`` — pair
-    streams with *antithetic* — so serial and chunked runs are
-    bit-identical at any worker count.
+    stream ``i`` (pair stream with *antithetic*) is child ``i`` of
+    ``SeedSequence(seed)``, built when its batch runs, so serial and
+    chunked runs are bit-identical at any worker count.
     """
     from repro.runtime.jobs import _swec_options, apply_backend
 

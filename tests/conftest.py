@@ -60,26 +60,38 @@ def golden_json(update_golden):
     """Compare a JSON-serializable payload against a golden snapshot.
 
     Returns ``check(path, payload, significant_digits=None,
-    text=None)``: with ``--update-golden`` the snapshot at *path* is
-    rewritten first (from *text* when given, so a corpus can keep its
-    own rendering, else ``json.dumps(payload, indent=2)``); then the
-    payload must equal the parsed snapshot.  ``significant_digits``
-    rounds every float on both sides before comparing — use it for
-    numerical corpora.  Shared by the lint and PSS golden corpora;
-    any future corpus should use this fixture rather than growing its
-    own update flag.
+    text=None, key=None)``: with ``--update-golden`` the snapshot at
+    *path* is rewritten first (from *text* when given, so a corpus can
+    keep its own rendering, else ``json.dumps(payload, indent=2)``);
+    then the payload must equal the parsed snapshot.
+    ``significant_digits`` rounds every float on both sides before
+    comparing — use it for numerical corpora.  With *key* the snapshot
+    is a JSON object holding one entry per key, so parametrized cases
+    share one file and each updates and checks only its own entry.
+    Shared by the lint, PSS and lockstep-pin corpora; any future corpus
+    should use this fixture rather than growing its own update flag.
     """
 
-    def check(path, payload, *, significant_digits=None, text=None):
+    def check(path, payload, *, significant_digits=None, text=None,
+              key=None):
         if significant_digits is not None:
             payload = _round_significant(payload, significant_digits)
         if update_golden:
+            if key is not None:
+                entries = (json.loads(path.read_text())
+                           if path.exists() else {})
+                entries[key] = payload
+                text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
             rendered = (text if text is not None
                         else json.dumps(payload, indent=2) + "\n")
             path.write_text(rendered)
         assert path.exists(), (
             f"{path.name} missing; run pytest --update-golden")
         stored = json.loads(path.read_text())
+        if key is not None:
+            assert key in stored, (
+                f"{path.name} has no entry {key!r}; run pytest --update-golden")
+            stored = stored[key]
         if significant_digits is not None:
             stored = _round_significant(stored, significant_digits)
         assert payload == stored

@@ -38,6 +38,7 @@ from repro.stochastic import (
     run_sde_ensemble_vr,
 )
 from repro.stochastic.sde import LinearSDE
+from repro.stochastic.vr import _PathSeeds, _spawn_children
 
 
 def noisy_rc_circuit(resistance: float = 1e3) -> Circuit:
@@ -82,6 +83,56 @@ def test_antithetic_normals_interleaves_mirrored_pairs():
     assert out.shape == (8, 6, 1)
     assert np.array_equal(out[0::2], -out[1::2])
     assert np.array_equal(out[0::2], path_normals(pairs, 6, 1))
+
+
+def _states(children) -> list:
+    return [child.generate_state(4).tolist() for child in children]
+
+
+def _nested_parent() -> np.random.SeedSequence:
+    return np.random.SeedSequence(8, pool_size=8).spawn(3)[2].spawn(2)[1]
+
+
+@pytest.mark.parametrize("seed", [0, 21, 2**64 + 5, [3, 1, 4]])
+def test_path_seeds_match_spawn_for_integer_entropy(seed):
+    children = _spawn_children(seed, 40)
+    expected = np.random.SeedSequence(seed).spawn(40)
+    assert _states(children[0:40]) == _states(expected)
+    assert _states(children[13:29]) == _states(expected[13:29])
+    assert _states(children[32:48]) == _states(expected[32:40])
+
+
+def test_path_seeds_match_spawn_for_fresh_entropy():
+    entropy = np.random.SeedSequence().entropy
+    assert (_states(_spawn_children(entropy, 8)[0:8])
+            == _states(np.random.SeedSequence(entropy).spawn(8)))
+    children = _spawn_children(None, 8)[0:8]
+    assert len({child.entropy for child in children}) == 1
+    rebuilt = np.random.SeedSequence(children[0].entropy).spawn(8)
+    assert _states(children) == _states(rebuilt)
+
+
+def test_path_seeds_match_spawn_for_nested_spawn_keys():
+    children = _PathSeeds(_nested_parent(), 12)[0:12]
+    expected = _nested_parent().spawn(12)
+    assert [c.spawn_key for c in children] == [c.spawn_key for c in expected]
+    assert [c.pool_size for c in children] == [8] * 12
+    assert _states(children) == _states(expected)
+
+
+def test_caller_seed_sequence_still_spawns_its_children():
+    """A passed-in SeedSequence hands out its next children as the path
+    streams and counts them spawned, as SeedSequence.spawn does."""
+    seed = np.random.SeedSequence(5)
+    seed.spawn(2)
+    children = _spawn_children(seed, 16)
+    assert seed.n_children_spawned == 18
+    assert _states(children[0:16]) == _states(
+        np.random.SeedSequence(5).spawn(18)[2:])
+    stats_seed = np.random.SeedSequence(5)
+    run_circuit_ensemble_vr(noisy_rc_circuit(), NOISE, 5e-9, 10,
+                            seed=stats_seed, max_trials=32, batch_size=16)
+    assert stats_seed.n_children_spawned == 32
 
 
 def test_linearized_control_of_linear_circuit_is_the_circuit():

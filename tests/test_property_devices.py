@@ -7,13 +7,16 @@ even where the differential conductance is negative.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.circuit.elements import TwoTerminalDeviceInstance
 from repro.devices import (
     Diode,
     MultiPeakRTT,
+    NANO_SIM_DATE05,
     QuantizedNanowire,
     RTD_LOGIC,
     SCHULMAN_INGAAS,
@@ -208,3 +211,106 @@ class TestChordPairProperties:
             expected = (target.chord_conductance(v),
                         target.chord_conductance_derivative(v))
             assert _bits(target.chord_pair(v)) == _bits(expected)
+
+
+# ---------------------------------------------------------------------------
+# chord_pair_many: the lockstep march's one law pass per model group
+
+
+def _reference_schulman_law(rtd, v):
+    """The Schulman ``(J, dJ/dV)`` as two separate passes: the current
+    with its own softplus terms, the derivative with a mask-indexed
+    logistic.  The fused pass must reproduce both bit for bit."""
+    p, vt, clip = rtd.parameters, rtd._vt, 700.0
+
+    def softplus(x):
+        return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+
+    def logistic(x):
+        out = np.empty_like(x)
+        positive = x >= 0.0
+        out[positive] = 1.0 / (1.0 + np.exp(-np.minimum(x[positive], clip)))
+        ex = np.exp(np.maximum(x[~positive], -clip))
+        out[~positive] = ex / (1.0 + ex)
+        return out
+
+    upper = (p.b - p.c + p.n1 * v) / vt
+    lower = (p.b - p.c - p.n1 * v) / vt
+    log_term = softplus(upper) - softplus(lower)
+    angle = math.pi / 2.0 + np.arctan((p.c - p.n1 * v) / p.d)
+    current = p.a * log_term * angle + p.h * (
+        np.exp(np.minimum(p.n2 * v / vt, clip)) - 1.0)
+    dlog = (p.n1 / vt) * (logistic(upper) + logistic(lower))
+    u = (p.c - p.n1 * v) / p.d
+    dangle = -(p.n1 / p.d) / (1.0 + u * u)
+    slope = p.a * (dlog * (math.pi / 2.0 + np.arctan(u))
+                   + log_term * dangle) + (p.h * p.n2 / vt) * np.exp(
+                       np.minimum(p.n2 * v / vt, clip))
+    return current, slope
+
+
+def _reference_chord_pair(model, voltages):
+    """Chord and chord derivative from separate law calls: the chord
+    from ``I / V``, the derivative from the quotient rule, both with
+    the ``chord_epsilon`` limits of the scalar methods."""
+    v = np.asarray(voltages, dtype=float)
+    small = np.abs(v) < model.chord_epsilon
+    safe = np.where(small, 1.0, v)
+    if isinstance(model, SchulmanRTD):
+        i, g = _reference_schulman_law(model, safe)
+    else:
+        i = model.current_many(safe)
+        g = model.differential_conductance_many(safe)
+    chord = np.where(small, model.differential_conductance(0.0), i / safe)
+    h = model.fd_step
+    second = (model.current(h) - 2.0 * model.current(0.0)
+              + model.current(-h)) / (h * h)
+    derivative = np.where(small, 0.5 * second,
+                          (safe * g - i) / (safe * safe))
+    return chord, derivative
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: Past about +-60 V the paper-set softplus arguments leave +-700,
+#: where the scalar logistic clips its exp and the softplus does not.
+beyond_clip = st.sampled_from([-1e5, -1e3, -60.0, 60.0, 1e3, 1e5])
+voltage_arrays = arrays(
+    np.float64,
+    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+    elements=st.one_of(near_origin, voltages, beyond_clip))
+
+
+class TestChordPairManyProperties:
+    """chord_pair_many replaced the chord and chord-derivative calls of
+    the vectorized march; it must equal them bit for bit."""
+
+    @given(name=st.sampled_from(sorted(TWO_TERMINAL_MODELS)),
+           v=voltage_arrays)
+    @settings(max_examples=300, deadline=None)
+    def test_pair_many_equals_separate_methods(self, name, v):
+        model = TWO_TERMINAL_MODELS[name]()
+        chord, derivative = model.chord_pair_many(v)
+        expected_chord, expected_derivative = _reference_chord_pair(model, v)
+        assert _same_bits(chord, model.chord_conductance_many(v))
+        assert _same_bits(chord, expected_chord)
+        assert _same_bits(derivative, expected_derivative)
+        assert _same_bits(derivative,
+                          model.chord_conductance_derivative_many(v))
+
+    @pytest.mark.parametrize("parameters", [NANO_SIM_DATE05,
+                                            SCHULMAN_INGAAS, RTD_LOGIC])
+    def test_schulman_law_on_a_dense_grid(self, parameters):
+        rtd = SchulmanRTD(parameters)
+        v = np.concatenate([np.linspace(-10.0, 10.0, 200_001),
+                            [-1e5, -1e3, 1e3, 1e5]])
+        current, slope = _reference_schulman_law(rtd, v)
+        assert _same_bits(rtd.current_many(v), current)
+        assert _same_bits(rtd.differential_conductance_many(v), slope)
+        chord, derivative = rtd.chord_pair_many(v)
+        expected_chord, expected_derivative = _reference_chord_pair(rtd, v)
+        assert _same_bits(chord, expected_chord)
+        assert _same_bits(derivative, expected_derivative)
