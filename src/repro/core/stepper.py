@@ -291,9 +291,10 @@ class LinearStepper:
         self._device_groups = [
             (model, at, multiplicity[at]) for model, at in uniform_groups + mixed
         ]
-        # (states, branch voltages) of the last vectorized chord
-        # evaluation, reused as the next predicted step's previous point.
-        self._gathered: tuple = (None, None)
+        # Branch voltages of the last stamped point of the current march:
+        # a march stamps each accepted point once, in order, so they are
+        # the predictor's previous point.  Reset by _new_result.
+        self._last_voltages: np.ndarray | None = None
         # Single instance, few devices: the vectorized laws pay more in
         # numpy small-array overhead than they save, so the K = 1 slice
         # of small circuits evaluates chords through the scalar
@@ -378,7 +379,12 @@ class LinearStepper:
     def _device_conductances(
         self, states, prev_states, h_prev, h_next, flops: FlopCounter | None
     ) -> np.ndarray:
-        """``(K, n_devices)`` chord conductances, Taylor-corrected."""
+        """``(K, n_devices)`` chord conductances, Taylor-corrected.
+
+        *prev_states* (None at a march's first point and in the DC
+        start) are the states of the previous call in this march; the
+        predictor reads their branch voltages from that call.
+        """
         if self._scalar_chords:
             previous = None if prev_states is None else prev_states[0]
             scalar = self.linearization.device_conductances(
@@ -389,19 +395,13 @@ class LinearStepper:
         K = self.n_instances
         if not self._device_slots:
             return voltages
-        previous, self._gathered = self._gathered, (states, voltages)
         predict = self.options.use_predictor and prev_states is not None
         predict = predict and bool(h_prev) and bool(h_next)
         half_h = dv_dt = None
         if predict:
-            # A march hands back the states it stamped last step; their
-            # branch voltages are already gathered.
-            if prev_states is previous[0]:
-                prev_voltages = previous[1]
-            else:
-                prev_voltages = self.linearization.device_voltages(prev_states)
-            dv_dt = (voltages - prev_voltages) / h_prev
+            dv_dt = (voltages - self._last_voltages) / h_prev
             half_h = 0.5 * h_next
+        self._last_voltages = voltages
         conductances = np.empty_like(voltages)
         for model, at, multiplicity in self._device_groups:
             if dv_dt is None:
@@ -517,6 +517,7 @@ class LinearStepper:
         result = EnsembleTransientResult(self.system.circuit.nodes, self.n_instances)
         result.backend = self.backend_name
         self.backend.begin_run(result.flops)
+        self._last_voltages = None
         return result
 
     def _finish(self, result: EnsembleTransientResult) -> EnsembleTransientResult:

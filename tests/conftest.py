@@ -55,25 +55,58 @@ def _round_significant(value, digits: int):
     return value
 
 
+def _is_float_array(value) -> bool:
+    """A float, or a (nested) list that numpy reads as a float array."""
+    if isinstance(value, float):
+        return True
+    return isinstance(value, list) and np.asarray(value).dtype.kind == "f"
+
+
+def _assert_close(fresh, stored, rtol: float, where: str) -> None:
+    """*fresh* matches *stored*: dicts key by key, floats and float
+    arrays to ``rtol`` times the stored array's largest magnitude,
+    everything else exactly."""
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        assert fresh.keys() == stored.keys(), f"{where}: keys differ"
+        for key in stored:
+            _assert_close(fresh[key], stored[key], rtol, f"{where}[{key!r}]")
+    elif _is_float_array(stored) and _is_float_array(fresh):
+        got = np.asarray(fresh, dtype=float)
+        want = np.asarray(stored, dtype=float)
+        assert got.shape == want.shape, (
+            f"{where}: shape {got.shape} != {want.shape}")
+        bound = rtol * float(np.max(np.abs(want), initial=0.0))
+        error = float(np.max(np.abs(got - want), initial=0.0))
+        assert error <= bound, f"{where}: max |diff| {error:.3g} > {bound:.3g}"
+    else:
+        assert fresh == stored, f"{where}: {fresh!r} != {stored!r}"
+
+
 @pytest.fixture
 def golden_json(update_golden):
     """Compare a JSON-serializable payload against a golden snapshot.
 
-    Returns ``check(path, payload, significant_digits=None,
+    Returns ``check(path, payload, significant_digits=None, rtol=None,
     text=None, key=None)``: with ``--update-golden`` the snapshot at
     *path* is rewritten first (from *text* when given, so a corpus can
     keep its own rendering, else ``json.dumps(payload, indent=2)``);
     then the payload must equal the parsed snapshot.
     ``significant_digits`` rounds every float on both sides before
-    comparing — use it for numerical corpora.  With *key* the snapshot
-    is a JSON object holding one entry per key, so parametrized cases
-    share one file and each updates and checks only its own entry.
-    Shared by the lint, PSS and lockstep-pin corpora; any future corpus
-    should use this fixture rather than growing its own update flag.
+    comparing — use it for numerical corpora.  ``rtol`` instead keeps
+    full-precision floats in the snapshot and compares each float or
+    float array (a nested list) to within ``rtol`` times the stored
+    array's largest magnitude, so last-bit drift from another
+    platform's vector math or BLAS passes while a change to the
+    algorithm fails; integers, strings and keys still match exactly.
+    With *key* the snapshot is a JSON object holding one entry per
+    key, so parametrized cases share one file and each updates and
+    checks only its own entry.  Shared by the lint, PSS and
+    lockstep-pin corpora; any future corpus should use this fixture
+    rather than growing its own update flag.
     """
 
-    def check(path, payload, *, significant_digits=None, text=None,
-              key=None):
+    def check(path, payload, *, significant_digits=None, rtol=None,
+              text=None, key=None):
         if significant_digits is not None:
             payload = _round_significant(payload, significant_digits)
         if update_golden:
@@ -94,7 +127,10 @@ def golden_json(update_golden):
             stored = stored[key]
         if significant_digits is not None:
             stored = _round_significant(stored, significant_digits)
-        assert payload == stored
+        if rtol is not None:
+            _assert_close(payload, stored, rtol, path.name)
+        else:
+            assert payload == stored
 
     return check
 

@@ -1,30 +1,33 @@
-"""Bit and Table-I pins for the lockstep march and the VR estimators.
+"""Numeric and Table-I pins for the lockstep march and the VR estimators.
 
 The vectorized lockstep march (:class:`~repro.core.LinearStepper` with
 K > 1, or K = 1 on a large device count) and the variance-reduced
 Monte-Carlo estimators built on it are rewritten for speed from time to
 time.  These pins hold what such a rewrite must not move:
 
-* the exact state bits and every :class:`~repro.perf.FlopCounter`
-  category and count of K = 16 jittered FET-RTD inverter ensembles,
+* the states and every :class:`~repro.perf.FlopCounter` category and
+  count of K = 16 jittered FET-RTD inverter ensembles,
   with one device-parameter record per slot (uniform groups) and with
   two (mixed slots), adaptive and fixed-grid, eq.-5 predictor on and
   off; of a 6x6 RTD mesh on the K = 1 vectorized path; and of a noisy
   RTD relaxation-oscillator ensemble;
-* the ``mean`` / ``standard_error`` bits and the path and batch counts
+* the ``mean`` / ``standard_error`` and the path and batch counts
   of naive, antithetic and control-variate estimates, serial and
   chunked, plus the SDE twin.
 
-``lockstep_pins.expected.json`` stores SHA-256 digests of the raw
-float64 arrays.  They were recorded on x86-64 with numpy 2.4; another
-platform's vector math may differ in the last bit, so regenerate with
-``pytest --update-golden`` there, and elsewhere only for a change that
-is meant to move the numbers.
+``lockstep_pins.expected.json`` keeps the integer counts exact and the
+floats at full precision.  The floats are compared to ``RTOL`` of each
+array's scale: tight enough that any change to the march's arithmetic
+(another predictor formula, chord or step rule) fails, loose enough for
+another platform's last-bit drift in numpy's vector math or BLAS.
+Bit-identity across a rewrite is checked in process instead, by the
+property tests of the fused device kernels.  Regenerate with
+``pytest --update-golden`` only for a change that is meant to move the
+numbers.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +48,16 @@ PINS = Path(__file__).with_name("lockstep_pins.expected.json")
 K = 16
 T_STOP = 1.5e-9
 
+#: Float pins hold to this fraction of each array's largest magnitude.
+RTOL = 1e-9
 
-def _digest(array) -> str:
-    data = np.ascontiguousarray(array, dtype=np.float64)
-    return hashlib.sha256(data.tobytes()).hexdigest()
+
+def _floats(array) -> list:
+    return np.asarray(array, dtype=float).tolist()
+
+
+def _pin(golden_json, key: str, payload: dict) -> None:
+    golden_json(PINS, payload, rtol=RTOL, key=key)
 
 
 def _options(predictor: bool = True, **kwargs) -> SwecOptions:
@@ -78,10 +87,16 @@ def _inverters(mixed: bool) -> list[Circuit]:
 
 
 def _march_payload(result) -> dict:
+    """The final state stack and the per-instance time sum of the
+    states (a checksum of the whole trajectory), with the grid's end
+    and sum, beside every Table-I count."""
     flops = result.flops
+    states = result.states  # (K, T, n)
     return {
-        "states": _digest(result.states),
-        "times": _digest(result.times),
+        "final_states": _floats(states[:, -1]),
+        "summed_states": _floats(states.sum(axis=1)),
+        "final_time": float(result.times[-1]),
+        "summed_times": float(np.sum(result.times)),
         "flops": flops.by_category(),
         "device_evaluations": flops.device_evaluations,
         "factorizations": flops.factorizations,
@@ -111,7 +126,7 @@ def test_inverter_ensemble_march_is_pinned(golden_json, group, mode,
                                            predictor):
     result = _ensemble_march(group, mode, predictor)
     key = f"inverter-{group}-{mode}-predictor-{'on' if predictor else 'off'}"
-    golden_json(PINS, _march_payload(result), key=key)
+    _pin(golden_json, key, _march_payload(result))
 
 
 def test_mesh_k1_vectorized_march_is_pinned(golden_json):
@@ -122,7 +137,7 @@ def test_mesh_k1_vectorized_march_is_pinned(golden_json):
                                          width=1e-9, period=3e-9))
     engine = SwecEnsembleTransient(mesh, _options(backend="sparse"),
                                    n_instances=1)
-    golden_json(PINS, _march_payload(engine.run(0.5e-9)), key="mesh6x6-k1")
+    _pin(golden_json, "mesh6x6-k1", _march_payload(engine.run(0.5e-9)))
 
 
 def test_noisy_oscillator_march_is_pinned(golden_json):
@@ -133,7 +148,7 @@ def test_noisy_oscillator_march_is_pinned(golden_json):
     times = np.linspace(0.0, float(info.period_guess), 121)
     normals = path_normals(np.random.SeedSequence(11).spawn(K), 120, 1)
     result = engine.run_grid(times, normals=normals)
-    golden_json(PINS, _march_payload(result), key="oscillator-noisy-k16")
+    _pin(golden_json, "oscillator-noisy-k16", _march_payload(result))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +166,8 @@ def _rtd_lowpass() -> Circuit:
 
 def _estimate_payload(stats) -> dict:
     return {
-        "mean": _digest(stats.mean),
-        "standard_error": _digest(stats.standard_error),
+        "mean": _floats(stats.mean),
+        "standard_error": _floats(stats.standard_error),
         "n_simulated": stats.n_simulated,
         "n_batches": stats.n_batches,
     }
@@ -176,7 +191,7 @@ def test_circuit_vr_estimate_is_pinned(golden_json, estimator, chunks):
         max_trials=64, batch_size=16, target_rel_ci=1e-4, chunks=chunks,
         runner=runner, **ESTIMATORS[estimator])
     key = f"lowpass-{estimator}-{'serial' if chunks is None else 'chunks2'}"
-    golden_json(PINS, _estimate_payload(stats), key=key)
+    _pin(golden_json, key, _estimate_payload(stats))
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -185,7 +200,7 @@ def test_sde_vr_estimate_is_pinned(golden_json, antithetic):
     stats = run_sde_ensemble_vr(sde, [0.0], 5e-9, 50, antithetic=antithetic,
                                 max_trials=48, batch_size=16, seed=4)
     key = f"sde-{'antithetic' if antithetic else 'naive'}"
-    golden_json(PINS, _estimate_payload(stats), key=key)
+    _pin(golden_json, key, _estimate_payload(stats))
 
 
 def test_seed_sequence_vr_estimate_is_pinned(golden_json):
@@ -196,7 +211,7 @@ def test_seed_sequence_vr_estimate_is_pinned(golden_json):
     stats = run_circuit_ensemble_vr(
         _rtd_lowpass(), [("out", 2e-8)], 5e-9, 30, seed=seed,
         max_trials=32, batch_size=16)
-    golden_json(PINS, _estimate_payload(stats), key="lowpass-seedsequence")
+    _pin(golden_json, "lowpass-seedsequence", _estimate_payload(stats))
 
 
 @pytest.mark.parametrize("control_variate", [False, True])
@@ -209,4 +224,4 @@ def test_oscillator_vr_estimate_is_pinned(golden_json, control_variate):
         node=info.output, seed=3, max_trials=4096, batch_size=16,
         target_rel_ci=0.02, control_variate=control_variate)
     key = f"oscillator-{'control-variate' if control_variate else 'naive'}"
-    golden_json(PINS, _estimate_payload(stats), key=key)
+    _pin(golden_json, key, _estimate_payload(stats))
