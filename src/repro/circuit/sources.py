@@ -157,8 +157,6 @@ class Pulse(Waveform):
     def breakpoints(self) -> tuple[float, ...]:
         edges = (0.0, self.rise, self.rise + self.width,
                  self.rise + self.width + self.fall)
-        if not math.isfinite(self.period):
-            return tuple(self.delay + e for e in edges)
         # One period's worth; engines re-fold periodic breakpoints.
         return tuple(self.delay + e for e in edges)
 

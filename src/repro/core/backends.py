@@ -279,8 +279,11 @@ class DenseBackend(_PerInstanceSolvers, _DenseStorageBackend):
     This is the classic single-instance SWEC path: one
     :class:`~repro.mna.linsolve.LinearSolver` per instance, wrapped in
     :class:`~repro.mna.linsolve.CachedFactorization` when
-    ``factor_rtol`` is given.  For K > 1 it is the serial reference
-    the ``stack`` backend is benchmarked against.
+    ``factor_rtol`` is given.  Without the cache each solve is one
+    fused ``dgesv`` call
+    (:meth:`~repro.mna.linsolve.LinearSolver.factor_solve`).  For
+    K > 1 it is the serial reference the ``stack`` backend is
+    benchmarked against.
     """
 
     name = "dense"
@@ -292,8 +295,12 @@ class DenseBackend(_PerInstanceSolvers, _DenseStorageBackend):
     def _factor_solve(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out = np.empty((self.n_instances, self.size))
         for k, solver in enumerate(self._solvers):
-            solver.factor(matrices[k])
-            out[k] = solver.solve(rhs[k])
+            if self.factor_rtol is None:
+                # No reuse cache to consult: one fused dgesv call.
+                out[k] = solver.factor_solve(matrices[k], rhs[k])
+            else:
+                solver.factor(matrices[k])
+                out[k] = solver.solve(rhs[k])
         return out
 
     def solve_transient(

@@ -240,9 +240,6 @@ class LinearStepper:
         self.linearization = SwecLinearization(
             self.system, use_predictor=self.options.use_predictor
         )
-        self.controller = EnsembleStepController(
-            self.systems, circuits, self.options.step
-        )
         self._chunk_entries = chunk_entries
         self.backend: SolverBackend = create_backend(
             self.options.resolved_backend(),
@@ -291,17 +288,22 @@ class LinearStepper:
         self._device_groups = [
             (model, at, multiplicity[at]) for model, at in uniform_groups + mixed
         ]
-        # Branch voltages of the last stamped point of the current march:
-        # a march stamps each accepted point once, in order, so they are
-        # the predictor's previous point.  Reset by _new_result.
-        self._last_voltages: np.ndarray | None = None
+        # Branch voltages of the last stamped point of the current march
+        # (a list on the scalar path): a march stamps each accepted point
+        # once, in order, so they are the predictor's previous point.
+        # Reset by _new_result.
+        self._last_voltages: np.ndarray | list[float] | None = None
         # Single instance, few devices: the vectorized laws pay more in
         # numpy small-array overhead than they save, so the K = 1 slice
         # of small circuits evaluates chords through the scalar
-        # SwecLinearization loop (numerically equivalent — the lockstep
-        # tests bound the difference at 1e-10).
+        # SwecLinearization loops, and the step controller takes its
+        # node-RC bound on Python floats (numerically equivalent — the
+        # lockstep tests bound the difference at 1e-10).
         n_nonlinear = len(self._device_slots) + len(circuits[0].mosfets)
         self._scalar_chords = self.n_instances == 1 and n_nonlinear <= 32
+        self.controller = EnsembleStepController(
+            self.systems, circuits, self.options.step, scalar=self._scalar_chords
+        )
         mosfets = circuits[0].mosfets
         if mosfets:
             models = [
@@ -385,12 +387,6 @@ class LinearStepper:
         start) are the states of the previous call in this march; the
         predictor reads their branch voltages from that call.
         """
-        if self._scalar_chords:
-            previous = None if prev_states is None else prev_states[0]
-            scalar = self.linearization.device_conductances(
-                states[0], previous, h_prev, h_next, flops=flops
-            )
-            return scalar[None, :]
         voltages = self.linearization.device_voltages(states)
         K = self.n_instances
         if not self._device_slots:
@@ -424,9 +420,6 @@ class LinearStepper:
         """``(K, n_mosfets)`` chord conductances ``Ids/Vds``."""
         if self._mosfet_params is None:
             return np.zeros((self.n_instances, 0))
-        if self._scalar_chords:
-            scalar = self.linearization.mosfet_conductances(states[0], flops=flops)
-            return scalar[None, :]
         from repro.devices.mosfet import mosfet_chord_stack
 
         vgs, vds = self.linearization.mosfet_vgs_vds(states)
@@ -446,13 +439,45 @@ class LinearStepper:
             flops.count_device_eval("mosfet", count=conductances.size)
         return conductances
 
+    def _scalar_conductances(
+        self, states, prev_states, h_prev, h_next, flops: FlopCounter | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """K = 1 ``(1, n_devices)`` / ``(1, n_mosfets)`` chords through
+        the scalar SwecLinearization loops.
+
+        The point's branch voltages are gathered once, and the
+        predictor's previous voltages are the last point's gather.
+        """
+        linearization = self.linearization
+        state = states[0]
+        voltages, vgs, vds = linearization.branch_voltages(state)
+        previous, self._last_voltages = self._last_voltages, voltages
+        device_g = linearization.device_conductances(
+            state,
+            None if prev_states is None else prev_states[0],
+            h_prev,
+            h_next,
+            flops,
+            voltages=voltages,
+            prev_voltages=previous,
+        )
+        mosfet_g = linearization.mosfet_conductances(state, flops, vgs_vds=(vgs, vds))
+        return device_g[None, :], mosfet_g[None, :]
+
     def _stamp(
         self, states, prev_states, h_prev, h_next, flops: FlopCounter | None
     ) -> np.ndarray:
         """Evaluate chords and stamp ``G`` into the backend; returns
         the ``(K, n_devices)`` chords (for the conductance trace)."""
-        device_g = self._device_conductances(states, prev_states, h_prev, h_next, flops)
-        mosfet_g = self._mosfet_conductances(states, flops)
+        if self._scalar_chords:
+            device_g, mosfet_g = self._scalar_conductances(
+                states, prev_states, h_prev, h_next, flops
+            )
+        else:
+            device_g = self._device_conductances(
+                states, prev_states, h_prev, h_next, flops
+            )
+            mosfet_g = self._mosfet_conductances(states, flops)
         self.backend.stamp(device_g, mosfet_g)
         return device_g
 

@@ -34,6 +34,7 @@ Three parameter sets ship with the model:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +69,21 @@ def _exp_clipped(x: float) -> float:
     return math.exp(min(x, _EXP_CLIP))
 
 
+def _softplus_logistic(x: float) -> tuple[float, float]:
+    """``(_softplus(x), _logistic(x))`` bitwise, from one ``exp(-|x|)``.
+
+    Inside the clip both functions take ``exp(-|x|)`` (``exp(-x)`` for
+    ``x > 0``, ``exp(x)`` otherwise); past it the scalar functions
+    themselves answer.
+    """
+    if abs(x) > _EXP_CLIP:
+        return _softplus(x), _logistic(x)
+    e = math.exp(-abs(x))
+    if x > 0.0:
+        return x + math.log1p(e), 1.0 / (1.0 + e)
+    return math.log1p(e), (1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e))
+
+
 #: ``exp(-_EXP_CLIP)``, the smallest ``exp`` the logistic uses; computed
 #: by numpy's ``exp`` so it has the bits numpy gives that argument.
 _EXP_FLOOR = float(np.exp(np.array([-_EXP_CLIP]))[0])
@@ -82,6 +98,12 @@ def _logistic_from_exp(x: np.ndarray, abs_x: np.ndarray,
     e = np.where(abs_x > _EXP_CLIP, _EXP_FLOOR, exp_neg_abs)
     denominator = 1.0 + e
     return np.where(x >= 0.0, 1.0 / denominator, e / denominator)
+
+
+#: SchulmanRTD -> its ``chord_pair`` inside ``chord_epsilon``.  Kept
+#: outside the model so the model's attributes (which the service
+#: fingerprints) stay its parameters.
+_ORIGIN_PAIRS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -168,6 +190,37 @@ class SchulmanRTD(TwoTerminalDevice):
     def current(self, voltage: float) -> float:
         """Total current ``J(V) = J_1(V) + J_2(V)``."""
         return self.resonance_current(voltage) + self.thermionic_current(voltage)
+
+    def chord_pair(self, voltage: float) -> tuple[float, float]:
+        """``(I/V, (V dI/dV - I)/V^2)`` from one scalar pass of the law.
+
+        The scalar twin of :meth:`_law_many`: the softplus and logistic
+        terms share one ``exp``, and the arctangent and the thermionic
+        ``exp`` serve both ``I`` and ``dI/dV``.  Bitwise equal to the
+        base method's separate :meth:`current` and
+        :meth:`differential_conductance` calls; inside
+        ``chord_epsilon`` it returns the base method's pair.
+        """
+        if abs(voltage) < self.chord_epsilon:
+            # Both limits there are constants of the model (dI/dV(0) and
+            # I''(0)/2): the base method's pair, evaluated once per model.
+            pair = _ORIGIN_PAIRS.get(self)
+            if pair is None:
+                pair = _ORIGIN_PAIRS[self] = super().chord_pair(voltage)
+            return pair
+        p, vt = self.parameters, self._vt
+        n1v = p.n1 * voltage
+        soft_upper, logistic_upper = _softplus_logistic((p.b - p.c + n1v) / vt)
+        soft_lower, logistic_lower = _softplus_logistic((p.b - p.c - n1v) / vt)
+        log_term = soft_upper - soft_lower
+        u = (p.c - n1v) / p.d
+        angle = math.pi / 2.0 + math.atan(u)
+        growth = _exp_clipped(p.n2 * voltage / vt)
+        i = p.a * log_term * angle + p.h * (growth - 1.0)
+        dlog = (p.n1 / vt) * (logistic_upper + logistic_lower)
+        dangle = -(p.n1 / p.d) / (1.0 + u * u)
+        g = p.a * (dlog * angle + log_term * dangle) + (p.h * p.n2 / vt) * growth
+        return i / voltage, (voltage * g - i) / (voltage * voltage)
 
     def current_many(self, voltages) -> np.ndarray:
         """Vectorized I-V law: eq. (4) over an array of voltages."""

@@ -2,13 +2,14 @@
 
 All paper circuits are tiny (a handful of nodes), so the default path is
 dense LU.  :class:`LinearSolver` calls LAPACK ``dgetrf``/``dgetrs``
-directly.  At the sizes SWEC marches (n ~ 8) the ``scipy.linalg``
-``lu_factor``/``lu_solve`` wrappers cost about ten times the LAPACK
-work they wrap; they call the very same routines, so skipping them
-leaves every result bitwise unchanged.  The checks live here instead:
-a square, finite matrix, no zero or non-finite pivot, a right-hand
-side of matching length and a finite solution — each failure raises
-:class:`~repro.errors.SingularMatrixError`.
+directly, or ``dgesv`` (the two in one call) when one solve follows
+each factorization.  At the sizes SWEC marches (n ~ 8) the
+``scipy.linalg`` ``lu_factor``/``lu_solve`` wrappers cost about ten
+times the LAPACK work they wrap; they call the very same routines, so
+skipping them leaves every result bitwise unchanged.  The checks live
+here instead: a square, finite matrix, no zero or non-finite pivot, a
+right-hand side of matching length and a finite solution — each
+failure raises :class:`~repro.errors.SingularMatrixError`.
 
 The factorization is cached between calls; engines that keep the matrix
 fixed across several solves (e.g. Newton with a frozen Jacobian, or
@@ -17,6 +18,8 @@ reflects that.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -28,9 +31,26 @@ from repro.perf.flops import FlopCounter
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray,
                 flops: FlopCounter | None = None) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` once, counting flops into *flops*."""
-    solver = LinearSolver(flops)
-    solver.factor(matrix)
-    return solver.solve(rhs)
+    return LinearSolver(flops).factor_solve(matrix, rhs)
+
+
+#: Largest array whose finiteness :func:`_all_finite` tests on Python
+#: floats (an 8 x 8 matrix); numpy's two calls are cheaper above it.
+_SCALAR_CHECK_MAX = 64
+
+
+def _all_finite(array: np.ndarray) -> bool:
+    """``np.isfinite(array).all()``, cheaper for the small arrays SWEC
+    solves.
+
+    A NaN or infinite entry makes the sum of the entries non-finite, so
+    a finite sum settles it; a sum that overflowed from finite entries
+    falls back to the per-entry test.
+    """
+    if array.size > _SCALAR_CHECK_MAX:
+        return bool(np.isfinite(array).all())
+    values = array.ravel().tolist()
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 class LinearSolver:
@@ -59,7 +79,7 @@ class LinearSolver:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise SingularMatrixError(
                 f"expected a square matrix, got shape {matrix.shape}")
-        if not np.isfinite(matrix).all():
+        if not _all_finite(matrix):
             raise SingularMatrixError("matrix contains non-finite entries")
         n = matrix.shape[0]
         if n:
@@ -67,7 +87,7 @@ class LinearSolver:
             # first exactly-zero pivot of U through info > 0; a pivot
             # that overflowed shows up non-finite on U's diagonal.
             lu, piv, info = lapack.dgetrf(matrix)
-            if info > 0 or not np.isfinite(lu.diagonal()).all():
+            if info > 0 or not _all_finite(lu.diagonal()):
                 raise SingularMatrixError(
                     "MNA matrix is singular (floating node or short loop?)")
         else:
@@ -93,7 +113,38 @@ class LinearSolver:
             solution = rhs.copy()
         if self.flops is not None:
             self.flops.count_solve(self._n)
-        if not np.isfinite(solution).all():
+        if not _all_finite(solution):
+            raise SingularMatrixError("solution contains non-finite entries")
+        return solution
+
+    def factor_solve(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """:meth:`factor` then :meth:`solve` in one LAPACK ``dgesv`` call.
+
+        Same checks, messages and flop counts as the two calls, and the
+        factorization stays cached for later :meth:`solve` calls.
+        ``dgesv`` is ``dgetrf`` followed by ``dgetrs``, so the solution
+        is bitwise theirs.  An empty system or a mismatched *rhs* takes
+        the two calls themselves.
+        """
+        self._lu = None
+        matrix = np.asarray(matrix, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
+                or not matrix.shape[0] or rhs.shape[0] != matrix.shape[0]):
+            self.factor(matrix)
+            return self.solve(rhs)
+        if not _all_finite(matrix):
+            raise SingularMatrixError("matrix contains non-finite entries")
+        lu, piv, solution, info = lapack.dgesv(matrix, rhs)
+        if info > 0 or not _all_finite(lu.diagonal()):
+            raise SingularMatrixError(
+                "MNA matrix is singular (floating node or short loop?)")
+        n = matrix.shape[0]
+        self._lu, self._piv, self._n = lu, piv, n
+        if self.flops is not None:
+            self.flops.count_factorization(n)
+            self.flops.count_solve(n)
+        if not _all_finite(solution):
             raise SingularMatrixError("solution contains non-finite entries")
         return solution
 

@@ -55,6 +55,8 @@ class SwecLinearization:
     scatters with no per-device Python loop, and all three accept an
     optional leading batch axis (a ``(K, n)`` state stack or a
     ``(K, n, n)`` matrix stack) — the ensemble engine's hot path.
+    :meth:`branch_voltages` is the single-state form on Python floats,
+    for the scalar chord loops.
     """
 
     def __init__(self, system: MnaSystem, use_predictor: bool = True) -> None:
@@ -73,6 +75,12 @@ class SwecLinearization:
         self._drain_idx, self._drain_mask = _gather_arrays(mosfets[:, 0])
         self._gate_idx, self._gate_mask = _gather_arrays(mosfets[:, 1])
         self._source_idx, self._source_mask = _gather_arrays(mosfets[:, 2])
+        # The same terminals as plain index tuples, for the scalar
+        # gather of branch_voltages (ground stays -1).
+        self._device_pairs = tuple(
+            (int(a), int(c)) for a, c in self._device_terminals)
+        self._mosfet_triples = tuple(
+            (int(d), int(g), int(s)) for d, g, s in self._mosfet_terminals)
         # MOSFETs stamp their chord across drain-source, exactly like a
         # two-terminal device (paper eq. 3).
         self._stamper = ConductanceStamper(
@@ -109,6 +117,25 @@ class SwecLinearization:
         vs = state[..., self._source_idx] * self._source_mask
         return vg - vs, vd - vs
 
+    def branch_voltages(self, state: np.ndarray
+                        ) -> tuple[list[float], list[float], list[float]]:
+        """``(device voltages, vgs, vds)`` of one ``(n,)`` state as lists.
+
+        One ``tolist`` and precomputed index tuples instead of the
+        masked numpy gathers; the values are bitwise those of
+        :meth:`device_voltages` and :meth:`mosfet_vgs_vds`.  The K = 1
+        march gathers each point once this way and hands the lists to
+        :meth:`device_conductances` and :meth:`mosfet_conductances`.
+        """
+        values = state.tolist()
+        # Index -1 (ground) reads state[0] * 0.0, the masked gather's
+        # value, so even the sign of a zero voltage matches.
+        values.append(values[0] * 0.0 if values else 0.0)
+        devices = [values[a] - values[c] for a, c in self._device_pairs]
+        vgs = [values[g] - values[s] for _d, g, s in self._mosfet_triples]
+        vds = [values[d] - values[s] for d, _g, s in self._mosfet_triples]
+        return devices, vgs, vds
+
     def mosfet_voltages(self, state: np.ndarray) -> np.ndarray:
         """``(vgs, vds)`` rows for each MOSFET.
 
@@ -125,33 +152,49 @@ class SwecLinearization:
                             prev_state: np.ndarray | None = None,
                             h_prev: float | None = None,
                             h_next: float | None = None,
-                            flops: FlopCounter | None = None) -> np.ndarray:
+                            flops: FlopCounter | None = None, *,
+                            voltages: list[float] | None = None,
+                            prev_voltages: list[float] | None = None
+                            ) -> np.ndarray:
         """Chord conductance per two-terminal device, Taylor-corrected.
 
         ``prev_state``/``h_prev`` provide the finite-difference ``dV/dt``
         of eq. (9); ``h_next`` is the step the prediction targets.  With
-        the predictor on, each device's law is evaluated once per call
-        (:meth:`~repro.devices.base.TwoTerminalDevice.chord_pair`).  The
-        loop runs on Python floats, which round exactly like numpy's
-        float64 scalars and cost less per operation.
+        the predictor on, each device's ``chord_pair`` gives the chord
+        and its derivative in one call; without it, its
+        ``chord_conductance`` gives the chord alone.  How many law
+        evaluations a call costs is the model's business: the base
+        :meth:`~repro.devices.base.TwoTerminalDevice.chord_pair`
+        evaluates ``current`` and ``differential_conductance`` once
+        each, and :class:`~repro.devices.rtd.SchulmanRTD` shares one
+        pass between them.  The loop runs on Python floats, which round
+        exactly like numpy's float64 scalars and cost less per operation.
+
+        *voltages* and *prev_voltages* are the device voltages of
+        *state* and *prev_state* (:meth:`branch_voltages`) when the
+        caller has them already; the K = 1 march passes both, so each
+        point is gathered once.
         """
         devices = self.circuit.devices
-        voltages = self.device_voltages(state).tolist()
+        if voltages is None:
+            voltages = self.device_voltages(state).tolist()
         predict = (self.use_predictor and prev_state is not None
                    and h_prev and h_next)
         conductances = []
         if predict:
-            prev_voltages = self.device_voltages(prev_state).tolist()
+            if prev_voltages is None:
+                prev_voltages = self.device_voltages(prev_state).tolist()
+            half_h = 0.5 * h_next
             for device, v, v_prev in zip(devices, voltages, prev_voltages):
                 g, dg_dv = device.chord_pair(v)
-                dv_dt = (v - v_prev) / h_prev
-                g = g + 0.5 * h_next * dg_dv * dv_dt
+                g = g + half_h * dg_dv * ((v - v_prev) / h_prev)
                 # The chord of a passive device is mathematically >= 0;
                 # the predictor extrapolation may overshoot, so clamp.
-                conductances.append(max(g, 0.0))
+                conductances.append(0.0 if g < 0.0 else g)
         else:
             for device, v in zip(devices, voltages):
-                conductances.append(max(device.chord_conductance(v), 0.0))
+                g = device.chord_conductance(v)
+                conductances.append(0.0 if g < 0.0 else g)
         if flops is not None and devices:
             # The chord is one current evaluation plus a division —
             # cheaper than the Jacobian's current+derivative pair; the
@@ -162,13 +205,22 @@ class SwecLinearization:
         return np.array(conductances, dtype=float)
 
     def mosfet_conductances(self, state: np.ndarray,
-                            flops: FlopCounter | None = None) -> np.ndarray:
-        """Chord conductance ``Ids/Vds`` per MOSFET (paper eq. 3)."""
+                            flops: FlopCounter | None = None, *,
+                            vgs_vds: tuple[list[float], list[float]] | None = None
+                            ) -> np.ndarray:
+        """Chord conductance ``Ids/Vds`` per MOSFET (paper eq. 3).
+
+        *vgs_vds* are the terminal voltages of *state* as lists
+        (:meth:`branch_voltages`) when the caller has them already.
+        """
         mosfets = self.circuit.mosfets
-        vgs, vds = self.mosfet_vgs_vds(state)
-        conductances = [
-            max(mosfet.chord_conductance(a, b), 0.0)
-            for mosfet, a, b in zip(mosfets, vgs.tolist(), vds.tolist())]
+        if vgs_vds is None:
+            vgs, vds = self.mosfet_vgs_vds(state)
+            vgs_vds = vgs.tolist(), vds.tolist()
+        conductances = []
+        for mosfet, a, b in zip(mosfets, *vgs_vds):
+            g = mosfet.chord_conductance(a, b)
+            conductances.append(0.0 if g < 0.0 else g)
         if flops is not None and mosfets:
             flops.count_device_eval("mosfet", count=len(mosfets))
         return np.array(conductances, dtype=float)

@@ -19,6 +19,7 @@ steps across a source breakpoint (so pulse edges are honoured exactly).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -79,14 +80,8 @@ class AdaptiveStepController:
         self._node_capacitance = np.diag(c_matrix)[:system.num_nodes].copy()
         self._sources = list(circuit.voltage_sources) + list(
             circuit.current_sources)
-        self._breakpoints = self._collect_breakpoints()
-
-    def _collect_breakpoints(self) -> list[float]:
-        points: set[float] = set()
-        for source in self._sources:
-            waveform = source.waveform
-            points.update(waveform.breakpoints())
-        return sorted(points)
+        self._table: list[float] = []
+        self._table_stop: float | None = None
 
     # ------------------------------------------------------------------
     # Constraint evaluation
@@ -120,23 +115,32 @@ class AdaptiveStepController:
                 bound = min(bound, eps * c_j / g_j)
         return bound
 
+    def _breakpoint_table(self, t_stop: float) -> list[float]:
+        """Sorted breakpoints a march to *t_stop* can land on.
+
+        The static breakpoints plus every periodic pulse edge in
+        ``[0, t_stop]``, built once per ``t_stop`` and kept until a
+        march asks for another one.
+        """
+        if self._table_stop != t_stop:
+            points: set[float] = set()
+            for source in self._sources:
+                waveform = source.waveform
+                points.update(waveform.breakpoints())
+                folder = getattr(waveform, "periodic_breakpoints", None)
+                if folder is not None:
+                    points.update(folder(t_stop))
+            self._table, self._table_stop = sorted(points), t_stop
+        return self._table
+
     def breakpoint_bound(self, t: float, h: float, t_stop: float) -> float:
         """Shrink *h* so the step lands exactly on the next breakpoint or
         on ``t_stop``, whichever comes first."""
         limit = t_stop - t
-        for point in self._breakpoints:
-            if t < point < t + h:
-                limit = min(limit, point - t)
-                break
-        # Periodic pulse edges are not in the static list; probe them.
-        for source in self._sources:
-            waveform = source.waveform
-            folder = getattr(waveform, "periodic_breakpoints", None)
-            if folder is None:
-                continue
-            for point in folder(min(t + h, t_stop)):
-                if t < point < t + h:
-                    limit = min(limit, point - t)
+        table = self._breakpoint_table(t_stop)
+        index = bisect.bisect_right(table, t)
+        if index < len(table) and table[index] < t + h:
+            limit = min(limit, table[index] - t)
         return min(h, max(limit, 0.0))
 
     # ------------------------------------------------------------------
@@ -184,7 +188,8 @@ class EnsembleStepController(AdaptiveStepController):
     """
 
     def __init__(self, systems, circuits,
-                 options: StepControlOptions | None = None) -> None:
+                 options: StepControlOptions | None = None, *,
+                 scalar: bool = False) -> None:
         from repro.circuit.sources import waveform_state_key
 
         super().__init__(systems[0], options)
@@ -199,7 +204,6 @@ class EnsembleStepController(AdaptiveStepController):
                 seen.add(key)
                 sources.append(source)
         self._sources = sources
-        self._breakpoints = self._collect_breakpoints()
         caps: dict[int, np.ndarray] = {}
         rows = []
         for system in systems:
@@ -217,6 +221,12 @@ class EnsembleStepController(AdaptiveStepController):
         self._rc_scaled = (self.options.epsilon
                            * c[self._rc_instances, self._rc_nodes])
         self._rc_ratio = np.empty_like(self._rc_scaled)
+        # A single small instance takes the bound on Python floats: the
+        # same quotients and min, without numpy's per-call overhead.
+        self._rc_pairs = None
+        if scalar and len(systems) == 1:
+            self._rc_pairs = list(zip(self._rc_scaled.tolist(),
+                                      self._rc_nodes.tolist()))
 
     def node_rc_bound_stack(self, diagonal_stack) -> float:
         """``min_{k,j} eps C_j^k / G_jj^k`` over the whole ensemble.
@@ -224,6 +234,16 @@ class EnsembleStepController(AdaptiveStepController):
         *diagonal_stack* is the ``(K, n)`` stamped-``G`` diagonal
         (only the leading ``num_nodes`` columns are consulted).
         """
+        if self._rc_pairs is not None:
+            diag = diagonal_stack[0].tolist()
+            bound = math.inf
+            for scaled, j in self._rc_pairs:
+                g_j = diag[j]
+                if g_j > 0.0:
+                    ratio = scaled / g_j
+                    if ratio < bound:
+                        bound = ratio
+            return bound
         if self._rc_nodes.size == 0:
             return math.inf
         diag = np.asarray(diagonal_stack)[self._rc_instances,

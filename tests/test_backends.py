@@ -11,7 +11,7 @@ contract across backend swaps.
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit
+from repro.circuit import Circuit, Pulse
 from repro.circuits_lib import (
     fet_rtd_inverter,
     mobile_dflipflop,
@@ -27,7 +27,8 @@ from repro.core import (
     select_backend,
     system_density,
 )
-from repro.errors import AnalysisError
+from repro.devices.base import TwoTerminalDevice
+from repro.errors import AnalysisError, SingularMatrixError
 from repro.mna import CachedFactorization, LinearSolver, MnaSystem
 from repro.swec import SwecDC, SwecOptions, SwecTransient
 from repro.swec.dc import SwecDCOptions
@@ -269,6 +270,101 @@ class TestFactorizationCache:
             swec_options(factor_rtol=0.0, backend="stack")) \
             .run_grid(times)
         assert result.factor_reuses == 0
+
+
+class _NanAbove(TwoTerminalDevice):
+    """A resistor-like device whose law returns NaN above 0.5 V."""
+
+    def current(self, voltage):
+        return float("nan") if voltage > 0.5 else 1e-3 * voltage
+
+
+def _floating_circuit():
+    """R2 hangs between two nodes with no path to ground."""
+    circuit = Circuit("floating")
+    circuit.add_voltage_source("V1", "in", "0", 1.0)
+    circuit.add_resistor("R1", "in", "out", 1e3)
+    circuit.add_capacitor("C1", "out", "0", 1e-12)
+    circuit.add_resistor("R2", "a", "b", 1e3)
+    return circuit
+
+
+def _nan_stamp_circuit():
+    circuit = Circuit("nan-stamp")
+    circuit.add_voltage_source("V1", "in", "0",
+                               Pulse(0.0, 1.0, delay=0.1e-9, rise=0.2e-9,
+                                     width=1e-9))
+    circuit.add_resistor("R1", "in", "out", 10.0)
+    circuit.add_device("X1", "out", "0", _NanAbove())
+    circuit.add_capacitor("C1", "out", "0", 1e-13)
+    return circuit
+
+
+class TestFusedDenseSolve:
+    """Without a reuse cache the K = 1 dense march factors and solves
+    each step in one dgesv call; its failures must read as before."""
+
+    @pytest.fixture
+    def fused_calls(self, monkeypatch):
+        calls = []
+        original = LinearSolver.factor_solve
+
+        def counted(self, matrix, rhs):
+            calls.append(1)
+            return original(self, matrix, rhs)
+
+        monkeypatch.setattr(LinearSolver, "factor_solve", counted)
+        return calls
+
+    @pytest.mark.parametrize("circuit,initialize_dc,message", [
+        (_floating_circuit, True,
+         "MNA matrix is singular (floating node or short loop?)"),
+        (_floating_circuit, False,
+         "MNA matrix is singular (floating node or short loop?)"),
+        (_nan_stamp_circuit, True, "matrix contains non-finite entries"),
+    ])
+    def test_failures_keep_their_messages(self, fused_calls, circuit,
+                                          initialize_dc, message):
+        engine = SwecTransient(circuit(), swec_options(
+            backend="dense", initialize_dc=initialize_dc))
+        with pytest.raises(SingularMatrixError) as failure:
+            engine.run(2e-9)
+        assert str(failure.value) == message
+        assert fused_calls
+
+    def test_factor_solve_matches_factor_then_solve(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 12):
+            matrix = rng.normal(size=(n, n)) + n * np.eye(n)
+            rhs = rng.normal(size=n)
+            split = LinearSolver()
+            split.factor(matrix)
+            fused = LinearSolver()
+            solution = fused.factor_solve(matrix, rhs)
+            assert solution.tobytes() == split.solve(rhs).tobytes()
+            # The fused call leaves its factorization for later solves.
+            assert fused.solve(2.0 * rhs).tobytes() == \
+                split.solve(2.0 * rhs).tobytes()
+        with pytest.raises(SingularMatrixError, match="does not match"):
+            LinearSolver().factor_solve(np.eye(2), np.ones(3))
+        with pytest.raises(SingularMatrixError, match="square"):
+            LinearSolver().factor_solve(np.ones((2, 3)), np.ones(2))
+
+    @pytest.mark.parametrize("name,rtol,reuses,factorizations", [
+        ("inverter", 0.0, 333, 452),
+        ("inverter", 1e-3, 763, 6),
+        ("latch", 0.0, 1998, 3),
+    ])
+    def test_factor_rtol_reuses_unchanged(self, fused_calls, name, rtol,
+                                          reuses, factorizations):
+        """The reuse cache still goes through factor and solve; the
+        counts are those of the split path before the fused solve."""
+        result = SwecTransient(_circuit(name), swec_options(
+            backend="dense", factor_rtol=rtol)).run(2e-9)
+        assert not fused_calls
+        assert result.factor_reuses == reuses
+        assert result.flops.factorizations == factorizations
+        assert result.flops.linear_solves == factorizations + reuses
 
 
 class TestBackendKnobThreading:

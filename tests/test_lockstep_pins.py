@@ -11,6 +11,11 @@ time.  These pins hold what such a rewrite must not move:
   two (mixed slots), adaptive and fixed-grid, eq.-5 predictor on and
   off; of a 6x6 RTD mesh on the K = 1 vectorized path; and of a noisy
   RTD relaxation-oscillator ensemble;
+* the states and counts of K = 1 marches on the scalar chord path
+  (few devices, one instance): the Fig. 8 inverter, adaptive with the
+  predictor on and off and on a fixed grid, a MOBILE NAND clamped at
+  ``h_min``, the D flip-flop with ``dv_limit`` rejections and a
+  trapezoidal RTD divider from a DC start;
 * the ``mean`` / ``standard_error`` and the path and batch counts
   of naive, antithetic and control-variate estimates, serial and
   chunked, plus the SDE twin.
@@ -33,14 +38,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit, Pulse
-from repro.circuits_lib import arrays, fet_rtd_inverter
+from repro.circuit import DC, Circuit, Pulse
+from repro.circuits_lib import arrays, fet_rtd_inverter, logic_gates, mobile_dflipflop
 from repro.circuits_lib.grids import rtd_mesh
 from repro.devices.rtd import NANO_SIM_DATE05, SCHULMAN_INGAAS, SchulmanRTD
 from repro.runtime.runner import BatchRunner
 from repro.stochastic import path_normals, run_circuit_ensemble_vr, run_sde_ensemble_vr
 from repro.stochastic.sde import LinearSDE
-from repro.swec import SwecEnsembleTransient, SwecOptions
+from repro.swec import SwecEnsembleTransient, SwecOptions, SwecTransient
 from repro.swec.timestep import StepControlOptions
 
 PINS = Path(__file__).with_name("lockstep_pins.expected.json")
@@ -89,9 +94,12 @@ def _inverters(mixed: bool) -> list[Circuit]:
 def _march_payload(result) -> dict:
     """The final state stack and the per-instance time sum of the
     states (a checksum of the whole trajectory), with the grid's end
-    and sum, beside every Table-I count."""
+    and sum, beside every Table-I count.  A scalar engine's ``(T, n)``
+    states count as one instance."""
     flops = result.flops
     states = result.states  # (K, T, n)
+    if states.ndim == 2:
+        states = states[None]
     return {
         "final_states": _floats(states[:, -1]),
         "summed_states": _floats(states.sum(axis=1)),
@@ -149,6 +157,84 @@ def test_noisy_oscillator_march_is_pinned(golden_json):
     normals = path_normals(np.random.SeedSequence(11).spawn(K), 120, 1)
     result = engine.run_grid(times, normals=normals)
     _pin(golden_json, "oscillator-noisy-k16", _march_payload(result))
+
+
+# ---------------------------------------------------------------------------
+# K = 1 marches on the scalar chord path
+
+
+def _gate_options(**kwargs) -> SwecOptions:
+    step = StepControlOptions(epsilon=kwargs.pop("epsilon", 0.1), h_min=1e-13,
+                              h_max=0.2e-9, h_initial=1e-12)
+    return SwecOptions(step=step, **kwargs)
+
+
+def _fig8_inverter() -> Circuit:
+    vin = Pulse(0.0, 5.0, delay=0.5e-9, rise=0.3e-9, fall=0.3e-9,
+                width=2e-9, period=5e-9)
+    return fet_rtd_inverter(vin=vin)[0]
+
+
+def _k1_inverter(predictor: bool):
+    return SwecTransient(_fig8_inverter(), _options(predictor)).run(3e-9)
+
+
+def _k1_inverter_grid():
+    return SwecTransient(_fig8_inverter(), _options()).run_grid(
+        np.linspace(0.0, 3e-9, 301))
+
+
+def _k1_nand_clamped():
+    """NAND (0, 1): the node-RC bound on ``mid`` clamps every step at
+    ``h_min`` (ROADMAP item 2)."""
+    net, _ = logic_gates.mobile_nand(DC(0.0), DC(1.0))
+    return SwecTransient(net, _gate_options(dv_limit=0.2)).run(0.3e-9)
+
+
+def _k1_flipflop_rejections():
+    period = 6e-9
+    clock = Pulse(0.0, 1.15, delay=period / 2, rise=0.2e-9, fall=0.2e-9,
+                  width=period / 2 - 0.2e-9, period=period)
+    data = Pulse(0.0, 1.2, delay=period, rise=0.2e-9, fall=0.2e-9, width=1.0)
+    net, _ = mobile_dflipflop(clock=clock, data=data, output_capacitance=2e-12)
+    return SwecTransient(net, _gate_options(epsilon=0.3, dv_limit=0.05)).run(
+        2 * period)
+
+
+def _k1_divider_trap():
+    circuit = Circuit("rtd-divider")
+    circuit.add_voltage_source("Vb", "in", "0",
+                               Pulse(0.2, 0.6, delay=0.2e-9, rise=0.3e-9,
+                                     fall=0.3e-9, width=0.5e-9))
+    circuit.add_resistor("R1", "in", "out", 50.0)
+    circuit.add_device("X1", "out", "0", SchulmanRTD(SCHULMAN_INGAAS))
+    circuit.add_capacitor("C1", "out", "0", 1e-12)
+    return SwecTransient(circuit, _options(method="trap")).run(1.5e-9)
+
+
+K1_MARCHES = {
+    "k1-inverter-predictor-on": lambda: _k1_inverter(True),
+    "k1-inverter-predictor-off": lambda: _k1_inverter(False),
+    "k1-inverter-run_grid": _k1_inverter_grid,
+    "k1-nand01-clamped": _k1_nand_clamped,
+    "k1-flipflop-dv-limit": _k1_flipflop_rejections,
+    "k1-divider-trap-dc": _k1_divider_trap,
+}
+
+
+@pytest.mark.parametrize("key", sorted(K1_MARCHES))
+def test_k1_scalar_march_is_pinned(golden_json, key):
+    result = K1_MARCHES[key]()
+    _pin(golden_json, key, _march_payload(result))
+
+
+def test_k1_pins_cover_their_paths():
+    """Each K = 1 case exercises what its name says."""
+    assert _k1_flipflop_rejections().rejected_steps > 0
+    clamped = _k1_nand_clamped()
+    assert np.allclose(np.diff(clamped.times)[:-1], 1e-13, rtol=1e-6)
+    divider = _k1_divider_trap()
+    assert divider.dc_iterations > 1 and divider.dc_converged
 
 
 # ---------------------------------------------------------------------------

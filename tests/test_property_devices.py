@@ -314,3 +314,25 @@ class TestChordPairManyProperties:
         expected_chord, expected_derivative = _reference_chord_pair(rtd, v)
         assert _same_bits(chord, expected_chord)
         assert _same_bits(derivative, expected_derivative)
+
+
+class TestSchulmanScalarPair:
+    """SchulmanRTD.chord_pair shares one scalar pass between I and
+    dI/dV; it must equal the separate current and
+    differential_conductance calls bit for bit, past the exp clip too."""
+
+    @given(parameters=st.sampled_from([NANO_SIM_DATE05, SCHULMAN_INGAAS,
+                                       RTD_LOGIC]),
+           v=st.one_of(near_origin, voltages, beyond_clip,
+                       st.floats(-1e6, 1e6)))
+    @settings(max_examples=500, deadline=None)
+    def test_fused_pair_equals_separate_law_calls(self, parameters, v):
+        rtd = SchulmanRTD(parameters)
+        if abs(v) < rtd.chord_epsilon:
+            expected = (rtd.chord_conductance(v),
+                        rtd.chord_conductance_derivative(v))
+        else:
+            i = rtd.current(v)
+            g = rtd.differential_conductance(v)
+            expected = (i / v, (v * g - i) / (v * v))
+        assert _bits(rtd.chord_pair(v)) == _bits(expected)

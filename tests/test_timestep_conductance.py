@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.circuit import Circuit, DC, Pulse
+from repro.circuit import Circuit, Clock, DC, PiecewiseLinear, Pulse
 from repro.mna import MnaSystem
 from repro.swec.conductance import SwecLinearization
 from repro.swec.timestep import AdaptiveStepController, StepControlOptions
@@ -135,6 +136,77 @@ class TestNextStep:
         controller2 = AdaptiveStepController(
             system, StepControlOptions(h_initial=5e-12))
         assert controller2.initial_step(1e-6) == 5e-12
+
+
+def _scanned_breakpoint_bound(sources, t, h, t_stop):
+    """The per-step scan the breakpoint table replaced: the first
+    static breakpoint inside ``(t, t + h)``, then every periodic edge
+    up to ``min(t + h, t_stop)`` unrolled from t = 0."""
+    limit = t_stop - t
+    static = sorted({p for s in sources for p in s.waveform.breakpoints()})
+    for point in static:
+        if t < point < t + h:
+            limit = min(limit, point - t)
+            break
+    for source in sources:
+        folder = getattr(source.waveform, "periodic_breakpoints", None)
+        if folder is None:
+            continue
+        for point in folder(min(t + h, t_stop)):
+            if t < point < t + h:
+                limit = min(limit, point - t)
+    return min(h, max(limit, 0.0))
+
+
+#: Waveforms whose edges the step must land on.
+BREAKPOINT_WAVEFORMS = {
+    "pulse": lambda: Pulse(0.0, 1.0, delay=1e-9, rise=0.3e-9, fall=0.2e-9,
+                           width=2e-9, period=5e-9),
+    "pulse-once": lambda: Pulse(0.0, 1.0, delay=2e-9, rise=0.1e-9,
+                                fall=0.1e-9, width=1e-9),
+    "clock": lambda: Clock(0.0, 1.0, period=3e-9, rise=0.1e-9, delay=0.5e-9),
+    "pwl": lambda: PiecewiseLinear([(0.0, 0.0), (0.7e-9, 1.0), (1.3e-9, 0.2),
+                                    (4e-9, 0.2), (9e-9, 1.0)]),
+}
+
+
+class TestBreakpointTable:
+    """The sorted per-run table must give the old scan's h bit for bit."""
+
+    @staticmethod
+    def _controller(names):
+        circuit = Circuit()
+        for k, name in enumerate(names):
+            circuit.add_voltage_source(f"V{k}", f"n{k}", "0",
+                                       BREAKPOINT_WAVEFORMS[name]())
+            circuit.add_resistor(f"R{k}", f"n{k}", "out", 1e3)
+        circuit.add_capacitor("C1", "out", "0", 1e-12)
+        return AdaptiveStepController(MnaSystem(circuit)), circuit
+
+    @given(names=st.lists(st.sampled_from(sorted(BREAKPOINT_WAVEFORMS)),
+                          min_size=1, max_size=4),
+           t_stops=st.lists(st.floats(1e-10, 30e-9), min_size=1, max_size=3),
+           queries=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                      st.floats(1e-15, 10e-9),
+                                      st.booleans()),
+                            min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_table_matches_scan(self, names, t_stops, queries):
+        controller, circuit = self._controller(names)
+        sources = circuit.voltage_sources
+        edges = sorted({p for s in sources for p in (
+            s.waveform.periodic_breakpoints(30e-9)
+            if isinstance(s.waveform, Pulse) else s.waveform.breakpoints())})
+        for t_stop in t_stops:
+            for fraction, h, on_edge in queries:
+                t = fraction * t_stop
+                if on_edge:
+                    # Start on an edge, or step exactly onto one.
+                    edge = edges[int(fraction * (len(edges) - 1))]
+                    t, h = (edge, h) if h < 5e-9 else (max(edge - h, 0.0), h)
+                expected = _scanned_breakpoint_bound(sources, t, h, t_stop)
+                got = controller.breakpoint_bound(t, h, t_stop)
+                assert got.hex() == expected.hex(), (t, h, t_stop)
 
 
 class TestLinearization:
