@@ -24,10 +24,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy import sparse
 
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.mna.assembler import MnaSystem
+from repro.mna.batch import tangent_incidence
+from repro.swec.conductance import DeviceBank, SwecLinearization
 from repro.swec.dc import SwecDC, SwecDCOptions
 
 
@@ -114,21 +117,18 @@ def tangent_conductances(
 
     Returns ``(device_g, mosfet_partials)``: the tangent ``dI/dV`` of
     every two-terminal device (element multiplicity folded in) and the
-    ``(gm, gds)`` pair of every MOSFET.  :func:`linearize` evaluates
-    them once at the DC operating point.
+    ``(gm, gds)`` pair of every MOSFET, from the
+    :class:`~repro.swec.conductance.DeviceBank`'s grouped law calls.
+    :func:`linearize` evaluates them once at the DC operating point.
     """
-    device_g = np.zeros(len(circuit.devices))
-    for k, (anode, cathode) in enumerate(system.device_terminals()):
-        va = state[anode] if anode >= 0 else 0.0
-        vc = state[cathode] if cathode >= 0 else 0.0
-        device_g[k] = circuit.devices[k].differential_conductance(va - vc)
-    mosfet_partials = []
-    for k, (drain, gate, source) in enumerate(system.mosfet_terminals()):
-        vd = state[drain] if drain >= 0 else 0.0
-        vg = state[gate] if gate >= 0 else 0.0
-        vs = state[source] if source >= 0 else 0.0
-        mosfet_partials.append(circuit.mosfets[k].partials(vg - vs, vd - vs))
-    return device_g, mosfet_partials
+    linearization = SwecLinearization(system)
+    bank = DeviceBank([circuit])
+    states = np.asarray(state, dtype=float)[None, :]
+    _, device_g = bank.device_terms(linearization.device_voltages(states),
+                                    tangent=True)
+    _, gm, gds = bank.mosfet_terms(*linearization.mosfet_vgs_vds(states),
+                                   partials=True)
+    return device_g[0], list(zip(gm[0].tolist(), gds[0].tolist()))
 
 
 def stamp_tangent(system: MnaSystem, matrix: np.ndarray,
@@ -140,14 +140,13 @@ def stamp_tangent(system: MnaSystem, matrix: np.ndarray,
     NDR region is fine — the consumers solve directly, not
     iteratively); each MOSFET stamps ``gds`` across drain-source plus
     a ``gm`` voltage-controlled current source (the hybrid-pi
-    skeleton).
+    skeleton), all as one incidence product
+    (:func:`~repro.mna.batch.tangent_incidence`).
     """
-    for k, (anode, cathode) in enumerate(system.device_terminals()):
-        system.stamp_two_terminal(matrix, anode, cathode, device_g[k])
-    for k, (drain, gate, source) in enumerate(system.mosfet_terminals()):
-        gm, gds = mosfet_partials[k]
-        system.stamp_two_terminal(matrix, drain, source, gds)
-        system.stamp_transconductance(matrix, drain, source, gate, source, gm)
+    _, control, output = tangent_incidence(system)
+    gm, gds = np.reshape(np.asarray(mosfet_partials, dtype=float), (-1, 2)).T
+    values = np.concatenate((device_g, gds, gm))
+    matrix += (output.T @ sparse.diags(values) @ control).toarray()
 
 
 def linearize(circuit: Circuit,

@@ -91,10 +91,6 @@ class Circuit:
             raise CircuitError(
                 f"unknown node {node!r} in circuit {self.name!r}") from None
 
-    def has_node(self, node: str) -> bool:
-        """Return True when *node* exists (ground always exists)."""
-        return is_ground(node) or node in self._node_seen
-
     # ------------------------------------------------------------------
     # Element builders
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ factory show up in ``python -m repro.sweep --list-templates`` and lets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.errors import SweepSpecError
 
@@ -193,18 +192,3 @@ def _register_builtins() -> None:
 
 
 _register_builtins()
-
-
-def builder_for(template: CircuitTemplate) -> Callable:
-    """Resolve the callable a template names.
-
-    Circuit templates resolve against :mod:`repro.circuits_lib`; SDE
-    templates against :data:`repro.runtime.jobs.SDE_BUILDERS`.
-    """
-    if template.kind == "circuit":
-        import repro.circuits_lib as lib
-
-        return getattr(lib, template.name)
-    from repro.runtime.jobs import SDE_BUILDERS
-
-    return SDE_BUILDERS[template.name]

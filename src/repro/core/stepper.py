@@ -14,9 +14,8 @@ thin alias that defaults to the batched ``stack`` backend.
 Per accepted point the stepper
 
 1. evaluates the chord conductances of all K states at once through
-   the vectorized device laws (grouping instances that share a device
-   parameter record, so the common all-instances-alike case is one
-   ``current_many`` call per device slot),
+   the :class:`~repro.swec.conductance.DeviceBank` (one vectorized law
+   call per group of devices that share a parameter record),
 2. hands them to the backend's ``stamp`` (dense ``(K, n, n)`` stack or
    sparse ``(K, nnz)`` data stack — the stepper never sees the matrix
    representation), and
@@ -137,29 +136,6 @@ class _SourceBank:
         return out
 
 
-class _DeviceSlot:
-    """One two-terminal device slot across K instances: multiplicities,
-    and the instances grouped by the models' ``batch_key`` so
-    equal-parameter models share one vectorized call."""
-
-    def __init__(self, elements) -> None:
-        n = len(elements)
-        self.multiplicity = np.array([e.multiplicity for e in elements])
-        groups: dict = {}
-        order = []
-        for k, element in enumerate(elements):
-            key = element.model.batch_key()
-            if key not in groups:
-                groups[key] = (element.model, [])
-                order.append(key)
-            groups[key][1].append(k)
-        grouped = [groups[key] for key in order]
-        self.groups = [
-            (model, np.asarray(indices, dtype=np.intp)) for model, indices in grouped
-        ]
-        self.single = len(self.groups) == 1 and self.groups[0][1].size == n
-
-
 class LinearStepper:
     """Backend-agnostic lockstep SWEC march over K circuit instances.
 
@@ -206,7 +182,7 @@ class LinearStepper:
         chunk_entries: int | None = None,
         default_backend: str = "stack",
     ) -> None:
-        from repro.swec.conductance import SwecLinearization
+        from repro.swec.conductance import DeviceBank, SwecLinearization
         from repro.swec.engine import SwecOptions
         from repro.swec.timestep import EnsembleStepController
 
@@ -254,40 +230,7 @@ class LinearStepper:
             self.backend = FallbackBackend(self.backend)
 
         self._sources = _SourceBank(circuits, self.system)
-        self._device_slots = [
-            _DeviceSlot([c.devices[j] for c in circuits])
-            for j in range(len(circuits[0].devices))
-        ]
-        # Cross-slot grouping: device slots whose K models all share one
-        # parameter record evaluate as a single (K, n_slots) vectorized
-        # call — a 20x20 RTD mesh pays one law pass per step instead of
-        # 400.  A slot with per-instance parameter variations adds one
-        # (instances, slot) group per distinct model.  Each group is
-        # (model, index into the (K, n_devices) arrays, multiplicities).
-        if self._device_slots:
-            stacked = [slot.multiplicity for slot in self._device_slots]
-            multiplicity = np.stack(stacked, axis=1)
-        else:
-            multiplicity = np.zeros((self.n_instances, 0))
-        uniform: dict = {}
-        order: list = []
-        mixed: list = []
-        for j, slot in enumerate(self._device_slots):
-            if slot.single:
-                key = slot.groups[0][0].batch_key()
-                if key not in uniform:
-                    uniform[key] = (slot.groups[0][0], [])
-                    order.append(key)
-                uniform[key][1].append(j)
-            else:
-                mixed.extend((model, (rows, j)) for model, rows in slot.groups)
-        uniform_groups = [
-            (model, (slice(None), np.asarray(columns, dtype=np.intp)))
-            for model, columns in (uniform[key] for key in order)
-        ]
-        self._device_groups = [
-            (model, at, multiplicity[at]) for model, at in uniform_groups + mixed
-        ]
+        self.bank = DeviceBank(circuits)
         # Branch voltages of the last stamped point of the current march
         # (a list on the scalar path): a march stamps each accepted point
         # once, in order, so they are the predictor's previous point.
@@ -299,23 +242,11 @@ class LinearStepper:
         # SwecLinearization loops, and the step controller takes its
         # node-RC bound on Python floats (numerically equivalent — the
         # lockstep tests bound the difference at 1e-10).
-        n_nonlinear = len(self._device_slots) + len(circuits[0].mosfets)
+        n_nonlinear = self.bank.n_devices + self.bank.n_mosfets
         self._scalar_chords = self.n_instances == 1 and n_nonlinear <= 32
         self.controller = EnsembleStepController(
             self.systems, circuits, self.options.step, scalar=self._scalar_chords
         )
-        mosfets = circuits[0].mosfets
-        if mosfets:
-            models = [
-                [c.mosfets[j].model for c in circuits] for j in range(len(mosfets))
-            ]
-            names = ("kp", "w", "l", "vth", "polarity", "channel_modulation")
-            self._mosfet_params = {
-                name: np.array([[getattr(m, name) for m in row] for row in models]).T
-                for name in names
-            }
-        else:
-            self._mosfet_params = None
 
         self._noise_matrix = self._build_noise(noise)
         K = self.n_instances
@@ -388,53 +319,25 @@ class LinearStepper:
         predictor reads their branch voltages from that call.
         """
         voltages = self.linearization.device_voltages(states)
-        K = self.n_instances
-        if not self._device_slots:
-            return voltages
-        predict = self.options.use_predictor and prev_states is not None
-        predict = predict and bool(h_prev) and bool(h_next)
-        half_h = dv_dt = None
-        if predict:
-            dv_dt = (voltages - self._last_voltages) / h_prev
-            half_h = 0.5 * h_next
+        predict = None
+        if self.options.use_predictor and prev_states is not None and h_prev and h_next:
+            predict = (0.5 * h_next, (voltages - self._last_voltages) / h_prev)
         self._last_voltages = voltages
-        conductances = np.empty_like(voltages)
-        for model, at, multiplicity in self._device_groups:
-            if dv_dt is None:
-                chord = model.chord_conductance_many(voltages[at])
-                conductances[at] = multiplicity * chord
-            else:
-                chord, derivative = model.chord_pair_many(voltages[at])
-                correction = half_h * (multiplicity * derivative) * dv_dt[at]
-                conductances[at] = multiplicity * chord + correction
-        np.maximum(conductances, 0.0, out=conductances)
-        if flops is not None:
-            flops.count_device_eval("rtd_current", count=K * len(self._device_slots))
-            if predict:
-                flops.count_device_eval(
-                    "rtd_conductance", count=K * len(self._device_slots)
-                )
+        conductances, _ = self.bank.device_terms(voltages, predict=predict)
+        count = conductances.size
+        if flops is not None and count:
+            flops.count_device_eval("rtd_current", count=count)
+            if predict is not None:
+                flops.count_device_eval("rtd_conductance", count=count)
         return conductances
 
     def _mosfet_conductances(self, states, flops: FlopCounter | None) -> np.ndarray:
         """``(K, n_mosfets)`` chord conductances ``Ids/Vds``."""
-        if self._mosfet_params is None:
+        if not self.bank.n_mosfets:
             return np.zeros((self.n_instances, 0))
-        from repro.devices.mosfet import mosfet_chord_stack
-
-        vgs, vds = self.linearization.mosfet_vgs_vds(states)
-        p = self._mosfet_params
-        conductances = mosfet_chord_stack(
-            vgs,
-            vds,
-            kp=p["kp"],
-            w=p["w"],
-            l=p["l"],
-            vth=p["vth"],
-            polarity=p["polarity"],
-            channel_modulation=p["channel_modulation"],
+        conductances, _, _ = self.bank.mosfet_terms(
+            *self.linearization.mosfet_vgs_vds(states)
         )
-        np.maximum(conductances, 0.0, out=conductances)
         if flops is not None:
             flops.count_device_eval("mosfet", count=conductances.size)
         return conductances

@@ -122,46 +122,43 @@ class TwoTerminalDevice:
         return flat.reshape(v.shape)
 
     def chord_conductance_many(self, voltages) -> np.ndarray:
-        """Vectorized :meth:`chord_conductance` over branch voltages.
-
-        Mirrors the scalar definition exactly: ``I(V)/V`` away from the
-        origin, the differential conductance at ``V = 0`` inside
-        ``chord_epsilon``.
-        """
-        v = np.asarray(voltages, dtype=float)
-        small = np.abs(v) < self.chord_epsilon
-        safe = np.where(small, 1.0, v)
-        g = self.current_many(safe) / safe
-        if small.any():
-            g = np.where(small, self.differential_conductance(0.0), g)
-        return g
-
-    def chord_conductance_derivative_many(self, voltages) -> np.ndarray:
-        """Vectorized :meth:`chord_conductance_derivative`."""
-        return self.chord_pair_many(voltages)[1]
+        """Vectorized :meth:`chord_conductance` over branch voltages."""
+        return self.chord_terms_many(voltages, slope=False)[0]
 
     def chord_pair_many(self, voltages) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`chord_pair`: ``(chord, chord derivative)``.
+        """Vectorized :meth:`chord_pair`: ``(chord, chord derivative)``."""
+        return self.chord_terms_many(voltages)[:2]
 
-        The lockstep march's predicted step needs both; one
-        :meth:`_law_many` evaluation serves the pair.  The chord is
-        bitwise :meth:`chord_conductance_many`.  Inside ``chord_epsilon``
-        the derivative takes its L'Hopital limit ``I''(0) / 2``,
-        estimated by finite differences as in the scalar method.
+    def chord_terms_many(self, voltages, slope: bool = True):
+        """``(chord, chord derivative, dI/dV)`` from one law evaluation.
+
+        The vectorized kernel behind every SWEC quantity: one
+        :meth:`_law_many` call gives ``I`` and ``dI/dV``, from which
+        follow the chord ``I/V`` (paper eq. 3), its derivative
+        ``(V dI/dV - I)/V^2`` (eq. 8) and the tangent ``dI/dV`` itself.
+        Inside ``chord_epsilon`` the chord is ``dI/dV(0)`` and the
+        derivative its L'Hopital limit ``I''(0) / 2``, estimated by
+        finite differences, as in the scalar methods.  With
+        ``slope=False`` only :meth:`current_many` runs, and the
+        derivative and tangent are None.
         """
         v = np.asarray(voltages, dtype=float)
         small = np.abs(v) < self.chord_epsilon
         safe = np.where(small, 1.0, v)
-        i, g = self._law_many(safe)
+        if slope:
+            i, g = self._law_many(v)
+        else:
+            i, g = self.current_many(v), None
         chord = i / safe
-        derivative = (safe * g - i) / (safe * safe)
+        derivative = None if g is None else (safe * g - i) / (safe * safe)
         if small.any():
-            h = self.fd_step
-            second = (self.current(h) - 2.0 * self.current(0.0)
-                      + self.current(-h)) / (h * h)
             chord = np.where(small, self.differential_conductance(0.0), chord)
-            derivative = np.where(small, 0.5 * second, derivative)
-        return chord, derivative
+            if slope:
+                h = self.fd_step
+                second = (self.current(h) - 2.0 * self.current(0.0)
+                          + self.current(-h)) / (h * h)
+                derivative = np.where(small, 0.5 * second, derivative)
+        return chord, derivative, g
 
     def _law_many(self, voltages) -> tuple[np.ndarray, np.ndarray]:
         """``(I, dI/dV)`` over an array of voltages.

@@ -127,20 +127,6 @@ class MosfetModel:
         """True when the channel conducts (``|Vov| > 0``)."""
         return self.polarity * vgs - abs(self.vth) > 0.0
 
-    def current_many(self, vgs, vds) -> np.ndarray:
-        """Vectorized :meth:`current` over terminal-voltage arrays."""
-        return mosfet_current_stack(
-            vgs, vds, kp=self.kp, w=self.w, l=self.l, vth=self.vth,
-            polarity=self.polarity,
-            channel_modulation=self.channel_modulation)
-
-    def chord_conductance_many(self, vgs, vds) -> np.ndarray:
-        """Vectorized :meth:`chord_conductance`."""
-        return mosfet_chord_stack(
-            vgs, vds, kp=self.kp, w=self.w, l=self.l, vth=self.vth,
-            polarity=self.polarity,
-            channel_modulation=self.channel_modulation)
-
 
 # ----------------------------------------------------------------------
 # Parameter-stacked evaluation (ensemble hot path)
@@ -154,19 +140,16 @@ class MosfetModel:
 # the scalar methods branch for branch so results match bitwise.
 
 
-def _ids_nmos_stack(vgs, vds, beta, vth_abs, lam) -> np.ndarray:
-    """NMOS-coordinate drain current for ``vds >= 0``, vectorized."""
-    vov = vgs - vth_abs
-    clm = 1.0 + lam * vds
-    triode = beta * (vov - vds / 2.0) * vds * clm
-    saturated = 0.5 * beta * vov * vov * clm
-    ids = np.where(vds < vov, triode, saturated)
-    return np.where(vov > 0.0, ids, 0.0)
+def mosfet_law_stack(vgs, vds, *, kp, w, l, vth, polarity,
+                     channel_modulation, partials: bool = True):
+    """Vectorized level-1 law with stacked parameters.
 
-
-def mosfet_current_stack(vgs, vds, *, kp, w, l, vth, polarity,
-                         channel_modulation) -> np.ndarray:
-    """Vectorized level-1 drain current with stacked parameters."""
+    Returns ``(Ids, gm, gds, chord)``: :meth:`MosfetModel.current`,
+    :meth:`MosfetModel.partials` and the SWEC equivalent conductance
+    ``Ids/Vds`` of :meth:`MosfetModel.chord_conductance` (paper eq. 3),
+    all from one pass.  With ``partials=False`` ``gm`` and ``gds`` are
+    None.
+    """
     vgs = np.asarray(vgs, dtype=float)
     vds = np.asarray(vds, dtype=float)
     s = np.asarray(polarity, dtype=float)
@@ -175,31 +158,42 @@ def mosfet_current_stack(vgs, vds, *, kp, w, l, vth, polarity,
     vth_abs = np.abs(np.asarray(vth, dtype=float))
     lam = np.asarray(channel_modulation, dtype=float)
     vgs_eff, vds_eff = s * vgs, s * vds
-    forward = s * _ids_nmos_stack(vgs_eff, vds_eff, beta, vth_abs, lam)
-    # Negative Vds swaps drain and source (the device is symmetric).
-    swapped = -s * _ids_nmos_stack(vgs_eff - vds_eff, -vds_eff, beta,
-                                   vth_abs, lam)
-    return np.where(vds_eff >= 0.0, forward, swapped)
+    # Negative Vds swaps drain and source (the device is symmetric): the
+    # NMOS-coordinate law runs at (Vgs - Vds, -Vds) and Ids flips sign.
+    forward = vds_eff >= 0.0
+    vg = np.where(forward, vgs_eff, vgs_eff - vds_eff)
+    vd = np.where(forward, vds_eff, -vds_eff)
+    vov = vg - vth_abs
+    on = vov > 0.0
+    triode = vd < vov
+    clm = 1.0 + lam * vd
+    triode_term = beta * (vov - vd / 2.0) * vd
+    saturated_term = 0.5 * beta * vov * vov
+    ids = np.where(on, np.where(triode, triode_term, saturated_term) * clm,
+                   0.0)
+    current = np.where(forward, s, -s) * ids
+    small = np.abs(vds_eff) < 1e-12
+    vov_eff = vgs_eff - vth_abs
+    limit = np.where(vov_eff > 0.0, beta * vov_eff, 0.0)
+    chord = np.where(small, limit, current / np.where(small, 1.0, vds))
+    if not partials:
+        return current, None, None, chord
+    gm = np.where(on, np.where(triode, beta * vd, beta * vov) * clm, 0.0)
+    gds = np.where(on, np.where(
+        triode, beta * (vov - vd) * clm + triode_term * lam,
+        saturated_term * lam), 0.0)
+    # Ids = -Ids_sw(vgs - vds, -vds):
+    #   dIds/dVgs = -gm_sw ; dIds/dVds = gm_sw + gds_sw
+    return (current, np.where(forward, gm, -gm),
+            np.where(forward, gds, gm + gds), chord)
 
 
 def mosfet_chord_stack(vgs, vds, *, kp, w, l, vth, polarity,
                        channel_modulation) -> np.ndarray:
     """Vectorized SWEC equivalent conductance ``Ids/Vds`` (paper eq. 3)."""
-    vgs = np.asarray(vgs, dtype=float)
-    vds = np.asarray(vds, dtype=float)
-    s = np.asarray(polarity, dtype=float)
-    beta = np.asarray(kp, dtype=float) * np.asarray(w, dtype=float) \
-        / np.asarray(l, dtype=float)
-    vth_abs = np.abs(np.asarray(vth, dtype=float))
-    vds_eff = s * vds
-    small = np.abs(vds_eff) < 1e-12
-    vov = s * vgs - vth_abs
-    limit = np.where(vov > 0.0, beta * vov, 0.0)
-    current = mosfet_current_stack(
+    return mosfet_law_stack(
         vgs, vds, kp=kp, w=w, l=l, vth=vth, polarity=polarity,
-        channel_modulation=channel_modulation)
-    safe_vds = np.where(small, 1.0, vds)
-    return np.where(small, limit, current / safe_vds)
+        channel_modulation=channel_modulation, partials=False)[3]
 
 
 def nmos(kp: float = 2e-5, w: float = 10e-6, l: float = 1e-6,

@@ -16,6 +16,10 @@ Two pieces shared by every stacked-system path in the repo:
     (:mod:`repro.swec.ensemble`, real ``(K, n, n)`` instance stacks)
     both route through it, so memory bounding and singular-system
     reporting live in one place.
+
+:func:`tangent_incidence`
+    The branch incidences of a circuit's device stamps, shared by the
+    AC tangent stamps and the PSS chord-derivative products.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import SingularMatrixError
 
@@ -172,3 +177,37 @@ class ConductanceStamper:
                     np.tile(self._signs, batch))
             self._plans[batch] = plan
         return plan
+
+
+def _branch_incidence(pairs, size: int) -> sparse.csr_matrix:
+    """``(len(pairs), size)`` map from a state to the branch voltages
+    ``x[plus] - x[minus]`` of *pairs* (index -1 is ground)."""
+    rows, cols, signs = [], [], []
+    for row, (plus, minus) in enumerate(pairs):
+        for col, sign in ((plus, 1.0), (minus, -1.0)):
+            if col >= 0:
+                rows.append(row)
+                cols.append(col)
+                signs.append(sign)
+    return sparse.csr_matrix((signs, (rows, cols)),
+                             shape=(len(pairs), size))
+
+
+def tangent_incidence(system) -> tuple[list, sparse.csr_matrix,
+                                       sparse.csr_matrix]:
+    """``(pairs, P, E)``: the device stamps of *system* as incidences.
+
+    ``pairs`` are the chord stamp pairs, two-terminal devices then
+    MOSFET drain-source.  ``P`` maps a state to the controlling branch
+    voltages (the pairs, then MOSFET gate-source) and ``E`` to the
+    stamped branches (the pairs, then drain-source again), so
+    ``E^T diag(c) P`` stamps one conductance per device and a ``gds``
+    and a ``gm`` per MOSFET.
+    """
+    mosfets = system.mosfet_terminals()
+    drain_source = [(d, s) for d, _g, s in mosfets]
+    pairs = list(system.device_terminals()) + drain_source
+    control = _branch_incidence(pairs + [(g, s) for _d, g, s in mosfets],
+                                system.size)
+    return pairs, control, _branch_incidence(pairs + drain_source,
+                                             system.size)

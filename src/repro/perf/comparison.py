@@ -81,32 +81,6 @@ def compare_dc_sweep(workload_name: str, swec_engine, baseline_engine,
     )
 
 
-def compare_transient(workload_name: str, swec_engine, baseline_engine,
-                      t_stop: float, baseline_h: float | None = None,
-                      baseline_name: str = "spice") -> ComparisonRow:
-    """Run the same transient through both engines and tally costs."""
-    start = time.perf_counter()
-    swec_result = swec_engine.run(t_stop)
-    swec_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    baseline_result = baseline_engine.run(t_stop, h=baseline_h)
-    baseline_seconds = time.perf_counter() - start
-
-    return ComparisonRow(
-        workload=workload_name,
-        swec_flops=swec_result.flops.total,
-        baseline_flops=baseline_result.flops.total,
-        swec_solves=swec_result.flops.linear_solves,
-        baseline_solves=baseline_result.flops.linear_solves,
-        swec_iterations=0,
-        baseline_iterations=sum(baseline_result.iteration_counts),
-        swec_seconds=swec_seconds,
-        baseline_seconds=baseline_seconds,
-        baseline_name=baseline_name,
-    )
-
-
 def format_table(rows) -> str:
     """Render comparison rows as the Table I report."""
     lines = [ComparisonRow.header(), "-" * len(ComparisonRow.header())]

@@ -69,7 +69,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -77,8 +76,9 @@ from repro.analysis.measure import crossing_times
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import Pulse, Sine
 from repro.errors import AnalysisError, PSSError, SingularMatrixError
-from repro.mna.batch import ConductanceStamper
+from repro.mna.batch import ConductanceStamper, tangent_incidence
 from repro.perf.flops import FlopCounter
+from repro.swec.conductance import DeviceBank
 
 __all__ = [
     "Monodromy",
@@ -310,20 +310,6 @@ def detect_drive_period(circuit: Circuit) -> float | None:
     return reference
 
 
-def _branch_incidence(pairs, size: int) -> sparse.csr_matrix:
-    """``(len(pairs), size)`` map from a state to the branch voltages
-    ``x[plus] - x[minus]`` of *pairs* (index -1 is ground)."""
-    rows, cols, signs = [], [], []
-    for row, (plus, minus) in enumerate(pairs):
-        for col, sign in ((plus, 1.0), (minus, -1.0)):
-            if col >= 0:
-                rows.append(row)
-                cols.append(col)
-                signs.append(sign)
-    return sparse.csr_matrix((signs, (rows, cols)),
-                             shape=(len(pairs), size))
-
-
 def _correction_scale(chord, v, w) -> np.ndarray:
     """``w / v`` where the chord-derivative correction applies, else 0.
 
@@ -348,26 +334,12 @@ class _ChordSensitivity:
     """
 
     def __init__(self, system, linearization, dense: bool) -> None:
-        circuit = system.circuit
         self._linearization = linearization
-        self._mosfets = circuit.mosfets
-        self.n_devices = len(circuit.devices)
-        self._multiplicity = np.array(
-            [device.multiplicity for device in circuit.devices])
-        groups: dict = {}
-        for k, device in enumerate(circuit.devices):
-            model = device.model
-            groups.setdefault(model.batch_key(), (model, []))[1].append(k)
-        self._groups = [(model, np.asarray(indices, dtype=np.intp))
-                        for model, indices in groups.values()]
-        drain_source = [(d, s) for d, _g, s in system.mosfet_terminals()]
-        gate_source = [(g, s) for _d, g, s in system.mosfet_terminals()]
+        self._bank = DeviceBank([system.circuit])
+        self.n_devices = self._bank.n_devices
         #: Chord stamp pairs, devices then MOSFET drain-source.
-        self.pairs = list(system.device_terminals()) + drain_source
-        self._control = _branch_incidence(self.pairs + gate_source,
-                                          system.size)
-        self._output = _branch_incidence(self.pairs + drain_source,
-                                         system.size).T.tocsr()
+        self.pairs, self._control, output = tangent_incidence(system)
+        self._output = output.T.tocsr()
         if dense:
             self._control = self._control.toarray()
             self._output = self._output.toarray()
@@ -379,34 +351,17 @@ class _ChordSensitivity:
         ``chords[n]`` are the clamped chords the march stamped at
         ``x_n`` (devices, then MOSFETs); ``coefficients[n]`` are the
         ``c_n`` of ``D_n``, each a tangent minus a chord (or a ``gm``)
-        times ``w_{n+1} / v_n``.  Both are ``(steps, count)`` arrays,
-        evaluated with the vectorized device laws over all steps.
+        times ``w_{n+1} / v_n``.  Both are ``(steps, count)`` arrays;
+        the device bank forms chord and tangent from one law pass over
+        all steps.
         """
-        lin = self._linearization
+        lin, bank = self._linearization, self._bank
         v = lin.device_voltages(states[:-1])
         w = lin.device_voltages(states[1:])
-        chord = np.empty_like(v)
-        tangent = np.empty_like(v)
-        for model, idx in self._groups:
-            multiplicity = self._multiplicity[idx]
-            chord[:, idx] = multiplicity * model.chord_conductance_many(
-                v[:, idx])
-            tangent[:, idx] = multiplicity * \
-                model.differential_conductance_many(v[:, idx])
-        np.maximum(chord, 0.0, out=chord)
+        chord, tangent = bank.device_terms(v, tangent=True)
         vgs, vds = lin.mosfet_vgs_vds(states[:-1])
         _, wds = lin.mosfet_vgs_vds(states[1:])
-        mosfet_chord = np.empty_like(vds)
-        gm = np.empty_like(vds)
-        gds = np.empty_like(vds)
-        for j, mosfet in enumerate(self._mosfets):
-            mosfet_chord[:, j] = mosfet.model.chord_conductance_many(
-                vgs[:, j], vds[:, j])
-            gm[:, j], gds[:, j] = np.array([
-                mosfet.partials(a, b)
-                for a, b in zip(vgs[:, j].tolist(), vds[:, j].tolist())
-            ]).T
-        np.maximum(mosfet_chord, 0.0, out=mosfet_chord)
+        mosfet_chord, gm, gds = bank.mosfet_terms(vgs, vds, partials=True)
         device_scale = _correction_scale(chord, v, w)
         mosfet_scale = _correction_scale(mosfet_chord, vds, wds)
         coefficients = np.concatenate((

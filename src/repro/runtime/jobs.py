@@ -34,7 +34,7 @@ from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConvergenceError
 
 
 def apply_backend(options: Any, backend: str | None):
@@ -177,6 +177,18 @@ def _enforce_validate(job) -> None:
         enforce_job_lint(job, job.validate)
 
 
+def _enforce_dc_start(job, result) -> None:
+    """Under ``validate="strict"``, refuse a march whose DC start did
+    not converge; ``off``/``warn`` leave it on the result
+    (``dc_converged=False``, one ``convergence_failures``)."""
+    if job.validate == "strict" and result.dc_converged is False:
+        raise ConvergenceError(
+            f"the march started from a DC point that did not converge "
+            f"after {result.dc_iterations} chord iterations",
+            iterations=result.dc_iterations,
+        )
+
+
 def _engine_factory(engine: str) -> tuple[Callable, Callable]:
     """Return ``(engine_class, options_from_dict)`` for an engine name."""
     if engine == "swec":
@@ -233,7 +245,9 @@ class TransientJob:
     label: str = ""
     #: Pre-flight lint mode (``off``/``warn``/``strict``); ``strict``
     #: makes ``run`` raise :class:`~repro.errors.LintError` on a
-    #: structurally broken design before any engine is built.
+    #: structurally broken design before any engine is built, and
+    #: :class:`~repro.errors.ConvergenceError` on a march from a
+    #: non-converged DC start.
     validate: str = "off"
 
     def __post_init__(self) -> None:
@@ -270,7 +284,9 @@ class TransientJob:
         kwargs = {}
         if self.initial_state is not None:
             kwargs["initial_state"] = np.asarray(self.initial_state, float)
-        return engine.run(self.t_stop, **kwargs)
+        result = engine.run(self.t_stop, **kwargs)
+        _enforce_dc_start(self, result)
+        return result
 
 
 @dataclass
@@ -742,6 +758,7 @@ class EnsembleTransientJob:
             if seeds is None and noise is not None and seed is not None:
                 seeds = seed.spawn(self.size)
             result = engine.run_grid(times, seeds=seeds, **kwargs)
+        _enforce_dc_start(self, result)
         if self.return_result or self.node is None:
             return result
         return ensemble_statistics(

@@ -8,7 +8,7 @@ with one linear solve per time point: no Newton iterations, hence no NDR
 convergence failure.  ``SwecDC`` performs source-continuation sweeps using
 the chord-conductance fixed point.  ``SwecLinearization`` computes the
 equivalent conductances (with the eq.-5 Taylor predictor) and
-``AdaptiveStepController`` implements the eq.-10/12 step bound.
+``StepControlOptions`` tunes the eq.-10/12 step bound.
 ``SwecEnsembleTransient`` marches K same-topology circuit instances in
 lockstep, one batched LAPACK call per time point.  Both transients are
 faces of the unified :class:`~repro.core.stepper.LinearStepper` march
@@ -21,10 +21,9 @@ from repro.swec.conductance import SwecLinearization
 from repro.swec.dc import SwecDC
 from repro.swec.engine import SwecOptions, SwecTransient
 from repro.swec.ensemble import EnsembleTransientResult, SwecEnsembleTransient
-from repro.swec.timestep import AdaptiveStepController, StepControlOptions
+from repro.swec.timestep import StepControlOptions
 
 __all__ = [
-    "AdaptiveStepController",
     "EnsembleTransientResult",
     "StepControlOptions",
     "SwecDC",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.netlist import Circuit
+from repro.devices.mosfet import mosfet_law_stack
 from repro.mna.assembler import MnaSystem
 from repro.mna.batch import ConductanceStamper
 from repro.perf.flops import FlopCounter
@@ -38,6 +39,102 @@ def _gather_arrays(indices) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(idx, 0), mask
 
 
+class DeviceBank:
+    """The nonlinear devices of K same-topology circuits, grouped once
+    for vectorized evaluation.
+
+    Every SWEC quantity comes from one device law ``(I, dI/dV)``: the
+    eq.-3 chord ``I/V``, the eq.-5/8 predictor slope ``d(I/V)/dV`` and
+    the tangent ``dI/dV`` of the small-signal and shooting
+    linearizations.  The bank evaluates them for the lockstep march,
+    the PSS monodromy and the AC linearization alike, each group in
+    one law call (:meth:`~repro.devices.base.TwoTerminalDevice.
+    chord_terms_many`, :func:`~repro.devices.mosfet.mosfet_law_stack`).
+
+    Two-terminal device slots whose K models share one ``batch_key``
+    are grouped across slots by that key, one ``(K, n_slots)`` call
+    per key: a 20x20 RTD mesh pays one law pass per step instead of
+    400.  A slot whose instances carry different models adds one call
+    per distinct model.  Multiplicities are folded into every output.
+    MOSFET parameters are stacked ``(K, n_mosfets)`` for the
+    parameter-vectorized level-1 law.  A bank of one circuit takes any
+    number of rows (the shooting monodromy passes one per step).
+    """
+
+    def __init__(self, circuits) -> None:
+        n_instances, n_devices = len(circuits), len(circuits[0].devices)
+        self.n_devices = n_devices
+        self.n_mosfets = len(circuits[0].mosfets)
+        multiplicity = np.array(
+            [[device.multiplicity for device in circuit.devices]
+             for circuit in circuits]).reshape(n_instances, n_devices)
+        uniform: dict = {}
+        mixed: list = []
+        for j in range(n_devices):
+            slot: dict = {}
+            for k, circuit in enumerate(circuits):
+                model = circuit.devices[j].model
+                slot.setdefault(model.batch_key(), (model, []))[1].append(k)
+            if len(slot) == 1:
+                [(key, (model, _))] = slot.items()
+                uniform.setdefault(key, (model, []))[1].append(j)
+            else:
+                mixed.extend((model, (np.asarray(rows, dtype=np.intp), j))
+                             for model, rows in slot.values())
+        uniform_groups = [
+            (model, (slice(None), np.asarray(slots, dtype=np.intp)))
+            for model, slots in uniform.values()]
+        #: (model, index into the (K, n_devices) arrays, multiplicities)
+        self._groups = [(model, at, multiplicity[at])
+                        for model, at in uniform_groups + mixed]
+        self._mosfet_params = {
+            name: np.array([[getattr(mosfet.model, name)
+                             for mosfet in circuit.mosfets]
+                            for circuit in circuits],
+                           dtype=float).reshape(n_instances, self.n_mosfets)
+            for name in ("kp", "w", "l", "vth", "polarity",
+                         "channel_modulation")}
+
+    def device_terms(self, voltages: np.ndarray, *, predict=None,
+                     tangent: bool = False):
+        """``(chords, tangents)`` of every two-terminal device.
+
+        *voltages* is the ``(rows, n_devices)`` branch-voltage stack.
+        The chords are ``m I/V``, clamped at 0: the chord of a passive
+        device is mathematically >= 0, and the eq.-5 predictor
+        ``predict = (h_next / 2, dV/dt)``, added before the clamp as
+        ``h_next/2 * m dG/dV * dV/dt``, may overshoot.  With *tangent*
+        the second array holds ``m dI/dV``, else it is None.  A
+        chord-only call evaluates ``I`` alone.
+        """
+        chords = np.empty_like(voltages)
+        tangents = np.empty_like(voltages) if tangent else None
+        slope = tangent or predict is not None
+        for model, at, multiplicity in self._groups:
+            chord, derivative, g = model.chord_terms_many(voltages[at], slope)
+            chord = multiplicity * chord
+            if predict is not None:
+                half_h, dv_dt = predict
+                chord += half_h * (multiplicity * derivative) * dv_dt[at]
+            chords[at] = chord
+            if tangent:
+                tangents[at] = multiplicity * g
+        np.maximum(chords, 0.0, out=chords)
+        return chords, tangents
+
+    def mosfet_terms(self, vgs: np.ndarray, vds: np.ndarray,
+                     partials: bool = False):
+        """``(chords, gm, gds)`` of every MOSFET from one law pass.
+
+        The chords ``Ids/Vds`` are clamped at 0; ``gm`` and ``gds`` are
+        None unless *partials*.
+        """
+        _, gm, gds, chords = mosfet_law_stack(
+            vgs, vds, partials=partials, **self._mosfet_params)
+        np.maximum(chords, 0.0, out=chords)
+        return chords, gm, gds
+
+
 class SwecLinearization:
     """Computes and stamps step-wise equivalent conductances.
 
@@ -51,7 +148,7 @@ class SwecLinearization:
 
     Branch-voltage extraction and stamping are index-based: terminal
     index arrays are precomputed once so :meth:`device_voltages`,
-    :meth:`mosfet_voltages` and :meth:`stamp` run as numpy gathers and
+    :meth:`mosfet_vgs_vds` and :meth:`stamp` run as numpy gathers and
     scatters with no per-device Python loop, and all three accept an
     optional leading batch axis (a ``(K, n)`` state stack or a
     ``(K, n, n)`` matrix stack) — the ensemble engine's hot path.
@@ -135,14 +232,6 @@ class SwecLinearization:
         vgs = [values[g] - values[s] for _d, g, s in self._mosfet_triples]
         vds = [values[d] - values[s] for d, _g, s in self._mosfet_triples]
         return devices, vgs, vds
-
-    def mosfet_voltages(self, state: np.ndarray) -> np.ndarray:
-        """``(vgs, vds)`` rows for each MOSFET.
-
-        *state* is ``(n,)`` or a ``(K, n)`` stack; the result is
-        ``(..., n_mosfets, 2)``.
-        """
-        return np.stack(self.mosfet_vgs_vds(state), axis=-1)
 
     # ------------------------------------------------------------------
     # Chord conductances (paper Section 3.2 / eq. 5)
@@ -236,14 +325,6 @@ class SwecLinearization:
         *matrix* is ``(n, n)`` or a C-contiguous ``(K, n, n)`` stack;
         the conductance arrays carry the matching leading batch axis.
         """
-        device_g = np.asarray(device_g, dtype=float)
-        mosfet_g = np.asarray(mosfet_g, dtype=float)
-        if device_g.ndim != mosfet_g.ndim:
-            # Align an empty column block with the batched one.
-            if device_g.size == 0:
-                device_g = np.zeros((*mosfet_g.shape[:-1], 0))
-            elif mosfet_g.size == 0:
-                mosfet_g = np.zeros((*device_g.shape[:-1], 0))
         self._stamper.stamp(
             matrix, np.concatenate((device_g, mosfet_g), axis=-1))
 

@@ -37,7 +37,7 @@ from repro.circuit.netlist import Circuit
 from repro.core.backends import available_backends
 from repro.core.stepper import LinearStepper
 from repro.errors import AnalysisError
-from repro.swec.timestep import AdaptiveStepController, StepControlOptions
+from repro.swec.timestep import EnsembleStepController, StepControlOptions
 
 
 @dataclass
@@ -167,7 +167,7 @@ class SwecTransient:
             default_backend="dense")
         self.system = self._stepper.system
         self.linearization = self._stepper.linearization
-        self.controller: AdaptiveStepController = self._stepper.controller
+        self.controller: EnsembleStepController = self._stepper.controller
 
     @property
     def backend_name(self) -> str:

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.netlist import Circuit
-from repro.mna.assembler import MnaSystem
+from repro.circuit.sources import waveform_state_key
 
 
 @dataclass
 class StepControlOptions:
-    """Tunables for :class:`AdaptiveStepController`.
+    """Tunables for :class:`EnsembleStepController`.
 
     Attributes
     ----------
@@ -66,22 +65,64 @@ class StepControlOptions:
             raise ValueError("growth_limit must exceed 1")
 
 
-class AdaptiveStepController:
-    """Computes the next SWEC step from the current operating point."""
+class EnsembleStepController:
+    """Eq.-10/12 step control, worst case over an instance ensemble.
 
-    def __init__(self, system: MnaSystem,
-                 options: StepControlOptions | None = None) -> None:
-        self.system = system
+    Computes the next SWEC step from the current operating point of
+    every instance: the slope bound over the sources, the node-RC
+    bound over the stamped ``G`` diagonals, clamped and landed on the
+    source breakpoints.  Value-identical waveforms are deduplicated
+    (:func:`~repro.circuit.sources.waveform_state_key`) so the slope
+    and breakpoint bounds pay one evaluation per *distinct* source,
+    and the node-RC bound is vectorized over a ``(K, n)`` diagonal
+    stack — the only part of ``G`` the bound needs, which is what the
+    solver backends expose regardless of matrix representation.  A
+    single circuit is the ensemble ``([system], [circuit])``.
+    """
+
+    def __init__(self, systems, circuits,
+                 options: StepControlOptions | None = None, *,
+                 scalar: bool = False) -> None:
         self.options = options or StepControlOptions()
-        circuit: Circuit = system.circuit
-        # Grounded capacitance per node: diagonal of the C matrix restricted
-        # to node rows (branch rows carry -L and are excluded).
-        c_matrix = system.capacitance_matrix()
-        self._node_capacitance = np.diag(c_matrix)[:system.num_nodes].copy()
-        self._sources = list(circuit.voltage_sources) + list(
-            circuit.current_sources)
+        seen: set = set()
+        sources = []
+        for circuit in circuits:
+            for source in (list(circuit.voltage_sources)
+                           + list(circuit.current_sources)):
+                key = waveform_state_key(source.waveform)
+                if key in seen:
+                    continue
+                seen.add(key)
+                sources.append(source)
+        self._sources = sources
         self._table: list[float] = []
         self._table_stop: float | None = None
+        caps: dict[int, np.ndarray] = {}
+        rows = []
+        for system in systems:
+            if id(system) not in caps:
+                # Grounded capacitance per node: diagonal of the C
+                # matrix restricted to node rows (branch rows carry -L
+                # and are excluded).
+                caps[id(system)] = np.diag(
+                    system.capacitance_matrix())[:system.num_nodes].copy()
+            rows.append(caps[id(system)])
+        self._node_capacitance_stack = np.stack(rows)
+        # The capacitance stack is fixed for the march, so the
+        # (instance, node) pairs with grounded capacitance — and their
+        # eps * C_j numerators — are precomputed once; the per-step
+        # bound is one gather, one divide and a min.
+        c = self._node_capacitance_stack
+        self._rc_instances, self._rc_nodes = np.nonzero(c > 0.0)
+        self._rc_scaled = (self.options.epsilon
+                           * c[self._rc_instances, self._rc_nodes])
+        self._rc_ratio = np.empty_like(self._rc_scaled)
+        # A single small instance takes the bound on Python floats: the
+        # same quotients and min, without numpy's per-call overhead.
+        self._rc_pairs = None
+        if scalar and len(systems) == 1:
+            self._rc_pairs = list(zip(self._rc_scaled.tolist(),
+                                      self._rc_nodes.tolist()))
 
     # ------------------------------------------------------------------
     # Constraint evaluation
@@ -99,21 +140,32 @@ class AdaptiveStepController:
             bound = min(bound, 3.0 * eps * level / slope)
         return bound
 
-    def node_rc_bound(self, conductance_matrix) -> float:
-        """``min_j eps C_j / sum_k G_jk`` over capacitive nodes (eq. 12).
+    def node_rc_bound_stack(self, diagonal_stack) -> float:
+        """``min_{k,j} eps C_j^k / G_jj^k`` over the whole ensemble (eq. 12).
 
-        Accepts dense arrays and scipy sparse matrices alike (both
-        expose ``.diagonal()``).
+        *diagonal_stack* is the ``(K, n)`` stamped-``G`` diagonal
+        (only the leading ``num_nodes`` columns are consulted).
         """
-        eps = self.options.epsilon
-        bound = math.inf
-        diag = np.asarray(conductance_matrix.diagonal()).ravel()
-        for j in range(self.system.num_nodes):
-            c_j = self._node_capacitance[j]
-            g_j = diag[j]
-            if c_j > 0.0 and g_j > 0.0:
-                bound = min(bound, eps * c_j / g_j)
-        return bound
+        if self._rc_pairs is not None:
+            diag = diagonal_stack[0].tolist()
+            bound = math.inf
+            for scaled, j in self._rc_pairs:
+                g_j = diag[j]
+                if g_j > 0.0:
+                    ratio = scaled / g_j
+                    if ratio < bound:
+                        bound = ratio
+            return bound
+        if self._rc_nodes.size == 0:
+            return math.inf
+        diag = np.asarray(diagonal_stack)[self._rc_instances,
+                                          self._rc_nodes]
+        # Only nodes with positive total conductance bound the step; the
+        # rest are masked out of the divide and the min alike.
+        conducting = diag > 0.0
+        ratio = np.divide(self._rc_scaled, diag, out=self._rc_ratio,
+                          where=conducting)
+        return float(ratio.min(where=conducting, initial=math.inf))
 
     def _breakpoint_table(self, t_stop: float) -> list[float]:
         """Sorted breakpoints a march to *t_stop* can land on.
@@ -147,24 +199,18 @@ class AdaptiveStepController:
     # Main entry
     # ------------------------------------------------------------------
 
-    def _clamp(self, t: float, h_prev: float, bound: float,
-               t_stop: float) -> float:
-        """Clamp the raw constraint *bound* into an accepted step size."""
+    def next_step_from_diagonal(self, t: float, h_prev: float,
+                                diagonal_stack, t_stop: float) -> float:
+        """Next accepted step size ``h_n`` (paper eq. 12) from the
+        stamped ``G`` diagonals of all instances."""
         opts = self.options
-        h = bound
+        h = min(self.slope_bound(t), self.node_rc_bound_stack(diagonal_stack))
         if not math.isfinite(h):
             h = opts.h_max if math.isfinite(opts.h_max) else h_prev * opts.growth_limit
         h = min(h, h_prev * opts.growth_limit, opts.h_max)
         h = max(h, opts.h_min)
         h = self.breakpoint_bound(t, h, t_stop)
         return max(h, min(opts.h_min, t_stop - t))
-
-    def next_step(self, t: float, h_prev: float,
-                  conductance_matrix, t_stop: float) -> float:
-        """Return the next accepted step size ``h_n`` (paper eq. 12)."""
-        bound = min(self.slope_bound(t),
-                    self.node_rc_bound(conductance_matrix))
-        return self._clamp(t, h_prev, bound, t_stop)
 
     def initial_step(self, t_stop: float) -> float:
         """First step: explicit option, else a conservative fraction."""
@@ -174,90 +220,3 @@ class AdaptiveStepController:
         if math.isfinite(self.options.h_max):
             fallback = min(fallback, self.options.h_max)
         return max(fallback, self.options.h_min)
-
-
-class EnsembleStepController(AdaptiveStepController):
-    """Worst-case eq.-10/12 step control over an instance ensemble.
-
-    Value-identical waveforms are deduplicated
-    (:func:`~repro.circuit.sources.waveform_state_key`) so the slope
-    and breakpoint bounds pay one evaluation per *distinct* source,
-    and the node-RC bound is vectorized over a ``(K, n)`` diagonal
-    stack — the only part of ``G`` the bound needs, which is what the
-    solver backends expose regardless of matrix representation.
-    """
-
-    def __init__(self, systems, circuits,
-                 options: StepControlOptions | None = None, *,
-                 scalar: bool = False) -> None:
-        from repro.circuit.sources import waveform_state_key
-
-        super().__init__(systems[0], options)
-        seen: set = set()
-        sources = []
-        for circuit in circuits:
-            for source in (list(circuit.voltage_sources)
-                           + list(circuit.current_sources)):
-                key = waveform_state_key(source.waveform)
-                if key in seen:
-                    continue
-                seen.add(key)
-                sources.append(source)
-        self._sources = sources
-        caps: dict[int, np.ndarray] = {}
-        rows = []
-        for system in systems:
-            if id(system) not in caps:
-                caps[id(system)] = np.diag(
-                    system.capacitance_matrix())[:system.num_nodes].copy()
-            rows.append(caps[id(system)])
-        self._node_capacitance_stack = np.stack(rows)
-        # The capacitance stack is fixed for the march, so the
-        # (instance, node) pairs with grounded capacitance — and their
-        # eps * C_j numerators — are precomputed once; the per-step
-        # bound is one gather, one divide and a min.
-        c = self._node_capacitance_stack
-        self._rc_instances, self._rc_nodes = np.nonzero(c > 0.0)
-        self._rc_scaled = (self.options.epsilon
-                           * c[self._rc_instances, self._rc_nodes])
-        self._rc_ratio = np.empty_like(self._rc_scaled)
-        # A single small instance takes the bound on Python floats: the
-        # same quotients and min, without numpy's per-call overhead.
-        self._rc_pairs = None
-        if scalar and len(systems) == 1:
-            self._rc_pairs = list(zip(self._rc_scaled.tolist(),
-                                      self._rc_nodes.tolist()))
-
-    def node_rc_bound_stack(self, diagonal_stack) -> float:
-        """``min_{k,j} eps C_j^k / G_jj^k`` over the whole ensemble.
-
-        *diagonal_stack* is the ``(K, n)`` stamped-``G`` diagonal
-        (only the leading ``num_nodes`` columns are consulted).
-        """
-        if self._rc_pairs is not None:
-            diag = diagonal_stack[0].tolist()
-            bound = math.inf
-            for scaled, j in self._rc_pairs:
-                g_j = diag[j]
-                if g_j > 0.0:
-                    ratio = scaled / g_j
-                    if ratio < bound:
-                        bound = ratio
-            return bound
-        if self._rc_nodes.size == 0:
-            return math.inf
-        diag = np.asarray(diagonal_stack)[self._rc_instances,
-                                          self._rc_nodes]
-        # Only nodes with positive total conductance bound the step; the
-        # rest are masked out of the divide and the min alike.
-        conducting = diag > 0.0
-        ratio = np.divide(self._rc_scaled, diag, out=self._rc_ratio,
-                          where=conducting)
-        return float(ratio.min(where=conducting, initial=math.inf))
-
-    def next_step_from_diagonal(self, t: float, h_prev: float,
-                                diagonal_stack, t_stop: float) -> float:
-        """Eq.-12 next step from the stamped diagonals of all instances."""
-        bound = min(self.slope_bound(t),
-                    self.node_rc_bound_stack(diagonal_stack))
-        return self._clamp(t, h_prev, bound, t_stop)

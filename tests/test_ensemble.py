@@ -142,12 +142,13 @@ class TestVectorizedLinearization:
         lin = engine.linearization
         states = np.random.default_rng(5).normal(size=(6, engine.system.size))
         batched_dev = lin.device_voltages(states)
-        batched_mos = lin.mosfet_voltages(states)
+        batched_mos = np.stack(lin.mosfet_vgs_vds(states), axis=-1)
         for k in range(6):
             assert np.array_equal(batched_dev[k],
                                   lin.device_voltages(states[k]))
-            assert np.array_equal(batched_mos[k],
-                                  lin.mosfet_voltages(states[k]))
+            assert np.array_equal(
+                batched_mos[k],
+                np.stack(lin.mosfet_vgs_vds(states[k]), axis=-1))
 
     def test_mosfet_stack_matches_scalar_chords(self):
         from repro.devices import nmos, pmos
@@ -178,7 +179,7 @@ class TestVectorizedLinearization:
         scalar = np.array([rtd.chord_conductance(float(v))
                            for v in voltages])
         assert np.allclose(many, scalar, rtol=1e-13, atol=1e-30)
-        derivative = rtd.chord_conductance_derivative_many(voltages)
+        derivative = rtd.chord_pair_many(voltages)[1]
         scalar_d = np.array([rtd.chord_conductance_derivative(float(v))
                              for v in voltages])
         assert np.allclose(derivative, scalar_d, rtol=1e-10, atol=1e-20)

@@ -33,7 +33,7 @@ from repro.resilience import (
     fault_context,
 )
 from repro.runtime import BatchRunner
-from repro.runtime.jobs import job_from_mapping
+from repro.runtime.jobs import TransientJob, job_from_mapping
 from repro.runtime.runner import retryable_failure
 from repro.service import (
     ResultStore,
@@ -585,12 +585,24 @@ class TestDaemonResilience:
         assert event.get("traceback")
 
     def test_drain_finishes_running_jobs_and_refuses_new_ones(
-            self, daemon_factory, capfd):
+            self, daemon_factory, capfd, monkeypatch):
         service, thread = daemon_factory()
         slow = {**SPEC, "label": "slow",
                 "options": {**FAST_OPTIONS, "h_max": 1e-12},
                 "t_stop": 2e-9}
         outcome = {}
+        # The slow job is held until the refusal has been observed, so
+        # the drain cannot finish (and close the socket) first however
+        # fast the march runs.
+        release = threading.Event()
+        run = TransientJob.run
+
+        def held_run(job, *args, **kwargs):
+            if job.label == "slow":
+                assert release.wait(60), "slow job never released"
+            return run(job, *args, **kwargs)
+
+        monkeypatch.setattr(TransientJob, "run", held_run)
 
         def submit_slow():
             client = ServiceClient(service.socket_path, timeout=120)
@@ -606,6 +618,7 @@ class TestDaemonResilience:
         time.sleep(0.1)
         refused = ServiceClient(service.socket_path,
                                 timeout=60).submit(SPEC, seed=1)
+        release.set()
         assert refused["event"] == "failed"
         assert "draining" in refused["error"]
         worker.join(60)

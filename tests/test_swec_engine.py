@@ -10,7 +10,8 @@ from repro.circuit import Circuit, DC, Pulse
 from repro.circuits_lib import fet_rtd_inverter
 from repro.core.stepper import LinearStepper
 from repro.devices import SCHULMAN_INGAAS, SchulmanRTD
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConvergenceError
+from repro.runtime import EnsembleTransientJob, TransientJob
 from repro.swec import SwecOptions, SwecTransient
 from repro.swec.timestep import StepControlOptions
 
@@ -379,6 +380,49 @@ class TestDcStart:
         assert result.dc_converged is False
         assert result.convergence_failures == 1
         assert "dc start: NOT CONVERGED after 1 iterations" in result.summary()
+
+
+class TestStrictDcStart:
+    """``validate="strict"`` refuses a march from a non-converged DC
+    start; ``off``/``warn`` report it on the result."""
+
+    @pytest.fixture(autouse=True)
+    def one_dc_iteration(self, monkeypatch):
+        monkeypatch.setattr(
+            LinearStepper, "_dc_initialize",
+            functools.partialmethod(LinearStepper._dc_initialize, max_iter=1))
+
+    @staticmethod
+    def _transient_job(validate):
+        engine = fig8_inverter_engine()
+        return TransientJob(t_stop=0.2e-9, circuit=engine.circuit,
+                            options=engine.options, validate=validate)
+
+    @staticmethod
+    def _ensemble_job(validate):
+        engine = fig8_inverter_engine()
+        return EnsembleTransientJob(
+            t_stop=0.2e-9, circuit=engine.circuit, n_instances=2,
+            options=engine.options, return_result=True, validate=validate)
+
+    @pytest.mark.parametrize("job", ["_transient_job", "_ensemble_job"])
+    def test_strict_raises_with_iteration_count(self, job):
+        with pytest.raises(ConvergenceError, match="after 1 chord iterations"):
+            getattr(self, job)("strict").run()
+
+    @pytest.mark.parametrize("validate", ["off", "warn"])
+    def test_off_and_warn_report_it(self, validate):
+        result = self._transient_job(validate).run()
+        assert result.dc_converged is False
+        assert result.convergence_failures == 1
+        ensemble = self._ensemble_job(validate).run()
+        assert ensemble.dc_converged is False
+        assert ensemble.instance(0).convergence_failures == 1
+
+    def test_converged_start_passes_strict(self, monkeypatch):
+        monkeypatch.undo()
+        result = self._transient_job("strict").run()
+        assert result.dc_converged is True
 
 
 class TestVectorizedCurrents:

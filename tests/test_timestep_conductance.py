@@ -9,8 +9,18 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import Circuit, Clock, DC, PiecewiseLinear, Pulse
 from repro.mna import MnaSystem
 from repro.swec.conductance import SwecLinearization
-from repro.swec.timestep import AdaptiveStepController, StepControlOptions
+from repro.swec.timestep import EnsembleStepController, StepControlOptions
 from repro.devices import nmos
+
+
+def controller_for(system, options=None):
+    """The step controller of a single-circuit march."""
+    return EnsembleStepController([system], [system.circuit], options)
+
+
+def diagonal(g):
+    """The ``(1, n)`` diagonal stack the controller bounds the step by."""
+    return np.diagonal(g)[None, :]
 
 
 def rc_circuit(slope_source=True):
@@ -41,13 +51,13 @@ class TestSlopeBound:
 
     def test_infinite_when_sources_flat(self):
         system = MnaSystem(rc_circuit(slope_source=False))
-        controller = AdaptiveStepController(system)
+        controller = controller_for(system)
         assert controller.slope_bound(0.0) == math.inf
 
     def test_formula_during_ramp(self):
         system = MnaSystem(rc_circuit())
         options = StepControlOptions(epsilon=0.02, voltage_floor=1e-3)
-        controller = AdaptiveStepController(system, options)
+        controller = controller_for(system, options)
         t = 1.5e-9  # mid-rise: value 0.5 V, slope 1 V/ns
         expected = 3.0 * 0.02 * 0.5 / 1e9
         assert controller.slope_bound(t) == pytest.approx(expected)
@@ -55,7 +65,7 @@ class TestSlopeBound:
     def test_voltage_floor_prevents_collapse(self):
         system = MnaSystem(rc_circuit())
         options = StepControlOptions(epsilon=0.02, voltage_floor=1e-3)
-        controller = AdaptiveStepController(system, options)
+        controller = controller_for(system, options)
         t = 1.0e-9 + 1e-15  # source value ~0 but slope nonzero
         expected = 3.0 * 0.02 * 1e-3 / 1e9
         assert controller.slope_bound(t) == pytest.approx(expected, rel=1e-3)
@@ -67,32 +77,34 @@ class TestNodeRcBound:
     def test_formula(self):
         system = MnaSystem(rc_circuit(slope_source=False))
         options = StepControlOptions(epsilon=0.02)
-        controller = AdaptiveStepController(system, options)
+        controller = controller_for(system, options)
         g = system.conductance_base()
         expected = 0.02 * 1e-12 / 1e-3  # C=1p, G=1m at node 'out'
-        assert controller.node_rc_bound(g) == pytest.approx(expected)
+        assert controller.node_rc_bound_stack(
+            diagonal(g)) == pytest.approx(expected)
 
     def test_tighter_with_device_conductance(self, rtd):
         circuit = rc_circuit(slope_source=False)
         circuit.add_device("X1", "out", "0", rtd)
         system = MnaSystem(circuit)
-        controller = AdaptiveStepController(system, StepControlOptions())
+        controller = controller_for(system, StepControlOptions())
         linearization = SwecLinearization(system)
         state = np.zeros(system.size)
         state[system.node_index("out")] = 0.3
         g_with_device = linearization.conductance_matrix(
             system.conductance_base(), state)
-        assert (controller.node_rc_bound(g_with_device)
-                < controller.node_rc_bound(system.conductance_base()))
+        base = system.conductance_base()
+        assert (controller.node_rc_bound_stack(diagonal(g_with_device))
+                < controller.node_rc_bound_stack(diagonal(base)))
 
     def test_infinite_without_capacitors(self):
         circuit = Circuit()
         circuit.add_voltage_source("V1", "in", "0", 1.0)
         circuit.add_resistor("R1", "in", "0", 1.0)
         system = MnaSystem(circuit)
-        controller = AdaptiveStepController(system)
-        assert controller.node_rc_bound(
-            system.conductance_base()) == math.inf
+        controller = controller_for(system)
+        assert controller.node_rc_bound_stack(
+            diagonal(system.conductance_base())) == math.inf
 
 
 class TestNextStep:
@@ -100,40 +112,44 @@ class TestNextStep:
         system = MnaSystem(rc_circuit(slope_source=False))
         options = StepControlOptions(epsilon=100.0, growth_limit=2.0,
                                      h_max=1e-6)
-        controller = AdaptiveStepController(system, options)
+        controller = controller_for(system, options)
         g = system.conductance_base()
-        h = controller.next_step(2e-9, 1e-12, g, 1e-3)
+        h = controller.next_step_from_diagonal(2e-9, 1e-12, diagonal(g),
+                                               1e-3)
         assert h <= 2e-12 * (1.0 + 1e-12)
 
     def test_clamped_to_h_max(self):
         system = MnaSystem(rc_circuit(slope_source=False))
         options = StepControlOptions(epsilon=1e9, h_max=1e-10,
                                      growth_limit=1e9)
-        controller = AdaptiveStepController(system, options)
+        controller = controller_for(system, options)
         g = system.conductance_base()
-        assert controller.next_step(0.0, 1e-10, g, 1.0) <= 1e-10
+        assert controller.next_step_from_diagonal(
+            0.0, 1e-10, diagonal(g), 1.0) <= 1e-10
 
     def test_lands_on_breakpoint(self):
         system = MnaSystem(rc_circuit(slope_source=True))
         options = StepControlOptions(epsilon=10.0, h_max=1e-8)
-        controller = AdaptiveStepController(system, options)
+        controller = controller_for(system, options)
         g = system.conductance_base()
-        h = controller.next_step(0.5e-9, 1e-8, g, 100e-9)
+        h = controller.next_step_from_diagonal(0.5e-9, 1e-8, diagonal(g),
+                                               100e-9)
         assert 0.5e-9 + h == pytest.approx(1e-9)  # the pulse delay edge
 
     def test_never_oversteps_t_stop(self):
         system = MnaSystem(rc_circuit(slope_source=False))
-        controller = AdaptiveStepController(system, StepControlOptions(
+        controller = controller_for(system, StepControlOptions(
             epsilon=1e9, h_max=1.0, growth_limit=1e9))
         g = system.conductance_base()
-        h = controller.next_step(0.9e-9, 1.0, g, 1e-9)
+        h = controller.next_step_from_diagonal(0.9e-9, 1.0, diagonal(g),
+                                               1e-9)
         assert h == pytest.approx(0.1e-9)
 
     def test_initial_step_defaults(self):
         system = MnaSystem(rc_circuit(slope_source=False))
-        controller = AdaptiveStepController(system, StepControlOptions())
+        controller = controller_for(system, StepControlOptions())
         assert controller.initial_step(1e-6) == pytest.approx(1e-10)
-        controller2 = AdaptiveStepController(
+        controller2 = controller_for(
             system, StepControlOptions(h_initial=5e-12))
         assert controller2.initial_step(1e-6) == 5e-12
 
@@ -181,7 +197,7 @@ class TestBreakpointTable:
                                        BREAKPOINT_WAVEFORMS[name]())
             circuit.add_resistor(f"R{k}", f"n{k}", "out", 1e3)
         circuit.add_capacitor("C1", "out", "0", 1e-12)
-        return AdaptiveStepController(MnaSystem(circuit)), circuit
+        return controller_for(MnaSystem(circuit)), circuit
 
     @given(names=st.lists(st.sampled_from(sorted(BREAKPOINT_WAVEFORMS)),
                           min_size=1, max_size=4),
@@ -280,8 +296,8 @@ class TestLinearization:
         state = np.zeros(system.size)
         state[system.node_index("d")] = 3.0
         state[system.node_index("g")] = 2.0
-        vgs_vds = linearization.mosfet_voltages(state)
-        assert vgs_vds[0, 0] == pytest.approx(2.0)
-        assert vgs_vds[0, 1] == pytest.approx(3.0)
+        vgs, vds = linearization.mosfet_vgs_vds(state)
+        assert vgs[0] == pytest.approx(2.0)
+        assert vds[0] == pytest.approx(3.0)
         g = linearization.mosfet_conductances(state)
         assert g[0] == pytest.approx(model.chord_conductance(2.0, 3.0))
