@@ -24,7 +24,7 @@ def _options(fmt: str) -> SwecOptions:
     return SwecOptions(
         step=StepControlOptions(epsilon=0.1, h_min=1e-13, h_max=0.02e-9,
                                 h_initial=1e-12),
-        matrix_format=fmt)
+        backend=fmt)
 
 
 def _run(rows: int, cols: int, fmt: str):

@@ -95,19 +95,13 @@ class SmallSignalSystem:
         short/open), so the solved vector *is* the transfer function
         from that source to every MNA unknown.
         """
-        name = source or self.default_source()
+        kind, slot = self.system.source_slot(source or self.default_source())
         b = np.zeros(self.size)
-        for source_ in self.circuit.voltage_sources:
-            if source_.name == name:
-                b[self.system.vsource_index(name)] = 1.0
-                return b
-        for source_ in self.circuit.current_sources:
-            if source_.name == name:
-                p = self.system.node_index(source_.nodes[0])
-                n = self.system.node_index(source_.nodes[1])
-                self.system.stamp_current(b, p, n, 1.0)
-                return b
-        raise AnalysisError(f"no independent source named {name!r}")
+        if kind == "v":
+            b[slot] = 1.0
+        else:
+            self.system.stamp_current(b, slot[0], slot[1], 1.0)
+        return b
 
 
 def tangent_conductances(

@@ -164,26 +164,14 @@ class MlaDC:
     def device_currents(self, result: DCSweepResult,
                         device_name: str) -> np.ndarray:
         """Current through a named device at every sweep point."""
-        for k, device in enumerate(self.circuit.devices):
-            if device.name == device_name:
-                anode, cathode = self.system.device_terminals()[k]
-                states = result.states
-                va = states[:, anode] if anode >= 0 else np.zeros(len(result))
-                vc = states[:, cathode] if cathode >= 0 else np.zeros(len(result))
-                return np.array([device.current(v) for v in (va - vc)])
-        raise AnalysisError(f"no device named {device_name!r}")
+        device, voltages = self.system.device_branch(device_name,
+                                                     result.states)
+        return np.array([device.current(v) for v in voltages])
 
     def device_voltages(self, result: DCSweepResult,
                         device_name: str) -> np.ndarray:
         """Branch voltage of a named device at every sweep point."""
-        for k, device in enumerate(self.circuit.devices):
-            if device.name == device_name:
-                anode, cathode = self.system.device_terminals()[k]
-                states = result.states
-                va = states[:, anode] if anode >= 0 else np.zeros(len(result))
-                vc = states[:, cathode] if cathode >= 0 else np.zeros(len(result))
-                return np.asarray(va - vc)
-        raise AnalysisError(f"no device named {device_name!r}")
+        return self.system.device_branch(device_name, result.states)[1]
 
 
 class MlaTransient:

@@ -2,7 +2,7 @@
 
 Before this module the repo carried four hand-rolled copies of the same
 recipe (scalar transient, DC fixed point, lockstep ensemble, AC sweep).
-:class:`LinearStepper` owns the transient form of it once, batch-first:
+:class:`LinearStepper` owns it once, batch-first:
 K same-topology circuit instances march together, and every
 backend-specific operation — assembly representation, factorization,
 solve, flop accounting — is delegated to a
@@ -218,7 +218,7 @@ class LinearStepper:
         )
         self._chunk_entries = chunk_entries
         self.backend: SolverBackend = create_backend(
-            self.options.resolved_backend(),
+            self.options.backend,
             self.systems,
             default=default_backend,
             factor_rtol=self.options.factor_rtol,
@@ -410,32 +410,56 @@ class LinearStepper:
         max_iter: int = 200,
         tol: float = 1e-9,
     ) -> np.ndarray:
-        """Batched chord fixed point at time *t* (DC operating points).
+        """:meth:`chord_fixed_point` at time *t* (DC operating points).
 
         The iteration count and whether every instance settled within
         *tol* are recorded on *result* (``dc_iterations``,
         ``dc_converged``): a march that starts from a non-converged
         state says so instead of silently using it.
         """
-        K, n = self.n_instances, self.size
-        b = self._sources.assemble(t, np.empty((K, n)))
-        damping = np.ones(K)
-        prev_delta = np.full(K, np.inf)
-        flops = result.flops
-        result.dc_iterations, result.dc_converged = 0, False
-        for _ in range(max_iter):
-            result.dc_iterations += 1
-            self._stamp(states, None, None, None, flops)
-            new_states = self.backend.solve_conductance(b)
-            delta = np.max(np.abs(new_states - states), axis=1) if n else np.zeros(K)
-            shrink = (delta > prev_delta) & (damping > 0.1)
-            damping[shrink] *= 0.5
+        b = self._sources.assemble(t, np.empty((self.n_instances, self.size)))
+        states, result.dc_iterations, result.dc_converged = self.chord_fixed_point(
+            b, states, result.flops, max_iter=max_iter, tol=tol
+        )
+        return states
+
+    def chord_solve(
+        self, b: np.ndarray, states: np.ndarray, flops: FlopCounter | None
+    ) -> np.ndarray:
+        """Stamp ``G(states)`` and solve ``G x = b`` for all K instances."""
+        self._stamp(states, None, None, None, flops)
+        return self.backend.solve_conductance(b)
+
+    def chord_fixed_point(
+        self,
+        b: np.ndarray,
+        states: np.ndarray,
+        flops: FlopCounter | None,
+        *,
+        max_iter: int,
+        tol: float,
+        damping: float = 1.0,
+        min_damping: float = 0.05,
+    ) -> tuple[np.ndarray, int, bool]:
+        """Damped chord fixed point ``G(x) x = b`` (DC starts, SwecDC).
+
+        Each instance halves its damping, never below *min_damping*,
+        when its update stops shrinking.  Returns the undamped iterate
+        once every instance moves less than *tol*, else the last damped
+        state, with the iteration count and the converged flag.
+        """
+        damping = np.full(self.n_instances, float(damping))
+        prev_delta = np.full(self.n_instances, np.inf)
+        for iteration in range(1, max_iter + 1):
+            new_states = self.chord_solve(b, states, flops)
+            delta = np.max(np.abs(new_states - states), axis=1)
+            if np.all(delta < tol):
+                return new_states, iteration, True
+            shrink = (delta >= prev_delta) & (damping > min_damping)
+            damping[shrink] = np.maximum(damping[shrink] * 0.5, min_damping)
             prev_delta = delta
             states = states + damping[:, None] * (new_states - states)
-            if np.all(delta < tol):
-                result.dc_converged = True
-                break
-        return states
+        return states, max_iter, False
 
     # ------------------------------------------------------------------
     # Marching

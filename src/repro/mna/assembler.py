@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.netlist import Circuit, is_ground
-from repro.errors import AssemblyError
+from repro.errors import AnalysisError, AssemblyError
 
 
 class MnaSystem:
@@ -199,6 +199,32 @@ class MnaSystem:
             (self.node_index(d.nodes[0]), self.node_index(d.nodes[1]))
             for d in self.circuit.devices
         ]
+
+    def device_branch(self, name: str, states: np.ndarray):
+        """``(device, voltages)`` for the two-terminal device *name*:
+        its branch voltage ``V(anode) - V(cathode)`` in every row of the
+        ``(T, size)`` *states*."""
+        for device, (anode, cathode) in zip(self.circuit.devices,
+                                            self.device_terminals()):
+            if device.name == name:
+                zeros = np.zeros(states.shape[0])
+                va = states[:, anode] if anode >= 0 else zeros
+                vc = states[:, cathode] if cathode >= 0 else zeros
+                return device, va - vc
+        raise AnalysisError(f"no device named {name!r}")
+
+    def source_slot(self, name: str):
+        """``("v", row)`` or ``("i", (p, n, source))`` for the
+        independent source *name*."""
+        for source in self.circuit.voltage_sources:
+            if source.name == name:
+                return "v", self.vsource_index(name)
+        for source in self.circuit.current_sources:
+            if source.name == name:
+                p = self.node_index(source.nodes[0])
+                n = self.node_index(source.nodes[1])
+                return "i", (p, n, source)
+        raise AnalysisError(f"no independent source named {name!r}")
 
     def mosfet_terminals(self) -> list[tuple[int, int, int]]:
         """``(drain, gate, source)`` index triples for each MOSFET."""

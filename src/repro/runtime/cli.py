@@ -157,12 +157,9 @@ def apply_vr_overrides(
     return updated
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.runtime",
-        description="Run a batch of Nano-Sim simulation jobs in parallel.",
-    )
-    parser.add_argument("spec", help="job-spec file (.toml or .json)")
+def add_batch_arguments(parser: argparse.ArgumentParser) -> None:
+    """The batch flags of ``python -m repro.runtime`` and ``repro.sweep``;
+    every default is ``None`` (the spec's setting applies)."""
     parser.add_argument(
         "--workers",
         type=int,
@@ -204,8 +201,20 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
+        "--cache",
+        nargs="?",
+        const="",
+        default=None,
+        metavar="PATH",
+        help=(
+            "consult the content-addressed result store before running "
+            "each job (PATH, or the default store with no argument)"
+        ),
+    )
+    parser.add_argument(
         "--antithetic",
         action="store_true",
+        default=None,
         help=(
             "simulate mirrored path pairs in every ensemble job "
             "(exact variance elimination for linear responses)"
@@ -214,9 +223,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--control-variate",
         action="store_true",
+        default=None,
         help=(
             "pair each ensemble_transient path with a linearized-"
-            "circuit control driven by the same noise"
+            "circuit control driven by the same noise (SDE ensemble "
+            "sweeps reject it: their paths are linear already)"
         ),
     )
     parser.add_argument(
@@ -246,17 +257,15 @@ def main(argv: list[str] | None = None) -> int:
         metavar="K",
         help="adaptive-stopping backstop: never simulate more than K paths",
     )
-    parser.add_argument(
-        "--cache",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help=(
-            "consult the content-addressed result store before running "
-            "each job (PATH, or the default store with no argument)"
-        ),
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.runtime",
+        description="Run a batch of Nano-Sim simulation jobs in parallel.",
     )
+    parser.add_argument("spec", help="job-spec file (.toml or .json)")
+    add_batch_arguments(parser)
     args = parser.parse_args(argv)
 
     try:

@@ -169,6 +169,33 @@ def _check_validate(mode: str) -> None:
         )
 
 
+def _check_circuit_source(job) -> None:
+    """Reject a job that names its circuit other than exactly once."""
+    given = sum(
+        source is not None for source in (job.circuit, job.builder, job.netlist)
+    )
+    if given != 1:
+        raise AnalysisError(
+            f"{type(job).__name__} needs exactly one of circuit=, builder= "
+            "or netlist="
+        )
+
+
+class _CircuitJob:
+    """Base of the jobs that name one circuit by ``circuit=``,
+    ``builder=`` or ``netlist=`` (with ``params``)."""
+
+    def __post_init__(self) -> None:
+        _check_circuit_source(self)
+        _check_validate(self.validate)
+
+    def build_circuit(self):
+        """Materialize the circuit this job runs."""
+        return materialize_circuit(
+            self.circuit, self.builder, self.netlist, self.params
+        )
+
+
 def _enforce_validate(job) -> None:
     """Apply a job's ``validate=`` knob at the top of ``run``."""
     if job.validate != "off":
@@ -216,7 +243,7 @@ def _engine_factory(engine: str) -> tuple[Callable, Callable]:
 
 
 @dataclass
-class TransientJob:
+class TransientJob(_CircuitJob):
     """One deterministic transient simulation.
 
     Exactly one of ``circuit`` (a ready :class:`~repro.circuit.Circuit`),
@@ -251,26 +278,12 @@ class TransientJob:
     validate: str = "off"
 
     def __post_init__(self) -> None:
-        given = sum(
-            source is not None
-            for source in (self.circuit, self.builder, self.netlist)
-        )
-        if given != 1:
-            raise AnalysisError(
-                "TransientJob needs exactly one of circuit=, builder= "
-                "or netlist="
-            )
+        _check_circuit_source(self)
         if self.backend is not None and self.engine != "swec":
             raise AnalysisError(
                 f"backend= applies to the swec engine only, not {self.engine!r}"
             )
         _check_validate(self.validate)
-
-    def build_circuit(self):
-        """Materialize the circuit this job simulates."""
-        return materialize_circuit(
-            self.circuit, self.builder, self.netlist, self.params
-        )
 
     def run(self, seed: np.random.SeedSequence | None = None):
         """Execute the job; *seed* is unused (transients are
@@ -290,7 +303,7 @@ class TransientJob:
 
 
 @dataclass
-class ACJob:
+class ACJob(_CircuitJob):
     """One small-signal AC frequency sweep (:mod:`repro.ac`).
 
     The circuit is given exactly like :class:`TransientJob` (one of
@@ -327,23 +340,6 @@ class ACJob:
     #: Pre-flight lint mode (``off``/``warn``/``strict``); see
     #: :class:`TransientJob`.
     validate: str = "off"
-
-    def __post_init__(self) -> None:
-        given = sum(
-            source is not None
-            for source in (self.circuit, self.builder, self.netlist)
-        )
-        if given != 1:
-            raise AnalysisError(
-                "ACJob needs exactly one of circuit=, builder= or netlist="
-            )
-        _check_validate(self.validate)
-
-    def build_circuit(self):
-        """Materialize the circuit this job analyses."""
-        return materialize_circuit(
-            self.circuit, self.builder, self.netlist, self.params
-        )
 
     def run(self, seed: np.random.SeedSequence | None = None):
         """Execute the sweep; *seed* is unused (AC is deterministic)
@@ -500,7 +496,7 @@ class EnsembleJob:
 
 
 @dataclass
-class EnsembleTransientJob:
+class EnsembleTransientJob(_CircuitJob):
     """One lockstep transient ensemble over K same-topology instances.
 
     The base design is given exactly like :class:`TransientJob` (one
@@ -579,15 +575,7 @@ class EnsembleTransientJob:
     def __post_init__(self) -> None:
         _check_validate(self.validate)
         self._check_vr()
-        given = sum(
-            source is not None
-            for source in (self.circuit, self.builder, self.netlist)
-        )
-        if given != 1:
-            raise AnalysisError(
-                "EnsembleTransientJob needs exactly one of circuit=, "
-                "builder= or netlist="
-            )
+        _check_circuit_source(self)
         if self.variations is not None:
             self.variations = [dict(v) for v in self.variations]
             if not self.variations:
@@ -691,10 +679,7 @@ class EnsembleTransientJob:
                 built = materialize_circuit(None, self.builder, self.netlist, params)
                 circuits.append(self._as_circuit(built))
             return circuits
-        built = materialize_circuit(
-            self.circuit, self.builder, self.netlist, self.params
-        )
-        return [self._as_circuit(built)] * self.size
+        return [self._as_circuit(self.build_circuit())] * self.size
 
     def _noise_pairs(self):
         if self.noise is None:
@@ -717,9 +702,7 @@ class EnsembleTransientJob:
         if self._vr_adaptive:
             from repro.stochastic.vr import run_circuit_ensemble_vr
 
-            circuit = self._as_circuit(
-                materialize_circuit(self.circuit, self.builder, self.netlist, self.params)
-            )
+            circuit = self._as_circuit(self.build_circuit())
             return run_circuit_ensemble_vr(
                 circuit,
                 noise,
@@ -767,7 +750,7 @@ class EnsembleTransientJob:
 
 
 @dataclass
-class PSSJob:
+class PSSJob(_CircuitJob):
     """One periodic steady-state (shooting) analysis (:mod:`repro.pss`).
 
     The circuit is given exactly like :class:`TransientJob` (one of
@@ -802,23 +785,6 @@ class PSSJob:
     #: Pre-flight lint mode (``off``/``warn``/``strict``); see
     #: :class:`TransientJob`.
     validate: str = "off"
-
-    def __post_init__(self) -> None:
-        given = sum(
-            source is not None
-            for source in (self.circuit, self.builder, self.netlist)
-        )
-        if given != 1:
-            raise AnalysisError(
-                "PSSJob needs exactly one of circuit=, builder= or netlist="
-            )
-        _check_validate(self.validate)
-
-    def build_circuit(self):
-        """Materialize the circuit this job analyses."""
-        return materialize_circuit(
-            self.circuit, self.builder, self.netlist, self.params
-        )
 
     def run(self, seed: np.random.SeedSequence | None = None):
         """Execute the shooting analysis; *seed* is unused (PSS is

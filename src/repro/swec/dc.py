@@ -20,10 +20,10 @@ import numpy as np
 
 from repro.analysis.dcsweep import DCSweepResult
 from repro.circuit.netlist import Circuit
-from repro.core.backends import available_backends, create_backend
+from repro.core.backends import available_backends
+from repro.core.stepper import LinearStepper
 from repro.errors import AnalysisError, ConvergenceError
-from repro.mna.assembler import MnaSystem
-from repro.swec.conductance import SwecLinearization
+from repro.swec.engine import SwecOptions
 
 
 @dataclass
@@ -74,51 +74,30 @@ class SwecDCOptions:
 class SwecDC:
     """Chord-conductance DC solver with source continuation.
 
-    Every iteration stamps the chord conductances and solves
-    ``G(x_k) x_{k+1} = b`` through the :mod:`repro.core.backends`
-    solver named by :attr:`SwecDCOptions.backend` — the same registry
-    the transient engines resolve against.
+    A K = 1 :class:`~repro.core.stepper.LinearStepper` caller: every
+    point runs the stepper's chord fixed point ``G(x_k) x_{k+1} = b``
+    (the one the transient march starts from) on the
+    :mod:`repro.core.backends` solver named by
+    :attr:`SwecDCOptions.backend`.
     """
 
     def __init__(self, circuit: Circuit,
                  options: SwecDCOptions | None = None) -> None:
         self.circuit = circuit
         self.options = options or SwecDCOptions()
-        self.system = MnaSystem(circuit)
-        self.linearization = SwecLinearization(self.system,
-                                               use_predictor=False)
-        self._backend = create_backend(
-            self.options.backend, [self.system], default="dense")
+        self._stepper = LinearStepper(
+            [circuit],
+            SwecOptions(use_predictor=False, backend=self.options.backend),
+            default_backend="dense")
+        self.system = self._stepper.system
+        self.linearization = self._stepper.linearization
 
     @property
     def backend_name(self) -> str:
         """Registry name of the resolved solver backend."""
-        return self._backend.name
-
-    def _chord_solve(self, b: np.ndarray, x: np.ndarray,
-                     result: DCSweepResult) -> np.ndarray:
-        """Stamp ``G(x)`` and solve ``G x_new = b`` via the backend."""
-        device_g = self.linearization.device_conductances(
-            x, flops=result.flops)
-        mosfet_g = self.linearization.mosfet_conductances(
-            x, flops=result.flops)
-        self._backend.stamp(device_g[None, :], mosfet_g[None, :])
-        return self._backend.solve_conductance(b[None, :])[0]
+        return self._stepper.backend_name
 
     # ------------------------------------------------------------------
-
-    def _locate_source(self, name: str):
-        """Return ``("v", row)`` or ``("i", (p, n, source))`` for the
-        swept source."""
-        for source in self.circuit.voltage_sources:
-            if source.name == name:
-                return "v", self.system.vsource_index(name)
-        for source in self.circuit.current_sources:
-            if source.name == name:
-                p = self.system.node_index(source.nodes[0])
-                n = self.system.node_index(source.nodes[1])
-                return "i", (p, n, source)
-        raise AnalysisError(f"no independent source named {name!r}")
 
     def _force_source(self, b: np.ndarray, kind, location,
                       value: float) -> None:
@@ -133,40 +112,28 @@ class SwecDC:
             self.system.stamp_current(b, p, n, -source.value(0.0))
             self.system.stamp_current(b, p, n, value)
 
-    def _rhs_for(self, kind, location, value: float) -> np.ndarray:
-        """Source vector at t=0 with the swept source forced to *value*."""
-        b = self.system.source_vector(0.0)
-        self._force_source(b, kind, location, value)
-        return b
-
     # ------------------------------------------------------------------
 
     def solve_point(self, b: np.ndarray, x: np.ndarray,
                     result: DCSweepResult) -> tuple[np.ndarray, int, bool]:
         """Damped chord fixed point for one source value."""
         opts = self.options
-        self._backend.begin_run(result.flops)
-        damping = opts.initial_damping
-        prev_delta = np.inf
-        for iteration in range(1, opts.max_iterations + 1):
-            x_new = self._chord_solve(b, x, result)
-            delta = float(np.max(np.abs(x_new - x)))
-            if delta < opts.tolerance:
-                return x_new, iteration, True
-            if delta >= prev_delta and damping > opts.min_damping:
-                damping = max(damping * 0.5, opts.min_damping)
-            prev_delta = delta
-            x = x + damping * (x_new - x)
-        return x, opts.max_iterations, False
+        self._stepper.backend.begin_run(result.flops)
+        states, iterations, converged = self._stepper.chord_fixed_point(
+            b[None, :], x[None, :], result.flops,
+            max_iter=opts.max_iterations, tol=opts.tolerance,
+            damping=opts.initial_damping, min_damping=opts.min_damping)
+        return states[0], iterations, converged
 
     def solve_point_stepwise(self, b: np.ndarray, x: np.ndarray,
                              result: DCSweepResult):
         """Fixed number of chord solves (quasi-static ramp step)."""
-        self._backend.begin_run(result.flops)
+        self._stepper.backend.begin_run(result.flops)
         solves = self.options.stepwise_solves
+        states = x[None, :]
         for _ in range(solves):
-            x = self._chord_solve(b, x, result)
-        return x, solves, True
+            states = self._stepper.chord_solve(b[None, :], states, result.flops)
+        return states[0], solves, True
 
     def sweep(self, source_name: str, values) -> DCSweepResult:
         """Sweep *source_name* through *values* with continuation.
@@ -178,12 +145,13 @@ class SwecDC:
         values = [float(v) for v in values]
         if not values:
             raise AnalysisError("sweep needs at least one value")
-        kind, location = self._locate_source(source_name)
+        kind, location = self.system.source_slot(source_name)
         result = DCSweepResult(self.circuit.nodes, source_name, engine="swec")
         x = self.system.initial_state()
         stepwise = self.options.mode == "stepwise"
         for value in values:
-            b = self._rhs_for(kind, location, value)
+            b = self.system.source_vector(0.0)
+            self._force_source(b, kind, location, value)
             if stepwise:
                 x, iterations, converged = self.solve_point_stepwise(
                     b, x, result)
@@ -204,7 +172,7 @@ class SwecDC:
         """
         b = self.system.source_vector(0.0)
         for name, value in dict(overrides or {}).items():
-            kind, location = self._locate_source(name)
+            kind, location = self.system.source_slot(name)
             self._force_source(b, kind, location, float(value))
         result = DCSweepResult(self.circuit.nodes, source_name="(bias)",
                                engine="swec")
@@ -221,23 +189,11 @@ class SwecDC:
     def device_currents(self, result: DCSweepResult,
                         device_name: str) -> np.ndarray:
         """Current through a named device at every sweep point."""
-        for k, device in enumerate(self.circuit.devices):
-            if device.name == device_name:
-                anode, cathode = self.system.device_terminals()[k]
-                states = result.states
-                va = states[:, anode] if anode >= 0 else np.zeros(len(result))
-                vc = states[:, cathode] if cathode >= 0 else np.zeros(len(result))
-                return np.array([device.current(v) for v in (va - vc)])
-        raise AnalysisError(f"no device named {device_name!r}")
+        device, voltages = self.system.device_branch(device_name,
+                                                     result.states)
+        return np.array([device.current(v) for v in voltages])
 
     def device_voltages(self, result: DCSweepResult,
                         device_name: str) -> np.ndarray:
         """Branch voltage of a named device at every sweep point."""
-        for k, device in enumerate(self.circuit.devices):
-            if device.name == device_name:
-                anode, cathode = self.system.device_terminals()[k]
-                states = result.states
-                va = states[:, anode] if anode >= 0 else np.zeros(len(result))
-                vc = states[:, cathode] if cathode >= 0 else np.zeros(len(result))
-                return np.asarray(va - vc)
-        raise AnalysisError(f"no device named {device_name!r}")
+        return self.system.device_branch(device_name, result.states)[1]

@@ -86,8 +86,7 @@ class SwecOptions:
         ``"auto"`` (select by system size and fill ratio).  ``None``
         keeps each engine's historical default: ``dense`` for
         :class:`SwecTransient`, ``stack`` for
-        :class:`~repro.swec.ensemble.SwecEnsembleTransient` — unless
-        the legacy ``matrix_format="sparse"`` alias forces ``sparse``.
+        :class:`~repro.swec.ensemble.SwecEnsembleTransient`.
     fallback:
         When True, wrap the resolved backend in the
         :class:`~repro.core.FallbackBackend` degradation chain
@@ -109,9 +108,6 @@ class SwecOptions:
     #: Integration formula: ``"be"`` (backward Euler, the paper's choice)
     #: or ``"trap"`` (trapezoidal; second-order, used by the ablation).
     method: str = "be"
-    #: Legacy alias kept for compatibility: ``"sparse"`` forces the
-    #: sparse backend.  Prefer the ``backend`` knob.
-    matrix_format: str = "dense"
     #: Solver backend registry name (or None for the engine default).
     backend: str | None = None
     #: Graceful degradation: fall back along sparse/stack -> dense on
@@ -121,9 +117,6 @@ class SwecOptions:
     def __post_init__(self) -> None:
         if self.method not in ("be", "trap"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.matrix_format not in ("dense", "sparse"):
-            raise ValueError(
-                f"unknown matrix_format {self.matrix_format!r}")
         if self.factor_rtol is not None and self.factor_rtol < 0.0:
             raise ValueError(
                 f"factor_rtol must be non-negative, got {self.factor_rtol!r}")
@@ -133,26 +126,13 @@ class SwecOptions:
                 f"unknown backend {self.backend!r} "
                 f"(available: {', '.join(available_backends())})")
 
-    def resolved_backend(self) -> str | None:
-        """Backend name to instantiate, or None for the engine default.
-
-        The explicit ``backend`` knob wins; the legacy
-        ``matrix_format="sparse"`` alias maps to ``"sparse"``.
-        """
-        if self.backend is not None:
-            return self.backend
-        if self.matrix_format == "sparse":
-            return "sparse"
-        return None
-
 
 class SwecTransient:
     """Step-wise equivalent conductance transient simulator.
 
     The K = 1 slice of the unified lockstep march: construction builds
     a single-instance :class:`~repro.core.stepper.LinearStepper` on the
-    resolved solver backend (``dense`` unless
-    ``options.backend``/``matrix_format`` say otherwise), and
+    solver backend ``options.backend`` names (``dense`` when None), and
     :meth:`run`/:meth:`run_grid` adapt its ensemble result back to a
     scalar :class:`~repro.analysis.waveforms.TransientResult`.
     """
@@ -244,12 +224,6 @@ class SwecTransient:
         Evaluated with the model's vectorized I-V law — one numpy pass
         over the whole waveform instead of a Python loop per point.
         """
-        for k, device in enumerate(self.circuit.devices):
-            if device.name == device_name:
-                anode, cathode = self.system.device_terminals()[k]
-                states = result.states
-                zeros = np.zeros(states.shape[0])
-                va = states[:, anode] if anode >= 0 else zeros
-                vc = states[:, cathode] if cathode >= 0 else zeros
-                return device.current_many(va - vc)
-        raise AnalysisError(f"no device named {device_name!r}")
+        device, voltages = self.system.device_branch(device_name,
+                                                     result.states)
+        return device.current_many(voltages)

@@ -18,6 +18,7 @@ import argparse
 import sys
 
 from repro.errors import NanoSimError
+from repro.runtime.cli import add_batch_arguments
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import load_sweep_spec
 
@@ -46,16 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("spec", nargs="?", default=None,
                         help="sweep-spec file (.toml or .json)")
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count (default: [batch].workers, else CPU count)")
-    parser.add_argument(
-        "--executor", choices=("process", "thread", "serial"),
-        default=None,
-        help="execution backend (default: [batch].executor, else process)")
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="base RNG seed (default: [batch].seed, else 0)")
+    add_batch_arguments(parser)
     parser.add_argument(
         "--vector", type=int, default=None, metavar="N",
         help="march N consecutive SWEC transient points per lockstep "
@@ -67,23 +59,10 @@ def main(argv: list[str] | None = None) -> int:
         help="solver backend for every point (default: the spec's "
              "backend setting, else each engine's default)")
     parser.add_argument(
-        "--cache", nargs="?", const="", default=None, metavar="PATH",
-        help="consult the content-addressed result store before running "
-             "each point (PATH, or the default store with no argument)")
-    parser.add_argument(
         "--validate", choices=("off", "warn", "strict"), default=None,
         help="pre-flight lint every design point (default: the spec's "
              "validate setting, else off); strict refuses broken "
              "points before any solve")
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point wall-clock limit; hung workers are killed and "
-             "the point retried or failed (default: [batch].timeout)")
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="extra attempts for points failing with transient errors "
-             "(default: [batch].retries, else 0); retried points keep "
-             "their original seeds, so results are bit-identical")
     parser.add_argument(
         "--resume", nargs="?", const="", default=None, metavar="PATH",
         help="resume an interrupted sweep from its checkpoint store "
@@ -94,29 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         help="re-run a terminally failed lockstep block point by "
              "point, so one bad design costs only its own row "
              "(default: [batch].isolate, else off)")
-    parser.add_argument(
-        "--antithetic", action="store_true", default=None,
-        help="mirror each ensemble path pair's Gaussian increments "
-             "(ensemble sweeps; exact variance elimination for linear "
-             "responses)")
-    parser.add_argument(
-        "--control-variate", action="store_true", default=None,
-        help="rejected with an explanation: control variates pair "
-             "circuit paths with a linearized companion circuit, so "
-             "they live on run_circuit_ensemble / ensemble_transient "
-             "jobs, not SDE ensemble sweeps")
-    parser.add_argument(
-        "--target-ci", type=float, default=None, metavar="WIDTH",
-        help="stop each ensemble point early once its CI half-width "
-             "is at most WIDTH (absolute units)")
-    parser.add_argument(
-        "--target-rel-ci", type=float, default=None, metavar="FRACTION",
-        help="stop each ensemble point early once its CI half-width "
-             "is at most FRACTION of the peak mean magnitude")
-    parser.add_argument(
-        "--max-trials", type=int, default=None, metavar="K",
-        help="adaptive-stopping backstop: never simulate more than K "
-             "paths per point")
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write the tidy table as CSV")
     parser.add_argument("--json", metavar="PATH", default=None,

@@ -215,12 +215,12 @@ class TestConstruction:
         trap = SwecEnsembleTransient(
             circuit, swec_options(method="trap"), n_instances=2)
         assert trap.run_grid(times).states.shape[0] == 2
-        legacy = SwecEnsembleTransient(
-            circuit, swec_options(matrix_format="sparse"), n_instances=2)
-        assert legacy.backend_name == "sparse"
+        sparse = SwecEnsembleTransient(
+            circuit, swec_options(backend="sparse"), n_instances=2)
+        assert sparse.backend_name == "sparse"
         reference = SwecEnsembleTransient(
             circuit, swec_options(), n_instances=2)
-        assert np.allclose(legacy.run_grid(times).states,
+        assert np.allclose(sparse.run_grid(times).states,
                            reference.run_grid(times).states,
                            rtol=0.0, atol=1e-9)
 

@@ -163,7 +163,7 @@ class TestSparseEngine:
         for fmt in ("dense", "sparse"):
             circuit, nodes = rtd_mesh(3, 3, drive=drive)
             engine = SwecTransient(circuit,
-                                   small_options(matrix_format=fmt))
+                                   small_options(backend=fmt))
             results[fmt] = engine.run(0.3e-9)
         grid = np.linspace(0.05e-9, 0.3e-9, 20)
         for node in ("n0_0", "n1_1", "n2_2"):
@@ -173,7 +173,7 @@ class TestSparseEngine:
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
-            SwecOptions(matrix_format="ragged")
+            SwecOptions(backend="ragged")
 
 
 class TestTrapezoidal:

@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.circuits_lib import nanowire_divider, rtd_divider
+from repro.analysis.dcsweep import DCSweepResult
+from repro.circuit import Pulse
+from repro.circuits_lib import (
+    fet_rtd_inverter,
+    nanowire_divider,
+    rtd_divider,
+    rtd_mesh,
+)
+from repro.core.backends import create_backend
+from repro.core.stepper import LinearStepper
 from repro.errors import AnalysisError
-from repro.swec import SwecDC
+from repro.mna.assembler import MnaSystem
+from repro.swec import SwecDC, SwecOptions
+from repro.swec.conductance import SwecLinearization
 from repro.swec.dc import SwecDCOptions
 
 
@@ -161,3 +172,150 @@ class TestCurrentSourceSweep:
         dc = SwecDC(circuit)
         result = dc.sweep("Is", [1e-3])
         assert result.voltage("out")[0] == pytest.approx(0.1)
+
+
+# ---------------------------------------------------------------------------
+# One chord fixed point: SwecDC and the march's DC start both run
+# LinearStepper.chord_fixed_point.  The oracles below are copies of the
+# two loops it replaced.
+
+
+class _TwoLoopSwecDC(SwecDC):
+    """SwecDC with its own system, linearization and backend and the
+    per-point loops it carried before it became a stepper caller."""
+
+    def __init__(self, circuit, options=None):
+        super().__init__(circuit, options)
+        system = MnaSystem(circuit)
+        self._lin = SwecLinearization(system, use_predictor=False)
+        self._backend = create_backend(self.options.backend, [system],
+                                       default="dense")
+
+    def _chord_solve(self, b, x, result):
+        device_g = self._lin.device_conductances(x, flops=result.flops)
+        mosfet_g = self._lin.mosfet_conductances(x, flops=result.flops)
+        self._backend.stamp(device_g[None, :], mosfet_g[None, :])
+        return self._backend.solve_conductance(b[None, :])[0]
+
+    def solve_point(self, b, x, result):
+        opts = self.options
+        self._backend.begin_run(result.flops)
+        damping = opts.initial_damping
+        prev_delta = np.inf
+        for iteration in range(1, opts.max_iterations + 1):
+            x_new = self._chord_solve(b, x, result)
+            delta = float(np.max(np.abs(x_new - x)))
+            if delta < opts.tolerance:
+                return x_new, iteration, True
+            if delta >= prev_delta and damping > opts.min_damping:
+                damping = max(damping * 0.5, opts.min_damping)
+            prev_delta = delta
+            x = x + damping * (x_new - x)
+        return x, opts.max_iterations, False
+
+    def solve_point_stepwise(self, b, x, result):
+        self._backend.begin_run(result.flops)
+        solves = self.options.stepwise_solves
+        for _ in range(solves):
+            x = self._chord_solve(b, x, result)
+        return x, solves, True
+
+
+def _two_loop_dc_start(stepper, states, result, max_iter=200, tol=1e-9):
+    """The march's DC start as it was: damping floor 0.1, a strict
+    ``>`` test, and the damped state returned."""
+    K, n = stepper.n_instances, stepper.size
+    b = stepper._sources.assemble(0.0, np.empty((K, n)))
+    damping = np.ones(K)
+    prev_delta = np.full(K, np.inf)
+    result.dc_iterations, result.dc_converged = 0, False
+    for _ in range(max_iter):
+        result.dc_iterations += 1
+        stepper._stamp(states, None, None, None, result.flops)
+        new_states = stepper.backend.solve_conductance(b)
+        delta = np.max(np.abs(new_states - states), axis=1)
+        shrink = (delta > prev_delta) & (damping > 0.1)
+        damping[shrink] *= 0.5
+        prev_delta = delta
+        states = states + damping[:, None] * (new_states - states)
+        if np.all(delta < tol):
+            result.dc_converged = True
+            break
+    return states
+
+
+def _fig8_inverter():
+    vin = Pulse(0.0, 5.0, delay=0.5e-9, rise=0.3e-9, fall=0.3e-9,
+                width=2e-9, period=5e-9)
+    return fet_rtd_inverter(vin=vin)[0]
+
+
+def _jittered_inverters(k=16):
+    rng = np.random.default_rng(14)
+    vth = 1.0 + 0.15 * rng.uniform(-1.0, 1.0, k)
+    load = 1e-12 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, k))
+    vin = Pulse(0.0, 5.0, delay=0.5e-9, rise=0.3e-9, fall=0.3e-9,
+                width=2e-9, period=5e-9)
+    return [fet_rtd_inverter(vin=vin, fet_vth=float(vth[j]),
+                             load_capacitance=float(load[j]))[0]
+            for j in range(k)]
+
+
+class TestOneChordFixedPoint:
+    @pytest.mark.parametrize("mode", ["fixed_point", "stepwise"])
+    @pytest.mark.parametrize("resistance", [10.0, 300.0])
+    def test_divider_sweep_matches_two_loop_version(self, mode, resistance):
+        """Fig. 7 sweep 0-5 V through NDR (300 ohm is bistable, so the
+        damping engages): bitwise states, equal counts and flops."""
+        values = np.linspace(0.0, 5.0, 251)
+        options = SwecDCOptions(mode=mode)
+        circuit, info = rtd_divider(resistance=resistance)
+        ours = SwecDC(circuit, options).sweep(info.source, values)
+        circuit, info = rtd_divider(resistance=resistance)
+        theirs = _TwoLoopSwecDC(circuit, options).sweep(info.source, values)
+        assert np.array_equal(ours.states, theirs.states)
+        assert ours.iteration_counts == theirs.iteration_counts
+        assert ours.converged_flags == theirs.converged_flags
+        assert ours.flops.by_category() == theirs.flops.by_category()
+
+    def test_inverter_operating_point_is_bitwise(self):
+        circuit = _fig8_inverter()
+        ours = SwecDC(circuit).operating_point()
+        theirs = _TwoLoopSwecDC(circuit).operating_point()
+        assert np.array_equal(ours, theirs)
+
+    def test_mesh_operating_point_on_the_vectorized_bank(self):
+        """49 RTDs take the stepper's vectorized device path; the old
+        loop evaluated them one by one."""
+        circuit, _ = rtd_mesh(7, 7)
+        result_ours = DCSweepResult(circuit.nodes, "(bias)")
+        result_theirs = DCSweepResult(circuit.nodes, "(bias)")
+        ours_dc = SwecDC(circuit)
+        theirs_dc = _TwoLoopSwecDC(circuit)
+        b = ours_dc.system.source_vector(0.0)
+        x0 = ours_dc.system.initial_state()
+        ours = ours_dc.solve_point(b, x0, result_ours)
+        theirs = theirs_dc.solve_point(b, x0, result_theirs)
+        assert ours[1:] == theirs[1:]
+        scale = np.max(np.abs(theirs[0]))
+        assert np.max(np.abs(ours[0] - theirs[0])) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("circuits", [
+        pytest.param(lambda: [_fig8_inverter()], id="fig8-k1"),
+        pytest.param(_jittered_inverters, id="jittered-k16"),
+    ])
+    def test_march_dc_start_matches_two_loop_version(self, circuits):
+        def start(dc_start):
+            stepper = LinearStepper(circuits(), SwecOptions())
+            result = stepper._new_result()
+            states = dc_start(stepper, stepper._initial_state_stack(None),
+                              result)
+            return states, result
+
+        ours, ours_result = start(LinearStepper._dc_initialize)
+        theirs, theirs_result = start(_two_loop_dc_start)
+        assert ours_result.dc_iterations == theirs_result.dc_iterations
+        assert ours_result.dc_converged == theirs_result.dc_converged
+        assert ours_result.dc_converged
+        scale = np.max(np.abs(theirs))
+        assert np.max(np.abs(ours - theirs)) <= 1e-12 * scale

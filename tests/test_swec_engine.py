@@ -293,7 +293,7 @@ class TestFactorizationReuse:
         dense = SwecTransient(rc_pulse_circuit, swec_options()).run(5e-9)
         sparse = SwecTransient(
             rc_pulse_circuit,
-            swec_options(factor_rtol=0.0, matrix_format="sparse"),
+            swec_options(factor_rtol=0.0, backend="sparse"),
         ).run(5e-9)
         assert sparse.factor_reuses > 0
         grid = np.linspace(0.0, 5e-9, 101)
