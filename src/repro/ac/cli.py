@@ -22,19 +22,9 @@ import sys
 import numpy as np
 
 from repro.errors import AnalysisError, NanoSimError
-
-
-def _key_value(text: str) -> tuple[str, float]:
-    """Parse one ``name=value`` CLI item."""
-    name, separator, value = text.partition("=")
-    if not separator or not name:
-        raise argparse.ArgumentTypeError(
-            f"expected name=value, got {text!r}")
-    try:
-        return name, float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{name!r}: non-numeric value {value!r}") from None
+from repro.runtime.cli import (add_circuit_arguments,
+                               check_circuit_arguments, key_value,
+                               read_netlist)
 
 
 def _downsample(count: int, max_rows: int) -> np.ndarray:
@@ -86,17 +76,10 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.ac",
         description="Small-signal AC (and Johnson noise) analysis.",
     )
-    parser.add_argument("netlist", nargs="?", default=None,
-                        help="netlist file (or use --template)")
-    parser.add_argument("--template", default=None,
-                        help="registered circuits_lib template name")
-    parser.add_argument("--param", action="append", type=_key_value,
-                        default=[], metavar="NAME=VALUE",
-                        help="template/netlist parameter override "
-                             "(repeatable)")
+    add_circuit_arguments(parser)
     parser.add_argument("--source", default=None,
                         help="AC-driven source (default: first source)")
-    parser.add_argument("--bias", action="append", type=_key_value,
+    parser.add_argument("--bias", action="append", type=key_value,
                         default=[], metavar="SOURCE=VALUE",
                         help="DC bias override for a source (repeatable)")
     parser.add_argument("--start", type=float, default=1e3,
@@ -126,12 +109,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the Bode table as CSV")
     args = parser.parse_args(argv)
 
-    if args.netlist is not None and args.template is not None:
-        parser.error("give a netlist file or --template, not both")
-    if args.netlist is None and args.template is None:
-        parser.error("a netlist file (or --template) is required")
-
-    from pathlib import Path
+    check_circuit_arguments(parser, args)
 
     from repro.ac import ACAnalysis, frequency_grid
     from repro.runtime.jobs import materialize_circuit
@@ -144,11 +122,8 @@ def main(argv: list[str] | None = None) -> int:
             template = TEMPLATES.get(args.template)
             if template is not None:
                 source = template.ac_source
-        circuit = materialize_circuit(
-            None, args.template,
-            (None if args.netlist is None
-             else Path(args.netlist).read_text()),
-            dict(args.param))
+        circuit = materialize_circuit(None, args.template,
+                                      read_netlist(args), dict(args.param))
         # One ACAnalysis = one bias solve, shared by the Bode sweep
         # and the --noise spectra.
         analysis = ACAnalysis(circuit, source=source,

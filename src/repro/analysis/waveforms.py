@@ -188,9 +188,10 @@ class EnsembleTransientResult:
     stack per point.  Per-instance access mirrors
     :class:`TransientResult`: :meth:`voltage` returns a ``(K, T)``
     waveform block and :meth:`instance` materializes one instance as a
-    plain ``TransientResult`` (with an *empty* flop counter — the
-    ensemble-level :attr:`flops` counts the whole batch and does not
-    split into integer per-instance shares).
+    plain ``TransientResult`` with the run-level diagnostics (and an
+    *empty* flop counter — the ensemble-level :attr:`flops` counts
+    the whole batch and does not split into integer per-instance
+    shares).
     """
 
     def __init__(self, node_names, n_instances: int,
@@ -210,6 +211,8 @@ class EnsembleTransientResult:
         self.factor_reuses = 0
         #: Name of the solver backend that marched this result.
         self.backend: str | None = None
+        #: Backend degradations taken during the run (fallback chains).
+        self.fallback_events: list = []
         #: instance index -> ``[(t, device_g_row), ...]`` for the
         #: instances named in ``trace_instances``.
         self.conductance_trace: dict[int, list] = {}
@@ -287,6 +290,9 @@ class EnsembleTransientResult:
         result.aborted = self.aborted
         result.abort_reason = self.abort_reason
         result.record_dc_start(self.dc_iterations, self.dc_converged)
+        result.factor_reuses = self.factor_reuses
+        result.backend = self.backend
+        result.fallback_events = list(self.fallback_events)
         if k in self.conductance_trace:
             result.conductance_trace = [  # type: ignore[attr-defined]
                 (t, g.copy()) for t, g in self.conductance_trace[k]]

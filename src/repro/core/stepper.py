@@ -468,6 +468,7 @@ class LinearStepper:
     def _new_result(self) -> EnsembleTransientResult:
         result = EnsembleTransientResult(self.system.circuit.nodes, self.n_instances)
         result.backend = self.backend_name
+        result.conductance_trace = {k: [] for k in self.trace_instances}
         self.backend.begin_run(result.flops)
         self._last_voltages = None
         return result
@@ -484,7 +485,7 @@ class LinearStepper:
         self, result: EnsembleTransientResult, t: float, device_g: np.ndarray
     ) -> None:
         for k in self.trace_instances:
-            result.conductance_trace.setdefault(k, []).append((t, device_g[k].copy()))
+            result.conductance_trace[k].append((t, device_g[k].copy()))
 
     def _solve_step(
         self, t, h, states, b_buf, b2_buf, t_next=None, noise_increments=None

@@ -6,8 +6,8 @@ callers use it:
 * runtime jobs (``TransientJob(..., validate="strict")``) call
   :func:`enforce_job_lint` at the top of ``run()``,
 * the sweep runner calls :func:`gate_sweep_jobs` after job expansion:
-  in ``strict`` mode a broken design point's job is *replaced* by a
-  refuser that raises :class:`~repro.errors.LintError` — the point
+  in ``strict`` mode a broken design point's inner job is *replaced*
+  by a refuser that raises :class:`~repro.errors.LintError` — the point
   shows up as a failed row in the report without a single matrix
   factorization having happened; in ``warn`` mode a
   :class:`LintWarning` is emitted and the point runs anyway,
@@ -15,21 +15,24 @@ callers use it:
   submissions, rejecting broken ones before they reach the pool.
 
 Lockstep blocks (:class:`~repro.sweep.runner.SweepBatchJob`) are
-refused *whole*: dropping one point would change the shared worst-case
-adaptive grid for its neighbours, breaking the promise that lockstep
-results depend only on ``(spec, vector)``.
+linted point by point through their inner
+:class:`~repro.runtime.jobs.EnsembleTransientJob` and refused *whole*
+the same way as a point (a :class:`RefusedPointJob` as the inner job):
+dropping one point would change the shared worst-case adaptive grid
+for its neighbours, breaking the promise that lockstep results depend
+only on ``(spec, vector)``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import LintError, NanoSimError
 from repro.lint.analyzer import lint_circuit, lint_netlist
 from repro.lint.report import Diagnostic, LintReport
-from repro.runtime.jobs import materialize_circuit
+from repro.runtime.jobs import materialize_circuit, plain_circuit
 from repro.sweep.runner import SweepBatchJob
 
 __all__ = [
@@ -56,15 +59,6 @@ def check_validate_mode(mode: str, error_class: type = ValueError) -> str:
             f"validate must be one of {VALIDATE_MODES}, got {mode!r}"
         )
     return mode
-
-
-def _plain_circuit(built: Any) -> Any:
-    """Unwrap builders that return ``CircuitSDE``-like wrappers."""
-    from repro.circuit.netlist import Circuit
-
-    if not isinstance(built, Circuit) and hasattr(built, "circuit"):
-        return built.circuit
-    return built
 
 
 def _build_error_report(name: str, exc: Exception) -> LintReport:
@@ -124,7 +118,7 @@ def lint_job(job: Any, name: str | None = None) -> LintReport | None:
         except (NanoSimError, TypeError, ValueError) as exc:
             reports.append(_build_error_report(name, exc))
             continue
-        reports.append(lint_circuit(_plain_circuit(built), name=name))
+        reports.append(lint_circuit(plain_circuit(built), name=name))
     if len(reports) == 1:
         return reports[0]
     return LintReport.merge(name, reports)
@@ -194,73 +188,51 @@ class RefusedPointJob:
         raise LintError(self.refusal, self.lint_report)
 
 
-@dataclass
-class RefusedBatchJob(SweepBatchJob):
-    """A lockstep block refused whole in strict mode.
-
-    Subclasses :class:`~repro.sweep.runner.SweepBatchJob` so report
-    assembly still fans the failure out to every point in the block.
-    """
-
-    refusal: str = ""
-    lint_report: LintReport | None = None
-
-    def run(self, seed=None):
-        """Refuse: raise :class:`~repro.errors.LintError`."""
-        raise LintError(self.refusal, self.lint_report)
-
-
-def _lint_batch_points(job: SweepBatchJob) -> list[LintReport]:
-    """Per-point lint reports of a lockstep block (broken ones only)."""
-    broken = []
-    for label, params in zip(job.labels, job.params_list):
-        if job.netlist_text is not None:
-            report = lint_netlist(
-                job.netlist_text, params=params, name=label
-            )
-        else:
-            try:
-                built = materialize_circuit(
-                    None, job.template, None, params
-                )
-            except (NanoSimError, TypeError, ValueError) as exc:
-                report = _build_error_report(label, exc)
-            else:
-                report = lint_circuit(_plain_circuit(built), name=label)
-        if report.errors:
-            broken.append(report)
-    return broken
-
-
 def gate_sweep_jobs(jobs: list, mode: str) -> list:
     """Lint every design point; refuse or warn per *mode*.
 
     Returns a new job list: in ``strict`` mode broken points (or
-    blocks containing one) are replaced by refusers, clean jobs pass
-    through untouched.
+    blocks containing one) get a refuser as their inner job, clean
+    jobs pass through untouched.
     """
     from repro.errors import SweepSpecError
 
     mode = check_validate_mode(mode, SweepSpecError)
     if mode == "off":
         return list(jobs)
+    # A plain loop, not a comprehension: before Python 3.12 the
+    # comprehension's own frame would shift the warnings' stacklevel.
     gated = []
     for job in jobs:
-        if isinstance(job, SweepBatchJob):
-            gated.append(_gate_batch_job(job, mode))
-        else:
-            gated.append(_gate_point_job(job, mode))
+        gated.append(_gate_sweep_job(job, mode))
     return gated
 
 
-def _gate_point_job(job, mode: str):
-    report = lint_job(job.inner, name=job.label or None)
-    if report is None or not report.errors:
-        return job
-    message = refusal_message(report)
+def _gate_sweep_job(job, mode: str):
+    """Gate one sweep point or lockstep block (refused whole)."""
+    if isinstance(job, SweepBatchJob):
+        reports = [
+            lint_job(replace(job.inner, variations=[params]), name=label)
+            for label, params in zip(job.labels, job.inner.variations)
+        ]
+        broken = [report for report in reports if report.errors]
+        if not broken:
+            return job
+        report = LintReport.merge(job.label or "block", broken)
+        names = ", ".join(point.name for point in broken)
+        message = (
+            f"{report.name}: lockstep block refused by pre-flight lint: "
+            f"point(s) {names} failed ({report.errors} error(s)); a block "
+            f"shares one adaptive grid, so the whole block is refused"
+        )
+    else:
+        report = lint_job(job.inner, name=job.label or None)
+        if report is None or not report.errors:
+            return job
+        message = refusal_message(report)
     if mode == "warn":
         warnings.warn(
-            f"{message.replace('refused', 'flagged')} "
+            f"{message.replace('refused by', 'flagged by')} "
             f"(validate='warn': running anyway)",
             LintWarning,
             stacklevel=3,
@@ -272,28 +244,3 @@ def _gate_point_job(job, mode: str):
             refusal=message, lint_report=report, label=job.label
         ),
     )
-
-
-def _gate_batch_job(job: SweepBatchJob, mode: str):
-    broken = _lint_batch_points(job)
-    if not broken:
-        return job
-    merged = LintReport.merge(job.label or "block", broken)
-    names = ", ".join(report.name for report in broken)
-    message = (
-        f"{merged.name}: lockstep block refused by pre-flight lint: "
-        f"point(s) {names} failed ({merged.errors} error(s)); a block "
-        f"shares one adaptive grid, so the whole block is refused"
-    )
-    if mode == "warn":
-        warnings.warn(
-            f"{message.replace('refused by', 'flagged by')} "
-            f"(validate='warn': running anyway)",
-            LintWarning,
-            stacklevel=3,
-        )
-        return job
-    base = {
-        f.name: getattr(job, f.name) for f in fields(SweepBatchJob)
-    }
-    return RefusedBatchJob(refusal=message, lint_report=merged, **base)

@@ -22,19 +22,8 @@ import sys
 import numpy as np
 
 from repro.errors import NanoSimError
-
-
-def _key_value(text: str) -> tuple[str, float]:
-    """Parse one ``name=value`` CLI item."""
-    name, separator, value = text.partition("=")
-    if not separator or not name:
-        raise argparse.ArgumentTypeError(
-            f"expected name=value, got {text!r}")
-    try:
-        return name, float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{name!r}: non-numeric value {value!r}") from None
+from repro.runtime.cli import (add_circuit_arguments,
+                               check_circuit_arguments, read_netlist)
 
 
 def _downsample(count: int, max_rows: int) -> np.ndarray:
@@ -93,14 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.pss",
         description="Periodic steady-state (shooting-Newton) analysis.",
     )
-    parser.add_argument("netlist", nargs="?", default=None,
-                        help="netlist file (or use --template)")
-    parser.add_argument("--template", default=None,
-                        help="registered circuits_lib template name")
-    parser.add_argument("--param", action="append", type=_key_value,
-                        default=[], metavar="NAME=VALUE",
-                        help="template/netlist parameter override "
-                             "(repeatable)")
+    add_circuit_arguments(parser)
     parser.add_argument("--period", type=float, default=None,
                         help="drive period in seconds (driven mode; "
                              "default: auto-detect from the sources)")
@@ -133,12 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="waveform rows to print (default 15)")
     args = parser.parse_args(argv)
 
-    if args.netlist is not None and args.template is not None:
-        parser.error("give a netlist file or --template, not both")
-    if args.netlist is None and args.template is None:
-        parser.error("a netlist file (or --template) is required")
-
-    from pathlib import Path
+    check_circuit_arguments(parser, args)
 
     from repro.runtime.jobs import PSSJob
 
@@ -156,8 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                     node = template.default_node
         job = PSSJob(
             builder=args.template,
-            netlist=(None if args.netlist is None
-                     else Path(args.netlist).read_text()),
+            netlist=read_netlist(args),
             params=params,
             period=args.period,
             period_guess=period_guess,

@@ -259,6 +259,51 @@ def add_batch_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def key_value(text: str) -> tuple[str, float]:
+    """Parse one ``name=value`` CLI item."""
+    name, separator, value = text.partition("=")
+    if not separator or not name:
+        raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
+    try:
+        return name, float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{name!r}: non-numeric value {value!r}"
+        ) from None
+
+
+def add_circuit_arguments(parser: argparse.ArgumentParser) -> None:
+    """The netlist-or-template flags of ``python -m repro.ac`` and
+    ``repro.pss``; :func:`check_circuit_arguments` checks them."""
+    parser.add_argument(
+        "netlist", nargs="?", default=None, help="netlist file (or use --template)"
+    )
+    parser.add_argument(
+        "--template", default=None, help="registered circuits_lib template name"
+    )
+    parser.add_argument(
+        "--param",
+        action="append",
+        type=key_value,
+        default=[],
+        metavar="NAME=VALUE",
+        help="template/netlist parameter override (repeatable)",
+    )
+
+
+def check_circuit_arguments(parser: argparse.ArgumentParser, args) -> None:
+    """Require exactly one of the netlist file and ``--template``."""
+    if args.netlist is not None and args.template is not None:
+        parser.error("give a netlist file or --template, not both")
+    if args.netlist is None and args.template is None:
+        parser.error("a netlist file (or --template) is required")
+
+
+def read_netlist(args) -> str | None:
+    """The netlist file's text, or None for a ``--template`` run."""
+    return None if args.netlist is None else Path(args.netlist).read_text()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runtime",

@@ -111,6 +111,20 @@ def materialize_circuit(circuit, builder, netlist, params):
     return _first(builder(**params))
 
 
+def plain_circuit(built):
+    """Unwrap builders that return a CircuitSDE-like object.
+
+    The noisy-RC builders return an SDE wrapping the circuit; the
+    lockstep engine and the linter work on the circuit itself (the
+    noise term is re-injected via ``noise=``).
+    """
+    from repro.circuit.netlist import Circuit
+
+    if not isinstance(built, Circuit) and hasattr(built, "circuit"):
+        return built.circuit
+    return built
+
+
 def _linear_sde(
     decay_rate: float = 1.0,
     noise_amplitude: float = 0.1,
@@ -656,20 +670,6 @@ class EnsembleTransientJob(_CircuitJob):
             return len(self.variations)
         return int(self.n_instances)
 
-    @staticmethod
-    def _as_circuit(built):
-        """Unwrap builders that return a CircuitSDE-like object.
-
-        The noisy-RC builders return an SDE wrapping the circuit; the
-        lockstep engine integrates the circuit itself (the noise term
-        is re-injected via ``noise=``).
-        """
-        from repro.circuit.netlist import Circuit
-
-        if not isinstance(built, Circuit) and hasattr(built, "circuit"):
-            return built.circuit
-        return built
-
     def build_circuits(self) -> list:
         """Materialize the K circuit instances."""
         if self.variations is not None:
@@ -677,9 +677,9 @@ class EnsembleTransientJob(_CircuitJob):
             for overrides in self.variations:
                 params = {**self.params, **overrides}
                 built = materialize_circuit(None, self.builder, self.netlist, params)
-                circuits.append(self._as_circuit(built))
+                circuits.append(plain_circuit(built))
             return circuits
-        return [self._as_circuit(self.build_circuit())] * self.size
+        return [plain_circuit(self.build_circuit())] * self.size
 
     def _noise_pairs(self):
         if self.noise is None:
@@ -702,7 +702,7 @@ class EnsembleTransientJob(_CircuitJob):
         if self._vr_adaptive:
             from repro.stochastic.vr import run_circuit_ensemble_vr
 
-            circuit = self._as_circuit(self.build_circuit())
+            circuit = plain_circuit(self.build_circuit())
             return run_circuit_ensemble_vr(
                 circuit,
                 noise,

@@ -161,25 +161,12 @@ class SwecTransient:
 
     # ------------------------------------------------------------------
 
-    def _scalar_result(self,
-                       ensemble: EnsembleTransientResult) -> TransientResult:
+    @staticmethod
+    def _scalar_result(ensemble: EnsembleTransientResult) -> TransientResult:
         """Collapse the K = 1 ensemble result to a scalar one."""
-        result = TransientResult(self.system.circuit.nodes, engine="swec")
-        for t, row in zip(ensemble.times, ensemble.states[0]):
-            result.append(float(t), row)
+        result = ensemble.instance(0)
+        result.engine = "swec"
         result.flops = ensemble.flops
-        result.accepted_steps = ensemble.accepted_steps
-        result.rejected_steps = ensemble.rejected_steps
-        result.aborted = ensemble.aborted
-        result.abort_reason = ensemble.abort_reason
-        result.record_dc_start(ensemble.dc_iterations, ensemble.dc_converged)
-        result.factor_reuses = ensemble.factor_reuses
-        result.backend = getattr(ensemble, "backend", self.backend_name)
-        result.fallback_events = list(getattr(ensemble, "fallback_events", ()))
-        if self.options.trace_conductance:
-            result.conductance_trace = [  # type: ignore[attr-defined]
-                (t, g.copy())
-                for t, g in ensemble.conductance_trace.get(0, [])]
         return result
 
     @staticmethod

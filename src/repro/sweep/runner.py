@@ -9,10 +9,11 @@ assembles the streamed-back scalars into a
 
 With ``[batch] vector = N`` in the spec, a SWEC transient sweep
 collapses every N consecutive same-topology design points into one
-:class:`SweepBatchJob` marched in lockstep by
-:class:`~repro.swec.ensemble.SwecEnsembleTransient` — one batched
-solve per time point for the whole block instead of N independent
-Python marches.  Grouping is by position in the deterministic point
+:class:`SweepBatchJob`: one
+:class:`~repro.runtime.jobs.EnsembleTransientJob` with the block's
+points as its ``variations``, marched in lockstep — one batched solve
+per time point for the whole block instead of N independent Python
+marches.  Grouping is by position in the deterministic point
 order, so a sweep's results depend only on ``(spec, vector)`` — never
 on the worker count.
 
@@ -30,10 +31,9 @@ from dataclasses import dataclass, field, replace
 from repro.runtime.jobs import (
     ACJob,
     EnsembleJob,
+    EnsembleTransientJob,
     PSSJob,
     TransientJob,
-    _swec_options,
-    materialize_circuit,
 )
 from repro.runtime.report import BatchReport
 from repro.runtime.runner import BatchRunner
@@ -43,6 +43,16 @@ from repro.sweep.spec import SweepSpec
 
 #: Diagnostic columns every transient sweep report carries.
 _TRANSIENT_DIAGNOSTICS = ("points", "flops")
+
+
+def _reduce(measures: list[MeasureSpec], value, flops: int | None) -> dict:
+    """Measure scalars of one result, plus its ``points``/``flops``
+    diagnostics when it is a transient-like waveform (*flops* given)."""
+    diagnostics = {}
+    if flops is not None:
+        diagnostics = {"points": float(len(value)), "flops": float(flops)}
+    return {"measures": {m.column: m.extract(value) for m in measures},
+            "diagnostics": diagnostics}
 
 
 @dataclass
@@ -63,40 +73,25 @@ class SweepPointJob:
     def run(self, seed=None) -> dict:
         """Execute the inner job; return measure + diagnostic scalars."""
         value = self.inner.run(seed)
-        scalars: dict[str, float] = {}
-        for measure in self.measures:
-            scalars[measure.column] = measure.extract(value)
-        diagnostics: dict[str, float] = {}
-        if hasattr(value, "flops"):  # TransientResult
-            diagnostics["points"] = float(len(value))
-            diagnostics["flops"] = float(value.flops.total)
-        return {"measures": scalars, "diagnostics": diagnostics}
+        flops = value.flops.total if hasattr(value, "flops") else None
+        return _reduce(self.measures, value, flops)
 
 
 @dataclass
 class SweepBatchJob:
     """A block of consecutive design points marched in lockstep.
 
-    One worker materializes the block's circuits (template builder or
-    ``.PARAM`` netlist, one per point), hands them to
-    :class:`~repro.swec.ensemble.SwecEnsembleTransient`, and reduces
-    each instance's waveforms to the spec's measure scalars before
-    returning — the process boundary carries one small dict per point,
-    exactly like the scalar path.  Instances share the block's
-    worst-case adaptive grid, so measure values can differ from the
-    scalar path within step-control tolerance; they are identical for
-    any worker count because blocks are cut from the deterministic
-    point order.
+    Wraps one :class:`~repro.runtime.jobs.EnsembleTransientJob` whose
+    ``variations`` are the block's points, and reduces each instance's
+    waveforms to the spec's measure scalars before returning — the
+    process boundary carries one small dict per point, exactly like the
+    scalar path.  Instances share the block's worst-case adaptive grid,
+    so measure values can differ from the scalar path within
+    step-control tolerance; they are identical for any worker count
+    because blocks are cut from the deterministic point order.
     """
 
-    template: str | None
-    netlist_text: str | None
-    params_list: list[dict]
-    t_stop: float
-    options: object = None
-    initial_state: object = None
-    #: Solver backend for the lockstep march; overrides ``options``.
-    backend: str | None = None
+    inner: EnsembleTransientJob
     measures: list[MeasureSpec] = field(default_factory=list)
     points: list[dict] = field(default_factory=list)
     labels: list[str] = field(default_factory=list)
@@ -104,64 +99,33 @@ class SweepBatchJob:
 
     def run(self, seed=None) -> list[dict]:
         """March the block; return per-point measure/diagnostic dicts."""
-        import numpy as np
-
-        from repro.runtime.jobs import apply_backend
-        from repro.swec.ensemble import SwecEnsembleTransient
-
-        circuits = [
-            materialize_circuit(None, self.template, self.netlist_text,
-                                params)
-            for params in self.params_list
-        ]
-        options = apply_backend(self.options, self.backend)
-        if isinstance(options, dict):
-            options = _swec_options(dict(options))
-        engine = SwecEnsembleTransient(circuits, options)
-        kwargs = {}
-        if self.initial_state is not None:
-            kwargs["initial_states"] = np.asarray(self.initial_state, float)
-        result = engine.run(self.t_stop, **kwargs)
+        result = self.inner.run(seed)
         # The ensemble-level flop count is split evenly: every instance
         # followed the same recipe on the same grid.
-        flops_each = result.flops.total // len(circuits)
-        rows = []
-        for k in range(len(circuits)):
-            instance = result.instance(k)
-            scalars = {measure.column: measure.extract(instance)
-                       for measure in self.measures}
-            rows.append({
-                "measures": scalars,
-                "diagnostics": {"points": float(len(instance)),
-                                "flops": float(flops_each)},
-            })
-        return rows
+        flops_each = result.flops.total // result.n_instances
+        return [_reduce(self.measures, result.instance(k), flops_each)
+                for k in range(result.n_instances)]
 
 
 def build_batch_jobs(spec: SweepSpec, vector: int) -> list[SweepBatchJob]:
     """Expand *spec* into lockstep blocks of up to *vector* points."""
-    measures = spec.resolved_measures()
     settings = dict(spec.settings)
     settings.pop("engine", None)  # validated to be "swec"
-    prepared = []
-    for point in spec.points():
-        params = dict(point)
-        if spec.template is not None:
-            params = spec.template_info().coerce(params)
-        prepared.append((point, spec.point_label(point), params))
+    if "initial_state" in settings:
+        settings["initial_states"] = settings.pop("initial_state")
+    points = build_jobs(spec)
     jobs = []
-    for lo in range(0, len(prepared), vector):
-        block = prepared[lo:lo + vector]
+    for lo in range(0, len(points), vector):
+        block = points[lo:lo + vector]
+        label = f"block-{lo // vector}"
+        inner = EnsembleTransientJob(
+            builder=spec.template, netlist=spec.netlist_text,
+            variations=[job.inner.params for job in block], label=label,
+            **settings)
         jobs.append(SweepBatchJob(
-            template=spec.template,
-            netlist_text=spec.netlist_text,
-            params_list=[params for _, _, params in block],
-            measures=measures,
-            points=[point for point, _, _ in block],
-            labels=[label for _, label, _ in block],
-            label=f"block-{lo // vector}",
-            **settings,
-        ))
+            inner=inner, measures=block[0].measures,
+            points=[job.point for job in block],
+            labels=[job.label for job in block], label=label))
     return jobs
 
 
@@ -197,64 +161,37 @@ def build_jobs(spec: SweepSpec) -> list[SweepPointJob]:
     return jobs
 
 
-def _block_point_jobs(block: SweepBatchJob) -> list[SweepPointJob]:
-    """Rebuild a lockstep block's points as individual scalar jobs.
-
-    Used by the opt-in ``isolate`` recovery path: when a block fails
-    terminally, its design points re-run one by one so a single bad
-    point cannot take its healthy neighbours down with it.
-    """
-    jobs = []
-    for params, point, label in zip(block.params_list, block.points,
-                                    block.labels):
-        inner = TransientJob(
-            t_stop=block.t_stop,
-            builder=block.template,
-            netlist=block.netlist_text,
-            params=params,
-            options=block.options,
-            initial_state=block.initial_state,
-            backend=block.backend,
-            label=label,
-        )
-        jobs.append(SweepPointJob(inner=inner, measures=block.measures,
-                                  point=point, label=label))
-    return jobs
-
-
-def _isolate_failed_blocks(runner: BatchRunner, jobs,
+def _isolate_failed_blocks(runner: BatchRunner, spec: SweepSpec, jobs,
                            batch: BatchReport) -> BatchReport:
     """Re-run each terminally failed block's points individually.
 
-    Lint refusers (:class:`~repro.lint.gate.RefusedBatchJob`, spotted
-    by their ``refusal`` attribute) are left alone — re-running a
-    design the gate rejected would defeat the gate.  Each surviving
-    point's row replaces the block-wide failure; points that fail
-    again carry their own error as a ``{"failed": ...}`` sentinel that
-    :func:`_point_rows` unpacks into a per-point failed row.
+    The points are rebuilt by :func:`build_jobs`, so each runs exactly
+    as in a ``vector = 1`` sweep.  Blocks the lint gate refused (their
+    inner job is a :class:`~repro.lint.gate.RefusedPointJob`) are left
+    alone — re-running a design the gate rejected would defeat the
+    gate.  Each surviving point's row replaces the block-wide failure;
+    points that fail again carry their own error as a
+    ``{"failed": ...}`` sentinel that :func:`_point_rows` unpacks into
+    a per-point failed row.
     """
-    targets = [
-        (result, job) for result, job in zip(batch.results, jobs)
-        if isinstance(job, SweepBatchJob) and not result.ok
-        and not hasattr(job, "refusal")
-    ]
+    from repro.lint.gate import RefusedPointJob
+
+    point_jobs = iter(build_jobs(spec))
+    targets = []
+    for result, block in zip(batch.results, jobs):
+        rebuilt = [next(point_jobs) for _ in block.points]
+        if not (result.ok or isinstance(block.inner, RefusedPointJob)):
+            targets.append((result, rebuilt))
     if not targets:
         return batch
-    point_jobs: list[SweepPointJob] = []
-    spans = []
-    for result, block in targets:
-        rebuilt = _block_point_jobs(block)
-        spans.append((result, len(point_jobs), len(rebuilt)))
-        point_jobs.extend(rebuilt)
-    isolated = runner.run(point_jobs)
-    for result, offset, count in spans:
-        values = []
-        for row in isolated.results[offset:offset + count]:
-            if row.ok:
-                values.append({**row.value, "seconds": row.seconds})
-            else:
-                values.append({"failed": row.error, "seconds": row.seconds})
-        result.value = values
+    isolated = iter(runner.run(
+        [job for _, rebuilt in targets for job in rebuilt]).results)
+    for result, rebuilt in targets:
+        result.value = [
+            {**row.value, "seconds": row.seconds} if row.ok
+            else {"failed": row.error, "seconds": row.seconds}
+            for row in (next(isolated) for _ in rebuilt)
+        ]
     return batch
 
 
@@ -486,7 +423,7 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None,
         batch = run_batch_cached(runner, jobs, ResultStore.resolve(cache))
     else:
         batch = runner.run(jobs)
-    if isolate:
-        batch = _isolate_failed_blocks(runner, jobs, batch)
+    if isolate and vector > 1:
+        batch = _isolate_failed_blocks(runner, spec, jobs, batch)
     return _assemble_report(spec, jobs, batch,
                             time.perf_counter() - start)

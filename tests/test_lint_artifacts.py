@@ -17,8 +17,7 @@ import pytest
 from repro.circuit.netlist import Circuit
 from repro.circuits_lib.templates import TEMPLATES
 from repro.lint import lint_circuit, lint_netlist
-from repro.lint.gate import _plain_circuit
-from repro.runtime.jobs import SDE_BUILDERS, materialize_circuit
+from repro.runtime.jobs import SDE_BUILDERS, materialize_circuit, plain_circuit
 
 EXAMPLES = sorted(
     (Path(__file__).parent.parent / "examples").glob("*.cir"))
@@ -49,7 +48,7 @@ def _template_circuit(name: str):
             __import__("repro.circuits_lib", fromlist=["x"])):
         return None  # job-spec-only SDE alias (ornstein_uhlenbeck)
     built = materialize_circuit(None, name, None, params)
-    circuit = _plain_circuit(built)
+    circuit = plain_circuit(built)
     return circuit if isinstance(circuit, Circuit) else None
 
 

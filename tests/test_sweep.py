@@ -306,6 +306,90 @@ class TestRunSweep:
         assert isinstance(jobs[1].inner.params["stages"], int)
 
 
+def _standalone_block_rows(spec, vector):
+    """Oracle for lockstep blocks: materialize each point, march the
+    block with one ``SwecEnsembleTransient`` and reduce each instance."""
+    import numpy as np
+
+    from repro.runtime.jobs import materialize_circuit
+    from repro.swec import SwecOptions
+    from repro.swec.ensemble import SwecEnsembleTransient
+    from repro.swec.timestep import StepControlOptions
+
+    options = SwecOptions(step=StepControlOptions(**spec.settings["options"]))
+    kwargs = {}
+    if "initial_state" in spec.settings:
+        kwargs["initial_states"] = np.asarray(spec.settings["initial_state"],
+                                              float)
+    params_list = [dict(point) for point in spec.points()]
+    if spec.template is not None:
+        params_list = [spec.template_info().coerce(p) for p in params_list]
+    rows = []
+    for lo in range(0, len(params_list), vector):
+        circuits = [materialize_circuit(None, spec.template,
+                                        spec.netlist_text, params)
+                    for params in params_list[lo:lo + vector]]
+        result = SwecEnsembleTransient(circuits, options).run(
+            spec.settings["t_stop"], **kwargs)
+        flops_each = result.flops.total // len(circuits)
+        for k in range(len(circuits)):
+            instance = result.instance(k)
+            rows.append({
+                **{measure.column: measure.extract(instance)
+                   for measure in spec.resolved_measures()},
+                "points": float(len(instance)),
+                "flops": float(flops_each),
+            })
+    return rows
+
+
+class TestLockstepBlocks:
+    def _netlist_spec(self, **settings):
+        return SweepSpec(
+            netlist_text=PARAM_NETLIST,
+            settings={"t_stop": 2e-10, "options": dict(FAST_OPTIONS),
+                      **settings},
+            axes=[ParameterAxis.from_values("rser", [5.0, 20.0, 40.0])],
+            measures=[MeasureSpec(kind="final", node="out"),
+                      MeasureSpec(kind="peak", node="out")],
+            batch={"executor": "serial", "vector": 2},
+        )
+
+    def test_validate_setting_reaches_the_block(self):
+        report = run_sweep(self._netlist_spec(validate="warn"))
+        assert report.ok and report.n_points == 3
+
+    def test_template_block_matches_the_standalone_march(self):
+        self._check_against_oracle(
+            _divider_spec(batch={"executor": "serial", "vector": 2}))
+
+    def test_netlist_block_with_initial_state_matches(self):
+        self._check_against_oracle(
+            self._netlist_spec(initial_state=[1.0, 0.2, 0.0]))
+
+    @staticmethod
+    def _check_against_oracle(spec):
+        report = run_sweep(spec)
+        assert report.ok
+        expected = _standalone_block_rows(spec, spec.vector)
+        for column in (*report.measure_names, "points", "flops"):
+            assert report.columns[column] == [row[column]
+                                              for row in expected], column
+
+    def test_cached_rerun_is_all_hits(self, tmp_path):
+        from repro.service import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        spec = self._netlist_spec()
+        first = run_sweep(spec, cache=store)
+        assert first.ok and store.puts == 2 and store.hits == 0
+        second = run_sweep(spec, cache=store)
+        assert store.hits == 2 and store.puts == 2
+        for column in first.columns:
+            if column != "seconds":
+                assert second.columns[column] == first.columns[column]
+
+
 class TestSweepReport:
     def _report(self):
         return run_sweep(_divider_spec(), executor="serial")
