@@ -3,8 +3,10 @@
 Fig. 6 introduces the inverter RC model behind the step bounds.  The
 reproducible artefact is the *behaviour*: the step size tracks the input
 slope constraint ``3 eps |V|/alpha`` during edges and the node-RC bound
-``eps C/G`` on plateaus, and the error actually stays near the requested
-``eps``.
+``eps C/G`` while the node charges, and the error actually stays near
+the requested ``eps``.  The node-RC bound is motion-weighted (see
+``repro.swec.timestep``): once the node has nearly settled, the step
+grows past ``eps C/G``.
 """
 
 import math
@@ -43,11 +45,16 @@ def test_fig6_step_size_tracks_constraints(benchmark):
     print_series("Fig 6: accepted step size along the run",
                  {"t": times, "h": steps})
     edge = steps[(times >= 1.0e-9) & (times < 1.1e-9)]
-    plateau = steps[(times > 4e-9) & (times < 5e-9)]
-    # plateau steps governed by eps*C/G = 0.02 * 1e-12/1e-3 = 20 ps
+    plateau = steps[(times > 1.5e-9) & (times < 3.5e-9)]
+    settled = steps[(times > 4e-9) & (times < 5e-9)]
+    # while `out` charges (input on its plateau), steps are governed by
+    # eps*C/G = 0.02 * 1e-12/1e-3 = 20 ps
     assert plateau.mean() == pytest.approx(20e-12, rel=0.3)
     # edge steps governed by the slope bound -> much smaller
     assert edge.mean() < 0.5 * plateau.mean()
+    # past ~3 tau `out` moves less than THETA*eps*|V| per step, so the
+    # motion-weighted node-RC bound lets the step grow
+    assert settled.mean() > 1.3 * plateau.mean()
 
 
 def test_fig6_error_scales_with_epsilon():

@@ -35,6 +35,12 @@ class TransientResult:
         self.flops = FlopCounter()
         self.accepted_steps = 0
         self.rejected_steps = 0
+        #: Accepted steps per constraint that set them (adaptive SWEC
+        #: marches): ``slope``, ``node_rc:<node>``, ``growth``,
+        #: ``h_max``, ``breakpoint`` and ``dv_limit``.
+        self.step_limits: dict[str, int] = {}
+        #: Accepted steps taken at the ``h_min`` clamp.
+        self.steps_at_hmin = 0
         self.convergence_failures = 0
         #: Per-accepted-point Newton iteration counts (empty for SWEC).
         self.iteration_counts: list[int] = []
@@ -148,6 +154,16 @@ class TransientResult:
         """Accepted step sizes ``h_n = t_{n+1} - t_n``."""
         return np.diff(self.times)
 
+    @property
+    def smallest_step(self) -> float | None:
+        """Smallest accepted step (None with fewer than two points)."""
+        return _step_extreme(self._times, np.min)
+
+    @property
+    def largest_step(self) -> float | None:
+        """Largest accepted step (None with fewer than two points)."""
+        return _step_extreme(self._times, np.max)
+
     def summary(self) -> str:
         """One-paragraph diagnostic summary."""
         lines = [
@@ -157,6 +173,7 @@ class TransientResult:
             f"rejected={self.rejected_steps} "
             f"convergence_failures={self.convergence_failures}",
         ]
+        lines.extend(_step_control_lines(self))
         lines.extend(_dc_start_lines(self))
         if self.iteration_counts:
             counts = np.array(self.iteration_counts)
@@ -171,6 +188,28 @@ class TransientResult:
     def __repr__(self) -> str:
         return (f"TransientResult(engine={self.engine!r}, points={len(self)}, "
                 f"nodes={len(self.node_names)})")
+
+
+def _step_extreme(times: list[float], pick) -> float | None:
+    """*pick* (min or max) of the steps between consecutive *times*."""
+    if len(times) < 2:
+        return None
+    return float(pick(np.diff(times)))
+
+
+def _step_control_lines(result) -> list[str]:
+    """The summary lines describing what limited the steps."""
+    if len(result) < 2:
+        return []
+    lines = [f"step sizes: smallest={result.smallest_step:.4g} "
+             f"largest={result.largest_step:.4g}"]
+    if result.step_limits:
+        ranked = sorted(result.step_limits.items(),
+                        key=lambda item: (-item[1], item[0]))
+        lines.append("step limits: " + " ".join(
+            f"{name}={count}" for name, count in ranked)
+            + f" (at_h_min={result.steps_at_hmin})")
+    return lines
 
 
 def _dc_start_lines(result) -> list[str]:
@@ -204,6 +243,10 @@ class EnsembleTransientResult:
         self.flops = FlopCounter()
         self.accepted_steps = 0
         self.rejected_steps = 0
+        #: Accepted steps per limiting constraint and steps at the
+        #: ``h_min`` clamp, as on :class:`TransientResult`.
+        self.step_limits: dict[str, int] = {}
+        self.steps_at_hmin = 0
         self.aborted = False
         self.abort_reason: str | None = None
         #: Factorizations skipped by the backend's reuse cache
@@ -269,6 +312,16 @@ class EnsembleTransientResult:
         column = self._node_column(node)
         return self.states[:, :, column]
 
+    @property
+    def smallest_step(self) -> float | None:
+        """Smallest accepted step (None with fewer than two points)."""
+        return _step_extreme(self._times, np.min)
+
+    @property
+    def largest_step(self) -> float | None:
+        """Largest accepted step (None with fewer than two points)."""
+        return _step_extreme(self._times, np.max)
+
     def final_voltages(self) -> dict[str, np.ndarray]:
         """Node name -> ``(K,)`` voltages at the last accepted point."""
         if not self._states:
@@ -287,6 +340,8 @@ class EnsembleTransientResult:
             result.append(t, row[k])
         result.accepted_steps = self.accepted_steps
         result.rejected_steps = self.rejected_steps
+        result.step_limits = dict(self.step_limits)
+        result.steps_at_hmin = self.steps_at_hmin
         result.aborted = self.aborted
         result.abort_reason = self.abort_reason
         result.record_dc_start(self.dc_iterations, self.dc_converged)
@@ -307,6 +362,7 @@ class EnsembleTransientResult:
             f"steps: accepted={self.accepted_steps} "
             f"rejected={self.rejected_steps}",
         ]
+        lines.extend(_step_control_lines(self))
         lines.extend(_dc_start_lines(self))
         if self.backend is not None:
             lines.append(f"backend={self.backend}")

@@ -541,11 +541,16 @@ class LinearStepper:
 
         t = 0.0
         result.append(t, states)
-        h = self.controller.initial_step(t_stop)
+        controller = self.controller
+        h_min = opts.step.h_min
+        at_h_min = h_min * (1.0 + 1e-9)
+        limits = result.step_limits
+        h = controller.initial_step(t_stop)
         h_prev: float | None = None
         prev_states: np.ndarray | None = None
+        limit = None
 
-        while t < t_stop * (1.0 - 1e-12):
+        while t < t_stop:
             if len(result) >= opts.max_points:
                 result.aborted = True
                 result.abort_reason = (
@@ -553,27 +558,48 @@ class LinearStepper:
                 )
                 break
             device_g = self._stamp(states, prev_states, h_prev, h, result.flops)
-            h = self.controller.next_step_from_diagonal(
-                t, h if h_prev is None else h_prev, self.backend.g_diagonal(), t_stop
+            # A source breakpoint ends the last step's evidence of how
+            # the nodes move: the step after one takes plain eq. 12.
+            h = controller.next_step_from_diagonal(
+                t,
+                h if h_prev is None else h_prev,
+                self.backend.g_diagonal(),
+                t_stop,
+                states,
+                None if limit == "breakpoint" else prev_states,
             )
+            limit = controller.limit
 
-            accepted = False
-            while not accepted:
-                new_states = self._solve_step(t, h, states, b_buf, b2_buf)
+            while True:
+                # The controller makes a step that lands on t_stop
+                # exactly t_stop - t; the point is then t_stop itself.
+                t_next = t_stop if h == t_stop - t else t + h
+                new_states = self._solve_step(
+                    t, h, states, b_buf, b2_buf, t_next=t_next
+                )
                 if opts.dv_limit is not None:
                     nn = self.system.num_nodes
                     dv = float(np.abs(new_states[:, :nn] - states[:, :nn]).max())
-                    if dv > opts.dv_limit and h > opts.step.h_min * 1.001:
+                    # Halve only while both halves can stay >= h_min.
+                    if (
+                        dv > opts.dv_limit
+                        and h > h_min * 1.001
+                        and t_stop - t >= 2.0 * h_min
+                    ):
                         result.rejected_steps += 1
-                        h = max(h * 0.5, opts.step.h_min)
+                        h = max(h * 0.5, h_min)
+                        limit = "dv_limit"
                         continue
-                accepted = True
+                break
 
             prev_states, h_prev = states, h
             states = new_states
-            t += h
+            t = t_next
             result.append(t, states)
             result.accepted_steps += 1
+            limits[limit] = limits.get(limit, 0) + 1
+            if h <= at_h_min:
+                result.steps_at_hmin += 1
             self._record_trace(result, t, device_g)
         return self._finish(result)
 

@@ -13,9 +13,11 @@ time.  These pins hold what such a rewrite must not move:
   RTD relaxation-oscillator ensemble;
 * the states and counts of K = 1 marches on the scalar chord path
   (few devices, one instance): the Fig. 8 inverter, adaptive with the
-  predictor on and off and on a fixed grid, a MOBILE NAND clamped at
-  ``h_min``, the D flip-flop with ``dv_limit`` rejections and a
-  trapezoidal RTD divider from a DC start;
+  predictor on and off and on a fixed grid, the MOBILE NAND (0, 1)
+  whose resting internal node ``mid`` once clamped every step at
+  ``h_min`` (the ``k1-nand01-clamped`` key keeps that name), the D
+  flip-flop with ``dv_limit`` rejections and a trapezoidal RTD divider
+  from a DC start;
 * the ``mean`` / ``standard_error`` and the path and batch counts
   of naive, antithetic and control-variate estimates, serial and
   chunked, plus the SDE twin.
@@ -185,10 +187,14 @@ def _k1_inverter_grid():
 
 
 def _k1_nand_clamped():
-    """NAND (0, 1): the node-RC bound on ``mid`` clamps every step at
-    ``h_min`` (ROADMAP item 2)."""
+    """NAND (0, 1) through the clock edge to 6 ns.  ``Mb`` in triode
+    puts 0.2 S on ``mid``, which rests at 0 V: plain eq. 12 clamped
+    every step of this march at ``h_min``.  The motion-weighted bound
+    lets the resting node go; only the steps that take plain eq. 12 —
+    the first and those right after a clock breakpoint — sit at
+    ``h_min``."""
     net, _ = logic_gates.mobile_nand(DC(0.0), DC(1.0))
-    return SwecTransient(net, _gate_options(dv_limit=0.2)).run(0.3e-9)
+    return SwecTransient(net, _gate_options(dv_limit=0.2)).run(6e-9)
 
 
 def _k1_flipflop_rejections():
@@ -231,8 +237,16 @@ def test_k1_scalar_march_is_pinned(golden_json, key):
 def test_k1_pins_cover_their_paths():
     """Each K = 1 case exercises what its name says."""
     assert _k1_flipflop_rejections().rejected_steps > 0
-    clamped = _k1_nand_clamped()
-    assert np.allclose(np.diff(clamped.times)[:-1], 1e-13, rtol=1e-6)
+    nand = _k1_nand_clamped()
+    at_h_min = nand.step_sizes() <= 1e-13 * (1.0 + 1e-6)
+    starts = nand.times[:-1][at_h_min]
+    edges = logic_gates.gate_clock().periodic_breakpoints(6e-9)
+    assert nand.steps_at_hmin == np.count_nonzero(at_h_min) == 3
+    assert starts[0] == 0.0
+    assert all(min(abs(t - edge) for edge in edges) < 1e-20
+               for t in starts[1:])
+    assert nand.step_limits["h_max"] > 0
+    assert nand.largest_step == pytest.approx(0.2e-9, rel=1e-6, abs=0.0)
     divider = _k1_divider_trap()
     assert divider.dc_iterations > 1 and divider.dc_converged
 

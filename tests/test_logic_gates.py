@@ -66,6 +66,14 @@ class TestNand:
         value = evaluate(mobile_nand, a * HIGH, b * HIGH)
         assert as_bit(value) == expected
 
+    def test_resting_mid_does_not_clamp_the_step(self):
+        """With b high, ``Mb`` in triode holds ``mid`` at 0 V behind
+        0.2 S; plain eq. 12 clamped all 60,000 steps to 6 ns at h_min."""
+        circuit, info = mobile_nand(DC(0.0), DC(HIGH))
+        result = SwecTransient(circuit, OPTS).run(6e-9)
+        assert len(result) <= 2000
+        assert as_bit(result.at(6e-9, info.output_node)) == 1
+
 
 class TestClockConstraint:
     def test_fast_edge_breaks_the_default_high_latch(self):

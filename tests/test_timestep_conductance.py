@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuit import Circuit, Clock, DC, PiecewiseLinear, Pulse
 from repro.mna import MnaSystem
+from repro.swec import timestep
 from repro.swec.conductance import SwecLinearization
 from repro.swec.timestep import EnsembleStepController, StepControlOptions
 from repro.devices import nmos
@@ -44,6 +45,8 @@ class TestStepControlOptions:
             StepControlOptions(h_min=1.0, h_max=0.5)
         with pytest.raises(ValueError):
             StepControlOptions(growth_limit=1.0)
+        with pytest.raises(ValueError):
+            StepControlOptions(voltage_floor=0.0)
 
 
 class TestSlopeBound:
@@ -107,6 +110,95 @@ class TestNodeRcBound:
             diagonal(system.conductance_base())) == math.inf
 
 
+class TestMotionWeightedNodeRc:
+    """The node-RC bound only holds nodes that moved in the last step:
+    below ``ref = THETA eps max(|V|, voltage_floor)`` the eq.-12 ratio
+    grows by ``ref / |dV|``."""
+
+    EPS = 0.02
+    EQ12 = 0.02 * 1e-12 / 1e-3  # C=1p, G=1m at node 'out'
+
+    def _bound(self, v, dv, scalar):
+        system = MnaSystem(rc_circuit(slope_source=False))
+        controller = EnsembleStepController(
+            [system], [system.circuit], StepControlOptions(epsilon=self.EPS),
+            scalar=scalar)
+        out = system.node_index("out")
+        states = np.zeros((1, system.size))
+        states[0, out] = v
+        prev = states.copy()
+        prev[0, out] = v - dv
+        return controller.node_rc_bound_stack(
+            diagonal(system.conductance_base()), states, prev)
+
+    def _ref(self, v):
+        return timestep.THETA * self.EPS * max(abs(v), 1e-3)
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_resting_node_does_not_bound(self, scalar):
+        assert self._bound(0.7, 0.0, scalar) == math.inf
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_moving_node_keeps_eq12(self, scalar):
+        assert self._bound(0.7, 2.0 * self._ref(0.7), scalar) == \
+            pytest.approx(self.EQ12)
+        assert self._bound(0.7, -self._ref(0.7), scalar) == \
+            pytest.approx(self.EQ12)
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_slow_node_ratio_scales_with_the_shortfall(self, scalar):
+        assert self._bound(0.7, 0.25 * self._ref(0.7), scalar) == \
+            pytest.approx(4.0 * self.EQ12)
+        # Near 0 V the reference motion uses the voltage floor.
+        assert self._bound(0.0, 0.5 * self._ref(0.0), scalar) == \
+            pytest.approx(2.0 * self.EQ12)
+
+    def test_scalar_and_vector_paths_agree(self):
+        circuit = rc_circuit(slope_source=False)
+        circuit.add_resistor("R2", "out", "mid", 2e3)
+        circuit.add_capacitor("C2", "mid", "0", 3e-13)
+        system = MnaSystem(circuit)
+        diag = diagonal(system.conductance_base())
+        controllers = [EnsembleStepController(
+            [system], [circuit], StepControlOptions(), scalar=scalar)
+            for scalar in (False, True)]
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            states = rng.normal(size=(1, system.size))
+            prev = states + rng.choice([0.0, 1e-6, 1e-4, 1e-2],
+                                       size=states.shape)
+            bounds = [c._node_rc(diag, states, prev) for c in controllers]
+            assert bounds[0][1] == bounds[1][1]
+            assert bounds[0][0] == pytest.approx(bounds[1][0], rel=1e-12)
+
+    def test_first_step_is_plain_eq12(self):
+        system = MnaSystem(rc_circuit(slope_source=False))
+        controller = controller_for(system, StepControlOptions(
+            epsilon=self.EPS, h_max=1.0, growth_limit=1e9))
+        g = diagonal(system.conductance_base())
+        h = controller.next_step_from_diagonal(0.0, 1.0, g, 10.0)
+        assert h == pytest.approx(self.EQ12)
+        assert controller.limit == "node_rc:out"
+        states = np.zeros((1, system.size))
+        h = controller.next_step_from_diagonal(0.0, 1.0, g, 10.0,
+                                               states, states)
+        assert h == 1.0
+        assert controller.limit == "h_max"
+
+    def test_no_capacitive_node_is_never_bounded(self):
+        circuit = Circuit()
+        circuit.add_voltage_source("V1", "in", "0", 1.0)
+        circuit.add_resistor("R1", "in", "0", 1.0)
+        system = MnaSystem(circuit)
+        for scalar in (False, True):
+            controller = EnsembleStepController(
+                [system], [circuit], StepControlOptions(), scalar=scalar)
+            states = np.ones((1, system.size))
+            assert controller.node_rc_bound_stack(
+                diagonal(system.conductance_base()), states,
+                0.5 * states) == math.inf
+
+
 class TestNextStep:
     def test_growth_limited(self):
         system = MnaSystem(rc_circuit(slope_source=False))
@@ -144,6 +236,21 @@ class TestNextStep:
         h = controller.next_step_from_diagonal(0.9e-9, 1.0, diagonal(g),
                                                1e-9)
         assert h == pytest.approx(0.1e-9)
+
+    def test_stretches_onto_t_stop_instead_of_a_sliver(self):
+        system = MnaSystem(rc_circuit(slope_source=False))
+        options = StepControlOptions(epsilon=1e9, h_min=1e-13, h_max=1e-10,
+                                     growth_limit=1e9)
+        controller = controller_for(system, options)
+        g = diagonal(system.conductance_base())
+        t, t_stop = 0.8e-9, 0.9e-9 + 0.5e-13
+        h = controller.next_step_from_diagonal(t, 1e-10, g, t_stop)
+        assert h == t_stop - t
+        assert controller.limit == "breakpoint"
+        # A remainder of at least h_min is left for the next step.
+        h = controller.next_step_from_diagonal(t, 1e-10, g, t_stop + 1e-13)
+        assert h == pytest.approx(1e-10)
+        assert controller.limit == "h_max"
 
     def test_initial_step_defaults(self):
         system = MnaSystem(rc_circuit(slope_source=False))
