@@ -336,8 +336,9 @@ class EnsembleTransientResult:
             raise AnalysisError(
                 f"instance index {k} out of range [0, {self.n_instances})")
         result = TransientResult(self.node_names, engine=self.engine)
-        for t, row in zip(self._times, self._states):
-            result.append(t, row[k])
+        # append() kept the times increasing: copy the grid and rows at once.
+        result._times = list(self._times)
+        result._states = list(np.array([states[k] for states in self._states]))
         result.accepted_steps = self.accepted_steps
         result.rejected_steps = self.rejected_steps
         result.step_limits = dict(self.step_limits)

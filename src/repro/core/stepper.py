@@ -22,6 +22,10 @@ Per accepted point the stepper
 3. solves the backward-Euler (or trapezoidal) update through the
    backend's ``solve_transient``.
 
+The classic K = 1 dense march of a small circuit runs a step plan
+compiled once per stepper instead (:class:`_DenseStepPlan`), bitwise
+equal to the backend path.
+
 Two marching modes survive unchanged from the ensemble engine:
 :meth:`LinearStepper.run` (the paper's eq.-10/12 adaptive control,
 worst-case over the ensemble) and :meth:`LinearStepper.run_grid` (an
@@ -38,9 +42,10 @@ import numpy as np
 from repro.analysis.waveforms import EnsembleTransientResult
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import waveform_state_key
-from repro.core.backends import SolverBackend, create_backend
+from repro.core.backends import DenseBackend, SolverBackend, create_backend
 from repro.errors import AnalysisError
 from repro.mna.assembler import MnaSystem
+from repro.mna.linsolve import LinearSolver
 from repro.perf.flops import FlopCounter
 
 __all__ = ["LinearStepper"]
@@ -134,6 +139,104 @@ class _SourceBank:
                 if q >= 0:
                     out[idx, q] += value
         return out
+
+
+#: Largest system the step plan takes; numpy's array calls are cheaper past it.
+_PLAN_MAX_SIZE = 12
+
+
+class _DenseStepPlan:
+    """The K = 1 backward-Euler step of a small dense circuit on Python
+    floats, compiled once per stepper.
+
+    :meth:`LinearStepper.run` takes it in place of the backend's stamp,
+    ``G`` diagonal and solve (eligibility:
+    :meth:`LinearStepper._compile_plan`).  Each number is bitwise the
+    :class:`~repro.core.backends.DenseBackend` path's:
+
+    - ``G`` starts from ``G_base`` (column-major, its zeros made +0.0)
+      and takes the chord stamps as plain float adds in the
+      ``np.add.at`` order of :class:`~repro.mna.batch.ConductanceStamper`;
+    - ``A = C/h + G`` is written at the nonzeros of ``C`` only: elsewhere
+      ``0.0 + G`` is ``G``, which holds no -0.0;
+    - ``C`` has at most one nonzero per row, so an entry of ``C x`` is
+      one product, as in numpy's matmul;
+    - the solve is :meth:`~repro.mna.linsolve.LinearSolver.factor_solve`
+      on the column-major ``A``, so ``dgesv`` needs no transpose copy.
+    """
+
+    def __init__(self, stepper: "LinearStepper", c: np.ndarray) -> None:
+        n = self.n = stepper.size
+        self._num_nodes = stepper.system.num_nodes
+        self._stepper = stepper
+        self._g_base = (stepper.system.conductance_base() + 0.0).ravel("F").tolist()
+        self._stamps = [
+            ((p % n) * n + p // n, column, sign)
+            for p, column, sign in stepper.backend._stamper.entries()
+        ]
+        values = c.tolist()
+        self._c_entries = [
+            (i, j, j * n + i, values[i][j]) for i, j in np.argwhere(c).tolist()
+        ]
+        sources = stepper._sources
+        self._vsrc = [(row, groups[0][0]) for row, groups in sources._vsrc]
+        self._isrc = [(p, q, groups[0][0]) for p, q, groups in sources._isrc]
+        self._solver = LinearSolver()
+
+    def stamp(self, states, prev_states, h_prev, h_next) -> list[list[float]]:
+        """Evaluate the chords at *states* and stamp ``G``; returns its
+        diagonal as the one row of a ``(1, n)`` stack."""
+        device_g, mosfet_g = self._stepper._scalar_conductances(
+            states, prev_states, h_prev, h_next, None
+        )
+        values = device_g[0].tolist() + mosfet_g[0].tolist()
+        g = self._g = self._g_base[:]
+        for position, column, sign in self._stamps:
+            g[position] += sign * values[column]
+        return [g[:: self.n + 1]]
+
+    def solve(self, t_next: float, h: float, states: np.ndarray):
+        """Solve ``(C/h + G) x = b(t_next) + C states / h``; returns the
+        ``(1, n)`` solution and its largest node-voltage change."""
+        n, g = self.n, self._g
+        x = states[0].tolist()
+        rhs = [0.0] * n
+        for row, waveform in self._vsrc:
+            rhs[row] = waveform.value(t_next)
+        for p, q, waveform in self._isrc:
+            value = waveform.value(t_next)
+            if p >= 0:
+                rhs[p] -= value
+            if q >= 0:
+                rhs[q] += value
+        a = g[:]
+        inv_h = 1.0 / h
+        for i, j, position, c in self._c_entries:
+            rhs[i] += c * x[j] / h
+            a[position] = c * inv_h + g[position]
+        matrix = np.array(a).reshape((n, n), order="F")
+        solution = self._solver.factor_solve(matrix, np.array(rhs))
+        nodes = solution[: self._num_nodes].tolist()
+        dv = max([abs(v - u) for v, u in zip(nodes, x)], default=0.0)
+        return solution.reshape(1, n), dv
+
+    def count_flops(self, result: EnsembleTransientResult) -> None:
+        """Book the march's chord evaluations, factorizations and solves
+        into ``result.flops``, as the per-step calls would have."""
+        flops, stamped = result.flops, result.accepted_steps
+        bank, solves = self._stepper.bank, stamped + result.rejected_steps
+        # The first point of a march has no previous one to predict from.
+        predicted = stamped - 1 if self._stepper.linearization.use_predictor else 0
+        for kind, count in (
+            ("rtd_current", bank.n_devices * stamped),
+            ("rtd_conductance", bank.n_devices * predicted),
+            ("mosfet", bank.n_mosfets * stamped),
+        ):
+            if count > 0:
+                flops.count_device_eval(kind, count=count)
+        if solves:
+            flops.count_factorization(self.n, count=solves)
+            flops.count_solve(self.n, count=solves)
 
 
 class LinearStepper:
@@ -251,6 +354,7 @@ class LinearStepper:
         self._noise_matrix = self._build_noise(noise)
         K = self.n_instances
         self.trace_instances = tuple(int(k) for k in trace_instances)
+        self._plan = self._compile_plan()
         for k in self.trace_instances:
             if not 0 <= k < K:
                 raise AnalysisError(f"trace instance {k} out of range [0, {K})")
@@ -265,6 +369,28 @@ class LinearStepper:
                 "trace_instances needs options.trace_conductance=True "
                 "(tracing is gated on the same flag as the scalar engine)"
             )
+
+    def _compile_plan(self) -> _DenseStepPlan | None:
+        """The K = 1 step plan, or None to keep the backend march.
+
+        Eligible (``run`` also needs ``method == "be"``): the scalar chord
+        loops (K = 1, at most 32 nonlinear devices), at most
+        :data:`_PLAN_MAX_SIZE` unknowns, exactly ``DenseBackend`` (no
+        fallback wrapper, no reuse cache), no conductance trace, and at
+        most one nonzero per row of ``C`` (grounded capacitors, inductors).
+        """
+        if not (
+            self._scalar_chords
+            and self.size <= _PLAN_MAX_SIZE
+            and type(self.backend) is DenseBackend
+            and self.options.factor_rtol is None
+            and not self.trace_instances
+        ):
+            return None
+        c = self.system.capacitance_matrix()
+        if np.count_nonzero(c, axis=1).max(initial=0) > 1:
+            return None
+        return _DenseStepPlan(self, c)
 
     @property
     def backend_name(self) -> str:
@@ -538,6 +664,8 @@ class LinearStepper:
 
         b_buf = np.empty((K, n))
         b2_buf = np.empty((K, n))
+        plan = self._plan if opts.method == "be" else None
+        nn = self.system.num_nodes
 
         t = 0.0
         result.append(t, states)
@@ -557,13 +685,17 @@ class LinearStepper:
                     f"max_points={opts.max_points} reached at t={t:.4g}"
                 )
                 break
-            device_g = self._stamp(states, prev_states, h_prev, h, result.flops)
+            if plan is None:
+                device_g = self._stamp(states, prev_states, h_prev, h, result.flops)
+                diagonal = self.backend.g_diagonal()
+            else:
+                device_g, diagonal = None, plan.stamp(states, prev_states, h_prev, h)
             # A source breakpoint ends the last step's evidence of how
             # the nodes move: the step after one takes plain eq. 12.
             h = controller.next_step_from_diagonal(
                 t,
                 h if h_prev is None else h_prev,
-                self.backend.g_diagonal(),
+                diagonal,
                 t_stop,
                 states,
                 None if limit == "breakpoint" else prev_states,
@@ -574,22 +706,25 @@ class LinearStepper:
                 # The controller makes a step that lands on t_stop
                 # exactly t_stop - t; the point is then t_stop itself.
                 t_next = t_stop if h == t_stop - t else t + h
-                new_states = self._solve_step(
-                    t, h, states, b_buf, b2_buf, t_next=t_next
-                )
-                if opts.dv_limit is not None:
-                    nn = self.system.num_nodes
-                    dv = float(np.abs(new_states[:, :nn] - states[:, :nn]).max())
-                    # Halve only while both halves can stay >= h_min.
-                    if (
-                        dv > opts.dv_limit
-                        and h > h_min * 1.001
-                        and t_stop - t >= 2.0 * h_min
-                    ):
-                        result.rejected_steps += 1
-                        h = max(h * 0.5, h_min)
-                        limit = "dv_limit"
-                        continue
+                if plan is not None:
+                    new_states, dv = plan.solve(t_next, h, states)
+                else:
+                    new_states = self._solve_step(
+                        t, h, states, b_buf, b2_buf, t_next=t_next
+                    )
+                    if opts.dv_limit is not None:
+                        dv = float(np.abs(new_states[:, :nn] - states[:, :nn]).max())
+                # Halve only while both halves can stay >= h_min.
+                if (
+                    opts.dv_limit is not None
+                    and dv > opts.dv_limit
+                    and h > h_min * 1.001
+                    and t_stop - t >= 2.0 * h_min
+                ):
+                    result.rejected_steps += 1
+                    h = max(h * 0.5, h_min)
+                    limit = "dv_limit"
+                    continue
                 break
 
             prev_states, h_prev = states, h
@@ -601,6 +736,8 @@ class LinearStepper:
             if h <= at_h_min:
                 result.steps_at_hmin += 1
             self._record_trace(result, t, device_g)
+        if plan is not None:
+            plan.count_flops(result)
         return self._finish(result)
 
     def run_grid(

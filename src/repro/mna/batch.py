@@ -156,6 +156,12 @@ class ConductanceStamper:
         values = np.asarray(values, dtype=float).reshape(-1)
         np.add.at(matrix.reshape(-1), positions, values.take(columns) * signs)
 
+    def entries(self) -> list[tuple[int, int, float]]:
+        """``(flat position, value column, sign)`` per scatter entry, in
+        :meth:`stamp`'s accumulation order."""
+        return list(zip(self._positions.tolist(), self._columns.tolist(),
+                        self._signs.tolist()))
+
     def flat_entries(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(positions, entries)`` that stamp each row of *values*.
 

@@ -49,7 +49,8 @@ def _all_finite(array: np.ndarray) -> bool:
     """
     if array.size > _SCALAR_CHECK_MAX:
         return bool(np.isfinite(array).all())
-    values = array.ravel().tolist()
+    # Memory order: no copy of a column-major matrix, same finiteness.
+    values = array.ravel("K").tolist()
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 

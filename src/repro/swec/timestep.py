@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.sources import waveform_state_key
+from repro.circuit.sources import DC, waveform_state_key
 
 #: Motion threshold of the node-RC bound, as a fraction of ``eps``: a
 #: node whose last step moved less than ``THETA * eps * max(|V_j|,
@@ -125,7 +125,8 @@ class EnsembleStepController:
             for source in (list(circuit.voltage_sources)
                            + list(circuit.current_sources)):
                 key = waveform_state_key(source.waveform)
-                if key in seen:
+                # A DC source has no slope and no breakpoints.
+                if key in seen or type(source.waveform) is DC:
                     continue
                 seen.add(key)
                 sources.append(source)
@@ -200,7 +201,10 @@ class EnsembleStepController:
             bound, label = math.inf, None
             if not self._rc_pairs:
                 return bound, label
-            diag = diagonal_stack[0].tolist()
+            # The K = 1 step plan hands its diagonal over as a list.
+            diag = diagonal_stack[0]
+            if not isinstance(diag, list):
+                diag = diag.tolist()
             x = xp = None
             if prev_states is not None:
                 x, xp = states[0].tolist(), prev_states[0].tolist()

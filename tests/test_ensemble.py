@@ -548,6 +548,28 @@ class TestResultContainer:
                             result.voltage("out")[2])))
         with pytest.raises(AnalysisError, match="out of range"):
             result.instance(3)
+        # The copy carries the grid, instance 2's rows and every
+        # run-level diagnostic, and stays a working TransientResult.
+        assert instance.times.tobytes() == result.times.tobytes()
+        assert instance.states.tobytes() == result.states[2].tobytes()
+        result.rejected_steps, result.factor_reuses = 2, 3
+        result.step_limits, result.steps_at_hmin = {"slope": 19, "growth": 1}, 1
+        result.aborted, result.abort_reason = True, "max_points=21 reached"
+        result.fallback_events = [("dense", "stack")]
+        result.dc_iterations, result.dc_converged = 7, False
+        copy = result.instance(2)
+        for field in ("engine", "accepted_steps", "rejected_steps",
+                      "step_limits", "steps_at_hmin", "aborted",
+                      "abort_reason", "dc_iterations", "dc_converged",
+                      "factor_reuses", "backend", "fallback_events"):
+            assert getattr(copy, field) == getattr(result, field), field
+        assert copy.convergence_failures == 1
+        assert copy.flops.total == 0
+        assert not hasattr(copy, "conductance_trace")
+        with pytest.raises(AnalysisError, match="non-monotonic"):
+            copy.append(0.5e-9, copy.states[-1])
+        copy.append(2e-9, copy.states[-1])
+        assert len(copy) == len(result) + 1
 
     def test_flops_count_the_whole_batch(self):
         circuits = inverter_family(4)

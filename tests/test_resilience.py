@@ -615,7 +615,9 @@ class TestDaemonResilience:
             assert time.monotonic() < deadline, "job never started"
             time.sleep(0.01)
         service._loop.call_soon_threadsafe(service._begin_drain)
-        time.sleep(0.1)
+        while not service._draining:
+            assert time.monotonic() < deadline, "drain never began"
+            time.sleep(0.01)
         refused = ServiceClient(service.socket_path,
                                 timeout=60).submit(SPEC, seed=1)
         release.set()

@@ -4,7 +4,8 @@
 Every invocation times a fixed set of hot-path kernels — the lockstep
 ensemble transient against its serial loop, the vectorized AC sweep
 against its per-frequency loop, the index-gather linearization against
-the per-device Python loop, a plain single-instance SWEC march, and
+the per-device Python loop, a plain single-instance SWEC march on a
+fixed grid and an adaptive one (with its microseconds per step), and
 the sparse solver backend against the dense one on a grid mesh — and
 writes one machine-readable JSON file::
 
@@ -95,6 +96,38 @@ def _bench_ensemble(quick: bool, repeats: int) -> list[dict]:
          "median_seconds": single_seconds,
          "axes": {"grid_points": n_points, "size": engine.size}},
     ]
+
+
+def _bench_adaptive(quick: bool, repeats: int) -> list[dict]:
+    """The K = 1 adaptive march: the Fig. 8 inverter through
+    ``SwecTransient.run`` to 5 ns at perfbench logic_k1's settings.
+
+    Reports the median seconds, the accepted steps and the rate in
+    microseconds per accepted step.  The march is short, so ``--quick``
+    runs it unchanged.
+    """
+    from repro.circuit import Pulse
+    from repro.circuits_lib import fet_rtd_inverter
+    from repro.swec import SwecOptions, SwecTransient
+    from repro.swec.timestep import StepControlOptions
+
+    vin = Pulse(0.0, 5.0, delay=0.5e-9, rise=0.3e-9, fall=0.3e-9,
+                width=2e-9, period=5e-9)
+    circuit, _ = fet_rtd_inverter(vin=vin)
+    engine = SwecTransient(circuit, SwecOptions(
+        step=StepControlOptions(epsilon=0.05, h_min=1e-13, h_max=0.2e-9,
+                                h_initial=1e-12),
+        dv_limit=0.5))
+    t_stop = 5e-9
+    steps = engine.run(t_stop).accepted_steps
+    seconds = _median_seconds(lambda: engine.run(t_stop), repeats)
+    return [{
+        "name": "swec_transient_adaptive",
+        "median_seconds": seconds,
+        "accepted_steps": steps,
+        "us_per_step": 1e6 * seconds / steps,
+        "axes": {"t_stop": t_stop, "size": engine.system.size},
+    }]
 
 
 def _bench_ac(quick: bool, repeats: int) -> list[dict]:
@@ -386,6 +419,7 @@ def _bench_mc_variance_reduction(quick: bool, repeats: int) -> list[dict]:
 #: Kernel groups addressable via ``--only``.
 KERNELS = {
     "ensemble": _bench_ensemble,
+    "adaptive": _bench_adaptive,
     "ac": _bench_ac,
     "gather": _bench_gather,
     "backends": _bench_backends,
