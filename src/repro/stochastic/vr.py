@@ -24,11 +24,16 @@ antithetic variates
     bit-identically.
 
 adaptive trial counts
-    Paths run in batches through the chunked ``(K, n, n)`` stack march;
-    after each batch the running confidence interval is evaluated and
-    the run stops at ``target_ci`` (absolute half-width) or
-    ``target_rel_ci`` (half-width relative to the peak mean), with
-    ``max_trials`` as the backstop.
+    Paths are consumed in batches; after each batch the running
+    confidence interval is evaluated and the run stops at
+    ``target_ci`` (absolute half-width) or ``target_rel_ci``
+    (half-width relative to the peak mean), with ``max_trials`` as the
+    backstop.  Batches are marched ahead, several in one wider
+    ``(K, n, n)`` stack march: first as many as an estimate needs,
+    then the CLT prediction of the batches still missing, never more
+    than were already consumed.  A run marches at most as many unused
+    paths as used ones, and the statistics are bitwise those of one
+    march per batch.
 
 Results come back as :class:`VarianceReducedStatistics` (pointwise, a
 drop-in extension of
@@ -379,22 +384,51 @@ def _evaluate(ys, xs, control_mean, plan, control_variate) -> _Estimate | None:
     )
 
 
+def _goals(estimate: _Estimate, target_ci, target_rel_ci) -> list[float]:
+    """The half-widths that each meet a CI target (none without one)."""
+    goals = [] if target_ci is None else [target_ci]
+    if target_rel_ci is not None:
+        goals.append(target_rel_ci * float(np.max(np.abs(estimate.mean))))
+    return goals
+
+
 def _target_met(
     estimate: _Estimate,
     z: float,
     target_ci: float | None,
     target_rel_ci: float | None,
 ) -> bool:
-    if target_ci is None and target_rel_ci is None:
-        return False
     width = float(np.max(estimate.halfwidth(z)))
-    if target_ci is not None and width <= target_ci:
-        return True
-    if target_rel_ci is not None:
-        scale = float(np.max(np.abs(estimate.mean)))
-        if width <= target_rel_ci * scale:
-            return True
-    return False
+    return any(width <= goal for goal in _goals(estimate, target_ci, target_rel_ci))
+
+
+def _batches_ahead(plan, used, simulated, estimate, z, target_ci, target_rel_ci):
+    """Plan batches to march at once after *used* were consumed.
+
+    The CLT prediction of the paths still missing, ``n (w/goal)^2 - n``,
+    in whole batches: at least one, and never more than were already
+    consumed, so unused paths never outnumber used ones.
+    """
+    cap = min(used, len(plan.batches) - used)
+    goal = max(_goals(estimate, target_ci, target_rel_ci), default=0.0)
+    if not goal > 0.0:
+        return cap
+    ratio = float(np.max(estimate.halfwidth(z))) / goal
+    extra = simulated * ratio * ratio - simulated
+    if not extra < cap * plan.batch_size:
+        return cap
+    return max(1, math.ceil(extra / plan.batch_size))
+
+
+def _march(sample, batches) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """March *batches* in one ``sample`` call; split the rows per batch."""
+    sizes = [size for _, size in batches]
+    cuts = np.cumsum(sizes)[:-1]
+    signal, control = sample(batches[0][0], sum(sizes))
+    signals = np.split(np.asarray(signal, dtype=float), cuts)
+    if control is None:
+        return [(y, None) for y in signals]
+    return list(zip(signals, np.split(np.asarray(control, dtype=float), cuts)))
 
 
 def _adaptive_mc(
@@ -413,23 +447,33 @@ def _adaptive_mc(
 
     *sample(offset, size)* marches raw paths ``offset .. offset + size``
     and returns ``(signal, control)`` arrays of shape ``(size, T)``
-    (control is None without control variates).  Paths are always
-    consumed in canonical order, so any execution split that preserves
-    the order is bit-reproducible.
+    (control is None without control variates).  One call marches
+    several plan batches ahead (:func:`_batches_ahead`; the first
+    march ends where an estimate can first exist); they are then
+    consumed one batch at a time, in canonical path order, so any
+    execution split that preserves the order is bit-reproducible.
     """
     start = time.perf_counter()
     z = float(norm.ppf(0.5 * (1.0 + confidence)))
     ys: list[np.ndarray] = []
     xs: list[np.ndarray] = []
+    marched: list[tuple[np.ndarray, np.ndarray | None]] = []
     simulated = 0
     n_batches = 0
     estimate = None
     stopped_early = False
-    for offset, size in plan.batches:
-        signal, control = sample(offset, size)
-        ys.append(np.asarray(signal, dtype=float))
+    for _, size in plan.batches:
+        if not marched:
+            ahead = 2 if control_variate else 1
+            if estimate is not None:
+                ahead = _batches_ahead(
+                    plan, n_batches, simulated, estimate, z, target_ci, target_rel_ci
+                )
+            marched = _march(sample, plan.batches[n_batches : n_batches + ahead])
+        signal, control = marched.pop(0)
+        ys.append(signal)
         if control is not None:
-            xs.append(np.asarray(control, dtype=float))
+            xs.append(control)
         simulated += size
         n_batches += 1
         estimate = _evaluate(ys, xs, control_mean, plan, control_variate)
@@ -478,8 +522,8 @@ class _PathSeeds:
 
     Child ``i`` is ``SeedSequence(entropy, spawn_key=spawn_key + (i,),
     pool_size=pool_size)`` of a parent that has spawned nothing, exactly
-    what ``parent.spawn`` builds, so an estimate that stops after a few
-    batches never pays for the ``max_trials`` streams it does not draw.
+    what ``parent.spawn`` builds, so an estimate that stops early builds
+    at most as many unused streams as used ones, not ``max_trials``.
     """
 
     def __init__(self, parent: np.random.SeedSequence, count: int) -> None:

@@ -11,7 +11,10 @@ pins:
   and the serial/parallel boundary;
 * **termination** — ``target_ci`` stopping always terminates, with
   ``max_trials`` as a hard backstop and ``stopped_early`` truthfully
-  reporting which side fired.
+  reporting which side fired;
+* **march-ahead equivalence** — marching several plan batches in one
+  ``sample`` call gives the statistics of one call per batch, bit for
+  bit.
 
 Seed control: Hypothesis's own ``--hypothesis-seed=N`` pytest flag
 reproduces a run; CI passes a fixed seed and caches ``.hypothesis``.
@@ -19,11 +22,14 @@ reproduces a run; CI passes a fixed seed and caches ``.hypothesis``.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import Circuit
+from repro.circuits_lib import arrays
 from repro.errors import AnalysisError
 from repro.runtime.jobs import EnsembleJob, EnsembleTransientJob
 from repro.runtime.runner import BatchRunner
@@ -37,6 +43,7 @@ from repro.stochastic import (
     run_ensemble_parallel,
     run_sde_ensemble_vr,
 )
+from repro.stochastic import vr
 from repro.stochastic.sde import LinearSDE
 from repro.stochastic.vr import _PathSeeds, _spawn_children
 
@@ -396,3 +403,156 @@ def test_vr_knobs_reject_return_result():
             noisy_rc_circuit(), NOISE, t_stop=1e-9, steps=10,
             n_paths=8, seed=1, antithetic=True, return_result=True,
         )
+
+
+# ---------------------------------------------------------------------------
+# march-ahead equivalence
+
+
+def _run_recording(run, one_batch: bool):
+    """Run *run()* with every ``sample`` call of ``_adaptive_mc`` logged.
+
+    With *one_batch*, later marches are one batch long and every
+    multi-batch request (the first march) is split into one-batch
+    ``sample`` calls whose rows are concatenated: one march per plan
+    batch, the reference that marching ahead must reproduce.
+    """
+    adaptive_mc = vr._adaptive_mc
+    calls: list[tuple[int, int]] = []
+
+    def recording(sample, *, plan, **kwargs):
+        def logged(offset, size):
+            calls.append((offset, size))
+            if not one_batch:
+                return sample(offset, size)
+            parts = [
+                sample(start, min(plan.batch_size, offset + size - start))
+                for start in range(offset, offset + size, plan.batch_size)
+            ]
+            signal = np.concatenate([y for y, _ in parts])
+            if parts[0][1] is None:
+                return signal, None
+            return signal, np.concatenate([x for _, x in parts])
+
+        return adaptive_mc(logged, plan=plan, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vr, "_adaptive_mc", recording)
+        if one_batch:
+            patch.setattr(vr, "_batches_ahead", lambda *args: 1)
+        return run(), calls
+
+
+def _assert_bitwise_equal(a, b) -> None:
+    for f in dataclasses.fields(a):
+        if f.name == "time_elapsed":
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype, f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+#: Per-estimator absolute CI targets on the RTD low-pass that stop
+#: after several marches (about 4-16 batches of 8 paths).
+_LOWPASS_TARGETS = {
+    "naive": ({}, 5e-4),
+    "antithetic": ({"antithetic": True}, 1.5e-6),
+    "control-variate": ({"control_variate": True}, 3e-5),
+    "antithetic-control-variate": (
+        {"antithetic": True, "control_variate": True}, 3e-6),
+}
+#: Peak |mean| of the RTD low-pass output, for relative targets.
+_LOWPASS_SCALE = 0.128
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=_SEEDS)
+@pytest.mark.parametrize("target", ["target_ci", "target_rel_ci", None])
+@pytest.mark.parametrize("chunks", [None, 2])
+@pytest.mark.parametrize("estimator", sorted(_LOWPASS_TARGETS))
+def test_march_ahead_is_bitwise_one_march_per_batch(
+    estimator, chunks, target, seed
+):
+    knobs, ci = _LOWPASS_TARGETS[estimator]
+    kwargs = dict(node="out", seed=seed, batch_size=8, max_trials=512, **knobs)
+    if target == "target_ci":
+        kwargs["target_ci"] = ci
+    elif target == "target_rel_ci":
+        kwargs["target_rel_ci"] = ci / _LOWPASS_SCALE
+    else:
+        kwargs["max_trials"] = 64
+    if chunks is not None:
+        kwargs.update(
+            chunks=chunks,
+            runner=BatchRunner(max_workers=2, executor="thread"),
+        )
+
+    def run():
+        return run_circuit_ensemble_vr(
+            rtd_lowpass_circuit(), [("out", 1e-9)], 2e-9, 20, **kwargs
+        )
+
+    ahead, ahead_calls = _run_recording(run, one_batch=False)
+    per_batch, _ = _run_recording(run, one_batch=True)
+    _assert_bitwise_equal(ahead, per_batch)
+    assert ahead.stopped_early == (target is not None)
+    assert any(size > 8 for _, size in ahead_calls)
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=_SEEDS)
+@pytest.mark.parametrize("target", ["target_ci", "target_rel_ci", None])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_sde_march_ahead_is_bitwise_one_march_per_batch(
+    antithetic, target, seed
+):
+    # A mean rising to 0.063 with a 5e-3 stationary deviation: naive
+    # runs stop after 10-30 batches; antithetic pairs of a linear SDE
+    # are exact and stop after one.
+    sde = LinearSDE([[-2.0e8]], [[1.0e2]], drift_offset=[2.0e7])
+    kwargs = dict(antithetic=antithetic, batch_size=8, max_trials=512,
+                  seed=seed)
+    if target == "target_ci":
+        kwargs["target_ci"] = 1e-3
+    elif target == "target_rel_ci":
+        kwargs["target_rel_ci"] = 1e-2
+    else:
+        kwargs["max_trials"] = 64
+
+    def run():
+        return run_sde_ensemble_vr(sde, [0.0], 5e-9, 50, **kwargs)
+
+    ahead, _ = _run_recording(run, one_batch=False)
+    per_batch, _ = _run_recording(run, one_batch=True)
+    _assert_bitwise_equal(ahead, per_batch)
+
+
+def test_oscillator_marches_ahead_in_few_calls():
+    """The benchmark's naive estimate (2% relative CI, batches of 16)
+    uses its 17 plan batches from at most 6 marches, and never holds
+    more marched-but-unused paths than used ones."""
+    oscillator, info = arrays.rtd_relaxation_oscillator()
+
+    def run():
+        return run_circuit_ensemble_vr(
+            oscillator, [(info.output, 1e-8)], float(info.period_guess), 120,
+            node=info.output, seed=1, max_trials=4096, batch_size=16,
+            target_rel_ci=0.02,
+        )
+
+    stats, calls = _run_recording(run, one_batch=False)
+    assert stats.stopped_early
+    assert stats.n_batches == 17
+    assert len(calls) <= 6
+    assert calls[0] == (0, 16)
+    marched = 0
+    for offset, size in calls:
+        # A march starts once every marched path is used up and may
+        # not outgrow the paths used so far.
+        assert offset == marched
+        assert size <= max(offset, 16)
+        marched += size
+    assert marched - stats.n_simulated <= stats.n_simulated

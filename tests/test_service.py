@@ -179,6 +179,36 @@ class TestResultStore:
         assert entry.seconds == 0.25
         assert key in store and len(store) == 1
 
+    @pytest.mark.parametrize("estimator", ["ensemble", "variance-reduced"])
+    def test_statistics_round_trip_byte_identically(self, tmp_path, estimator):
+        """put -> get -> put of ensemble statistics republishes the same
+        payload bytes and the same record."""
+        from repro.circuit import Circuit
+        from repro.stochastic import run_circuit_ensemble
+
+        circuit = Circuit("noisy-rc")
+        circuit.add_resistor("R1", "n1", "0", 1e3)
+        circuit.add_capacitor("C1", "n1", "0", 1e-12)
+        circuit.add_current_source("Id", "0", "n1", 1e-4)
+        vr = {"variance-reduced": {"control_variate": True, "target_ci": 0.05}}
+        stats = run_circuit_ensemble(
+            circuit, [("n1", 1e-8)], t_stop=5e-9, steps=20, n_paths=32,
+            seed=3, **vr.get(estimator, {}))
+        assert type(stats).__name__ == {
+            "ensemble": "EnsembleStatistics",
+            "variance-reduced": "VarianceReducedStatistics",
+        }[estimator]
+        store = ResultStore(tmp_path)
+        key = "5a" + "9" * 62
+        _, payload_path = store._paths(key)
+        first = store.put(key, stats, kind="ensemble", label="rt").record()
+        first_payload = payload_path.read_bytes()
+        second = store.put(key, store.get(key).value, kind="ensemble",
+                           label="rt").record()
+        assert payload_path.read_bytes() == first_payload
+        assert json.dumps(second, sort_keys=True) == json.dumps(
+            first, sort_keys=True)
+
     def test_record_is_deterministic(self, tmp_path):
         store = ResultStore(tmp_path)
         key = "cd" + "1" * 62

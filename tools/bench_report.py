@@ -397,6 +397,8 @@ def _bench_mc_variance_reduction(quick: bool, repeats: int) -> list[dict]:
         entries.append({
             "name": f"mc_vr_{label}",
             "median_seconds": seconds,
+            # Both sides of the ratio, so a gain they share still shows.
+            "naive_median_seconds": naive_seconds,
             "speedup": naive_seconds / seconds,
             "reference": "naive adaptive MC at the same CI target",
             "axes": {"steps": circuit_steps, "max_trials": max_trials},
