@@ -23,6 +23,7 @@ from repro.baselines.mla import MlaOptions
 from repro.baselines.spice import SpiceOptions
 from repro.circuit import Pulse
 from repro.circuits_lib import rtd_chain, rtd_divider
+from repro.mna import ConductanceStamper
 from repro.mna.assembler import MnaSystem
 from repro.perf.comparison import compare_dc_sweep
 from repro.swec import SwecDC, SwecLinearization, SwecOptions, SwecTransient
@@ -107,17 +108,20 @@ def test_headline_transient_per_point_cost():
 
 def test_headline_gather_vectorization_delta():
     """The index-gather rewrite of ``SwecLinearization.device_voltages``
-    and ``stamp`` (ISSUE 4 satellite) must beat the per-device Python
-    loops it replaced, value for value — this speeds up every accepted
-    point of the existing single-instance engine too."""
+    and the ``ConductanceStamper`` scatter (ISSUE 4 satellite) must beat
+    the per-device Python loops they replaced, value for value — this
+    speeds up every accepted point of the existing single-instance
+    engine too."""
     circuit, _ = rtd_chain(40)
     system = MnaSystem(circuit)
     linearization = SwecLinearization(system)
+    stamper = ConductanceStamper(system.chord_pairs(), system.size)
     terminals = system.device_terminals()
     state = np.linspace(0.1, 0.4, system.size)
     base = system.conductance_base()
-    device_g = linearization.device_conductances(state)
-    mosfet_g = linearization.mosfet_conductances(state)
+    voltages, vgs, vds = linearization.branch_voltages(state)
+    device_g = linearization.device_conductances(voltages)
+    chords = np.array(device_g + linearization.mosfet_conductances(vgs, vds))
     repeats = 2000
 
     def loop_voltages():
@@ -136,7 +140,7 @@ def test_headline_gather_vectorization_delta():
                           linearization.device_voltages(state))
     looped, gathered = base.copy(), base.copy()
     loop_stamp(looped)
-    linearization.stamp(gathered, device_g, mosfet_g)
+    stamper.stamp(gathered, chords)
     assert np.array_equal(looped, gathered)
 
     start = time.perf_counter()
@@ -147,7 +151,7 @@ def test_headline_gather_vectorization_delta():
     start = time.perf_counter()
     for _ in range(repeats):
         linearization.device_voltages(state)
-        linearization.stamp(base.copy(), device_g, mosfet_g)
+        stamper.stamp(base.copy(), chords)
     vectorized_seconds = time.perf_counter() - start
 
     speedup = loop_seconds / vectorized_seconds

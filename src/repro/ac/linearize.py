@@ -30,7 +30,7 @@ from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.mna.assembler import MnaSystem
 from repro.mna.batch import tangent_incidence
-from repro.swec.conductance import DeviceBank, SwecLinearization
+from repro.swec.conductance import SwecLinearization
 from repro.swec.dc import SwecDC, SwecDCOptions
 
 
@@ -112,16 +112,16 @@ def tangent_conductances(
     Returns ``(device_g, mosfet_partials)``: the tangent ``dI/dV`` of
     every two-terminal device (element multiplicity folded in) and the
     ``(gm, gds)`` pair of every MOSFET, from the
-    :class:`~repro.swec.conductance.DeviceBank`'s grouped law calls.
-    :func:`linearize` evaluates them once at the DC operating point.
+    :class:`~repro.swec.conductance.SwecLinearization`'s grouped law
+    calls.  :func:`linearize` evaluates them once at the DC operating
+    point.
     """
-    linearization = SwecLinearization(system)
-    bank = DeviceBank([circuit])
+    linearization = SwecLinearization(system, [circuit])
     states = np.asarray(state, dtype=float)[None, :]
-    _, device_g = bank.device_terms(linearization.device_voltages(states),
-                                    tangent=True)
-    _, gm, gds = bank.mosfet_terms(*linearization.mosfet_vgs_vds(states),
-                                   partials=True)
+    _, device_g = linearization.device_terms(
+        linearization.device_voltages(states), tangent=True)
+    _, gm, gds = linearization.mosfet_terms(
+        *linearization.mosfet_vgs_vds(states), partials=True)
     return device_g[0], list(zip(gm[0].tolist(), gds[0].tolist()))
 
 
@@ -137,7 +137,7 @@ def stamp_tangent(system: MnaSystem, matrix: np.ndarray,
     skeleton), all as one incidence product
     (:func:`~repro.mna.batch.tangent_incidence`).
     """
-    _, control, output = tangent_incidence(system)
+    control, output = tangent_incidence(system)
     gm, gds = np.reshape(np.asarray(mosfet_partials, dtype=float), (-1, 2)).T
     values = np.concatenate((device_g, gds, gm))
     matrix += (output.T @ sparse.diags(values) @ control).toarray()

@@ -72,13 +72,6 @@ AUTO_SPARSE_MIN_SIZE = 192
 AUTO_SPARSE_MAX_DENSITY = 0.05
 
 
-def _conductance_pairs(system) -> list[tuple[int, int]]:
-    """Two-terminal stamp pairs: devices, then MOSFET drain-source."""
-    return list(system.device_terminals()) + [
-        (drain, source) for drain, _gate, source in system.mosfet_terminals()
-    ]
-
-
 class SolverBackend:
     """Assembly + factor/solve engine for K same-topology systems.
 
@@ -86,9 +79,10 @@ class SolverBackend:
     batch-first contract (every array carries a leading instance axis,
     K = 1 included):
 
-    ``stamp(device_g, mosfet_g)``
+    ``stamp(chords)``
         Assemble ``G = G_base + stamps`` for all K instances from the
-        ``(K, n_devices)`` / ``(K, n_mosfets)`` chord conductances.
+        ``(K, n_chords)`` chord conductances, in the column order of
+        :meth:`~repro.mna.assembler.MnaSystem.chord_pairs`.
     ``g_diagonal()``
         ``(K, n)`` diagonal of the stamped ``G`` (the eq.-12 node-RC
         step bound needs nothing else).
@@ -132,7 +126,7 @@ class SolverBackend:
 
     # -- interface ------------------------------------------------------
 
-    def stamp(self, device_g: np.ndarray, mosfet_g: np.ndarray) -> None:
+    def stamp(self, chords: np.ndarray) -> None:
         """Assemble ``G`` for every instance from chord conductances."""
         raise NotImplementedError
 
@@ -200,18 +194,11 @@ class _DenseStorageBackend(SolverBackend):
             self._g_base[k], self._c[k] = bases[id(system)]
         self._g = np.empty((K, n, n))
         self._a = np.empty((K, n, n))
-        self._stamper = ConductanceStamper(_conductance_pairs(self.system), n)
-        # Devices then MOSFETs, the stamper's column order.
-        self._n_devices = len(self.system.device_terminals())
-        self._values = np.empty((K, self._stamper.n_values))
+        self._stamper = ConductanceStamper(self.system.chord_pairs(), n)
 
-    def stamp(self, device_g: np.ndarray, mosfet_g: np.ndarray) -> None:
+    def stamp(self, chords: np.ndarray) -> None:
         np.copyto(self._g, self._g_base)
-        if self._stamper.n_values:
-            values, split = self._values, self._n_devices
-            values[:, :split] = device_g
-            values[:, split:] = mosfet_g
-            self._stamper.stamp(self._g, values)
+        self._stamper.stamp(self._g, chords)
 
     def g_diagonal(self) -> np.ndarray:
         return np.diagonal(self._g, axis1=-2, axis2=-1)
@@ -394,15 +381,11 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
         self._csc_order = pattern.csc_order
         self._make_solvers(SparseSolver)
 
-    def stamp(self, device_g: np.ndarray, mosfet_g: np.ndarray) -> None:
+    def stamp(self, chords: np.ndarray) -> None:
         np.copyto(self._g_data, self._base_data)
-        values = np.concatenate(
-            (np.asarray(device_g, dtype=float), np.asarray(mosfet_g, dtype=float)),
-            axis=-1,
-        )
-        if self._positions.size == 0 or not values.shape[-1]:
+        if self._positions.size == 0:
             return
-        contributions = values[:, self._columns] * self._signs
+        contributions = np.asarray(chords, dtype=float)[:, self._columns] * self._signs
         rows = np.arange(self.n_instances, dtype=np.intp)[:, None]
         np.add.at(self._g_data, (rows, self._positions[None, :]), contributions)
 
@@ -497,7 +480,7 @@ def system_density(system) -> float:
         return 1.0
     pattern = (system.conductance_base() != 0.0) | (system.capacitance_matrix() != 0.0)
     nnz = int(np.count_nonzero(pattern))
-    nnz += 4 * len(_conductance_pairs(system))
+    nnz += 4 * len(system.chord_pairs())
     return min(1.0, nnz / float(n * n))
 
 

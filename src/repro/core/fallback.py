@@ -63,7 +63,7 @@ class FallbackBackend:
         self._active = primary
         self._chain = dict(FALLBACK_CHAIN if chain is None else chain)
         self.events: list[dict] = []
-        self._stamp_args = None
+        self._chords = None
         self._retired_reuses = 0
 
     # -- delegated contract ---------------------------------------------
@@ -84,14 +84,11 @@ class FallbackBackend:
     def invalidate(self) -> None:
         self._active.invalidate()
 
-    def stamp(self, device_g, mosfet_g) -> None:
-        # Cache copies so a degraded replacement can be stamped into the
+    def stamp(self, chords) -> None:
+        # Cache a copy so a degraded replacement can be stamped into the
         # same state the failing backend was in.
-        self._stamp_args = (
-            np.array(device_g, dtype=float, copy=True),
-            np.array(mosfet_g, dtype=float, copy=True),
-        )
-        self._active.stamp(device_g, mosfet_g)
+        self._chords = np.array(chords, dtype=float, copy=True)
+        self._active.stamp(chords)
 
     def g_diagonal(self):
         return self._active.g_diagonal()
@@ -145,8 +142,8 @@ class FallbackBackend:
             factor_rtol=self._active.factor_rtol,
             chunk_entries=self._active.chunk_entries,
         )
-        if self._stamp_args is not None:
-            replacement.stamp(*self._stamp_args)
+        if self._chords is not None:
+            replacement.stamp(self._chords)
         self.events.append(
             {
                 "from": self._active.name,

@@ -14,16 +14,19 @@ thin alias that defaults to the batched ``stack`` backend.
 Per accepted point the stepper
 
 1. evaluates the chord conductances of all K states at once through
-   the :class:`~repro.swec.conductance.DeviceBank` (one vectorized law
-   call per group of devices that share a parameter record),
-2. hands them to the backend's ``stamp`` (dense ``(K, n, n)`` stack or
-   sparse ``(K, nnz)`` data stack — the stepper never sees the matrix
+   its :class:`~repro.swec.conductance.SwecLinearization` (one
+   vectorized law call per group of devices that share a parameter
+   record; at K = 1 with few devices, one scalar call per device),
+2. hands them to the backend's ``stamp`` as one ``(K, n_chords)``
+   stack, devices then MOSFETs (dense ``(K, n, n)`` stack or sparse
+   ``(K, nnz)`` data stack — the stepper never sees the matrix
    representation), and
 3. solves the backward-Euler (or trapezoidal) update through the
    backend's ``solve_transient``.
 
 The classic K = 1 dense march of a small circuit runs a step plan
-compiled once per stepper instead (:class:`_DenseStepPlan`), bitwise
+compiled once per stepper instead (:class:`_DenseStepPlan`): it stamps
+the same chords, as a Python list, into its own ``G`` and is bitwise
 equal to the backend path.
 
 Two marching modes survive unchanged from the ensemble engine:
@@ -186,13 +189,10 @@ class _DenseStepPlan:
     def stamp(self, states, prev_states, h_prev, h_next) -> list[list[float]]:
         """Evaluate the chords at *states* and stamp ``G``; returns its
         diagonal as the one row of a ``(1, n)`` stack."""
-        device_g, mosfet_g = self._stepper._scalar_conductances(
-            states, prev_states, h_prev, h_next, None
-        )
-        values = device_g[0].tolist() + mosfet_g[0].tolist()
+        chords = self._stepper._chords(states, prev_states, h_prev, h_next, None)
         g = self._g = self._g_base[:]
         for position, column, sign in self._stamps:
-            g[position] += sign * values[column]
+            g[position] += sign * chords[column]
         return [g[:: self.n + 1]]
 
     def solve(self, t_next: float, h: float, states: np.ndarray):
@@ -224,16 +224,10 @@ class _DenseStepPlan:
         """Book the march's chord evaluations, factorizations and solves
         into ``result.flops``, as the per-step calls would have."""
         flops, stamped = result.flops, result.accepted_steps
-        bank, solves = self._stepper.bank, stamped + result.rejected_steps
+        solves = stamped + result.rejected_steps
         # The first point of a march has no previous one to predict from.
-        predicted = stamped - 1 if self._stepper.linearization.use_predictor else 0
-        for kind, count in (
-            ("rtd_current", bank.n_devices * stamped),
-            ("rtd_conductance", bank.n_devices * predicted),
-            ("mosfet", bank.n_mosfets * stamped),
-        ):
-            if count > 0:
-                flops.count_device_eval(kind, count=count)
+        predicted = stamped - 1 if self._stepper.options.use_predictor else 0
+        self._stepper.linearization.count_flops(flops, stamped, predicted)
         if solves:
             flops.count_factorization(self.n, count=solves)
             flops.count_solve(self.n, count=solves)
@@ -285,7 +279,7 @@ class LinearStepper:
         chunk_entries: int | None = None,
         default_backend: str = "stack",
     ) -> None:
-        from repro.swec.conductance import DeviceBank, SwecLinearization
+        from repro.swec.conductance import SwecLinearization
         from repro.swec.engine import SwecOptions
         from repro.swec.timestep import EnsembleStepController
 
@@ -316,9 +310,7 @@ class LinearStepper:
             self.systems.append(systems[id(circuit)])
         self.system = self.systems[0]
         self.size = self.system.size
-        self.linearization = SwecLinearization(
-            self.system, use_predictor=self.options.use_predictor
-        )
+        self.linearization = SwecLinearization(self.system, circuits)
         self._chunk_entries = chunk_entries
         self.backend: SolverBackend = create_backend(
             self.options.backend,
@@ -333,7 +325,6 @@ class LinearStepper:
             self.backend = FallbackBackend(self.backend)
 
         self._sources = _SourceBank(circuits, self.system)
-        self.bank = DeviceBank(circuits)
         # Branch voltages of the last stamped point of the current march
         # (a list on the scalar path): a march stamps each accepted point
         # once, in order, so they are the predictor's previous point.
@@ -341,11 +332,11 @@ class LinearStepper:
         self._last_voltages: np.ndarray | list[float] | None = None
         # Single instance, few devices: the vectorized laws pay more in
         # numpy small-array overhead than they save, so the K = 1 slice
-        # of small circuits evaluates chords through the scalar
-        # SwecLinearization loops, and the step controller takes its
-        # node-RC bound on Python floats (numerically equivalent — the
-        # lockstep tests bound the difference at 1e-10).
-        n_nonlinear = self.bank.n_devices + self.bank.n_mosfets
+        # of small circuits evaluates chords through the linearization's
+        # Python-float form, and the step controller takes its node-RC
+        # bound on Python floats (numerically equivalent — the lockstep
+        # tests bound the difference at 1e-10).
+        n_nonlinear = self.linearization.n_devices + self.linearization.n_mosfets
         self._scalar_chords = self.n_instances == 1 and n_nonlinear <= 32
         self.controller = EnsembleStepController(
             self.systems, circuits, self.options.step, scalar=self._scalar_chords
@@ -435,80 +426,48 @@ class LinearStepper:
     # Chord conductances, all instances at once
     # ------------------------------------------------------------------
 
-    def _device_conductances(
-        self, states, prev_states, h_prev, h_next, flops: FlopCounter | None
-    ) -> np.ndarray:
-        """``(K, n_devices)`` chord conductances, Taylor-corrected.
+    def _chords(self, states, prev_states, h_prev, h_next, flops: FlopCounter | None):
+        """Chord conductances at *states*, devices then MOSFET
+        drain-source (the column order of ``MnaSystem.chord_pairs``).
 
+        A list for the one instance on the scalar path, else a
+        ``(K, n_chords)`` array.  The eq.-5 predictor applies when
         *prev_states* (None at a march's first point and in the DC
-        start) are the states of the previous call in this march; the
-        predictor reads their branch voltages from that call.
+        start) are the states of the previous call in this march; its
+        previous branch voltages are that call's gather.
         """
-        voltages = self.linearization.device_voltages(states)
+        lin = self.linearization
         predict = None
         if self.options.use_predictor and prev_states is not None and h_prev and h_next:
-            predict = (0.5 * h_next, (voltages - self._last_voltages) / h_prev)
+            predict = (0.5 * h_next, self._last_voltages, h_prev)
+        if self._scalar_chords:
+            voltages, vgs, vds = lin.branch_voltages(states[0])
+            chords = lin.device_conductances(voltages, predict)
+            chords += lin.mosfet_conductances(vgs, vds)
+        else:
+            voltages = lin.device_voltages(states)
+            device_g, _ = lin.device_terms(voltages, predict=predict)
+            if lin.n_mosfets:
+                mosfet_g, _, _ = lin.mosfet_terms(*lin.mosfet_vgs_vds(states))
+                chords = np.concatenate((device_g, mosfet_g), axis=1)
+            else:
+                chords = device_g
         self._last_voltages = voltages
-        conductances, _ = self.bank.device_terms(voltages, predict=predict)
-        count = conductances.size
-        if flops is not None and count:
-            flops.count_device_eval("rtd_current", count=count)
-            if predict is not None:
-                flops.count_device_eval("rtd_conductance", count=count)
-        return conductances
-
-    def _mosfet_conductances(self, states, flops: FlopCounter | None) -> np.ndarray:
-        """``(K, n_mosfets)`` chord conductances ``Ids/Vds``."""
-        if not self.bank.n_mosfets:
-            return np.zeros((self.n_instances, 0))
-        conductances, _, _ = self.bank.mosfet_terms(
-            *self.linearization.mosfet_vgs_vds(states)
-        )
         if flops is not None:
-            flops.count_device_eval("mosfet", count=conductances.size)
-        return conductances
-
-    def _scalar_conductances(
-        self, states, prev_states, h_prev, h_next, flops: FlopCounter | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """K = 1 ``(1, n_devices)`` / ``(1, n_mosfets)`` chords through
-        the scalar SwecLinearization loops.
-
-        The point's branch voltages are gathered once, and the
-        predictor's previous voltages are the last point's gather.
-        """
-        linearization = self.linearization
-        state = states[0]
-        voltages, vgs, vds = linearization.branch_voltages(state)
-        previous, self._last_voltages = self._last_voltages, voltages
-        device_g = linearization.device_conductances(
-            state,
-            None if prev_states is None else prev_states[0],
-            h_prev,
-            h_next,
-            flops,
-            voltages=voltages,
-            prev_voltages=previous,
-        )
-        mosfet_g = linearization.mosfet_conductances(state, flops, vgs_vds=(vgs, vds))
-        return device_g[None, :], mosfet_g[None, :]
+            K = self.n_instances
+            lin.count_flops(flops, K, 0 if predict is None else K)
+        return chords
 
     def _stamp(
         self, states, prev_states, h_prev, h_next, flops: FlopCounter | None
     ) -> np.ndarray:
         """Evaluate chords and stamp ``G`` into the backend; returns
-        the ``(K, n_devices)`` chords (for the conductance trace)."""
+        the ``(K, n_chords)`` chord stack (for the conductance trace)."""
+        chords = self._chords(states, prev_states, h_prev, h_next, flops)
         if self._scalar_chords:
-            device_g, mosfet_g = self._scalar_conductances(
-                states, prev_states, h_prev, h_next, flops
-            )
-        else:
-            device_g = self._device_conductances(
-                states, prev_states, h_prev, h_next, flops
-            )
-            mosfet_g = self._mosfet_conductances(states, flops)
-        self.backend.stamp(device_g, mosfet_g)
-        return device_g
+            chords = np.array([chords])
+        self.backend.stamp(chords)
+        return chords
 
     # ------------------------------------------------------------------
     # Initial states
@@ -608,10 +567,11 @@ class LinearStepper:
         return result
 
     def _record_trace(
-        self, result: EnsembleTransientResult, t: float, device_g: np.ndarray
+        self, result: EnsembleTransientResult, t: float, chords: np.ndarray
     ) -> None:
+        n_devices = self.linearization.n_devices
         for k in self.trace_instances:
-            result.conductance_trace[k].append((t, device_g[k].copy()))
+            result.conductance_trace[k].append((t, chords[k, :n_devices].copy()))
 
     def _solve_step(
         self, t, h, states, b_buf, b2_buf, t_next=None, noise_increments=None
@@ -686,10 +646,10 @@ class LinearStepper:
                 )
                 break
             if plan is None:
-                device_g = self._stamp(states, prev_states, h_prev, h, result.flops)
+                chords = self._stamp(states, prev_states, h_prev, h, result.flops)
                 diagonal = self.backend.g_diagonal()
             else:
-                device_g, diagonal = None, plan.stamp(states, prev_states, h_prev, h)
+                chords, diagonal = None, plan.stamp(states, prev_states, h_prev, h)
             # A source breakpoint ends the last step's evidence of how
             # the nodes move: the step after one takes plain eq. 12.
             h = controller.next_step_from_diagonal(
@@ -735,7 +695,7 @@ class LinearStepper:
             limits[limit] = limits.get(limit, 0) + 1
             if h <= at_h_min:
                 result.steps_at_hmin += 1
-            self._record_trace(result, t, device_g)
+            self._record_trace(result, t, chords)
         if plan is not None:
             plan.count_flops(result)
         return self._finish(result)
@@ -788,7 +748,7 @@ class LinearStepper:
             t_next = float(times[step + 1])
             t = float(times[step])
             h = t_next - t
-            device_g = self._stamp(states, prev_states, h_prev, h, result.flops)
+            chords = self._stamp(states, prev_states, h_prev, h, result.flops)
             noise = None if increments is None else increments[:, step, :]
             new_states = self._solve_step(
                 t, h, states, b_buf, b2_buf, t_next=t_next, noise_increments=noise
@@ -797,7 +757,7 @@ class LinearStepper:
             states = new_states
             result.append(t_next, states)
             result.accepted_steps += 1
-            self._record_trace(result, t_next, device_g)
+            self._record_trace(result, t_next, chords)
         return self._finish(result)
 
     def _draw_increments(self, times, seeds, rng, normals=None) -> np.ndarray | None:

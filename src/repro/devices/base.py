@@ -121,14 +121,6 @@ class TwoTerminalDevice:
             dtype=float, count=v.size)
         return flat.reshape(v.shape)
 
-    def chord_conductance_many(self, voltages) -> np.ndarray:
-        """Vectorized :meth:`chord_conductance` over branch voltages."""
-        return self.chord_terms_many(voltages, slope=False)[0]
-
-    def chord_pair_many(self, voltages) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`chord_pair`: ``(chord, chord derivative)``."""
-        return self.chord_terms_many(voltages)[:2]
-
     def chord_terms_many(self, voltages, slope: bool = True):
         """``(chord, chord derivative, dI/dV)`` from one law evaluation.
 

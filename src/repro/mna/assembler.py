@@ -234,6 +234,15 @@ class MnaSystem:
             for m in self.circuit.mosfets
         ]
 
+    def chord_pairs(self) -> list[tuple[int, int]]:
+        """The chord stamp pairs: each two-terminal device's ``(anode,
+        cathode)``, then each MOSFET's ``(drain, source)`` (paper eq. 3
+        stamps a MOSFET chord like a two-terminal one).  This is the
+        column order of every chord stack."""
+        return self.device_terminals() + [
+            (drain, source) for drain, _gate, source in self.mosfet_terminals()
+        ]
+
     # ------------------------------------------------------------------
     # State helpers
     # ------------------------------------------------------------------

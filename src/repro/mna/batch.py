@@ -199,21 +199,18 @@ def _branch_incidence(pairs, size: int) -> sparse.csr_matrix:
                              shape=(len(pairs), size))
 
 
-def tangent_incidence(system) -> tuple[list, sparse.csr_matrix,
-                                       sparse.csr_matrix]:
-    """``(pairs, P, E)``: the device stamps of *system* as incidences.
+def tangent_incidence(system) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """``(P, E)``: the device stamps of *system* as incidences.
 
-    ``pairs`` are the chord stamp pairs, two-terminal devices then
-    MOSFET drain-source.  ``P`` maps a state to the controlling branch
-    voltages (the pairs, then MOSFET gate-source) and ``E`` to the
-    stamped branches (the pairs, then drain-source again), so
-    ``E^T diag(c) P`` stamps one conductance per device and a ``gds``
-    and a ``gm`` per MOSFET.
+    ``P`` maps a state to the controlling branch voltages (the chord
+    pairs of :meth:`~repro.mna.assembler.MnaSystem.chord_pairs`, then
+    MOSFET gate-source) and ``E`` to the stamped branches (the chord
+    pairs, then MOSFET drain-source again), so ``E^T diag(c) P`` stamps
+    one conductance per device and a ``gds`` and a ``gm`` per MOSFET.
     """
     mosfets = system.mosfet_terminals()
-    drain_source = [(d, s) for d, _g, s in mosfets]
-    pairs = list(system.device_terminals()) + drain_source
+    pairs = system.chord_pairs()
     control = _branch_incidence(pairs + [(g, s) for _d, g, s in mosfets],
                                 system.size)
-    return pairs, control, _branch_incidence(pairs + drain_source,
-                                             system.size)
+    return control, _branch_incidence(
+        pairs + [(d, s) for d, _g, s in mosfets], system.size)

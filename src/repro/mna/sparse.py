@@ -81,19 +81,12 @@ class SparseOperators:
         self.size = system.size
         self.g_base = sparse.csr_matrix(system.conductance_base())
         self.c_matrix = sparse.csr_matrix(system.capacitance_matrix())
-        self.device_incidence = [
-            _incidence(self.size, anode, cathode)
-            for anode, cathode in system.device_terminals()
-        ]
-        self.mosfet_incidence = [
-            _incidence(self.size, drain, source)
-            for drain, _gate, source in system.mosfet_terminals()
-        ]
+        pairs = system.chord_pairs()
 
         # --- symbolic sparsity pattern, computed once -------------------
         union = _structure(self.g_base) + _structure(self.c_matrix)
-        for incidence in self.device_incidence + self.mosfet_incidence:
-            union = union + _structure(incidence)
+        for i, j in pairs:
+            union = union + _structure(_incidence(self.size, i, j))
         union = union.tocsr()
         union.sort_indices()
         self._indptr = union.indptr
@@ -110,14 +103,7 @@ class SparseOperators:
         self._csc_indptr = order.indptr
         self._base_data = self._scatter(self.g_base)
         self._c_data = self._scatter(self.c_matrix)
-        self._device_slots = [
-            self._stamp_slots(anode, cathode)
-            for anode, cathode in system.device_terminals()
-        ]
-        self._mosfet_slots = [
-            self._stamp_slots(drain, source)
-            for drain, _gate, source in system.mosfet_terminals()
-        ]
+        self._slots = [self._stamp_slots(i, j) for i, j in pairs]
 
     # ------------------------------------------------------------------
     # Symbolic helpers
@@ -182,16 +168,16 @@ class SparseOperators:
         Mirrors :class:`~repro.mna.batch.ConductanceStamper` on the
         union *data* array: entry ``i`` adds
         ``values[..., columns[i]] * signs[i]`` at ``positions[i]``,
-        where ``values`` concatenates the device then MOSFET chord
-        conductances.  Entries are emitted device-by-device in stamp
-        order, so batched ``np.add.at`` accumulation adds each
-        entry's contributions in device order.
+        where ``values`` are the chord conductances in the column order
+        of :meth:`~repro.mna.assembler.MnaSystem.chord_pairs`.  Entries
+        are emitted chord-by-chord in stamp order, so batched
+        ``np.add.at`` accumulation adds each entry's contributions in
+        chord order.
         """
         positions: list[int] = []
         columns: list[int] = []
         signs: list[float] = []
-        for column, (slot_positions, slot_signs) in enumerate(
-                self._device_slots + self._mosfet_slots):
+        for column, (slot_positions, slot_signs) in enumerate(self._slots):
             positions.extend(int(p) for p in slot_positions)
             columns.extend([column] * len(slot_positions))
             signs.extend(float(s) for s in slot_signs)

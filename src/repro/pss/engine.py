@@ -78,7 +78,6 @@ from repro.circuit.sources import Pulse, Sine
 from repro.errors import AnalysisError, PSSError, SingularMatrixError
 from repro.mna.batch import ConductanceStamper, tangent_incidence
 from repro.perf.flops import FlopCounter
-from repro.swec.conductance import DeviceBank
 
 __all__ = [
     "Monodromy",
@@ -335,10 +334,7 @@ class _ChordSensitivity:
 
     def __init__(self, system, linearization, dense: bool) -> None:
         self._linearization = linearization
-        self._bank = DeviceBank([system.circuit])
-        self.n_devices = self._bank.n_devices
-        #: Chord stamp pairs, devices then MOSFET drain-source.
-        self.pairs, self._control, output = tangent_incidence(system)
+        self._control, output = tangent_incidence(system)
         self._output = output.T.tocsr()
         if dense:
             self._control = self._control.toarray()
@@ -352,16 +348,16 @@ class _ChordSensitivity:
         ``x_n`` (devices, then MOSFETs); ``coefficients[n]`` are the
         ``c_n`` of ``D_n``, each a tangent minus a chord (or a ``gm``)
         times ``w_{n+1} / v_n``.  Both are ``(steps, count)`` arrays;
-        the device bank forms chord and tangent from one law pass over
+        the linearization forms chord and tangent from one law pass over
         all steps.
         """
-        lin, bank = self._linearization, self._bank
+        lin = self._linearization
         v = lin.device_voltages(states[:-1])
         w = lin.device_voltages(states[1:])
-        chord, tangent = bank.device_terms(v, tangent=True)
+        chord, tangent = lin.device_terms(v, tangent=True)
         vgs, vds = lin.mosfet_vgs_vds(states[:-1])
         _, wds = lin.mosfet_vgs_vds(states[1:])
-        mosfet_chord, gm, gds = bank.mosfet_terms(vgs, vds, partials=True)
+        mosfet_chord, gm, gds = lin.mosfet_terms(vgs, vds, partials=True)
         device_scale = _correction_scale(chord, v, w)
         mosfet_scale = _correction_scale(mosfet_chord, vds, wds)
         coefficients = np.concatenate((
@@ -391,11 +387,11 @@ class _DenseStepSolver:
     product's finiteness once.
     """
 
-    def __init__(self, system, pairs) -> None:
+    def __init__(self, system) -> None:
         self._base = system.conductance_base()
         self._c = system.capacitance_matrix()
         self._a = np.empty(self._base.shape)
-        self._stamper = ConductanceStamper(pairs, system.size)
+        self._stamper = ConductanceStamper(system.chord_pairs(), system.size)
 
     def sweep(self, x, steps, chords, coefficients, sensitivity):
         """Chain ``x <- A_n^{-1} (C/h - D_n) x`` over every step."""
@@ -425,22 +421,21 @@ class _BackendStepSolver:
     SuperLU factor, exactly as the march factors.
     """
 
-    def __init__(self, backend, n_devices: int) -> None:
+    def __init__(self, backend) -> None:
         self._backend = backend
-        self._split = n_devices
         # Start from empty caches and count nothing here: Monodromy
         # counts each product's work itself.
         backend.begin_run(None)
 
     def sweep(self, x, steps, chords, coefficients, sensitivity):
         """Chain ``x <- A_n^{-1} (C/h - D_n) x`` over every step."""
-        backend, split = self._backend, self._split
+        backend = self._backend
         for n, h in enumerate(steps):
             rhs = backend.c_matvec(x[None, :])
             rhs /= h
             if sensitivity.coupled:
                 rhs[0] -= sensitivity.apply(coefficients[n], x)
-            backend.stamp(chords[None, n, :split], chords[None, n, split:])
+            backend.stamp(chords[None, n])
             x = backend.solve_transient(h, rhs)[0]
         return x
 
@@ -521,7 +516,7 @@ class ShootingPSS:
         self._sensitivity = _ChordSensitivity(
             self.system, self.linearization, dense=not sparse_family)
         self._dense_solver = None if sparse_family else _DenseStepSolver(
-            self.system, self._sensitivity.pairs)
+            self.system)
         period = self.options.period
         if period is None and self.options.period_guess is None:
             period = detect_drive_period(circuit)
@@ -572,7 +567,7 @@ class ShootingPSS:
                   flops: FlopCounter | None = None) -> Monodromy:
         """Matrix-free ``M = dPhi/dx0`` along one marched period."""
         step_solver = self._dense_solver or _BackendStepSolver(
-            self.engine.backend, self._sensitivity.n_devices)
+            self.engine.backend)
         return Monodromy(step_solver, self._sensitivity, times, states,
                          flops)
 

@@ -23,6 +23,7 @@ import numpy as np
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.mna.assembler import MnaSystem
+from repro.mna.batch import ConductanceStamper
 from repro.swec.conductance import SwecLinearization
 
 
@@ -129,7 +130,8 @@ class CircuitSDE(LinearSDE):
             ) from None
         self._c_inverse = c_inverse
         self._g_base = system.conductance_base()
-        self._linearization = SwecLinearization(system, use_predictor=False)
+        linearization = SwecLinearization(system)
+        stamper = ConductanceStamper(system.chord_pairs(), system.size)
         self._operating_state = (
             np.zeros(system.size)
             if linearize_at is None
@@ -144,9 +146,13 @@ class CircuitSDE(LinearSDE):
             noise_matrix[index, column] = float(amplitude)
         if circuit.nonlinear():
             def drift_a(t: float) -> np.ndarray:
-                g = self._linearization.conductance_matrix(
-                    self._g_base, self._operating_state
+                voltages, vgs, vds = linearization.branch_voltages(
+                    self._operating_state
                 )
+                chords = linearization.device_conductances(voltages)
+                chords += linearization.mosfet_conductances(vgs, vds)
+                g = self._g_base.copy()
+                stamper.stamp(g, chords)
                 return -c_inverse @ g
         else:
             g = self._g_base

@@ -6,9 +6,12 @@
 
 with one linear solve per time point: no Newton iterations, hence no NDR
 convergence failure.  ``SwecDC`` performs source-continuation sweeps using
-the chord-conductance fixed point.  ``SwecLinearization`` computes the
-equivalent conductances (with the eq.-5 Taylor predictor) and
-``StepControlOptions`` tunes the eq.-10/12 step bound.
+the chord-conductance fixed point.  ``SwecLinearization`` is the one
+device kernel: it computes the equivalent conductances (with the eq.-5
+Taylor predictor) and the tangents of every device, grouped across K
+instances or on Python floats at K = 1, as one chord stack in the
+column order of ``MnaSystem.chord_pairs``.  ``StepControlOptions``
+tunes the eq.-10/12 step bound.
 ``SwecEnsembleTransient`` marches K same-topology circuit instances in
 lockstep, one batched LAPACK call per time point.  Both transients are
 faces of the unified :class:`~repro.core.stepper.LinearStepper` march

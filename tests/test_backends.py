@@ -231,9 +231,9 @@ class TestFactorizationCache:
         system = MnaSystem(noisy_rc_circuit())
         solver = create_backend(backend, [system], factor_rtol=0.0)
         solver.begin_run(None)
-        device_g = np.zeros((1, 0))
+        chords = np.zeros((1, 0))
         rhs = np.array([[1e-4 * 1e3]])
-        solver.stamp(device_g, device_g)
+        solver.stamp(chords)
         first = solver.solve_transient(1e-12, rhs)
         second = solver.solve_transient(1e-12, rhs)
         assert np.array_equal(first, second)

@@ -214,7 +214,7 @@ class TestChordPairProperties:
 
 
 # ---------------------------------------------------------------------------
-# chord_pair_many: the lockstep march's one law pass per model group
+# chord_terms_many: the lockstep march's one law pass per model group
 
 
 def _reference_schulman_law(rtd, v):
@@ -285,7 +285,7 @@ voltage_arrays = arrays(
 
 
 class TestChordPairManyProperties:
-    """chord_pair_many replaced the chord and chord-derivative calls of
+    """chord_terms_many replaced the chord and chord-derivative calls of
     the vectorized march; it must equal them bit for bit."""
 
     @given(name=st.sampled_from(sorted(TWO_TERMINAL_MODELS)),
@@ -293,12 +293,12 @@ class TestChordPairManyProperties:
     @settings(max_examples=300, deadline=None)
     def test_pair_many_equals_separate_methods(self, name, v):
         model = TWO_TERMINAL_MODELS[name]()
-        chord, derivative = model.chord_pair_many(v)
+        chord, derivative, _ = model.chord_terms_many(v)
         expected_chord, expected_derivative = _reference_chord_pair(model, v)
-        assert _same_bits(chord, model.chord_conductance_many(v))
+        assert _same_bits(chord, model.chord_terms_many(v, slope=False)[0])
         assert _same_bits(chord, expected_chord)
         assert _same_bits(derivative, expected_derivative)
-        assert _same_bits(derivative, model.chord_pair_many(v)[1])
+        assert _same_bits(derivative, model.chord_terms_many(v)[1])
 
     @pytest.mark.parametrize("parameters", [NANO_SIM_DATE05,
                                             SCHULMAN_INGAAS, RTD_LOGIC])
@@ -309,7 +309,7 @@ class TestChordPairManyProperties:
         current, slope = _reference_schulman_law(rtd, v)
         assert _same_bits(rtd.current_many(v), current)
         assert _same_bits(rtd.differential_conductance_many(v), slope)
-        chord, derivative = rtd.chord_pair_many(v)
+        chord, derivative, _ = rtd.chord_terms_many(v)
         expected_chord, expected_derivative = _reference_chord_pair(rtd, v)
         assert _same_bits(chord, expected_chord)
         assert _same_bits(derivative, expected_derivative)

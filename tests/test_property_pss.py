@@ -31,6 +31,7 @@ from repro.circuits_lib import (
 )
 from repro.errors import PSSError
 from repro.lint import lint_netlist
+from repro.mna import ConductanceStamper
 from repro.pss import PSSOptions, ShootingPSS
 from repro.runtime import BatchRunner, PSSJob
 
@@ -153,9 +154,11 @@ def dense_monodromy(shoot, states, grid):
         xn, xn1 = states[i], states[i + 1]
         c_over_h = capacitance / h
         a = base + c_over_h
-        device_chords = lin.device_conductances(xn)
-        mosfet_chords = lin.mosfet_conductances(xn)
-        lin.stamp(a, device_chords, mosfet_chords)
+        voltages, vgs, vds = lin.branch_voltages(xn)
+        device_chords = lin.device_conductances(voltages)
+        mosfet_chords = lin.mosfet_conductances(vgs, vds)
+        ConductanceStamper(system.chord_pairs(), system.size).stamp(
+            a, device_chords + mosfet_chords)
         b = c_over_h.copy()
         device_tangents, mosfet_partials = tangent_conductances(
             shoot.circuit, system, xn)

@@ -167,6 +167,59 @@ class TestFingerprintSensitivity:
 # the store
 
 
+def _store_results():
+    """``{estimator: build}``: each build returns a small result of one
+    stored type and the type's name."""
+    from repro.ac import ACAnalysis
+    from repro.circuit import Circuit, Sine
+    from repro.circuits_lib import rtd_divider
+    from repro.pss import run_pss
+    from repro.stochastic import run_circuit_ensemble
+    from repro.swec import (SwecDC, SwecEnsembleTransient, SwecOptions,
+                            SwecTransient)
+    from repro.swec.timestep import StepControlOptions
+
+    def noisy_rc(**vr):
+        circuit = Circuit("noisy-rc")
+        circuit.add_resistor("R1", "n1", "0", 1e3)
+        circuit.add_capacitor("C1", "n1", "0", 1e-12)
+        circuit.add_current_source("Id", "0", "n1", 1e-4)
+        return run_circuit_ensemble(
+            circuit, [("n1", 1e-8)], t_stop=5e-9, steps=20, n_paths=32,
+            seed=3, **vr)
+
+    def driven_rc():
+        circuit = Circuit("driven-rc")
+        circuit.add_voltage_source("V1", "in", "0",
+                                   Sine(0.5, 0.5, 1e9))
+        circuit.add_resistor("R1", "in", "out", 1e3)
+        circuit.add_capacitor("C1", "out", "0", 1e-13)
+        return circuit
+
+    options = SwecOptions(step=StepControlOptions(
+        epsilon=0.1, h_min=1e-13, h_max=5e-11, h_initial=1e-12))
+    return {
+        "ensemble": lambda: (noisy_rc(), "EnsembleStatistics"),
+        "variance-reduced": lambda: (
+            noisy_rc(control_variate=True, target_ci=0.05),
+            "VarianceReducedStatistics"),
+        "transient": lambda: (
+            SwecTransient(rtd_divider()[0], options).run(2e-10),
+            "TransientResult"),
+        "ensemble-transient": lambda: (
+            SwecEnsembleTransient(rtd_divider()[0], options, n_instances=2)
+            .run_grid(np.linspace(0.0, 2e-10, 11)),
+            "EnsembleTransientResult"),
+        "dc-sweep": lambda: (
+            SwecDC(rtd_divider()[0]).sweep("Vs", np.linspace(0.0, 1.0, 5)),
+            "DCSweepResult"),
+        "ac": lambda: (ACAnalysis(driven_rc()).sweep(1e6, 1e10, 9),
+                       "ACResult"),
+        "pss": lambda: (run_pss(driven_rc(), steps_per_period=32),
+                        "PSSResult"),
+    }
+
+
 class TestResultStore:
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -179,31 +232,20 @@ class TestResultStore:
         assert entry.seconds == 0.25
         assert key in store and len(store) == 1
 
-    @pytest.mark.parametrize("estimator", ["ensemble", "variance-reduced"])
+    @pytest.mark.parametrize("estimator", [
+        "ensemble", "variance-reduced", "transient", "ensemble-transient",
+        "dc-sweep", "ac", "pss"])
     def test_statistics_round_trip_byte_identically(self, tmp_path, estimator):
-        """put -> get -> put of ensemble statistics republishes the same
+        """put -> get -> put of every result type republishes the same
         payload bytes and the same record."""
-        from repro.circuit import Circuit
-        from repro.stochastic import run_circuit_ensemble
-
-        circuit = Circuit("noisy-rc")
-        circuit.add_resistor("R1", "n1", "0", 1e3)
-        circuit.add_capacitor("C1", "n1", "0", 1e-12)
-        circuit.add_current_source("Id", "0", "n1", 1e-4)
-        vr = {"variance-reduced": {"control_variate": True, "target_ci": 0.05}}
-        stats = run_circuit_ensemble(
-            circuit, [("n1", 1e-8)], t_stop=5e-9, steps=20, n_paths=32,
-            seed=3, **vr.get(estimator, {}))
-        assert type(stats).__name__ == {
-            "ensemble": "EnsembleStatistics",
-            "variance-reduced": "VarianceReducedStatistics",
-        }[estimator]
+        result, name = _store_results()[estimator]()
+        assert type(result).__name__ == name
         store = ResultStore(tmp_path)
         key = "5a" + "9" * 62
         _, payload_path = store._paths(key)
-        first = store.put(key, stats, kind="ensemble", label="rt").record()
+        first = store.put(key, result, kind=estimator, label="rt").record()
         first_payload = payload_path.read_bytes()
-        second = store.put(key, store.get(key).value, kind="ensemble",
+        second = store.put(key, store.get(key).value, kind=estimator,
                            label="rt").record()
         assert payload_path.read_bytes() == first_payload
         assert json.dumps(second, sort_keys=True) == json.dumps(

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu, spsolve
 from repro.circuit import Circuit, DC, Pulse
 from repro.circuits_lib import rc_mesh, rtd_mesh
 from repro.errors import SingularMatrixError
-from repro.mna import MnaSystem
+from repro.mna import ConductanceStamper, MnaSystem
 from repro.mna.sparse import SparseOperators, SparseSolver
 from repro.perf import FlopCounter
 from repro.swec import SwecOptions, SwecTransient
@@ -40,10 +40,12 @@ class TestSparseOperators:
         from repro.swec.conductance import SwecLinearization
         linearization = SwecLinearization(system)
         state = np.linspace(0.0, 0.4, system.size)
-        device_g = linearization.device_conductances(state)
-        mosfet_g = linearization.mosfet_conductances(state)
+        voltages, vgs, vds = linearization.branch_voltages(state)
+        device_g = linearization.device_conductances(voltages)
+        mosfet_g = linearization.mosfet_conductances(vgs, vds)
         dense = system.conductance_base()
-        linearization.stamp(dense, device_g, mosfet_g)
+        ConductanceStamper(system.chord_pairs(), system.size).stamp(
+            dense, device_g + mosfet_g)
         data = _stamped_data(operators, device_g, mosfet_g)
         sparse_matrix = operators.matrix_from_data(data)
         assert np.allclose(sparse_matrix.toarray(), dense)

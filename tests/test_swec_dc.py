@@ -187,14 +187,16 @@ class _TwoLoopSwecDC(SwecDC):
     def __init__(self, circuit, options=None):
         super().__init__(circuit, options)
         system = MnaSystem(circuit)
-        self._lin = SwecLinearization(system, use_predictor=False)
+        self._lin = SwecLinearization(system)
         self._backend = create_backend(self.options.backend, [system],
                                        default="dense")
 
     def _chord_solve(self, b, x, result):
-        device_g = self._lin.device_conductances(x, flops=result.flops)
-        mosfet_g = self._lin.mosfet_conductances(x, flops=result.flops)
-        self._backend.stamp(device_g[None, :], mosfet_g[None, :])
+        voltages, vgs, vds = self._lin.branch_voltages(x)
+        chords = (self._lin.device_conductances(voltages)
+                  + self._lin.mosfet_conductances(vgs, vds))
+        self._lin.count_flops(result.flops, 1, 0)
+        self._backend.stamp(np.array([chords]))
         return self._backend.solve_conductance(b[None, :])[0]
 
     def solve_point(self, b, x, result):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import Circuit, Clock, DC, PiecewiseLinear, Pulse
-from repro.mna import MnaSystem
+from repro.mna import ConductanceStamper, MnaSystem
 from repro.swec import timestep
 from repro.swec.conductance import SwecLinearization
 from repro.swec.timestep import EnsembleStepController, StepControlOptions
@@ -22,6 +22,18 @@ def controller_for(system, options=None):
 def diagonal(g):
     """The ``(1, n)`` diagonal stack the controller bounds the step by."""
     return np.diagonal(g)[None, :]
+
+
+def conductance_matrix(system, state):
+    """``G`` at *state*: the base stamps plus every chord, stamped
+    through the K = 1 float chords."""
+    linearization = SwecLinearization(system)
+    voltages, vgs, vds = linearization.branch_voltages(state)
+    matrix = system.conductance_base()
+    ConductanceStamper(system.chord_pairs(), system.size).stamp(
+        matrix, linearization.device_conductances(voltages)
+        + linearization.mosfet_conductances(vgs, vds))
+    return matrix
 
 
 def rc_circuit(slope_source=True):
@@ -91,11 +103,9 @@ class TestNodeRcBound:
         circuit.add_device("X1", "out", "0", rtd)
         system = MnaSystem(circuit)
         controller = controller_for(system, StepControlOptions())
-        linearization = SwecLinearization(system)
         state = np.zeros(system.size)
         state[system.node_index("out")] = 0.3
-        g_with_device = linearization.conductance_matrix(
-            system.conductance_base(), state)
+        g_with_device = conductance_matrix(system, state)
         base = system.conductance_base()
         assert (controller.node_rc_bound_stack(diagonal(g_with_device))
                 < controller.node_rc_bound_stack(diagonal(base)))
@@ -350,11 +360,9 @@ class TestLinearization:
 
     def test_chord_stamped_symmetrically(self, rtd):
         system = self._rtd_system(rtd)
-        linearization = SwecLinearization(system)
         state = np.zeros(system.size)
         state[system.node_index("out")] = 0.42
-        g = linearization.conductance_matrix(
-            system.conductance_base(), state)
+        g = conductance_matrix(system, state)
         base = system.conductance_base()
         out = system.node_index("out")
         chord = rtd.chord_conductance(0.42)
@@ -362,16 +370,18 @@ class TestLinearization:
 
     def test_predictor_shifts_conductance(self, rtd):
         system = self._rtd_system(rtd)
-        linearization = SwecLinearization(system, use_predictor=True)
+        linearization = SwecLinearization(system)
         out = system.node_index("out")
         state = np.zeros(system.size)
         prev = np.zeros(system.size)
         state[out] = 0.45
         prev[out] = 0.40   # device voltage rising
         h = 1e-12
+        voltages = linearization.branch_voltages(state)[0]
+        previous = linearization.branch_voltages(prev)[0]
         with_predictor = linearization.device_conductances(
-            state, prev, h_prev=h, h_next=h)
-        without = linearization.device_conductances(state)
+            voltages, (0.5 * h, previous, h))
+        without = linearization.device_conductances(voltages)
         dv_dt = (0.45 - 0.40) / h
         expected_shift = 0.5 * h * rtd.chord_conductance_derivative(0.45) * dv_dt
         assert with_predictor[0] - without[0] == pytest.approx(
@@ -379,7 +389,7 @@ class TestLinearization:
 
     def test_predictor_clamps_to_nonnegative(self, rtd):
         system = self._rtd_system(rtd)
-        linearization = SwecLinearization(system, use_predictor=True)
+        linearization = SwecLinearization(system)
         out = system.node_index("out")
         state = np.zeros(system.size)
         prev = np.zeros(system.size)
@@ -388,7 +398,8 @@ class TestLinearization:
         state[out] = 0.6
         prev[out] = 2.5
         conductances = linearization.device_conductances(
-            state, prev, h_prev=1e-15, h_next=1e-9)
+            linearization.branch_voltages(state)[0],
+            (0.5 * 1e-9, linearization.branch_voltages(prev)[0], 1e-15))
         assert conductances[0] >= 0.0
 
     def test_mosfet_voltages_and_conductance(self):
@@ -406,5 +417,6 @@ class TestLinearization:
         vgs, vds = linearization.mosfet_vgs_vds(state)
         assert vgs[0] == pytest.approx(2.0)
         assert vds[0] == pytest.approx(3.0)
-        g = linearization.mosfet_conductances(state)
+        g = linearization.mosfet_conductances(
+            *linearization.branch_voltages(state)[1:])
         assert g[0] == pytest.approx(model.chord_conductance(2.0, 3.0))

@@ -157,6 +157,7 @@ def _bench_gather(quick: bool, repeats: int) -> list[dict]:
     import numpy as np
 
     from repro.circuits_lib import rtd_chain
+    from repro.mna import ConductanceStamper
     from repro.mna.assembler import MnaSystem
     from repro.swec import SwecLinearization
 
@@ -164,16 +165,18 @@ def _bench_gather(quick: bool, repeats: int) -> list[dict]:
     circuit, _ = rtd_chain(devices)
     system = MnaSystem(circuit)
     linearization = SwecLinearization(system)
+    stamper = ConductanceStamper(system.chord_pairs(), system.size)
     state = np.linspace(0.1, 0.4, system.size)
     base = system.conductance_base()
-    device_g = linearization.device_conductances(state)
-    mosfet_g = linearization.mosfet_conductances(state)
+    voltages, vgs, vds = linearization.branch_voltages(state)
+    chords = np.array(linearization.device_conductances(voltages)
+                      + linearization.mosfet_conductances(vgs, vds))
     calls = 200 if quick else 2000
 
     def kernel():
         for _ in range(calls):
             linearization.device_voltages(state)
-            linearization.stamp(base.copy(), device_g, mosfet_g)
+            stamper.stamp(base.copy(), chords)
 
     return [{
         "name": "linearization_gather_stamp",
