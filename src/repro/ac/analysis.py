@@ -151,15 +151,16 @@ def solve_many_sparse(small: SmallSignalSystem, frequencies,
                       rhs_columns) -> np.ndarray:
     """Sparse counterpart of :func:`solve_many`: SuperLU per frequency.
 
-    Assembles ``G0`` and ``C`` as CSR once and pays one complex
-    O(nnz) factorization per frequency point
+    Fixes the CSC pattern of ``G0 + jwC`` once, ordered by the
+    pattern's fill-reducing :func:`~repro.mna.sparse.symmetric_ordering`,
+    and pays one complex O(nnz) factorization per frequency point
     (:class:`~repro.mna.sparse.SparseSolver`) — the path ``auto``
     selects for grid-scale circuits, where a dense ``(F, n, n)``
     chunk no longer fits the cache (or memory).
     """
     from scipy import sparse as scipy_sparse
 
-    from repro.mna.sparse import SparseSolver
+    from repro.mna.sparse import SparseSolver, symmetric_ordering
 
     frequencies = np.asarray(frequencies, dtype=float)
     if frequencies.ndim != 1 or frequencies.size == 0:
@@ -169,15 +170,25 @@ def solve_many_sparse(small: SmallSignalSystem, frequencies,
     if rhs.shape[:1] != (n,) or rhs.ndim != 2:
         raise AnalysisError(
             f"rhs columns must have shape ({n}, k), got {rhs.shape}")
-    g0 = scipy_sparse.csc_matrix(small.g0.astype(complex))
-    c = scipy_sparse.csc_matrix(small.c.astype(complex))
+    pattern = (small.g0 != 0) | (small.c != 0)
+    q = symmetric_ordering(scipy_sparse.csc_matrix(pattern))
+    matrix = scipy_sparse.csc_matrix(pattern[np.ix_(q, q)], dtype=complex)
+    # Entry i of the ordered CSC data sits at (rows[i], cols[i]) of A.
+    rows = q[matrix.indices]
+    cols = q[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+    g0_data = small.g0[rows, cols]
+    c_data = small.c[rows, cols]
+    rhs = rhs[q]
     solver = SparseSolver()
     out = np.empty((frequencies.size, n, rhs.shape[1]), dtype=complex)
     try:
         for index, frequency in enumerate(frequencies):
-            solver.factor(g0 + 2j * np.pi * float(frequency) * c)
+            np.multiply(c_data, 2j * np.pi * float(frequency),
+                        out=matrix.data)
+            matrix.data += g0_data
+            solver.factor(matrix)
             # SuperLU back-substitutes all rhs columns in one call.
-            out[index] = solver.solve(rhs)
+            out[index][q] = solver.solve(rhs)
     except SingularMatrixError as exc:
         raise AnalysisError(
             f"singular small-signal system at "

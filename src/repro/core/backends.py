@@ -340,7 +340,11 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
     ``np.add.at`` call — and each instance pays an O(nnz) SuperLU
     factor instead of the dense O(n^3).  The factor reads one
     preallocated CSC matrix whose ``.data`` is permuted in from the
-    CSR data row (the pattern's CSC plan).  With ``factor_rtol`` the
+    CSR data row: the pattern's CSC plan holds the matrix already
+    symmetrically ordered by the fill-reducing permutation ``q``
+    computed once per pattern, so SuperLU never reorders, and each
+    right-hand side goes in as ``rhs[q]`` and its solution comes back
+    through ``x[q] = y``.  With ``factor_rtol`` the
     per-instance :class:`~repro.mna.linsolve.CachedFactorization`
     reuse cache applies exactly as on the dense path.
     """
@@ -379,6 +383,7 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
         # across steps and instances is safe.
         self._csc = pattern.csc_matrix()
         self._csc_order = pattern.csc_order
+        self._ordering = pattern.ordering
         self._make_solvers(SparseSolver)
 
     def stamp(self, chords: np.ndarray) -> None:
@@ -406,11 +411,11 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
 
     def _factor_solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out = np.empty((self.n_instances, self.size))
-        matrix = self._csc
+        matrix, q = self._csc, self._ordering
         for k, solver in enumerate(self._solvers):
             np.take(data[k], self._csc_order, out=matrix.data)
             solver.factor(matrix)
-            out[k] = solver.solve(rhs[k])
+            out[k][q] = solver.solve(rhs[k][q])
         return out
 
     def solve_transient(

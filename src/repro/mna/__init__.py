@@ -11,7 +11,7 @@ matrix structure and the solver primitives the
 :mod:`repro.core.backends` registry composes: dense LU
 (:class:`~repro.mna.linsolve.LinearSolver` +
 :class:`~repro.mna.linsolve.CachedFactorization`), SuperLU on a cached
-symbolic pattern (:class:`~repro.mna.sparse.SparseOperators` /
+symbolic pattern ordered once (:class:`~repro.mna.sparse.SparseOperators` /
 :class:`~repro.mna.sparse.SparseSolver`), and chunked batched LAPACK
 (:func:`~repro.mna.batch.solve_stack`).
 """

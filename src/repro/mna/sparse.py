@@ -13,20 +13,29 @@ assembly with ``scipy.sparse``:
   system ``G_base + sum_k g_k * E_k + C/h`` is then assembled by filling
   a data vector — O(nnz) with no structural churn or Python loops over
   matrix entries.
-* The same construction fixes a *CSC plan*: the pattern's CSC index
-  arrays and the permutation :attr:`SparseOperators.csc_order` that
-  maps a CSR data vector onto CSC order.  A caller holding one
-  :meth:`SparseOperators.csc_matrix` overwrites its ``.data`` with
-  ``np.take(data, csc_order)`` each step, so no per-step
-  ``csr_matrix(...)`` construction or ``.tocsc()`` conversion remains.
-* :class:`SparseSolver` wraps ``splu``.  The MNA pattern is
-  structurally symmetric (two-terminal stamps and the source
-  incidence ``B``/``B^T``), so the column ordering is minimum degree
-  on ``A^T + A`` with SuperLU's ``SymmetricMode``; partial pivoting
-  keeps SuperLU's default threshold.  On the 30x30 RTD mesh this
-  ordering has about two thirds of COLAMD's fill.  Flop counts are
-  *estimates* derived from the factor's fill-in (exact flop counting
-  inside SuperLU is not exposed; the estimate
+* The same construction fixes a *CSC plan* for the **ordered** matrix
+  ``A[q][:, q]``: :func:`symmetric_ordering` computes the
+  fill-reducing permutation :attr:`SparseOperators.ordering` once per
+  pattern, and :attr:`SparseOperators.csc_order` maps a CSR data
+  vector straight onto the CSC data of the ordered matrix.  A caller
+  holding one :meth:`SparseOperators.csc_matrix` overwrites its
+  ``.data`` with ``np.take(data, csc_order)`` each step, so no
+  per-step ``csr_matrix(...)`` construction, ``.tocsc()`` conversion
+  or permutation remains; right-hand sides go in as ``rhs[q]`` and
+  solutions come back through ``x[q] = y``.
+* :func:`symmetric_ordering` is the one place a column ordering is
+  computed.  The MNA pattern is structurally symmetric (two-terminal
+  stamps and the source incidence ``B``/``B^T``), so the ordering is
+  minimum degree on ``A^T + A`` with SuperLU's ``SymmetricMode``,
+  postordered along the elimination tree.  Both steps read the
+  pattern only, so one probe factorization fixes the ordering for
+  every matrix on that pattern.  On the 30x30 RTD mesh it has about
+  two thirds of COLAMD's fill.
+* :class:`SparseSolver` wraps ``splu`` with the natural column order:
+  it factors the matrix it is handed, already ordered by its caller,
+  with partial pivoting at SuperLU's default threshold.  Flop counts
+  are *estimates* derived from the factor's fill-in (exact flop
+  counting inside SuperLU is not exposed; the estimate
   ``2 * nnz(L+U) ** 1.5 / sqrt(n)`` reduces to the dense formula for
   full matrices).
 """
@@ -58,6 +67,30 @@ def _incidence(size: int, i: int, j: int) -> sparse.csr_matrix:
         cols.extend([j, i])
         values.extend([-1.0, -1.0])
     return sparse.csr_matrix((values, (rows, cols)), shape=(size, size))
+
+
+def symmetric_ordering(pattern) -> np.ndarray:
+    """Fill-reducing symmetric permutation ``q`` of a square *pattern*.
+
+    Factoring ``A[q][:, q]`` in natural order reproduces SuperLU's
+    minimum-degree ``A^T + A`` column ordering of ``A`` (etree
+    postorder included) for every matrix ``A`` on *pattern*.  The
+    ordering is structural, so one probe factorization of the pattern
+    filled with seeded values fixes it; the values only let SuperLU
+    finish.  A probe that fails (a structurally singular pattern)
+    yields the identity, and the real factorization then reports the
+    singular system.
+    """
+    pattern = sparse.csc_matrix(pattern)
+    values = np.random.default_rng(0).uniform(1.0, 2.0, pattern.nnz)
+    probe = sparse.csc_matrix(
+        (values, pattern.indices, pattern.indptr), shape=pattern.shape)
+    try:
+        lu = splu(probe, permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
+    except RuntimeError:
+        return np.arange(pattern.shape[0], dtype=np.intp)
+    return np.argsort(lu.perm_c)
 
 
 def _structure(matrix) -> sparse.csr_matrix:
@@ -92,11 +125,13 @@ class SparseOperators:
         self._indptr = union.indptr
         self._indices = union.indices
         self._nnz = union.nnz
-        # CSC plan: transposing the pattern with the data positions as
-        # values yields, in CSC order, the CSR slot of every entry.
+        # CSC plan of the ordered matrix A[q][:, q]: permuting the
+        # pattern with the data positions as values yields, in CSC
+        # order, the CSR slot of every entry.
+        q = self._ordering = symmetric_ordering(union)
         order = sparse.csr_matrix(
             (np.arange(self._nnz, dtype=float), union.indices,
-             union.indptr), shape=union.shape).tocsc()
+             union.indptr), shape=union.shape)[q][:, q].tocsc()
         order.sort_indices()
         self._csc_order = order.data.astype(np.intp)
         self._csc_indices = order.indices
@@ -210,15 +245,28 @@ class SparseOperators:
             shape=(self.size, self.size))
 
     @property
+    def ordering(self) -> np.ndarray:
+        """Symmetric fill-reducing permutation ``q`` of the pattern.
+
+        The CSC plan holds ``A[q][:, q]``: solve it for ``rhs[q]`` and
+        scatter the solution back with ``x[q] = y``.
+        """
+        return self._ordering
+
+    @property
     def csc_order(self) -> np.ndarray:
-        """CSR-to-CSC data permutation: ``csc.data = data[csc_order]``."""
+        """CSR-to-ordered-CSC data permutation.
+
+        ``csc.data = data[csc_order]`` holds ``A[q][:, q]`` for the CSR
+        data vector *data* of ``A``.
+        """
         return self._csc_order
 
     def csc_matrix(self) -> sparse.csc_matrix:
-        """Zero-valued CSC matrix over the cached pattern.
+        """Zero-valued CSC matrix over the ordered pattern.
 
         Fill its ``.data`` with ``np.take(data, csc_order, out=...)``
-        to hold the CSR data vector *data* in column order.
+        to hold ``A[q][:, q]`` for the CSR data vector *data* of ``A``.
         """
         return sparse.csc_matrix(
             (np.zeros(self._nnz), self._csc_indices.copy(),
@@ -226,7 +274,13 @@ class SparseOperators:
 
 
 class SparseSolver:
-    """``splu``-backed factor/solve pair with flop estimates."""
+    """``splu``-backed factor/solve pair with flop estimates.
+
+    The solver never orders: it factors with the natural column order,
+    and its callers hand it a matrix already permuted by the pattern's
+    :func:`symmetric_ordering` (computed once per pattern, not per
+    factorization).
+    """
 
     def __init__(self, flops: FlopCounter | None = None) -> None:
         self.flops = flops
@@ -235,7 +289,7 @@ class SparseSolver:
         self._fill = 0
 
     def factor(self, matrix: sparse.csc_matrix) -> None:
-        """Factor a sparse CSC matrix.
+        """Factor a sparse CSC matrix in its given column order.
 
         A failed call leaves no factorization behind for :meth:`solve`.
         """
@@ -245,7 +299,7 @@ class SparseSolver:
                 f"expected square matrix, got {matrix.shape}")
         self._n = matrix.shape[0]
         try:
-            lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            lu = splu(matrix.tocsc(), permc_spec="NATURAL",
                       options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularMatrixError(str(exc)) from exc

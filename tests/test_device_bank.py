@@ -1,10 +1,13 @@
 """Equivalence tests for the grouped device kernel.
 
-:class:`~repro.swec.conductance.DeviceBank` replaced three separate
-device evaluations: the lockstep march's group build, the PSS
-``step_terms`` (which ran the RTD law twice and called ``partials`` per
-MOSFET per step) and the AC ``tangent_conductances`` loops.  Each test
-keeps the replaced path as a test-local oracle and pins the bank to it.
+One kernel, :class:`~repro.swec.conductance.SwecLinearization`
+(``device_terms``/``mosfet_terms`` over grouped device laws, with
+:func:`~repro.devices.mosfet.mosfet_law_stack` for the MOSFETs),
+replaced three separate device evaluations: the lockstep march's group
+build, the PSS ``step_terms`` (which ran the RTD law twice and called
+``partials`` per MOSFET per step) and the AC ``tangent_conductances``
+loops.  Each test keeps the replaced path as a test-local oracle and
+pins the kernel to it.
 """
 
 from __future__ import annotations

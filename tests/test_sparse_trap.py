@@ -8,10 +8,17 @@ from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from repro.circuit import Circuit, DC, Pulse
-from repro.circuits_lib import rc_mesh, rtd_mesh
+from repro.circuits_lib import (
+    coupled_oscillator_bank,
+    power_grid_mesh,
+    rc_mesh,
+    rtd_memory_array,
+    rtd_mesh,
+)
+from repro.core.backends import SparseBackend
 from repro.errors import SingularMatrixError
 from repro.mna import ConductanceStamper, MnaSystem
-from repro.mna.sparse import SparseOperators, SparseSolver
+from repro.mna.sparse import SparseOperators, SparseSolver, symmetric_ordering
 from repro.perf import FlopCounter
 from repro.swec import SwecOptions, SwecTransient
 from repro.swec.timestep import StepControlOptions
@@ -70,8 +77,11 @@ class TestSparseOperators:
         csc = operators.csc_matrix()
         np.take(data, operators.csc_order, out=csc.data)
         assert csc.format == "csc" and csc.has_sorted_indices
-        assert np.array_equal(csc.toarray(),
-                              operators.matrix_from_data(data).toarray())
+        q = operators.ordering
+        assert np.array_equal(np.sort(q), np.arange(system.size))
+        # The plan holds the symmetrically ordered matrix A[q][:, q].
+        assert np.array_equal(
+            csc.toarray(), operators.matrix_from_data(data)[q][:, q].toarray())
 
 
 class TestSparseSolver:
@@ -155,6 +165,192 @@ class TestSymmetricOrdering:
         solver.factor(matrix)
         reference = spsolve(matrix, rhs)
         assert self._relative_error(solver.solve(rhs), reference) < 1e-12
+
+
+def _per_step_mmd_factor(self, matrix):
+    """``SparseSolver.factor`` before the ordering moved to the pattern:
+    SuperLU orders every matrix it factors."""
+    self._lu = None
+    if matrix.shape[0] != matrix.shape[1]:
+        raise SingularMatrixError(
+            f"expected square matrix, got {matrix.shape}")
+    self._n = matrix.shape[0]
+    try:
+        lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    self._lu = lu
+    self._fill = lu.L.nnz + lu.U.nnz
+    if self.flops is not None:
+        estimate = int(2.0 * self._fill ** 1.5
+                       / max(np.sqrt(self._n), 1.0))
+        self.flops.add("factor", estimate)
+        self.flops.factorizations += 1
+
+
+def _per_step_mmd_factor_solve(self, data, rhs):
+    """``SparseBackend._factor_solve`` on the unordered CSC matrix."""
+    out = np.empty((self.n_instances, self.size))
+    for k, solver in enumerate(self._solvers):
+        solver.factor(self._ops[k].matrix_from_data(data[k]).tocsc())
+        out[k] = solver.solve(rhs[k])
+    return out
+
+
+def _per_step_mmd_solve_many(small, frequencies, rhs_columns):
+    """``solve_many_sparse`` with SuperLU ordering every frequency."""
+    g0 = sparse.csc_matrix(small.g0.astype(complex))
+    c = sparse.csc_matrix(small.c.astype(complex))
+    solver = SparseSolver()
+    rhs = np.asarray(rhs_columns, dtype=complex)
+    out = np.empty((len(frequencies), small.size, rhs.shape[1]),
+                   dtype=complex)
+    for index, frequency in enumerate(frequencies):
+        _per_step_mmd_factor(
+            solver, g0 + 2j * np.pi * float(frequency) * c)
+        out[index] = solver.solve(rhs)
+    return out
+
+
+@pytest.fixture
+def per_step_mmd(monkeypatch):
+    """Switch the sparse backend to the per-factorization ordering."""
+
+    def enable():
+        monkeypatch.setattr(SparseSolver, "factor", _per_step_mmd_factor)
+        monkeypatch.setattr(SparseBackend, "_factor_solve",
+                            _per_step_mmd_factor_solve)
+
+    return enable
+
+
+def _assert_close_to_scale(values, reference, rtol=1e-12):
+    reference = np.asarray(reference)
+    scale = float(np.max(np.abs(reference)))
+    assert float(np.max(np.abs(np.asarray(values) - reference))) \
+        <= rtol * scale
+
+
+def _step_matrix(circuit):
+    """A stamped transient matrix on *circuit*'s pattern, unordered."""
+    system = MnaSystem(circuit)
+    operators = SparseOperators(system)
+    rng = np.random.default_rng(7)
+    chords = rng.uniform(1e-4, 5e-3, len(system.chord_pairs()))
+    positions, columns, signs = operators.stamp_indices()
+    data = operators.base_data + operators.c_data / 1e-12
+    np.add.at(data, positions, chords[columns] * signs)
+    return operators, operators.matrix_from_data(data).tocsc()
+
+
+def _per_step_ordering(matrix):
+    lu = splu(matrix, permc_spec="MMD_AT_PLUS_A",
+              options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c)
+
+
+class TestPatternOrdering:
+    """One ordering per pattern equals SuperLU's per-factorization one."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: rtd_mesh(30, 30),
+        lambda: power_grid_mesh(rows=16, cols=16),
+        lambda: rtd_memory_array(),
+        lambda: coupled_oscillator_bank(),
+    ], ids=["rtd_mesh_30x30", "power_grid_16x16", "rtd_memory_array",
+            "coupled_oscillator_bank"])
+    def test_matches_per_step_mmd(self, build):
+        operators, matrix = _step_matrix(build()[0])
+        expected = _per_step_ordering(matrix)
+        assert np.array_equal(operators.ordering, expected)
+        assert np.array_equal(symmetric_ordering(matrix), expected)
+
+    def test_ordered_matrix_factors_in_natural_order(self):
+        operators, matrix = _step_matrix(rtd_mesh(30, 30)[0])
+        q = operators.ordering
+        ordered = matrix[q][:, q]
+        lu = splu(ordered.tocsc(), permc_spec="NATURAL",
+                  options={"SymmetricMode": True})
+        reference = splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                         options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_c, np.arange(matrix.shape[0]))
+        assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+
+    def test_complex_ac_pattern(self):
+        from repro.ac import linearize
+
+        small = linearize(power_grid_mesh(rows=8, cols=8)[0])
+        matrix = sparse.csc_matrix(small.g0 + 2j * np.pi * 1e9 * small.c)
+        pattern = sparse.csc_matrix((small.g0 != 0) | (small.c != 0))
+        assert np.array_equal(symmetric_ordering(pattern),
+                              _per_step_ordering(matrix))
+
+    def test_singular_pattern_falls_back_to_identity(self):
+        pattern = sparse.csc_matrix(np.array([[1.0, 1.0, 0.0],
+                                              [1.0, 1.0, 0.0],
+                                              [0.0, 0.0, 0.0]]))
+        assert np.array_equal(symmetric_ordering(pattern), np.arange(3))
+
+
+class TestOrderedPathEquivalence:
+    """The ordered path against a copy of the per-step MMD path."""
+
+    def test_mesh_run_grid(self, per_step_mmd):
+        drive = Pulse(0.0, 1.0, delay=0.02e-9, rise=0.05e-9,
+                      fall=0.05e-9, width=0.3e-9, period=1e-9)
+        options = SwecOptions(
+            step=StepControlOptions(epsilon=0.05, h_min=1e-13,
+                                    h_max=0.05e-9, h_initial=1e-12),
+            backend="sparse", initialize_dc=False)
+        times = np.linspace(0.0, 0.2e-9, 41)
+        circuit, _ = rtd_mesh(30, 30, drive=drive)
+        system = MnaSystem(circuit)
+        x0 = np.zeros(system.size)
+        x0[:system.num_nodes] = np.random.default_rng(1).uniform(
+            0.0, 0.05, system.num_nodes)
+
+        def run():
+            engine = SwecTransient(rtd_mesh(30, 30, drive=drive)[0], options)
+            return engine.run_grid(times, initial_state=x0)
+
+        ordered = run()
+        per_step_mmd()
+        reference = run()
+        _assert_close_to_scale(ordered.states, reference.states)
+        assert ordered.flops.by_category() == reference.flops.by_category()
+        assert ordered.flops.factorizations == reference.flops.factorizations
+        assert ordered.flops.linear_solves == reference.flops.linear_solves
+
+    def test_driven_pss_on_sparse(self, per_step_mmd):
+        from repro.pss import run_pss
+
+        def run():
+            grid, _ = power_grid_mesh(rows=16, cols=16)
+            return run_pss(grid, steps_per_period=100, tolerance=1e-9,
+                           backend="sparse")
+
+        ordered = run()
+        per_step_mmd()
+        reference = run()
+        _assert_close_to_scale(ordered.states, reference.states)
+        assert ordered.iterations == reference.iterations
+        assert ordered.flops.by_category() == reference.flops.by_category()
+        assert ordered.flops.factorizations == reference.flops.factorizations
+        assert ordered.flops.linear_solves == reference.flops.linear_solves
+
+    def test_solve_many_sparse(self):
+        from repro.ac import linearize, solve_many_sparse
+
+        small = linearize(power_grid_mesh(rows=8, cols=8)[0])
+        frequencies = np.logspace(3, 12, 7)
+        rhs = np.stack([small.excitation(),
+                        np.random.default_rng(2).standard_normal(small.size)],
+                       axis=1)
+        ordered = solve_many_sparse(small, frequencies, rhs)
+        reference = _per_step_mmd_solve_many(small, frequencies, rhs)
+        for index in range(frequencies.size):
+            _assert_close_to_scale(ordered[index], reference[index])
 
 
 class TestSparseEngine:

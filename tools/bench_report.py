@@ -6,8 +6,10 @@ ensemble transient against its serial loop, the vectorized AC sweep
 against its per-frequency loop, the index-gather linearization against
 the per-device Python loop, a plain single-instance SWEC march on a
 fixed grid and an adaptive one (with its microseconds per step), and
-the sparse solver backend against the dense one on a grid mesh — and
-writes one machine-readable JSON file::
+the sparse solver backend against the dense one on a grid mesh, with
+the median microseconds and ``nnz(L+U)`` of one SuperLU factorization
+of the 30x30 RTD mesh (the factorization layer) — and writes one
+machine-readable JSON file::
 
     python tools/bench_report.py --tag ci --out bench
     python tools/bench_report.py --check bench/BENCH_ci.json
@@ -216,13 +218,46 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
             lambda: engine.run_grid(times, initial_state=x0), repeats)
     axes = {"grid": grid, "grid_points": n_points,
             "size": grid * grid + 2}
+    factor_us, fill = _sparse_factor_layer(20 if quick else 100)
     return [{
         "name": "grid_mesh_sparse_backend",
         "median_seconds": seconds["sparse"],
         "speedup": seconds["dense"] / seconds["sparse"],
         "reference": "dense backend, same march",
         "axes": axes,
+        "factor_us": factor_us,
+        "factor_fill": fill,
+        "factor_axes": {"grid": FACTOR_GRID,
+                        "size": FACTOR_GRID * FACTOR_GRID + 2},
     }]
+
+
+#: Mesh side of the factorization-layer probe, independent of ``--quick``.
+FACTOR_GRID = 30
+
+
+def _sparse_factor_layer(repeats: int) -> tuple[float, int]:
+    """Median us per SuperLU factorization and ``nnz(L+U)`` of one
+    stamped transient matrix of the 30x30 RTD mesh, through the
+    sparse backend's ordered CSC plan."""
+    import numpy as np
+
+    from repro.circuits_lib import rtd_mesh
+    from repro.mna.assembler import MnaSystem
+    from repro.mna.sparse import SparseOperators, SparseSolver
+
+    system = MnaSystem(rtd_mesh(FACTOR_GRID, FACTOR_GRID)[0])
+    operators = SparseOperators(system)
+    chords = np.random.default_rng(3).uniform(
+        1e-4, 5e-3, len(system.chord_pairs()))
+    positions, columns, signs = operators.stamp_indices()
+    data = operators.base_data + operators.c_data / 1e-12
+    np.add.at(data, positions, chords[columns] * signs)
+    matrix = operators.csc_matrix()
+    np.take(data, operators.csc_order, out=matrix.data)
+    solver = SparseSolver()
+    seconds = _median_seconds(lambda: solver.factor(matrix), repeats)
+    return seconds * 1e6, solver.fill
 
 
 def _bench_service_cache(quick: bool, repeats: int) -> list[dict]:
@@ -493,12 +528,13 @@ def check(path: Path) -> list[str]:
             problems.append(
                 f"{path}: {entry.get('name', '?')!r} has non-positive "
                 f"median_seconds {seconds!r}")
-        speedup = entry.get("speedup")
-        if speedup is not None and (
-                not isinstance(speedup, (int, float)) or speedup <= 0.0):
-            problems.append(
-                f"{path}: {entry.get('name', '?')!r} has invalid "
-                f"speedup {speedup!r}")
+        for key in ("speedup", "factor_us", "factor_fill"):
+            value = entry.get(key)
+            if value is not None and (
+                    not isinstance(value, (int, float)) or value <= 0.0):
+                problems.append(
+                    f"{path}: {entry.get('name', '?')!r} has invalid "
+                    f"{key} {value!r}")
     return problems
 
 
@@ -540,6 +576,9 @@ def main(argv: list[str] | None = None) -> int:
         speedup = entry.get("speedup")
         extra = f"  ({speedup:.1f}x vs {entry['reference']})" \
             if speedup is not None else ""
+        if "factor_us" in entry:
+            extra += (f"  [factor {entry['factor_us']:.0f} us, "
+                      f"nnz(L+U) {entry['factor_fill']}]")
         print(f"{entry['name']:<32} {entry['median_seconds'] * 1e3:9.2f} ms"
               f"{extra}")
     print(f"wrote {path}")
