@@ -1,13 +1,8 @@
-"""Batch-runtime bench: process fan-out speedup + factorization reuse.
+"""Batch-runtime bench: process fan-out speedup and determinism.
 
-Two claims guard the runtime subsystem:
-
-* a 16-job batch on 4 workers beats sequential execution by >= 2x
-  wall-clock (asserted only when >= 4 usable cores are present — the
-  determinism claim is asserted everywhere);
-* the ``factor_rtol`` reuse cache cuts the LU factorization count on a
-  Fig. 8-class FET-RTD inverter transient without distorting the
-  waveform.
+A 16-job batch on 4 workers must beat sequential execution by >= 2x
+wall-clock (asserted only when >= 4 usable cores are present — the
+determinism claim is asserted everywhere).
 """
 
 import time
@@ -15,11 +10,7 @@ import time
 import numpy as np
 
 from conftest import print_rows
-from repro.circuit import Pulse
-from repro.circuits_lib import fet_rtd_inverter
 from repro.runtime import BatchRunner, TransientJob, default_worker_count
-from repro.swec import SwecOptions, SwecTransient
-from repro.swec.timestep import StepControlOptions
 
 N_JOBS = 16
 WORKERS = 4
@@ -73,40 +64,3 @@ def test_batch_speedup_and_determinism():
         assert speedup >= 2.0, (
             f"expected >= 2x on {cores} cores, measured {speedup:.2f}x")
 
-
-def test_factorization_reuse_on_inverter():
-    def build():
-        circuit, info = fet_rtd_inverter(vin=Pulse(
-            0.0, 5.0, delay=1e-9, rise=0.3e-9, fall=0.3e-9, width=4e-9,
-            period=10e-9))
-        return circuit, info
-
-    step = StepControlOptions(epsilon=0.05, h_min=1e-13, h_max=0.2e-9,
-                              h_initial=1e-12)
-    circuit, info = build()
-    baseline = SwecTransient(circuit, SwecOptions(
-        step=step, dv_limit=0.5)).run(10e-9)
-    circuit, info = build()
-    cached = SwecTransient(circuit, SwecOptions(
-        step=step, dv_limit=0.5, factor_rtol=1e-8)).run(10e-9)
-
-    print_rows(
-        "Factorization reuse on the Fig. 8 inverter",
-        ["engine", "points", "factorizations", "reuses"],
-        [["baseline", len(baseline), baseline.flops.factorizations, 0],
-         ["factor_rtol=1e-8", len(cached), cached.flops.factorizations,
-          cached.factor_reuses]])
-
-    assert cached.factor_reuses > 0
-    # C/h + G can only repeat when h does, so the cache can skip at most
-    # the steps that repeat the previous step size.  The motion-weighted
-    # node-RC bound keeps few of those (the h_max run once the output
-    # has settled); the cache must catch at least 3/4 of them.
-    steps = baseline.step_sizes()
-    repeats = np.count_nonzero(np.isclose(steps[1:], steps[:-1],
-                                          rtol=1e-9, atol=0.0))
-    assert cached.factor_reuses >= 0.75 * repeats
-    grid = np.linspace(0.0, 10e-9, 201)
-    v_base = baseline.resample(grid, info.output_node)
-    v_cached = cached.resample(grid, info.output_node)
-    assert np.abs(v_base - v_cached).max() < 5e-3

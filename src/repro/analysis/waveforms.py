@@ -44,8 +44,9 @@ class TransientResult:
         self.convergence_failures = 0
         #: Per-accepted-point Newton iteration counts (empty for SWEC).
         self.iteration_counts: list[int] = []
-        #: Factorizations skipped by the reuse cache (SWEC
-        #: ``factor_rtol`` knob; 0 when the cache is disabled).
+        #: Factorizations skipped by a reuse cache.  Always 0: every
+        #: solve factors afresh.  Kept because the frozen
+        #: ``perfbench/workloads.py::march_counters`` reads it.
         self.factor_reuses = 0
         #: True when the engine gave up before reaching t_stop.
         self.aborted = False
@@ -249,8 +250,7 @@ class EnsembleTransientResult:
         self.steps_at_hmin = 0
         self.aborted = False
         self.abort_reason: str | None = None
-        #: Factorizations skipped by the backend's reuse cache
-        #: (``factor_rtol``; 0 when caching is disabled or unsupported).
+        #: Always 0, as on :class:`TransientResult`.
         self.factor_reuses = 0
         #: Name of the solver backend that marched this result.
         self.backend: str | None = None

@@ -5,8 +5,8 @@ analysis into "stamp a linear system, solve, advance".  This package
 makes that literal:
 
 - :mod:`repro.core.backends` defines the :class:`SolverBackend`
-  contract and the registry of implementations — ``dense`` (scipy
-  LAPACK + the ``factor_rtol`` reuse cache), ``sparse`` (SuperLU on
+  contract and the registry of implementations — ``dense`` (one fused
+  LAPACK ``dgesv`` per solve), ``sparse`` (SuperLU on
   the cached CSR pattern), ``stack`` (chunked batched
   ``np.linalg.solve``) and the ``auto`` selector.
 - :mod:`repro.core.stepper` owns the shared transient marching loop

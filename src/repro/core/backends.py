@@ -10,9 +10,8 @@ backend-specific half of that recipe for a stack of K same-topology
 
 ``dense``
     Per-instance dense assembly with LAPACK LU
-    (:class:`~repro.mna.linsolve.LinearSolver`), optionally wrapped in
-    the :class:`~repro.mna.linsolve.CachedFactorization` reuse cache.
-    The classic K = 1 SWEC path.
+    (:class:`~repro.mna.linsolve.LinearSolver`), one fused ``dgesv``
+    per solve.  The classic K = 1 SWEC path.
 ``sparse``
     CSR assembly on the cached symbolic pattern of
     :class:`~repro.mna.sparse.SparseOperators` with SuperLU solves
@@ -46,7 +45,7 @@ import numpy as np
 
 from repro.errors import AnalysisError, SingularMatrixError
 from repro.mna.batch import ConductanceStamper, solve_stack
-from repro.mna.linsolve import CachedFactorization, LinearSolver
+from repro.mna.linsolve import LinearSolver
 from repro.perf.flops import FlopCounter
 
 __all__ = [
@@ -95,11 +94,9 @@ class SolverBackend:
         Factor and solve ``G x = rhs`` — the DC / chord-fixed-point
         form.
 
-    ``begin_run(flops)`` rebinds the flop counter and drops any cached
-    factorization so consecutive runs start cold; ``invalidate()``
-    drops the caches without touching the counter.  ``reuses`` reports
-    factorizations skipped by the ``factor_rtol`` cache since the last
-    ``begin_run``.
+    ``begin_run(flops)`` rebinds the flop counter.  Every solve
+    factors afresh: SWEC restamps its chords at every step, so the
+    stamped matrix changes at almost every solve.
     """
 
     #: Registry key; subclasses override.
@@ -110,7 +107,6 @@ class SolverBackend:
         systems,
         *,
         flops: FlopCounter | None = None,
-        factor_rtol: float | None = None,
         chunk_entries: int | None = None,
     ) -> None:
         systems = list(systems)
@@ -121,7 +117,6 @@ class SolverBackend:
         self.n_instances = len(systems)
         self.size = self.system.size
         self.flops = flops
-        self.factor_rtol = factor_rtol
         self.chunk_entries = chunk_entries
 
     # -- interface ------------------------------------------------------
@@ -155,25 +150,12 @@ class SolverBackend:
     # -- lifecycle ------------------------------------------------------
 
     def begin_run(self, flops: FlopCounter | None) -> None:
-        """Point flop accounting at *flops* and start from a cold cache."""
+        """Point flop accounting at *flops*."""
         self.flops = flops
         self._rebind_flops()
-        self.invalidate()
-        self._reset_reuses()
-
-    def invalidate(self) -> None:
-        """Drop cached factorizations; the next solve refactors."""
-
-    @property
-    def reuses(self) -> int:
-        """Factorizations skipped by the reuse cache this run."""
-        return 0
 
     def _rebind_flops(self) -> None:
         """Hook for subclasses holding per-instance solver objects."""
-
-    def _reset_reuses(self) -> None:
-        """Hook: zero the reuse counters at run start."""
 
 
 class _DenseStorageBackend(SolverBackend):
@@ -221,55 +203,24 @@ class _DenseStorageBackend(SolverBackend):
 
 
 class _PerInstanceSolvers:
-    """Cache lifecycle shared by backends holding one factor/solve
-    object per instance (dense LU, SuperLU), each optionally wrapped
-    in the :class:`~repro.mna.linsolve.CachedFactorization` reuse
-    cache when ``factor_rtol`` is given."""
+    """One factor/solve object per instance (dense LU, SuperLU), each
+    counting into the backend's flop counter."""
 
     def _make_solvers(self, factory) -> None:
-        self._solvers = []
-        for _ in range(self.n_instances):
-            solver = factory(self.flops)
-            if self.factor_rtol is not None:
-                solver = CachedFactorization(solver, self.factor_rtol)
-            self._solvers.append(solver)
+        self._solvers = [factory(self.flops) for _ in range(self.n_instances)]
 
     def _rebind_flops(self) -> None:
         for solver in self._solvers:
-            if isinstance(solver, CachedFactorization):
-                solver.solver.flops = self.flops
-            else:
-                solver.flops = self.flops
-
-    def _reset_reuses(self) -> None:
-        for solver in self._solvers:
-            if isinstance(solver, CachedFactorization):
-                solver.reuses = 0
-
-    def invalidate(self) -> None:
-        for solver in self._solvers:
-            if isinstance(solver, CachedFactorization):
-                solver.invalidate()
-
-    @property
-    def reuses(self) -> int:
-        return sum(
-            solver.reuses
-            for solver in self._solvers
-            if isinstance(solver, CachedFactorization)
-        )
+            solver.flops = self.flops
 
 
 class DenseBackend(_PerInstanceSolvers, _DenseStorageBackend):
-    """Per-instance dense LU (LAPACK getrf/getrs) with optional factor reuse.
+    """Per-instance dense LU: one fused LAPACK ``dgesv`` per solve.
 
     This is the classic single-instance SWEC path: one
-    :class:`~repro.mna.linsolve.LinearSolver` per instance, wrapped in
-    :class:`~repro.mna.linsolve.CachedFactorization` when
-    ``factor_rtol`` is given.  Without the cache each solve is one
-    fused ``dgesv`` call
-    (:meth:`~repro.mna.linsolve.LinearSolver.factor_solve`).  For
-    K > 1 it is the serial reference the ``stack`` backend is
+    :class:`~repro.mna.linsolve.LinearSolver` per instance, each solve
+    one :meth:`~repro.mna.linsolve.LinearSolver.factor_solve` call.
+    For K > 1 it is the serial reference the ``stack`` backend is
     benchmarked against.
     """
 
@@ -282,12 +233,7 @@ class DenseBackend(_PerInstanceSolvers, _DenseStorageBackend):
     def _factor_solve(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out = np.empty((self.n_instances, self.size))
         for k, solver in enumerate(self._solvers):
-            if self.factor_rtol is None:
-                # No reuse cache to consult: one fused dgesv call.
-                out[k] = solver.factor_solve(matrices[k], rhs[k])
-            else:
-                solver.factor(matrices[k])
-                out[k] = solver.solve(rhs[k])
+            out[k] = solver.factor_solve(matrices[k], rhs[k])
         return out
 
     def solve_transient(
@@ -303,9 +249,8 @@ class StackBackend(_DenseStorageBackend):
     """Chunked batched ``np.linalg.solve`` over the ``(K, n, n)`` stack.
 
     One LAPACK batch call per chunk (:func:`~repro.mna.batch.solve_stack`
-    bounds chunk memory); every solve refactors, so ``factor_rtol`` has
-    no effect here.  The lockstep-ensemble hot path, and a correct
-    (if caching-free) K = 1 backend.
+    bounds chunk memory) factors and solves the whole chunk.  The
+    lockstep-ensemble hot path, and a correct K = 1 backend.
     """
 
     name = "stack"
@@ -344,9 +289,7 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
     symmetrically ordered by the fill-reducing permutation ``q``
     computed once per pattern, so SuperLU never reorders, and each
     right-hand side goes in as ``rhs[q]`` and its solution comes back
-    through ``x[q] = y``.  With ``factor_rtol`` the
-    per-instance :class:`~repro.mna.linsolve.CachedFactorization`
-    reuse cache applies exactly as on the dense path.
+    through ``x[q] = y``.
     """
 
     name = "sparse"
@@ -379,8 +322,8 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
         self._signs = signs
         self._diag_positions, self._diag_mask = pattern.diagonal_positions()
         # One CSC matrix for the shared pattern, refilled in place per
-        # solve; the reuse cache keeps its own copy, so aliasing it
-        # across steps and instances is safe.
+        # solve: SuperLU keeps its own factors, so aliasing it across
+        # steps and instances is safe.
         self._csc = pattern.csc_matrix()
         self._csc_order = pattern.csc_order
         self._ordering = pattern.ordering
@@ -513,7 +456,6 @@ def create_backend(
     *,
     default: str = "dense",
     flops: FlopCounter | None = None,
-    factor_rtol: float | None = None,
     chunk_entries: int | None = None,
 ) -> SolverBackend:
     """Instantiate the backend *name* (or *default*) for *systems*.
@@ -526,9 +468,4 @@ def create_backend(
     if resolved == "auto":
         resolved = select_backend(systems)
     cls = get_backend(resolved)
-    return cls(
-        systems,
-        flops=flops,
-        factor_rtol=factor_rtol,
-        chunk_entries=chunk_entries,
-    )
+    return cls(systems, flops=flops, chunk_entries=chunk_entries)

@@ -64,7 +64,6 @@ class FallbackBackend:
         self._chain = dict(FALLBACK_CHAIN if chain is None else chain)
         self.events: list[dict] = []
         self._chords = None
-        self._retired_reuses = 0
 
     # -- delegated contract ---------------------------------------------
 
@@ -72,17 +71,9 @@ class FallbackBackend:
     def name(self) -> str:
         return self._active.name
 
-    @property
-    def reuses(self) -> int:
-        return self._retired_reuses + self._active.reuses
-
     def begin_run(self, flops) -> None:
         self.events = []
-        self._retired_reuses = 0
         self._active.begin_run(flops)
-
-    def invalidate(self) -> None:
-        self._active.invalidate()
 
     def stamp(self, chords) -> None:
         # Cache a copy so a degraded replacement can be stamped into the
@@ -139,7 +130,6 @@ class FallbackBackend:
             next_name,
             self._active.systems,
             flops=self._active.flops,
-            factor_rtol=self._active.factor_rtol,
             chunk_entries=self._active.chunk_entries,
         )
         if self._chords is not None:
@@ -152,6 +142,5 @@ class FallbackBackend:
                 "error": f"{type(exc).__name__}: {exc}",
             }
         )
-        self._retired_reuses += self._active.reuses
         self._active = replacement
         return True

@@ -316,7 +316,6 @@ class LinearStepper:
             self.options.backend,
             self.systems,
             default=default_backend,
-            factor_rtol=self.options.factor_rtol,
             chunk_entries=chunk_entries,
         )
         if getattr(self.options, "fallback", False):
@@ -367,14 +366,13 @@ class LinearStepper:
         Eligible (``run`` also needs ``method == "be"``): the scalar chord
         loops (K = 1, at most 32 nonlinear devices), at most
         :data:`_PLAN_MAX_SIZE` unknowns, exactly ``DenseBackend`` (no
-        fallback wrapper, no reuse cache), no conductance trace, and at
-        most one nonzero per row of ``C`` (grounded capacitors, inductors).
+        fallback wrapper), no conductance trace, and at most one nonzero
+        per row of ``C`` (grounded capacitors, inductors).
         """
         if not (
             self._scalar_chords
             and self.size <= _PLAN_MAX_SIZE
             and type(self.backend) is DenseBackend
-            and self.options.factor_rtol is None
             and not self.trace_instances
         ):
             return None
@@ -559,7 +557,6 @@ class LinearStepper:
         return result
 
     def _finish(self, result: EnsembleTransientResult) -> EnsembleTransientResult:
-        result.factor_reuses = self.backend.reuses
         # Re-read the name: a degradation chain may have switched the
         # active engine mid-run.
         result.backend = self.backend_name

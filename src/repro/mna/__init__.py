@@ -9,8 +9,7 @@ with voltage sources and inductors handled through branch-current
 augmentation.  Engines own the time discretization; this package owns the
 matrix structure and the solver primitives the
 :mod:`repro.core.backends` registry composes: dense LU
-(:class:`~repro.mna.linsolve.LinearSolver` +
-:class:`~repro.mna.linsolve.CachedFactorization`), SuperLU on a cached
+(:class:`~repro.mna.linsolve.LinearSolver`), SuperLU on a cached
 symbolic pattern ordered once (:class:`~repro.mna.sparse.SparseOperators` /
 :class:`~repro.mna.sparse.SparseSolver`), and chunked batched LAPACK
 (:func:`~repro.mna.batch.solve_stack`).
@@ -18,9 +17,8 @@ symbolic pattern ordered once (:class:`~repro.mna.sparse.SparseOperators` /
 
 from repro.mna.assembler import MnaSystem
 from repro.mna.batch import ConductanceStamper, solve_stack
-from repro.mna.linsolve import CachedFactorization, LinearSolver, solve_dense
+from repro.mna.linsolve import LinearSolver, solve_dense
 from repro.mna.sparse import SparseOperators, SparseSolver
 
-__all__ = ["CachedFactorization", "ConductanceStamper", "LinearSolver",
-           "MnaSystem", "SparseOperators", "SparseSolver", "solve_dense",
-           "solve_stack"]
+__all__ = ["ConductanceStamper", "LinearSolver", "MnaSystem",
+           "SparseOperators", "SparseSolver", "solve_dense", "solve_stack"]

@@ -153,60 +153,3 @@ class LinearSolver:
     def size(self) -> int:
         """Dimension of the factored system (0 before factoring)."""
         return self._n
-
-
-class CachedFactorization:
-    """Factor/solve wrapper that skips redundant refactorizations.
-
-    Wraps any solver exposing ``factor(matrix)`` / ``solve(rhs)`` (both
-    :class:`LinearSolver` and :class:`~repro.mna.sparse.SparseSolver`
-    qualify) and keeps a copy of the last factored matrix.  A subsequent
-    ``factor`` call whose matrix is unchanged within ``rtol`` (relative to
-    the cached matrix's largest entry) reuses the existing factorization
-    instead of paying the O(n^3) LU again.  With ``rtol = 0.0`` only a
-    bitwise-identical matrix is reused, so results cannot drift.
-
-    This is the SWEC transient's slowly-varying-region optimization: in
-    settled stretches the stamped ``G + C/h`` barely changes between
-    accepted points, and the reuse turns a factorization per point into a
-    back-substitution per point.  ``reuses`` counts the skipped
-    factorizations for diagnostics.
-    """
-
-    def __init__(self, solver, rtol: float = 0.0) -> None:
-        if rtol < 0.0:
-            raise ValueError(f"rtol must be non-negative, got {rtol!r}")
-        self.solver = solver
-        self.rtol = rtol
-        self.reuses = 0
-        self._matrix = None
-
-    def _unchanged(self, matrix) -> bool:
-        cached = self._matrix
-        if cached is None or cached.shape != matrix.shape:
-            return False
-        # Works for ndarrays and scipy sparse matrices alike.
-        diff = abs(matrix - cached).max()
-        scale = abs(cached).max()
-        return bool(diff <= self.rtol * scale)
-
-    def factor(self, matrix) -> bool:
-        """Factor *matrix* unless the cached one still applies.
-
-        Returns True when a fresh factorization was computed, False when
-        the cached one was reused.
-        """
-        if self._unchanged(matrix):
-            self.reuses += 1
-            return False
-        self.solver.factor(matrix)
-        self._matrix = matrix.copy()
-        return True
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute against the most recent factorization."""
-        return self.solver.solve(rhs)
-
-    def invalidate(self) -> None:
-        """Drop the cached matrix, forcing the next factor() to refactor."""
-        self._matrix = None

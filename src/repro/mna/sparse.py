@@ -8,11 +8,12 @@ assembly with ``scipy.sparse``:
 
 * :class:`SparseOperators` caches the *symbolic* sparsity pattern once:
   the union structure of ``G_base``, ``C`` and every device incidence is
-  computed at construction, together with the positions of each device's
-  four stamp entries inside the shared CSR data array.  The per-step
-  system ``G_base + sum_k g_k * E_k + C/h`` is then assembled by filling
-  a data vector — O(nnz) with no structural churn or Python loops over
-  matrix entries.
+  one sorted array of ``row * n + col`` keys built at construction, and
+  one ``searchsorted`` into it places ``G_base``, ``C``, the diagonal
+  and each device's four stamp entries inside the shared CSR data
+  array.  The per-step system ``G_base + sum_k g_k * E_k + C/h`` is
+  then assembled by filling a data vector — O(nnz) with no structural
+  churn or Python loops over matrix entries.
 * The same construction fixes a *CSC plan* for the **ordered** matrix
   ``A[q][:, q]``: :func:`symmetric_ordering` computes the
   fill-reducing permutation :attr:`SparseOperators.ordering` once per
@@ -51,24 +52,6 @@ from repro.mna.assembler import MnaSystem
 from repro.perf.flops import FlopCounter
 
 
-def _incidence(size: int, i: int, j: int) -> sparse.csr_matrix:
-    """Conductance-stamp pattern between indices *i*, *j* (-1 = ground)."""
-    rows, cols, values = [], [], []
-    if i >= 0:
-        rows.append(i)
-        cols.append(i)
-        values.append(1.0)
-    if j >= 0:
-        rows.append(j)
-        cols.append(j)
-        values.append(1.0)
-    if i >= 0 and j >= 0:
-        rows.extend([i, j])
-        cols.extend([j, i])
-        values.extend([-1.0, -1.0])
-    return sparse.csr_matrix((values, (rows, cols)), shape=(size, size))
-
-
 def symmetric_ordering(pattern) -> np.ndarray:
     """Fill-reducing symmetric permutation ``q`` of a square *pattern*.
 
@@ -93,13 +76,6 @@ def symmetric_ordering(pattern) -> np.ndarray:
     return np.argsort(lu.perm_c)
 
 
-def _structure(matrix) -> sparse.csr_matrix:
-    """All-ones CSR matrix over *matrix*'s nonzero pattern."""
-    coo = matrix.tocoo()
-    return sparse.csr_matrix(
-        (np.ones_like(coo.data), (coo.row, coo.col)), shape=matrix.shape)
-
-
 class SparseOperators:
     """CSR views of an :class:`MnaSystem` for scalable assembly.
 
@@ -117,14 +93,28 @@ class SparseOperators:
         pairs = system.chord_pairs()
 
         # --- symbolic sparsity pattern, computed once -------------------
-        union = _structure(self.g_base) + _structure(self.c_matrix)
-        for i, j in pairs:
-            union = union + _structure(_incidence(self.size, i, j))
-        union = union.tocsr()
-        union.sort_indices()
+        # Every entry is keyed row * n + col; the sorted unique keys are
+        # the union pattern in CSR order, and each lookup below is one
+        # searchsorted into them.
+        n = self.size
+        g_base, c_matrix = self.g_base.tocoo(), self.c_matrix.tocoo()
+        g_keys = g_base.row.astype(np.int64) * n + g_base.col
+        c_keys = c_matrix.row.astype(np.int64) * n + c_matrix.col
+        # Stamp entries chord by chord in (i,i), (j,j), (i,j), (j,i)
+        # order; a grounded terminal (-1) drops the entries it touches.
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        i, j = ends[:, 0], ends[:, 1]
+        rows = np.stack((i, j, i, j), axis=1)
+        cols = np.stack((i, j, j, i), axis=1)
+        both = (i >= 0) & (j >= 0)
+        chord, slot = np.nonzero(np.stack((i >= 0, j >= 0, both, both), axis=1))
+        stamp_keys = rows[chord, slot] * n + cols[chord, slot]
+        keys = np.unique(np.concatenate((g_keys, c_keys, stamp_keys)))
+        self._nnz = keys.size
+        union = sparse.csr_matrix(
+            (np.ones(self._nnz), (keys // n, keys % n)), shape=(n, n))
         self._indptr = union.indptr
         self._indices = union.indices
-        self._nnz = union.nnz
         # CSC plan of the ordered matrix A[q][:, q]: permuting the
         # pattern with the data positions as values yields, in CSC
         # order, the CSR slot of every entry.
@@ -136,47 +126,18 @@ class SparseOperators:
         self._csc_order = order.data.astype(np.intp)
         self._csc_indices = order.indices
         self._csc_indptr = order.indptr
-        self._base_data = self._scatter(self.g_base)
-        self._c_data = self._scatter(self.c_matrix)
-        self._slots = [self._stamp_slots(i, j) for i, j in pairs]
-
-    # ------------------------------------------------------------------
-    # Symbolic helpers
-    # ------------------------------------------------------------------
-
-    def _locate(self, row: int, col: int) -> int:
-        """Position of entry (row, col) inside the union data array."""
-        lo, hi = self._indptr[row], self._indptr[row + 1]
-        offset = int(np.searchsorted(self._indices[lo:hi], col))
-        position = lo + offset
-        if position >= hi or self._indices[position] != col:
-            raise SingularMatrixError(
-                f"entry ({row}, {col}) missing from the cached pattern")
-        return int(position)
-
-    def _scatter(self, matrix) -> np.ndarray:
-        """Map *matrix*'s entries onto the union pattern's data array."""
-        data = np.zeros(self._nnz)
-        coo = matrix.tocoo()
-        for row, col, value in zip(coo.row, coo.col, coo.data):
-            data[self._locate(int(row), int(col))] += value
-        return data
-
-    def _stamp_slots(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Data positions and signs for one conductance stamp."""
-        positions, signs = [], []
-        if i >= 0:
-            positions.append(self._locate(i, i))
-            signs.append(1.0)
-        if j >= 0:
-            positions.append(self._locate(j, j))
-            signs.append(1.0)
-        if i >= 0 and j >= 0:
-            positions.append(self._locate(i, j))
-            signs.append(-1.0)
-            positions.append(self._locate(j, i))
-            signs.append(-1.0)
-        return np.array(positions, dtype=np.intp), np.array(signs)
+        self._base_data = np.zeros(self._nnz)
+        self._base_data[np.searchsorted(keys, g_keys)] = g_base.data
+        self._c_data = np.zeros(self._nnz)
+        self._c_data[np.searchsorted(keys, c_keys)] = c_matrix.data
+        self._stamp_positions = np.searchsorted(keys, stamp_keys)
+        self._stamp_columns = chord
+        self._stamp_signs = np.array([1.0, 1.0, -1.0, -1.0])[slot]
+        diagonal = np.arange(n, dtype=np.int64) * (n + 1)
+        found = np.searchsorted(keys, diagonal)
+        present = np.append(keys, -1)[found] == diagonal
+        self._diag_positions = np.where(present, found, 0).astype(np.intp)
+        self._diag_mask = present.astype(float)
 
     # ------------------------------------------------------------------
     # Batch-assembly views (the sparse solver backend's contract)
@@ -209,16 +170,7 @@ class SparseOperators:
         ``np.add.at`` accumulation adds each entry's contributions in
         chord order.
         """
-        positions: list[int] = []
-        columns: list[int] = []
-        signs: list[float] = []
-        for column, (slot_positions, slot_signs) in enumerate(self._slots):
-            positions.extend(int(p) for p in slot_positions)
-            columns.extend([column] * len(slot_positions))
-            signs.extend(float(s) for s in slot_signs)
-        return (np.asarray(positions, dtype=np.intp),
-                np.asarray(columns, dtype=np.intp),
-                np.asarray(signs, dtype=float))
+        return self._stamp_positions, self._stamp_columns, self._stamp_signs
 
     def diagonal_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """``(positions, mask)`` of the main diagonal in the data array.
@@ -228,15 +180,7 @@ class SparseOperators:
         ``data[positions] * mask`` yields the diagonal with structural
         zeros reported as 0.0.
         """
-        positions = np.zeros(self.size, dtype=np.intp)
-        mask = np.zeros(self.size)
-        for row in range(self.size):
-            try:
-                positions[row] = self._locate(row, row)
-                mask[row] = 1.0
-            except SingularMatrixError:
-                continue
-        return positions, mask
+        return self._diag_positions, self._diag_mask
 
     def matrix_from_data(self, data: np.ndarray) -> sparse.csr_matrix:
         """CSR matrix over the cached pattern with *data* values."""

@@ -67,19 +67,6 @@ class SwecOptions:
         ensemble that cost would multiply by K, so
         :class:`~repro.swec.ensemble.SwecEnsembleTransient` requires
         an explicit per-instance ``trace_instances`` selection.
-    factor_rtol:
-        Factorization-reuse knob.  ``None`` (default) refactorizes the
-        system matrix at every solve, the pure paper behaviour.  A float
-        enables the reuse cache on the ``dense`` and ``sparse``
-        backends: when the stamped ``G + C/h`` is unchanged within this
-        relative tolerance since the last factorization (common in
-        slowly-varying regions and linear circuits at a settled step
-        size), the cached LU is reused and only a back-substitution is
-        paid.  ``0.0`` reuses only on bitwise-identical matrices; small
-        values like ``1e-9`` trade a bounded matrix perturbation for
-        fewer factorizations.  Skipped factorizations are reported in
-        ``TransientResult.factor_reuses``.  The ``stack`` backend
-        refactors unconditionally (batched LAPACK fuses factor+solve).
     backend:
         Solver backend name from the :mod:`repro.core.backends`
         registry — ``"dense"``, ``"sparse"``, ``"stack"`` or
@@ -104,7 +91,6 @@ class SwecOptions:
     dv_limit: float | None = None
     max_points: int = 2_000_000
     trace_conductance: bool = False
-    factor_rtol: float | None = None
     #: Integration formula: ``"be"`` (backward Euler, the paper's choice)
     #: or ``"trap"`` (trapezoidal; second-order, used by the ablation).
     method: str = "be"
@@ -117,9 +103,6 @@ class SwecOptions:
     def __post_init__(self) -> None:
         if self.method not in ("be", "trap"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.factor_rtol is not None and self.factor_rtol < 0.0:
-            raise ValueError(
-                f"factor_rtol must be non-negative, got {self.factor_rtol!r}")
         if self.backend is not None and \
                 self.backend not in available_backends():
             raise ValueError(

@@ -4,8 +4,7 @@ The acceptance bar of the unified pipeline: every registered backend
 (``dense``/``sparse``/``stack``, plus the ``auto`` selector) must march
 the same circuits to the same waveforms at 1e-9, report *comparable*
 flop accounting (identical factorization/solve event counts for the
-same march), and honour the ``CachedFactorization`` reuse/invalidate
-contract across backend swaps.
+same march), and replay a second run on the same engine bit for bit.
 """
 
 import numpy as np
@@ -29,7 +28,7 @@ from repro.core import (
 )
 from repro.devices.base import TwoTerminalDevice
 from repro.errors import AnalysisError, SingularMatrixError
-from repro.mna import CachedFactorization, LinearSolver, MnaSystem
+from repro.mna import LinearSolver, MnaSystem
 from repro.swec import SwecDC, SwecOptions, SwecTransient
 from repro.swec.dc import SwecDCOptions
 from repro.swec.timestep import StepControlOptions
@@ -175,6 +174,19 @@ class TestWaveformEquivalence:
         assert np.allclose(sweep.states, reference.states,
                            rtol=0.0, atol=WAVEFORM_ATOL)
 
+    def test_sparse_rerun_is_bitwise_and_matches_dense(self):
+        """A second run on the same engine replays the first bit for
+        bit, and a backend swap still reproduces the waveform."""
+        times = np.linspace(0.0, 2e-9, 81)
+        circuit = noisy_rc_circuit()
+        dense = SwecTransient(circuit, swec_options()).run_grid(times)
+        swapped = SwecTransient(circuit, swec_options(backend="sparse"))
+        sparse = swapped.run_grid(times)
+        assert np.allclose(dense.states, sparse.states,
+                           rtol=0.0, atol=WAVEFORM_ATOL)
+        again = swapped.run_grid(times)
+        assert np.array_equal(sparse.states, again.states)
+
 
 class TestFlopParity:
     """Event counters (factorizations, solves) are backend-invariant."""
@@ -214,64 +226,6 @@ class TestFlopParity:
         assert totals["sparse"] < totals["dense"] / 3
 
 
-class TestFactorizationCache:
-    """CachedFactorization reuse/invalidate across backend swaps."""
-
-    def test_invalidate_forces_refactor(self):
-        matrix = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        cache = CachedFactorization(LinearSolver(), rtol=0.0)
-        assert cache.factor(matrix) is True
-        assert cache.factor(matrix) is False
-        assert cache.reuses == 1
-        cache.invalidate()
-        assert cache.factor(matrix) is True
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_backend_reuse_and_invalidate(self, backend):
-        system = MnaSystem(noisy_rc_circuit())
-        solver = create_backend(backend, [system], factor_rtol=0.0)
-        solver.begin_run(None)
-        chords = np.zeros((1, 0))
-        rhs = np.array([[1e-4 * 1e3]])
-        solver.stamp(chords)
-        first = solver.solve_transient(1e-12, rhs)
-        second = solver.solve_transient(1e-12, rhs)
-        assert np.array_equal(first, second)
-        assert solver.reuses == 1
-        solver.invalidate()
-        solver.solve_transient(1e-12, rhs)
-        assert solver.reuses == 1  # fresh factor after invalidate
-        solver.begin_run(None)
-        assert solver.reuses == 0  # a new run starts cold
-
-    def test_cache_does_not_leak_across_backend_swap(self):
-        """Re-running the same circuit on a different backend must start
-        from a cold cache and still reproduce the waveform."""
-        times = np.linspace(0.0, 2e-9, 81)
-        circuit = noisy_rc_circuit()
-        dense = SwecTransient(
-            circuit, swec_options(factor_rtol=0.0)).run_grid(times)
-        assert dense.factor_reuses > 0
-        swapped = SwecTransient(
-            circuit, swec_options(factor_rtol=0.0, backend="sparse"))
-        sparse = swapped.run_grid(times)
-        assert sparse.factor_reuses > 0
-        assert np.allclose(dense.states, sparse.states,
-                           rtol=0.0, atol=WAVEFORM_ATOL)
-        # The second run on the *same* engine starts cold again —
-        # begin_run invalidates — and is bit-identical to the first.
-        again = swapped.run_grid(times)
-        assert np.array_equal(sparse.states, again.states)
-
-    def test_stack_backend_reports_no_reuse(self):
-        times = np.linspace(0.0, 1e-9, 21)
-        result = SwecTransient(
-            noisy_rc_circuit(),
-            swec_options(factor_rtol=0.0, backend="stack")) \
-            .run_grid(times)
-        assert result.factor_reuses == 0
-
-
 class _NanAbove(TwoTerminalDevice):
     """A resistor-like device whose law returns NaN above 0.5 V."""
 
@@ -301,8 +255,8 @@ def _nan_stamp_circuit():
 
 
 class TestFusedDenseSolve:
-    """Without a reuse cache the K = 1 dense march factors and solves
-    each step in one dgesv call; its failures must read as before."""
+    """The K = 1 dense march factors and solves each step in one dgesv
+    call; its failures must read as before."""
 
     @pytest.fixture
     def fused_calls(self, monkeypatch):
@@ -349,26 +303,6 @@ class TestFusedDenseSolve:
             LinearSolver().factor_solve(np.eye(2), np.ones(3))
         with pytest.raises(SingularMatrixError, match="square"):
             LinearSolver().factor_solve(np.ones((2, 3)), np.ones(2))
-
-    #: (circuit, factor_rtol) -> (reuses, factorizations) of the split
-    #: path on the motion-weighted step grid.
-    REUSE_COUNTS = {
-        ("inverter", 0.0): (0, 49),
-        ("inverter", 1e-3): (8, 60),
-        ("latch", 0.0): (7, 11),
-    }
-
-    @pytest.mark.parametrize("name,rtol", list(REUSE_COUNTS))
-    def test_factor_rtol_reuses_unchanged(self, fused_calls, name, rtol):
-        """The reuse cache still goes through factor and solve; the
-        counts are those of the split path."""
-        reuses, factorizations = self.REUSE_COUNTS[name, rtol]
-        result = SwecTransient(_circuit(name), swec_options(
-            backend="dense", factor_rtol=rtol)).run(2e-9)
-        assert not fused_calls
-        assert result.factor_reuses == reuses
-        assert result.flops.factorizations == factorizations
-        assert result.flops.linear_solves == factorizations + reuses
 
 
 class TestBackendKnobThreading:

@@ -189,6 +189,17 @@ class TestFailureIsolation:
         assert report.n_failed == 1
         assert "no_such_circuit" in report.failures()[0].error
 
+    def test_removed_factor_rtol_option_is_a_job_failure(self):
+        # SwecOptions has no factor_rtol field: a job table that sets it
+        # must fail loudly instead of running without it.
+        job = job_from_mapping({
+            "type": "transient", "circuit": "rtd_divider",
+            "t_stop": 0.2e-9, "options": {"factor_rtol": 0.0},
+        })
+        outcome = BatchRunner(executor="serial").run([job]).results[0]
+        assert not outcome.ok
+        assert "factor_rtol" in outcome.error
+
 
 class TestJobSpecs:
     def test_job_requires_exactly_one_source(self):

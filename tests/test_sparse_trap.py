@@ -84,6 +84,130 @@ class TestSparseOperators:
             csc.toarray(), operators.matrix_from_data(data)[q][:, q].toarray())
 
 
+def _loop_symbolic_build(system):
+    """The symbolic analysis as once built: a growing sparse sum per
+    chord pair, then one Python lookup per entry."""
+    size = system.size
+    g_base = sparse.csr_matrix(system.conductance_base())
+    c_matrix = sparse.csr_matrix(system.capacitance_matrix())
+    pairs = system.chord_pairs()
+
+    def structure(matrix):
+        coo = matrix.tocoo()
+        return sparse.csr_matrix(
+            (np.ones_like(coo.data), (coo.row, coo.col)), shape=matrix.shape)
+
+    def incidence(i, j):
+        rows, cols = [], []
+        if i >= 0:
+            rows.append(i)
+            cols.append(i)
+        if j >= 0:
+            rows.append(j)
+            cols.append(j)
+        if i >= 0 and j >= 0:
+            rows.extend([i, j])
+            cols.extend([j, i])
+        return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                                 shape=(size, size))
+
+    union = structure(g_base) + structure(c_matrix)
+    for i, j in pairs:
+        union = union + structure(incidence(i, j))
+    union = union.tocsr()
+    union.sort_indices()
+    indptr, indices, nnz = union.indptr, union.indices, union.nnz
+
+    def locate(row, col):
+        lo, hi = indptr[row], indptr[row + 1]
+        position = lo + int(np.searchsorted(indices[lo:hi], col))
+        if position >= hi or indices[position] != col:
+            return None
+        return int(position)
+
+    def scatter(matrix):
+        data = np.zeros(nnz)
+        coo = matrix.tocoo()
+        for row, col, value in zip(coo.row, coo.col, coo.data):
+            data[locate(int(row), int(col))] += value
+        return data
+
+    q = symmetric_ordering(union)
+    order = sparse.csr_matrix(
+        (np.arange(nnz, dtype=float), indices, indptr),
+        shape=union.shape)[q][:, q].tocsc()
+    order.sort_indices()
+    positions, columns, signs = [], [], []
+    for column, (i, j) in enumerate(pairs):
+        entries = []
+        if i >= 0:
+            entries.append((i, i, 1.0))
+        if j >= 0:
+            entries.append((j, j, 1.0))
+        if i >= 0 and j >= 0:
+            entries += [(i, j, -1.0), (j, i, -1.0)]
+        for row, col, sign in entries:
+            positions.append(locate(row, col))
+            columns.append(column)
+            signs.append(sign)
+    diagonal = [locate(row, row) for row in range(size)]
+    return {
+        "indptr": indptr,
+        "indices": indices,
+        "base_data": scatter(g_base),
+        "c_data": scatter(c_matrix),
+        "ordering": q,
+        "csc_order": order.data.astype(np.intp),
+        "csc_indices": order.indices,
+        "csc_indptr": order.indptr,
+        "positions": np.asarray(positions, dtype=np.intp),
+        "columns": np.asarray(columns, dtype=np.intp),
+        "signs": np.asarray(signs, dtype=float),
+        "diag_positions": np.array([p or 0 for p in diagonal], dtype=np.intp),
+        "diag_mask": np.array([p is not None for p in diagonal], dtype=float),
+    }
+
+
+class TestVectorizedSymbolicAnalysis:
+    """The key-array symbolic analysis equals the loop build."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: rtd_mesh(30, 30),
+        lambda: power_grid_mesh(rows=16, cols=16),
+        lambda: rtd_mesh(4, 3),
+        lambda: rtd_memory_array(),
+        lambda: coupled_oscillator_bank(),
+    ], ids=["rtd_mesh_30x30", "power_grid_16x16", "rtd_mesh_4x3",
+            "rtd_memory_array", "coupled_oscillator_bank"])
+    def test_matches_loop_build(self, build):
+        system = MnaSystem(build()[0])
+        operators = SparseOperators(system)
+        expected = _loop_symbolic_build(system)
+        csr = operators.matrix_from_data(np.zeros(operators.nnz))
+        csc = operators.csc_matrix()
+        positions, columns, signs = operators.stamp_indices()
+        diag_positions, diag_mask = operators.diagonal_positions()
+        got = {
+            "indptr": csr.indptr,
+            "indices": csr.indices,
+            "base_data": operators.base_data,
+            "c_data": operators.c_data,
+            "ordering": operators.ordering,
+            "csc_order": operators.csc_order,
+            "csc_indices": csc.indices,
+            "csc_indptr": csc.indptr,
+            "positions": positions,
+            "columns": columns,
+            "signs": signs,
+            "diag_positions": diag_positions,
+            "diag_mask": diag_mask,
+        }
+        assert operators.nnz == expected["indices"].size
+        for name, want in expected.items():
+            assert np.array_equal(got[name], want), name
+            assert got[name].dtype == want.dtype, name
+
+
 class TestSparseSolver:
     def test_solves_linear_system(self):
         flops = FlopCounter()

@@ -119,8 +119,6 @@ def plan_forbidden(monkeypatch):
 
 INELIGIBLE = {
     "trap": lambda: SwecTransient(fig8_inverter(), options(method="trap")),
-    "factor_rtol": lambda: SwecTransient(
-        fig8_inverter(), options(factor_rtol=0.0)),
     "fallback": lambda: SwecTransient(fig8_inverter(), options(fallback=True)),
     "trace_conductance": lambda: SwecTransient(
         fig8_inverter(), options(trace_conductance=True)),

@@ -248,71 +248,6 @@ class TestStepAdaptivity:
         assert result.flops.factorizations <= result.accepted_steps + 200
 
 
-class TestFactorizationReuse:
-    """The factor_rtol knob: skip LU refactorizations when the system
-    matrix is unchanged (within tolerance) between accepted points."""
-
-    def test_exact_reuse_is_bit_identical(self, rc_pulse_circuit):
-        baseline = SwecTransient(rc_pulse_circuit, swec_options())
-        cached_circuit = rc_pulse_circuit
-        result = baseline.run(10e-9)
-        cached = SwecTransient(cached_circuit,
-                               swec_options(factor_rtol=0.0)).run(10e-9)
-        assert np.array_equal(result.states, cached.states)
-        assert np.array_equal(result.times, cached.times)
-        assert cached.factor_reuses > 0
-        # Linear circuit: C/h + G only changes with h, so every step
-        # that repeats the previous step size reuses the factorization.
-        # On this grid those are the eq.-12 plateau (h = eps R C) while
-        # `out` charges and the h_max run once it has settled: 49 of 104
-        # steps, so fewer than 60% of the factorizations remain.
-        steps = cached.step_sizes()
-        repeats = np.isclose(steps[1:], steps[:-1], rtol=1e-9, atol=0.0)
-        assert cached.factor_reuses == np.count_nonzero(repeats)
-        assert (cached.flops.factorizations
-                == result.flops.factorizations - cached.factor_reuses)
-        assert (cached.flops.factorizations
-                < 0.6 * result.flops.factorizations)
-
-    def test_disabled_by_default(self, rc_pulse_circuit):
-        result = SwecTransient(rc_pulse_circuit, swec_options()).run(2e-9)
-        assert result.factor_reuses == 0
-
-    def test_tolerance_reuse_on_ndr_circuit(self, divider):
-        circuit, info = divider
-        circuit.voltage_sources[0].waveform = Pulse(
-            0.0, 2.5, delay=0.2e-9, rise=0.2e-9, fall=0.2e-9, width=2e-9,
-            period=6e-9)
-        circuit.add_capacitor("Cp", info.device_node, "0", 1e-12)
-        baseline = SwecTransient(circuit, swec_options()).run(4e-9)
-        cached = SwecTransient(circuit,
-                               swec_options(factor_rtol=1e-7)).run(4e-9)
-        assert cached.factor_reuses > 0
-        assert (cached.flops.factorizations
-                < baseline.flops.factorizations)
-        grid = np.linspace(0.0, 4e-9, 101)
-        v_base = baseline.resample(grid, info.device_node)
-        v_cached = cached.resample(grid, info.device_node)
-        # Perturbation bounded by the tolerance: waveforms agree tightly.
-        assert np.abs(v_base - v_cached).max() < 1e-3
-
-    def test_negative_factor_rtol_rejected(self):
-        with pytest.raises(ValueError):
-            SwecOptions(factor_rtol=-1e-9)
-
-    def test_sparse_path_reuses_too(self, rc_pulse_circuit):
-        dense = SwecTransient(rc_pulse_circuit, swec_options()).run(5e-9)
-        sparse = SwecTransient(
-            rc_pulse_circuit,
-            swec_options(factor_rtol=0.0, backend="sparse"),
-        ).run(5e-9)
-        assert sparse.factor_reuses > 0
-        grid = np.linspace(0.0, 5e-9, 101)
-        assert np.allclose(dense.resample(grid, "out"),
-                           sparse.resample(grid, "out"),
-                           rtol=1e-8, atol=1e-9)
-
-
 class TestTraceAccounting:
     def test_trace_does_not_change_flops(self, divider):
         """Tracing must reuse the step's already-computed chords: same

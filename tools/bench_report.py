@@ -8,8 +8,9 @@ the per-device Python loop, a plain single-instance SWEC march on a
 fixed grid and an adaptive one (with its microseconds per step), and
 the sparse solver backend against the dense one on a grid mesh, with
 the median microseconds and ``nnz(L+U)`` of one SuperLU factorization
-of the 30x30 RTD mesh (the factorization layer) — and writes one
-machine-readable JSON file::
+of the 30x30 RTD mesh (the factorization layer) and the median
+milliseconds of its symbolic analysis (``SparseOperators``) — and
+writes one machine-readable JSON file::
 
     python tools/bench_report.py --tag ci --out bench
     python tools/bench_report.py --check bench/BENCH_ci.json
@@ -218,7 +219,8 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
             lambda: engine.run_grid(times, initial_state=x0), repeats)
     axes = {"grid": grid, "grid_points": n_points,
             "size": grid * grid + 2}
-    factor_us, fill = _sparse_factor_layer(20 if quick else 100)
+    factor_us, fill, operators_ms = _sparse_layers(
+        20 if quick else 100, 5 if quick else 20)
     return [{
         "name": "grid_mesh_sparse_backend",
         "median_seconds": seconds["sparse"],
@@ -227,19 +229,23 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
         "axes": axes,
         "factor_us": factor_us,
         "factor_fill": fill,
+        "operators_ms": operators_ms,
         "factor_axes": {"grid": FACTOR_GRID,
                         "size": FACTOR_GRID * FACTOR_GRID + 2},
     }]
 
 
-#: Mesh side of the factorization-layer probe, independent of ``--quick``.
+#: Mesh side of the factorization- and symbolic-layer probes,
+#: independent of ``--quick``.
 FACTOR_GRID = 30
 
 
-def _sparse_factor_layer(repeats: int) -> tuple[float, int]:
+def _sparse_layers(factor_repeats: int,
+                   operators_repeats: int) -> tuple[float, int, float]:
     """Median us per SuperLU factorization and ``nnz(L+U)`` of one
     stamped transient matrix of the 30x30 RTD mesh, through the
-    sparse backend's ordered CSC plan."""
+    sparse backend's ordered CSC plan, and median ms of the mesh's
+    symbolic analysis (building its ``SparseOperators``)."""
     import numpy as np
 
     from repro.circuits_lib import rtd_mesh
@@ -247,6 +253,8 @@ def _sparse_factor_layer(repeats: int) -> tuple[float, int]:
     from repro.mna.sparse import SparseOperators, SparseSolver
 
     system = MnaSystem(rtd_mesh(FACTOR_GRID, FACTOR_GRID)[0])
+    operators_ms = 1e3 * _median_seconds(
+        lambda: SparseOperators(system), operators_repeats)
     operators = SparseOperators(system)
     chords = np.random.default_rng(3).uniform(
         1e-4, 5e-3, len(system.chord_pairs()))
@@ -256,8 +264,8 @@ def _sparse_factor_layer(repeats: int) -> tuple[float, int]:
     matrix = operators.csc_matrix()
     np.take(data, operators.csc_order, out=matrix.data)
     solver = SparseSolver()
-    seconds = _median_seconds(lambda: solver.factor(matrix), repeats)
-    return seconds * 1e6, solver.fill
+    seconds = _median_seconds(lambda: solver.factor(matrix), factor_repeats)
+    return seconds * 1e6, solver.fill, operators_ms
 
 
 def _bench_service_cache(quick: bool, repeats: int) -> list[dict]:
@@ -528,7 +536,7 @@ def check(path: Path) -> list[str]:
             problems.append(
                 f"{path}: {entry.get('name', '?')!r} has non-positive "
                 f"median_seconds {seconds!r}")
-        for key in ("speedup", "factor_us", "factor_fill"):
+        for key in ("speedup", "factor_us", "factor_fill", "operators_ms"):
             value = entry.get(key)
             if value is not None and (
                     not isinstance(value, (int, float)) or value <= 0.0):
@@ -578,7 +586,8 @@ def main(argv: list[str] | None = None) -> int:
             if speedup is not None else ""
         if "factor_us" in entry:
             extra += (f"  [factor {entry['factor_us']:.0f} us, "
-                      f"nnz(L+U) {entry['factor_fill']}]")
+                      f"nnz(L+U) {entry['factor_fill']}, "
+                      f"operators {entry['operators_ms']:.1f} ms]")
         print(f"{entry['name']:<32} {entry['median_seconds'] * 1e3:9.2f} ms"
               f"{extra}")
     print(f"wrote {path}")
