@@ -36,7 +36,7 @@ import numpy as np
 from repro.ac.linearize import SmallSignalSystem, linearize
 from repro.ac.result import ACResult
 from repro.circuit.netlist import Circuit
-from repro.core.backends import select_backend
+from repro.core.backends import available_backends, select_backend
 from repro.errors import AnalysisError, SingularMatrixError
 from repro.mna.batch import solve_stack
 from repro.swec.dc import SwecDCOptions
@@ -45,28 +45,22 @@ from repro.swec.dc import SwecDCOptions
 #: ``.AC DEC`` style).
 GRID_SCALES = ("linear", "log", "decade")
 
-#: Solve strategies the complex frequency sweeps implement.  The AC
-#: layer shares the registry's *names* with the transient engines but
-#: needs a complex-dtype solve per name, so custom-registered
-#: transient backends are rejected here rather than silently mapped.
-AC_BACKENDS = ("stack", "sparse", "dense", "auto")
-
 
 def resolve_ac_backend(name: str | None, system) -> str:
     """Resolve an AC ``backend=`` name to a concrete solve strategy.
 
     ``None`` means the default ``stack``; ``auto`` picks ``sparse``
     for large low-fill systems (:func:`repro.core.backends.
-    select_backend` on *system*) and ``stack`` otherwise.  Names
-    outside :data:`AC_BACKENDS` raise — the frequency domain needs an
-    explicit complex solve path per name.
+    select_backend` on *system*) and ``stack`` otherwise.  Each
+    registry name has its own complex solve path here; other names
+    raise.
     """
     if name is None:
         return "stack"
-    if name not in AC_BACKENDS:
+    if name not in available_backends():
         raise AnalysisError(
             f"AC analysis implements backends "
-            f"{', '.join(AC_BACKENDS)}; got {name!r}")
+            f"{', '.join(available_backends())}; got {name!r}")
     if name == "auto":
         return "sparse" if select_backend([system]) == "sparse" \
             else "stack"
@@ -225,10 +219,6 @@ class ACAnalysis:
                  dc_options: SwecDCOptions | None = None,
                  backend: str | None = None) -> None:
         self.circuit = circuit
-        if backend is not None and backend not in AC_BACKENDS:
-            raise AnalysisError(
-                f"AC analysis implements backends "
-                f"{', '.join(AC_BACKENDS)}; got {backend!r}")
         self.small: SmallSignalSystem = linearize(circuit, bias, dc_options)
         self.source = source or self.small.default_source()
         self._rhs = self.small.excitation(self.source)

@@ -32,7 +32,6 @@ from repro.core.backends import (
     available_backends,
     create_backend,
     get_backend,
-    register_backend,
     select_backend,
     system_density,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "available_backends",
     "create_backend",
     "get_backend",
-    "register_backend",
     "select_backend",
     "system_density",
 ]

@@ -26,10 +26,11 @@ backend-specific half of that recipe for a stack of K same-topology
     Not a backend but a selector: :func:`select_backend` picks by
     system size, batch width and fill ratio.
 
-Backends are addressed by name through a registry
-(:func:`get_backend` / :func:`register_backend`), which is what the
-``backend=`` knob threaded through :class:`~repro.swec.SwecOptions`,
-the runtime jobs, the sweep specs and the CLIs resolves against.
+Backends are addressed by name through one fixed registry
+(:data:`BACKENDS`, :func:`get_backend`, :func:`available_backends`),
+which is what the ``backend=`` knob threaded through
+:class:`~repro.swec.SwecOptions`, the runtime jobs, the sweep specs,
+the AC sweeps and the CLIs resolves against.
 
 Flop accounting lives *inside* the backends so the
 :class:`~repro.perf.flops.FlopCounter` event counters (factorizations,
@@ -59,7 +60,6 @@ __all__ = [
     "available_backends",
     "create_backend",
     "get_backend",
-    "register_backend",
     "select_backend",
     "system_density",
 ]
@@ -381,25 +381,6 @@ BACKENDS: dict[str, type] = {
 }
 
 
-def register_backend(cls: type) -> type:
-    """Register a :class:`SolverBackend` subclass under ``cls.name``.
-
-    Returns the class, so it can be used as a decorator.  Registered
-    names immediately become legal ``backend=`` values for the
-    transient/DC engines and everywhere their knob is threaded
-    (SwecOptions, SwecDCOptions, jobs, sweep specs, CLIs).  The AC
-    sweeps are the exception: they need a complex-dtype solve per
-    strategy and accept only :data:`repro.ac.analysis.AC_BACKENDS`.
-    """
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name or name == "?":
-        raise ValueError(f"backend class {cls!r} needs a name attribute")
-    if name == "auto":
-        raise ValueError('"auto" is reserved for the selector')
-    BACKENDS[name] = cls
-    return cls
-
-
 def available_backends() -> tuple[str, ...]:
     """Legal ``backend=`` names (registered backends plus ``auto``)."""
     return tuple(sorted(BACKENDS)) + ("auto",)
@@ -432,7 +413,7 @@ def system_density(system) -> float:
     return min(1.0, nnz / float(n * n))
 
 
-def select_backend(systems, n_instances: int | None = None) -> str:
+def select_backend(systems) -> str:
     """Resolve ``auto`` to a concrete backend name.
 
     Large, sparse systems (size >= :data:`AUTO_SPARSE_MIN_SIZE`, fill
@@ -440,14 +421,13 @@ def select_backend(systems, n_instances: int | None = None) -> str:
     otherwise batches take ``stack`` and single instances ``dense``.
     """
     systems = list(systems)
-    k = len(systems) if n_instances is None else int(n_instances)
     system = systems[0]
     if (
         system.size >= AUTO_SPARSE_MIN_SIZE
         and system_density(system) <= AUTO_SPARSE_MAX_DENSITY
     ):
         return "sparse"
-    return "stack" if k > 1 else "dense"
+    return "stack" if len(systems) > 1 else "dense"
 
 
 def create_backend(

@@ -24,16 +24,16 @@ Per accepted point the stepper
 3. solves the backward-Euler (or trapezoidal) update through the
    backend's ``solve_transient``.
 
-The classic K = 1 dense march of a small circuit runs a step plan
-compiled once per stepper instead (:class:`_DenseStepPlan`): it stamps
-the same chords, as a Python list, into its own ``G`` and is bitwise
-equal to the backend path.
+The classic K = 1 dense backward-Euler march of a small noiseless
+circuit runs a step plan compiled once per stepper instead
+(:class:`_DenseStepPlan`): it stamps the same chords, as a Python list,
+into its own ``G`` and is bitwise equal to the backend path.
 
-Two marching modes survive unchanged from the ensemble engine:
-:meth:`LinearStepper.run` (the paper's eq.-10/12 adaptive control,
-worst-case over the ensemble) and :meth:`LinearStepper.run_grid` (an
-explicit shared grid, the bit-reproducible mode that also carries the
-paper's eq.-13 noise injections as implicit Euler-Maruyama).
+One loop marches both modes: :meth:`LinearStepper.run` (the paper's
+eq.-10/12 adaptive control, worst-case over the ensemble) and
+:meth:`LinearStepper.run_grid` (an explicit shared grid, the
+bit-reproducible mode that also carries the paper's eq.-13 noise
+injections as implicit Euler-Maruyama, from pre-drawn normals).
 """
 
 from __future__ import annotations
@@ -152,9 +152,8 @@ class _DenseStepPlan:
     """The K = 1 backward-Euler step of a small dense circuit on Python
     floats, compiled once per stepper.
 
-    :meth:`LinearStepper.run` takes it in place of the backend's stamp,
-    ``G`` diagonal and solve (eligibility:
-    :meth:`LinearStepper._compile_plan`).  Each number is bitwise the
+    Both marching modes take it in place of the backend's stamp, ``G``
+    diagonal and solve (eligibility: :meth:`LinearStepper._compile_plan`).  Each number is bitwise the
     :class:`~repro.core.backends.DenseBackend` path's:
 
     - ``G`` starts from ``G_base`` (column-major, its zeros made +0.0)
@@ -253,7 +252,7 @@ class LinearStepper:
         Optional ``(node, amplitude)`` white-noise current injections
         (the paper's eq.-13 ``B dW`` term); amplitudes are scalars or
         length-K arrays.  Noise requires the fixed-grid backward-Euler
-        mode.
+        mode and pre-drawn normals (:meth:`run_grid`'s ``normals=``).
     trace_instances:
         Instance indices whose per-step device chord conductances are
         recorded (requires ``options.trace_conductance``); tracing is
@@ -363,14 +362,17 @@ class LinearStepper:
     def _compile_plan(self) -> _DenseStepPlan | None:
         """The K = 1 step plan, or None to keep the backend march.
 
-        Eligible (``run`` also needs ``method == "be"``): the scalar chord
-        loops (K = 1, at most 32 nonlinear devices), at most
-        :data:`_PLAN_MAX_SIZE` unknowns, exactly ``DenseBackend`` (no
-        fallback wrapper), no conductance trace, and at most one nonzero
-        per row of ``C`` (grounded capacitors, inductors).
+        The one eligibility rule for both marching modes: backward
+        Euler, no noise injections, the scalar chord loops (K = 1, at
+        most 32 nonlinear devices), at most :data:`_PLAN_MAX_SIZE`
+        unknowns, exactly ``DenseBackend`` (no fallback wrapper), no
+        conductance trace, and at most one nonzero per row of ``C``
+        (grounded capacitors, inductors).
         """
         if not (
-            self._scalar_chords
+            self.options.method == "be"
+            and self._noise_matrix is None
+            and self._scalar_chords
             and self.size <= _PLAN_MAX_SIZE
             and type(self.backend) is DenseBackend
             and not self.trace_instances
@@ -556,28 +558,12 @@ class LinearStepper:
         self._last_voltages = None
         return result
 
-    def _finish(self, result: EnsembleTransientResult) -> EnsembleTransientResult:
-        # Re-read the name: a degradation chain may have switched the
-        # active engine mid-run.
-        result.backend = self.backend_name
-        result.fallback_events = list(getattr(self.backend, "events", ()))
-        return result
-
-    def _record_trace(
-        self, result: EnsembleTransientResult, t: float, chords: np.ndarray
-    ) -> None:
-        n_devices = self.linearization.n_devices
-        for k in self.trace_instances:
-            result.conductance_trace[k].append((t, chords[k, :n_devices].copy()))
-
     def _solve_step(
-        self, t, h, states, b_buf, b2_buf, t_next=None, noise_increments=None
+        self, t, h, states, b_buf, b2_buf, t_next, noise_increments
     ) -> np.ndarray:
         """One implicit solve for the whole stack, BE or trapezoidal."""
         backend = self.backend
         trapezoidal = self.options.method == "trap"
-        if t_next is None:
-            t_next = t + h
         if trapezoidal:
             rhs = self._sources.assemble(t, b_buf)
             rhs += self._sources.assemble(t_next, b2_buf)
@@ -612,31 +598,106 @@ class LinearStepper:
                 "an adaptive grid would couple every path's step sizes "
                 "to the noise realizations"
             )
+        return self._march(0.0, float(t_stop), initial_states)
+
+    def run_grid(
+        self, times, initial_states=None, *, normals=None
+    ) -> EnsembleTransientResult:
+        """Lockstep march on an explicit shared grid.
+
+        The steps are exactly ``h_n = times[n+1] - times[n]``:
+        ``dv_limit`` and ``max_points`` do not apply and no step limits
+        are recorded.  With noise injections configured, *normals*
+        (required then) are pre-drawn **standard** normals of shape
+        ``(K, T - 1, m)``, scaled by ``sqrt(h_n)`` internally; each
+        step adds ``B dW_n / h_n`` to the right-hand side (implicit
+        Euler-Maruyama; backward Euler only).  Draw them with
+        :func:`repro.stochastic.vr.path_normals` (one seeded stream per
+        instance, the bit-reproducible form that survives ensemble
+        splitting) or :func:`~repro.stochastic.vr.antithetic_normals`.
+        """
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or times.size < 2:
+            raise AnalysisError(
+                f"need a 1-D grid with >= 2 points, got shape {times.shape}"
+            )
+        if np.any(np.diff(times) <= 0.0):
+            raise AnalysisError("grid times must be strictly increasing")
+        increments = self._increments(times, normals)
+        return self._march(
+            float(times[0]), float(times[-1]), initial_states, times, increments
+        )
+
+    def _increments(self, times: np.ndarray, normals) -> np.ndarray | None:
+        """``(K, T-1, m)`` Wiener increments from *normals*, or None
+        without noise."""
+        if self._noise_matrix is None:
+            if normals is not None:
+                raise AnalysisError(
+                    "normals= passed but no noise injections are configured"
+                )
+            return None
+        if self.options.method != "be":
+            raise AnalysisError(
+                "noise injections integrate as implicit Euler-Maruyama "
+                "on the backward-Euler path only"
+            )
+        if normals is None:
+            raise AnalysisError(
+                "a noisy grid needs normals= (draw them with "
+                "repro.stochastic.path_normals)"
+            )
+        shape = (self.n_instances, times.size - 1, self._noise_matrix.shape[2])
+        normals = np.asarray(normals, dtype=float)
+        if normals.shape != shape:
+            raise AnalysisError(
+                f"normals must have shape {shape}, got {normals.shape}"
+            )
+        return normals * np.sqrt(np.diff(times))[None, :, None]
+
+    def _march(
+        self, t, t_stop, initial_states, times=None, increments=None
+    ) -> EnsembleTransientResult:
+        """The stamp -> solve -> record loop from *t* to *t_stop*.
+
+        Without *times* each step is the eq.-10/12 controller's (with
+        ``dv_limit`` rejections and the ``max_points`` cap); with them,
+        the steps of that grid, plus the *increments* noise terms.
+        """
         opts = self.options
+        grid = times is not None
         K, n = self.n_instances, self.size
         result = self._new_result()
         states = self._initial_state_stack(initial_states)
         if opts.initialize_dc and initial_states is None:
-            states = self._dc_initialize(states, result)
+            states = self._dc_initialize(states, result, t=t)
 
         b_buf = np.empty((K, n))
         b2_buf = np.empty((K, n))
-        plan = self._plan if opts.method == "be" else None
+        plan = self._plan
         nn = self.system.num_nodes
+        n_devices = self.linearization.n_devices
 
-        t = 0.0
         result.append(t, states)
         controller = self.controller
         h_min = opts.step.h_min
         at_h_min = h_min * (1.0 + 1e-9)
+        dv_limit = None if grid else opts.dv_limit
         limits = result.step_limits
-        h = controller.initial_step(t_stop)
+        h = None if grid else controller.initial_step(t_stop)
         h_prev: float | None = None
         prev_states: np.ndarray | None = None
         limit = None
+        noise = None
 
         while t < t_stop:
-            if len(result) >= opts.max_points:
+            if grid:
+                step = len(result) - 1
+                t_next = float(times[step + 1])
+                h = t_next - t
+                if increments is not None:
+                    noise = increments[:, step, :]
+            elif len(result) >= opts.max_points:
                 result.aborted = True
                 result.abort_reason = (
                     f"max_points={opts.max_points} reached at t={t:.4g}"
@@ -644,37 +705,40 @@ class LinearStepper:
                 break
             if plan is None:
                 chords = self._stamp(states, prev_states, h_prev, h, result.flops)
-                diagonal = self.backend.g_diagonal()
             else:
                 chords, diagonal = None, plan.stamp(states, prev_states, h_prev, h)
-            # A source breakpoint ends the last step's evidence of how
-            # the nodes move: the step after one takes plain eq. 12.
-            h = controller.next_step_from_diagonal(
-                t,
-                h if h_prev is None else h_prev,
-                diagonal,
-                t_stop,
-                states,
-                None if limit == "breakpoint" else prev_states,
-            )
-            limit = controller.limit
+            if not grid:
+                if plan is None:
+                    diagonal = self.backend.g_diagonal()
+                # A source breakpoint ends the last step's evidence of how
+                # the nodes move: the step after one takes plain eq. 12.
+                h = controller.next_step_from_diagonal(
+                    t,
+                    h if h_prev is None else h_prev,
+                    diagonal,
+                    t_stop,
+                    states,
+                    None if limit == "breakpoint" else prev_states,
+                )
+                limit = controller.limit
 
             while True:
-                # The controller makes a step that lands on t_stop
-                # exactly t_stop - t; the point is then t_stop itself.
-                t_next = t_stop if h == t_stop - t else t + h
+                if not grid:
+                    # The controller makes a step that lands on t_stop
+                    # exactly t_stop - t; the point is then t_stop itself.
+                    t_next = t_stop if h == t_stop - t else t + h
                 if plan is not None:
                     new_states, dv = plan.solve(t_next, h, states)
                 else:
                     new_states = self._solve_step(
-                        t, h, states, b_buf, b2_buf, t_next=t_next
+                        t, h, states, b_buf, b2_buf, t_next, noise
                     )
-                    if opts.dv_limit is not None:
+                    if dv_limit is not None:
                         dv = float(np.abs(new_states[:, :nn] - states[:, :nn]).max())
                 # Halve only while both halves can stay >= h_min.
                 if (
-                    opts.dv_limit is not None
-                    and dv > opts.dv_limit
+                    dv_limit is not None
+                    and dv > dv_limit
                     and h > h_min * 1.001
                     and t_stop - t >= 2.0 * h_min
                 ):
@@ -689,107 +753,16 @@ class LinearStepper:
             t = t_next
             result.append(t, states)
             result.accepted_steps += 1
-            limits[limit] = limits.get(limit, 0) + 1
-            if h <= at_h_min:
-                result.steps_at_hmin += 1
-            self._record_trace(result, t, chords)
+            if not grid:
+                limits[limit] = limits.get(limit, 0) + 1
+                if h <= at_h_min:
+                    result.steps_at_hmin += 1
+            for k in self.trace_instances:
+                result.conductance_trace[k].append((t, chords[k, :n_devices].copy()))
         if plan is not None:
             plan.count_flops(result)
-        return self._finish(result)
-
-    def run_grid(
-        self, times, initial_states=None, *, seeds=None, rng=None, normals=None
-    ) -> EnsembleTransientResult:
-        """Lockstep march on an explicit shared grid.
-
-        With noise injections configured, each step adds
-        ``B dW_n / h_n`` to the right-hand side (implicit
-        Euler-Maruyama; backward Euler only).  *seeds* gives each
-        instance its own RNG stream (a sequence of K ints or
-        ``SeedSequence``\\ s) — the bit-reproducible form that survives
-        ensemble splitting; *rng* draws all increments from one shared
-        Generator instead; *normals* bypasses drawing entirely with
-        pre-drawn **standard** normals of shape ``(K, T - 1, m)``
-        (scaled by ``sqrt(dt)`` internally) — the hook the
-        variance-reduction layer (:mod:`repro.stochastic.vr`) uses to
-        drive a control circuit with the same increments as the noisy
-        ensemble, or to mirror them for antithetic pairs.
-        """
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise AnalysisError(
-                f"need a 1-D grid with >= 2 points, got shape {times.shape}"
-            )
-        if np.any(np.diff(times) <= 0.0):
-            raise AnalysisError("grid times must be strictly increasing")
-        opts = self.options
-        if self._noise_matrix is not None and opts.method != "be":
-            raise AnalysisError(
-                "noise injections integrate as implicit Euler-Maruyama "
-                "on the backward-Euler path only"
-            )
-        K, n = self.n_instances, self.size
-        result = self._new_result()
-        states = self._initial_state_stack(initial_states)
-        if opts.initialize_dc and initial_states is None:
-            states = self._dc_initialize(states, result, t=float(times[0]))
-
-        increments = self._draw_increments(times, seeds, rng, normals)
-        b_buf = np.empty((K, n))
-        b2_buf = np.empty((K, n))
-
-        result.append(float(times[0]), states)
-        h_prev: float | None = None
-        prev_states: np.ndarray | None = None
-        for step in range(times.size - 1):
-            t_next = float(times[step + 1])
-            t = float(times[step])
-            h = t_next - t
-            chords = self._stamp(states, prev_states, h_prev, h, result.flops)
-            noise = None if increments is None else increments[:, step, :]
-            new_states = self._solve_step(
-                t, h, states, b_buf, b2_buf, t_next=t_next, noise_increments=noise
-            )
-            prev_states, h_prev = states, h
-            states = new_states
-            result.append(t_next, states)
-            result.accepted_steps += 1
-            self._record_trace(result, t_next, chords)
-        return self._finish(result)
-
-    def _draw_increments(self, times, seeds, rng, normals=None) -> np.ndarray | None:
-        """``(K, T-1, m)`` Wiener increments, or None without noise."""
-        if normals is not None and self._noise_matrix is None:
-            raise AnalysisError(
-                "normals= passed but no noise injections are configured"
-            )
-        if self._noise_matrix is None:
-            return None
-        K = self.n_instances
-        m = self._noise_matrix.shape[2]
-        steps = times.size - 1
-        scale = np.sqrt(np.diff(times))[None, :, None]
-        if normals is not None:
-            if seeds is not None or rng is not None:
-                raise AnalysisError(
-                    "normals= is mutually exclusive with seeds= and rng="
-                )
-            normals = np.asarray(normals, dtype=float)
-            if normals.shape != (K, steps, m):
-                raise AnalysisError(
-                    f"normals must have shape ({K}, {steps}, {m}), "
-                    f"got {normals.shape}"
-                )
-            return normals * scale
-        if seeds is not None:
-            seeds = list(seeds)
-            if len(seeds) != K:
-                raise AnalysisError(
-                    f"need one seed per instance ({K}), got {len(seeds)}"
-                )
-            streams = [np.random.default_rng(seed) for seed in seeds]
-            draws = np.stack([s.standard_normal((steps, m)) for s in streams])
-        else:
-            generator = np.random.default_rng(rng)
-            draws = generator.standard_normal((K, steps, m))
-        return draws * scale
+        # Re-read the name: a degradation chain may have switched the
+        # active engine mid-run.
+        result.backend = self.backend_name
+        result.fallback_events = list(getattr(self.backend, "events", ()))
+        return result

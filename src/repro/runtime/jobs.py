@@ -527,10 +527,12 @@ class EnsembleTransientJob(_CircuitJob):
     backward-Euler points over ``[0, t_stop]`` (required when
     ``noise`` injections are present; omitted, the adaptive worst-case
     grid is used).  ``noise`` lists ``(node, amplitude)`` white-noise
-    current injections; ``path_seeds`` pins one RNG stream per
-    instance (the split-invariant form used by
+    current injections; ``path_seeds`` (noise ensembles only) pins one
+    RNG stream per instance (the split-invariant form used by
     :func:`~repro.stochastic.montecarlo.run_circuit_ensemble_parallel`),
     otherwise the runner-provided seed is spawned into K children.
+    Either way :func:`~repro.stochastic.vr.path_normals` draws the
+    normals the march takes.
 
     The job returns the raw
     :class:`~repro.swec.ensemble.EnsembleTransientResult` when
@@ -615,6 +617,15 @@ class EnsembleTransientJob(_CircuitJob):
             raise AnalysisError("noise ensembles need steps= (a fixed shared grid)")
         if self.steps is not None and self.steps < 1:
             raise AnalysisError(f"steps must be >= 1, got {self.steps!r}")
+        if self.path_seeds is not None:
+            if self.noise is None:
+                raise AnalysisError("path_seeds= pins noise streams: add noise=")
+            if len(self.path_seeds) != self._n_streams:
+                unit = "pair" if self.antithetic else "instance"
+                raise AnalysisError(
+                    f"path_seeds carries one stream per {unit}: "
+                    f"expected {self._n_streams}, got {len(self.path_seeds)}"
+                )
 
     @property
     def _vr_adaptive(self) -> bool:
@@ -642,11 +653,6 @@ class EnsembleTransientJob(_CircuitJob):
                     f"antithetic ensembles need an even instance count, "
                     f"got {self.size}"
                 )
-            if self.path_seeds is not None and len(self.path_seeds) != self.size // 2:
-                raise AnalysisError(
-                    f"antithetic path_seeds carries one stream per pair: "
-                    f"expected {self.size // 2}, got {len(self.path_seeds)}"
-                )
         if self._vr_adaptive:
             if self.node is None:
                 raise AnalysisError(
@@ -669,6 +675,11 @@ class EnsembleTransientJob(_CircuitJob):
         if self.variations is not None:
             return len(self.variations)
         return int(self.n_instances)
+
+    @property
+    def _n_streams(self) -> int:
+        """Noise streams drawn: one per instance, or per antithetic pair."""
+        return self.size // 2 if self.antithetic else self.size
 
     def build_circuits(self) -> list:
         """Materialize the K circuit instances."""
@@ -725,22 +736,18 @@ class EnsembleTransientJob(_CircuitJob):
             kwargs["initial_states"] = np.asarray(self.initial_states, float)
         if self.steps is None:
             result = engine.run(self.t_stop, **kwargs)
-        elif self.antithetic:
-            from repro.stochastic.vr import antithetic_normals
+        else:
+            from repro.stochastic.vr import antithetic_normals, path_normals
 
             times = np.linspace(0.0, float(self.t_stop), int(self.steps) + 1)
-            pair_seeds = self.path_seeds
-            if pair_seeds is None:
-                source = seed if seed is not None else np.random.SeedSequence()
-                pair_seeds = source.spawn(self.size // 2)
-            normals = antithetic_normals(pair_seeds, int(self.steps), len(noise))
-            result = engine.run_grid(times, normals=normals, **kwargs)
-        else:
-            times = np.linspace(0.0, float(self.t_stop), int(self.steps) + 1)
-            seeds = self.path_seeds
-            if seeds is None and noise is not None and seed is not None:
-                seeds = seed.spawn(self.size)
-            result = engine.run_grid(times, seeds=seeds, **kwargs)
+            if noise is not None:
+                draw = antithetic_normals if self.antithetic else path_normals
+                seeds = self.path_seeds
+                if seeds is None:
+                    source = seed if seed is not None else np.random.SeedSequence()
+                    seeds = source.spawn(self._n_streams)
+                kwargs["normals"] = draw(seeds, int(self.steps), len(noise))
+            result = engine.run_grid(times, **kwargs)
         _enforce_dc_start(self, result)
         if self.return_result or self.node is None:
             return result

@@ -244,6 +244,7 @@ def run_circuit_ensemble(
     Gaussian confidence band.
     """
     from repro.runtime.jobs import apply_backend
+    from repro.stochastic.vr import path_normals
     from repro.swec.ensemble import SwecEnsembleTransient
 
     if steps < 1:
@@ -282,7 +283,8 @@ def run_circuit_ensemble(
     engine = SwecEnsembleTransient(circuit, options, n_instances=n_paths, noise=noise)
     times = np.linspace(0.0, float(t_stop), int(steps) + 1)
     seeds = np.random.SeedSequence(seed).spawn(n_paths)
-    result = engine.run_grid(times, seeds=seeds)
+    normals = path_normals(seeds, int(steps), len(noise))
+    result = engine.run_grid(times, normals=normals)
     if return_result:
         return result
     node = noise[0][0] if node is None else node

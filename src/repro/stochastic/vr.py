@@ -141,10 +141,11 @@ class VarianceReducedStatistics(EnsembleStatistics):
 def path_normals(seeds, steps: int, m: int) -> np.ndarray:
     """``(len(seeds), steps, m)`` standard normals, one stream per seed.
 
-    Draws exactly like the lockstep engine's internal per-seed path
-    (:meth:`~repro.core.stepper.LinearStepper.run_grid` with
-    ``seeds=``), so a variance-reduction run with no upgrades enabled
-    reproduces the plain ensemble bit-for-bit.
+    The one per-path draw behind every noisy
+    :meth:`~repro.core.stepper.LinearStepper.run_grid` (its
+    ``normals=``): the plain ensembles draw with it as the
+    variance-reduction batches do, so a variance-reduction run with no
+    upgrades enabled reproduces the plain ensemble bit-for-bit.
     """
     return np.stack(
         [np.random.default_rng(seed).standard_normal((steps, m)) for seed in seeds]

@@ -35,9 +35,10 @@ fixed grid (:meth:`LinearStepper.run_grid`)
     eq. 13 ``B dW`` term) enter the backward-Euler right-hand side as
     ``B dW_n / h_n``, i.e. an *implicit* Euler-Maruyama step that
     stays stable on stiff parasitic RC meshes where the explicit EM
-    integrator needs tiny steps.  Each instance draws from its own
-    seeded Generator, so results are bit-identical for any solve chunk
-    size, worker count or ensemble split.
+    integrator needs tiny steps.  The increments come in pre-drawn as
+    ``normals=`` (:func:`repro.stochastic.vr.path_normals`, one seeded
+    stream per instance), so results are bit-identical for any solve
+    chunk size, worker count or ensemble split.
 
 Memory on the ``stack``/``dense`` backends scales as a handful of
 ``(K, n, n)`` float stacks — about ``48 * K * n**2`` bytes — plus the

@@ -22,7 +22,6 @@ from repro.core import (
     available_backends,
     create_backend,
     get_backend,
-    register_backend,
     select_backend,
     system_density,
 )
@@ -73,34 +72,6 @@ class TestRegistry:
     def test_get_backend_unknown(self):
         with pytest.raises(AnalysisError, match="unknown solver backend"):
             get_backend("ragged")
-
-    def test_register_backend_rejects_bad_names(self):
-        class Anonymous:
-            pass
-
-        with pytest.raises(ValueError):
-            register_backend(Anonymous)
-
-        class Reserved:
-            name = "auto"
-
-        with pytest.raises(ValueError):
-            register_backend(Reserved)
-
-    def test_register_and_resolve_custom_backend(self):
-        from repro.core.backends import DenseBackend
-
-        class Custom(DenseBackend):
-            name = "custom-lu"
-
-        try:
-            register_backend(Custom)
-            assert get_backend("custom-lu") is Custom
-            assert "custom-lu" in available_backends()
-            # A registered name is immediately a legal options value.
-            SwecOptions(backend="custom-lu")
-        finally:
-            BACKENDS.pop("custom-lu", None)
 
     def test_auto_selects_by_size_and_density(self):
         small = MnaSystem(fet_rtd_inverter()[0])

@@ -18,6 +18,7 @@ from repro.errors import AnalysisError, SingularMatrixError, SweepSpecError
 from repro.mna.batch import ConductanceStamper, solve_stack
 from repro.runtime import BatchRunner, EnsembleTransientJob, job_from_mapping
 from repro.stochastic import (
+    path_normals,
     run_circuit_ensemble,
     run_circuit_ensemble_parallel,
 )
@@ -374,14 +375,14 @@ class TestStochasticEnsembles:
     def test_bit_identical_across_solve_chunk_sizes(self):
         circuit = noisy_rc_circuit()
         times = np.linspace(0.0, 2e-9, 81)
-        seeds = np.random.SeedSequence(3).spawn(16)
+        normals = path_normals(np.random.SeedSequence(3).spawn(16), 80, 1)
         full = SwecEnsembleTransient(
             circuit, n_instances=16, noise=[("n1", 1e-8)]) \
-            .run_grid(times, seeds=seeds)
+            .run_grid(times, normals=normals)
         tiny = SwecEnsembleTransient(
             circuit, n_instances=16, noise=[("n1", 1e-8)],
             chunk_entries=1) \
-            .run_grid(times, seeds=seeds)
+            .run_grid(times, normals=normals)
         assert np.array_equal(full.states, tiny.states)
 
     @pytest.mark.parametrize("chunks,workers", [(2, 1), (4, 1), (4, 3)])
@@ -406,13 +407,23 @@ class TestStochasticEnsembles:
                 "noisy_rc_node", [], t_stop=1e-9, steps=10, n_paths=4,
                 chunks=2, seed=1, runner=BatchRunner(executor="serial"))
 
+    def test_noisy_grid_needs_normals(self):
+        engine = SwecEnsembleTransient(noisy_rc_circuit(), n_instances=2,
+                                       noise=[("n1", 1e-8)])
+        with pytest.raises(AnalysisError, match="normals="):
+            engine.run_grid(np.linspace(0.0, 1e-9, 11))
+        with pytest.raises(AnalysisError, match="shape"):
+            engine.run_grid(np.linspace(0.0, 1e-9, 11),
+                            normals=np.zeros((2, 11, 1)))
+
     def test_per_instance_noise_amplitudes(self):
         amplitudes = np.array([0.0, 1e-8])
         engine = SwecEnsembleTransient(
             noisy_rc_circuit(), n_instances=2,
             noise=[("n1", amplitudes)])
+        normals = path_normals(np.random.SeedSequence(1).spawn(2), 100, 1)
         result = engine.run_grid(np.linspace(0.0, 2e-9, 101),
-                                 seeds=np.random.SeedSequence(1).spawn(2))
+                                 normals=normals)
         quiet, noisy = result.voltage("n1")
         assert np.std(np.diff(quiet)) < np.std(np.diff(noisy))
 
@@ -474,6 +485,27 @@ class TestEnsembleTransientJob:
         with pytest.raises(AnalysisError, match="steps"):
             EnsembleTransientJob(t_stop=1e-9, builder="noisy_rc_node",
                                  n_instances=2, noise=[("n1", 1e-8)])
+
+    def test_path_seeds_need_noise(self):
+        # A noiseless job would ignore the seeds, yet they would still
+        # enter its cache key.
+        with pytest.raises(AnalysisError, match="noise"):
+            EnsembleTransientJob(
+                t_stop=1e-9, builder="noisy_rc_node", n_instances=2,
+                steps=10, path_seeds=np.random.SeedSequence(0).spawn(2))
+
+    def test_path_seeds_need_one_stream_per_instance(self):
+        kwargs = dict(t_stop=1e-9, builder="noisy_rc_node", steps=10,
+                      noise=[("n1", 1e-8)])
+        seeds = np.random.SeedSequence(0).spawn(4)
+        with pytest.raises(AnalysisError, match="per instance: expected 3"):
+            EnsembleTransientJob(n_instances=3, path_seeds=seeds, **kwargs)
+        with pytest.raises(AnalysisError, match="per pair: expected 2"):
+            EnsembleTransientJob(n_instances=4, path_seeds=seeds,
+                                 antithetic=True, **kwargs)
+        job = EnsembleTransientJob(n_instances=4, path_seeds=seeds,
+                                   return_result=True, **kwargs)
+        assert job.run().states.shape[0] == 4
 
 
 class TestSweepVectorMode:

@@ -75,8 +75,9 @@ NOISE = [("n1", 1e-8)]
 
 
 def test_path_normals_matches_engine_internal_draw():
-    # The vr layer re-draws what run_grid(seeds=...) draws internally;
-    # the two must be bit-equal or "VR off" would not equal legacy runs.
+    # path_normals is the one per-path draw (every noisy run_grid takes
+    # its output as normals=); it must stay one default_rng stream per
+    # seed, or stored ensemble results would no longer replay.
     seeds = np.random.SeedSequence(7).spawn(3)
     expected = np.stack(
         [np.random.default_rng(s).standard_normal((5, 2)) for s in seeds]

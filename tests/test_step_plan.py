@@ -2,21 +2,27 @@
 
 :class:`~repro.core.stepper.LinearStepper` compiles a step plan for the
 classic single-circuit dense march and runs it in place of the
-backend's stamp, diagonal and solve.  The plan must reproduce that
-march bitwise: every time, state, step count, step limit, DC field and
-flop category.  Setting the stepper's private ``_plan`` to None forces
-the backend march for the reference run.
+backend's stamp, diagonal and solve, in both marching modes (``run``
+and ``run_grid``).  The plan must reproduce that march bitwise: every
+time, state, step count, step limit, DC field and flop category.
+Setting the stepper's private ``_plan`` to None forces the backend
+march for the reference run.
 """
 
 import numpy as np
 import pytest
 
 from repro.circuit import DC, Circuit, Pulse
-from repro.circuits_lib import fet_rtd_inverter, mobile_dflipflop
+from repro.circuits_lib import (
+    fet_rtd_inverter,
+    mobile_dflipflop,
+    rtd_relaxation_oscillator,
+)
 from repro.circuits_lib.logic_gates import GateInfo, mobile_nand
 from repro.core import stepper as stepper_module
 from repro.core.stepper import LinearStepper
 from repro.devices import SCHULMAN_INGAAS, SchulmanRTD
+from repro.stochastic import path_normals
 from repro.swec import SwecOptions, SwecTransient
 from repro.swec.timestep import StepControlOptions
 
@@ -60,12 +66,41 @@ def current_driven_rtd():
     return circuit
 
 
-def march(circuit, opts, t_stop, *, plan):
+def march(circuit, opts, span, *, plan):
+    """``run(span)``, or ``run_grid(span)`` when *span* is a grid."""
     engine = SwecTransient(circuit, opts)
     assert engine._stepper._plan is not None
     if not plan:
         engine._stepper._plan = None
-    return engine.run(t_stop)
+    if np.ndim(span):
+        return engine.run_grid(span)
+    return engine.run(span)
+
+
+def assert_bitwise(got, want):
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.accepted_steps == want.accepted_steps > 1
+    assert got.rejected_steps == want.rejected_steps
+    assert got.step_limits == want.step_limits
+    assert got.steps_at_hmin == want.steps_at_hmin
+    assert (got.dc_iterations, got.dc_converged) == \
+        (want.dc_iterations, want.dc_converged)
+    assert got.aborted == want.aborted
+    assert got.flops.by_category() == want.flops.by_category()
+    for counter in ("factorizations", "linear_solves", "device_evaluations"):
+        assert getattr(got.flops, counter) == getattr(want.flops, counter)
+
+
+def assert_grid_march(result, times):
+    """A grid march takes exactly the grid's steps and records no
+    step limits."""
+    assert result.times.tobytes() == times.tobytes()
+    assert result.accepted_steps == times.size - 1
+    assert result.rejected_steps == 0
+    assert result.step_limits == {}
+    assert result.steps_at_hmin == 0
+    assert not result.aborted
 
 
 CASES = {
@@ -84,18 +119,43 @@ def test_plan_reproduces_the_backend_march_bitwise(name):
     build, opts, t_stop, min_rejected = CASES[name]
     got = march(build(), opts, t_stop, plan=True)
     want = march(build(), opts, t_stop, plan=False)
-    assert got.times.tobytes() == want.times.tobytes()
-    assert got.states.tobytes() == want.states.tobytes()
-    assert got.accepted_steps == want.accepted_steps > 1
-    assert got.rejected_steps == want.rejected_steps >= min_rejected
-    assert got.step_limits == want.step_limits
-    assert got.steps_at_hmin == want.steps_at_hmin
-    assert (got.dc_iterations, got.dc_converged) == \
-        (want.dc_iterations, want.dc_converged)
-    assert got.aborted == want.aborted
-    assert got.flops.by_category() == want.flops.by_category()
-    for counter in ("factorizations", "linear_solves", "device_evaluations"):
-        assert getattr(got.flops, counter) == getattr(want.flops, counter)
+    assert_bitwise(got, want)
+    assert got.rejected_steps >= min_rejected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_grid_plan_reproduces_the_backend_grid_march_bitwise(name):
+    # The grid is the adaptive run's own time points.
+    build, opts, t_stop, _ = CASES[name]
+    times = march(build(), opts, t_stop, plan=True).times
+    got = march(build(), opts, times, plan=True)
+    want = march(build(), opts, times, plan=False)
+    assert_bitwise(got, want)
+    assert_grid_march(got, times)
+
+
+def test_grid_plan_reproduces_the_oscillator_bitwise():
+    # The RTD relaxation oscillator on the uniform grid of a PSS
+    # shooting march (400 steps per period), from the zero state.
+    circuit, info = rtd_relaxation_oscillator()
+    times = np.linspace(0.0, 2.0 * info.period_guess, 801)
+    opts = SwecOptions(initialize_dc=False)
+    got = march(circuit, opts, times, plan=True)
+    want = march(rtd_relaxation_oscillator()[0], opts, times, plan=False)
+    assert_bitwise(got, want)
+    assert_grid_march(got, times)
+    out = got.voltage("out")
+    assert out.max() - out.min() > 0.5
+
+
+@pytest.mark.parametrize("plan", [True, False], ids=["plan", "backend"])
+def test_grid_march_ignores_dv_limit_and_max_points(plan):
+    times = np.linspace(0.0, 2e-9, 101)
+    loose = march(fig8_inverter(), options(0.2, None), times, plan=plan)
+    tight = march(fig8_inverter(), options(0.2, 1e-6, max_points=5), times,
+                  plan=plan)
+    assert_grid_march(tight, times)
+    assert tight.states.tobytes() == loose.states.tobytes()
 
 
 def test_plan_aborts_at_max_points_like_the_backend_march():
@@ -125,18 +185,34 @@ INELIGIBLE = {
     "k2": lambda: LinearStepper([fig8_inverter(), fig8_inverter()],
                                 options(), default_backend="dense"),
     "sparse": lambda: SwecTransient(fig8_inverter(), options(backend="sparse")),
+    "noise": lambda: LinearStepper([fig8_inverter()], options(),
+                                   noise=[("out", 1e-9)],
+                                   default_backend="dense"),
 }
+
+GRID = np.linspace(0.0, 0.5e-9, 26)
 
 
 @pytest.mark.parametrize("name", sorted(INELIGIBLE))
 def test_ineligible_configurations_keep_the_backend_march(name, plan_forbidden):
-    result = INELIGIBLE[name]().run(0.5e-9)
-    assert result.accepted_steps > 0
+    engine = INELIGIBLE[name]()
+    if getattr(engine, "num_noises", 0):
+        # Noise needs the fixed grid, so only run_grid applies.
+        normals = path_normals(np.random.SeedSequence(0).spawn(1),
+                               GRID.size - 1, 1)
+        result = engine.run_grid(GRID, normals=normals)
+    else:
+        assert engine.run(0.5e-9).accepted_steps > 0
+        result = engine.run_grid(GRID)
+    assert result.accepted_steps == GRID.size - 1
 
 
 def test_eligible_configuration_takes_the_plan(plan_forbidden):
+    engine = SwecTransient(fig8_inverter(), options())
     with pytest.raises(AssertionError, match="the step plan ran"):
-        SwecTransient(fig8_inverter(), options()).run(0.5e-9)
+        engine.run(0.5e-9)
+    with pytest.raises(AssertionError, match="the step plan ran"):
+        engine.run_grid(GRID)
 
 
 def test_floating_capacitor_keeps_the_backend_march(plan_forbidden):
