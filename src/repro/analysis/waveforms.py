@@ -44,9 +44,11 @@ class TransientResult:
         self.convergence_failures = 0
         #: Per-accepted-point Newton iteration counts (empty for SWEC).
         self.iteration_counts: list[int] = []
-        #: Factorizations skipped by a reuse cache.  Always 0: every
-        #: solve factors afresh.  Kept because the frozen
-        #: ``perfbench/workloads.py::march_counters`` reads it.
+        #: Factorizations skipped by reusing the factor of an identical
+        #: step matrix: the chordless sparse backend's per-run memo
+        #: (:class:`~repro.core.backends.SparseBackend`); 0 on every
+        #: other march.  Skipped factorizations are not counted in
+        #: ``flops.factorizations``.
         self.factor_reuses = 0
         #: True when the engine gave up before reaching t_stop.
         self.aborted = False
@@ -250,7 +252,8 @@ class EnsembleTransientResult:
         self.steps_at_hmin = 0
         self.aborted = False
         self.abort_reason: str | None = None
-        #: Always 0, as on :class:`TransientResult`.
+        #: Reused factorizations summed over the K instances, as on
+        #: :class:`TransientResult`.
         self.factor_reuses = 0
         #: Name of the solver backend that marched this result.
         self.backend: str | None = None

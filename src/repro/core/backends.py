@@ -32,12 +32,25 @@ which is what the ``backend=`` knob threaded through
 :class:`~repro.swec.SwecOptions`, the runtime jobs, the sweep specs,
 the AC sweeps and the CLIs resolves against.
 
+Every solve factors afresh, with one exception: a ``sparse`` backend
+whose systems carry no chord stamps (no nonlinear device, so
+:meth:`~repro.mna.assembler.MnaSystem.chord_pairs` is empty) solves the
+exact matrix ``scale G_base + C/h`` at every step and keeps its SuperLU
+factors keyed on ``(scale, h)``, at most :data:`SPARSE_FACTOR_MEMO`
+of them, for the current run (the transient-matrix reuse of
+Telichevesky, Kundert & White, DAC 1995).  A repeated step then
+back-substitutes only and counts one
+:attr:`~SolverBackend.factor_reuses` per instance.
+
 Flop accounting lives *inside* the backends so the
 :class:`~repro.perf.flops.FlopCounter` event counters (factorizations,
-linear solves) are comparable across them: one transient march records
-the same number of factor/solve events whichever backend executes it
-(the flop totals still reflect each algorithm's own cost model — dense
-``2/3 n^3`` versus the SuperLU fill-in estimate).
+linear solves) are comparable across them: a march of a chorded system
+records the same number of factor/solve events whichever backend
+executes it, and on every backend ``factorizations + factor_reuses``
+counts the step matrices solved (the flop totals still reflect each
+algorithm's own cost model — dense ``2/3 n^3`` versus the SuperLU
+fill-in estimate).  A reused factor books no factorization; its solves
+book the fill of the factor they use.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ import numpy as np
 from repro.errors import AnalysisError, SingularMatrixError
 from repro.mna.batch import ConductanceStamper, solve_stack
 from repro.mna.linsolve import LinearSolver
+from repro.mna.sparse import SparseOperators, SparseSolver
 from repro.perf.flops import FlopCounter
 
 __all__ = [
@@ -54,6 +68,7 @@ __all__ = [
     "AUTO_SPARSE_MIN_SIZE",
     "BACKENDS",
     "DenseBackend",
+    "SPARSE_FACTOR_MEMO",
     "SolverBackend",
     "SparseBackend",
     "StackBackend",
@@ -69,6 +84,13 @@ AUTO_SPARSE_MIN_SIZE = 192
 
 #: Largest fill ratio for which ``auto`` considers the sparse path.
 AUTO_SPARSE_MAX_DENSITY = 0.05
+
+#: Most SuperLU factorizations a chordless sparse backend keeps, summed
+#: over its K instances.  A uniform period grid of 100 or 400 steps
+#: (``np.linspace``) has only 7-11 distinct floating-point steps, so 16
+#: holds every step matrix of a K = 1 shooting period, while a 40x40
+#: power grid (about 0.7 MB per SuperLU factor) keeps at most ~11 MB.
+SPARSE_FACTOR_MEMO = 16
 
 
 class SolverBackend:
@@ -94,9 +116,13 @@ class SolverBackend:
         Factor and solve ``G x = rhs`` — the DC / chord-fixed-point
         form.
 
-    ``begin_run(flops)`` rebinds the flop counter.  Every solve
-    factors afresh: SWEC restamps its chords at every step, so the
-    stamped matrix changes at almost every solve.
+    ``begin_run(flops)`` rebinds the flop counter and starts a run:
+    :attr:`factor_reuses` (factorizations skipped by reusing a factor
+    of the same matrix) returns to 0.  Every solve factors afresh —
+    SWEC restamps its chords at every step, so the stamped matrix
+    changes at almost every solve — except on a chordless ``sparse``
+    stack, whose step matrices depend on ``h`` alone (see
+    :class:`SparseBackend`).
     """
 
     #: Registry key; subclasses override.
@@ -118,6 +144,7 @@ class SolverBackend:
         self.size = self.system.size
         self.flops = flops
         self.chunk_entries = chunk_entries
+        self.factor_reuses = 0
 
     # -- interface ------------------------------------------------------
 
@@ -150,12 +177,9 @@ class SolverBackend:
     # -- lifecycle ------------------------------------------------------
 
     def begin_run(self, flops: FlopCounter | None) -> None:
-        """Point flop accounting at *flops*."""
+        """Point flop accounting at *flops* and zero the reuse count."""
         self.flops = flops
-        self._rebind_flops()
-
-    def _rebind_flops(self) -> None:
-        """Hook for subclasses holding per-instance solver objects."""
+        self.factor_reuses = 0
 
 
 class _DenseStorageBackend(SolverBackend):
@@ -202,19 +226,7 @@ class _DenseStorageBackend(SolverBackend):
         return self._a
 
 
-class _PerInstanceSolvers:
-    """One factor/solve object per instance (dense LU, SuperLU), each
-    counting into the backend's flop counter."""
-
-    def _make_solvers(self, factory) -> None:
-        self._solvers = [factory(self.flops) for _ in range(self.n_instances)]
-
-    def _rebind_flops(self) -> None:
-        for solver in self._solvers:
-            solver.flops = self.flops
-
-
-class DenseBackend(_PerInstanceSolvers, _DenseStorageBackend):
+class DenseBackend(_DenseStorageBackend):
     """Per-instance dense LU: one fused LAPACK ``dgesv`` per solve.
 
     This is the classic single-instance SWEC path: one
@@ -228,7 +240,12 @@ class DenseBackend(_PerInstanceSolvers, _DenseStorageBackend):
 
     def __init__(self, systems, **kwargs) -> None:
         super().__init__(systems, **kwargs)
-        self._make_solvers(LinearSolver)
+        self._solvers = [LinearSolver(self.flops) for _ in range(self.n_instances)]
+
+    def begin_run(self, flops: FlopCounter | None) -> None:
+        super().begin_run(flops)
+        for solver in self._solvers:
+            solver.flops = flops
 
     def _factor_solve(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out = np.empty((self.n_instances, self.size))
@@ -276,7 +293,7 @@ class StackBackend(_DenseStorageBackend):
         return self._solve(self._g, rhs)
 
 
-class SparseBackend(_PerInstanceSolvers, SolverBackend):
+class SparseBackend(SolverBackend):
     """SuperLU factor/solve on the cached CSR pattern, batch-first.
 
     Assembly is data-array arithmetic on the one-time symbolic pattern
@@ -290,14 +307,20 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
     computed once per pattern, so SuperLU never reorders, and each
     right-hand side goes in as ``rhs[q]`` and its solution comes back
     through ``x[q] = y``.
+
+    Without chord stamps the transient matrix is exactly
+    ``scale G_base + C/h``, so a chordless stack keeps each step's K
+    factors keyed on ``(scale, h)`` until the next :meth:`begin_run`,
+    least recently used first out and at most
+    :data:`SPARSE_FACTOR_MEMO` factors in all; a repeated step only
+    back-substitutes.  A chorded stack restamps every step and never
+    keeps a factor.
     """
 
     name = "sparse"
 
     def __init__(self, systems, **kwargs) -> None:
         super().__init__(systems, **kwargs)
-        from repro.mna.sparse import SparseOperators, SparseSolver
-
         operators: dict[int, SparseOperators] = {}
         self._ops = []
         for system in self.systems:
@@ -327,7 +350,16 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
         self._csc = pattern.csc_matrix()
         self._csc_order = pattern.csc_order
         self._ordering = pattern.ordering
-        self._make_solvers(SparseSolver)
+        # (scale, h) -> the K factors of that step matrix, oldest use
+        # first; None when chord stamps make the matrix state-dependent.
+        self._memo_entries = SPARSE_FACTOR_MEMO // K
+        chordless = not self.system.chord_pairs()
+        self._memo = {} if chordless and self._memo_entries else None
+
+    def begin_run(self, flops: FlopCounter | None) -> None:
+        super().begin_run(flops)
+        if self._memo is not None:
+            self._memo.clear()
 
     def stamp(self, chords: np.ndarray) -> None:
         np.copyto(self._g_data, self._base_data)
@@ -352,12 +384,20 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
             out[k] = ops.matrix_from_data(self._g_data[k]) @ states[k]
         return out
 
-    def _factor_solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        out = np.empty((self.n_instances, self.size))
-        matrix, q = self._csc, self._ordering
-        for k, solver in enumerate(self._solvers):
+    def _factor(self, data: np.ndarray) -> list:
+        """One factored solver per instance for the ``(K, nnz)`` *data*."""
+        matrix, solvers = self._csc, []
+        for k in range(self.n_instances):
             np.take(data[k], self._csc_order, out=matrix.data)
+            solver = SparseSolver(self.flops)
             solver.factor(matrix)
+            solvers.append(solver)
+        return solvers
+
+    def _solve(self, solvers: list, rhs: np.ndarray) -> np.ndarray:
+        out = np.empty((self.n_instances, self.size))
+        q = self._ordering
+        for k, solver in enumerate(solvers):
             out[k][q] = solver.solve(rhs[k][q])
         return out
 
@@ -365,11 +405,20 @@ class SparseBackend(_PerInstanceSolvers, SolverBackend):
         self, h: float, rhs: np.ndarray, trapezoidal: bool = False
     ) -> np.ndarray:
         scale = 0.5 if trapezoidal else 1.0
-        data = scale * self._g_data + self._c_data / h
-        return self._factor_solve(data, rhs)
+        memo = self._memo
+        solvers = None if memo is None else memo.pop((scale, h), None)
+        if solvers is None:
+            solvers = self._factor(scale * self._g_data + self._c_data / h)
+            if memo is not None and len(memo) == self._memo_entries:
+                del memo[next(iter(memo))]
+        else:
+            self.factor_reuses += self.n_instances
+        if memo is not None:
+            memo[scale, h] = solvers
+        return self._solve(solvers, rhs)
 
     def solve_conductance(self, rhs: np.ndarray) -> np.ndarray:
-        return self._factor_solve(self._g_data, rhs)
+        return self._solve(self._factor(self._g_data), rhs)
 
 
 #: Name -> backend class.  ``auto`` is resolved by :func:`select_backend`

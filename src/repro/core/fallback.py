@@ -64,6 +64,7 @@ class FallbackBackend:
         self._chain = dict(FALLBACK_CHAIN if chain is None else chain)
         self.events: list[dict] = []
         self._chords = None
+        self._retired_reuses = 0
 
     # -- delegated contract ---------------------------------------------
 
@@ -73,7 +74,13 @@ class FallbackBackend:
 
     def begin_run(self, flops) -> None:
         self.events = []
+        self._retired_reuses = 0
         self._active.begin_run(flops)
+
+    @property
+    def factor_reuses(self) -> int:
+        """Reused factorizations of the run, across every engine it used."""
+        return self._retired_reuses + self._active.factor_reuses
 
     def stamp(self, chords) -> None:
         # Cache a copy so a degraded replacement can be stamped into the
@@ -134,6 +141,7 @@ class FallbackBackend:
         )
         if self._chords is not None:
             replacement.stamp(self._chords)
+        self._retired_reuses += self._active.factor_reuses
         self.events.append(
             {
                 "from": self._active.name,

@@ -765,4 +765,5 @@ class LinearStepper:
         # active engine mid-run.
         result.backend = self.backend_name
         result.fallback_events = list(getattr(self.backend, "events", ()))
+        result.factor_reuses = self.backend.factor_reuses
         return result

@@ -23,9 +23,13 @@ chord/tangent identity ``g_{ch}'(v)\\,v = dI/dV - g_{ch}`` turns that
 into the device's tangent conductance minus its chord.  ``M v`` chains
 ``v <- A_n^{-1} (C/h - D_n) v`` along the march's stored states,
 factoring each ``A_n`` with the march's own solver backend (SuperLU on
-``sparse``, LAPACK on ``dense``/``stack``).  No factorization outlives
-its step: beyond the marched trajectory a product keeps O(n +
-n_devices) numbers per step.  The products are exact for the
+``sparse``, LAPACK on ``dense``/``stack``).  With chord stamps no
+factorization outlives its step; on a chordless (linear) circuit the
+``sparse`` backend keeps the factor of each distinct step ``h`` — at
+most 16 (:data:`~repro.core.backends.SPARSE_FACTOR_MEMO`), 7-11 on a
+uniform period grid — for all the products of one Newton solve.
+Beyond the marched trajectory a product keeps O(n + n_devices)
+numbers per step.  The products are exact for the
 *discretized* map, so driven Newton converges quadratically (linear
 circuits in one iteration).  The autonomous period column below is
 the endpoint velocity, a first-order estimate of ``dPhi/dT``, so
@@ -197,7 +201,7 @@ class PSSResult:
 
     def __init__(self, node_names, times, states, *, period, mode,
                  iterations, residual, residual_history, phase_node,
-                 backend, flops) -> None:
+                 backend, flops, factor_reuses=0) -> None:
         self.node_names = tuple(node_names)
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
@@ -219,6 +223,11 @@ class PSSResult:
         #: factorization and one solve per step of every ``M v``
         #: product (backend-invariant events).
         self.flops = flops if flops is not None else FlopCounter()
+        #: Factorizations the marches skipped by reusing the factor of
+        #: a repeated step (chordless circuits on ``sparse``); the
+        #: products count one factorization per step regardless, so
+        #: ``flops.factorizations + factor_reuses`` is the per-step count.
+        self.factor_reuses = int(factor_reuses)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -418,7 +427,9 @@ class _BackendStepSolver:
     """``A_n`` through a solver backend's own stamp/factor/solve.
 
     The sparse family: the backend's cached pattern, CSC plan and
-    SuperLU factor, exactly as the march factors.
+    SuperLU factor, exactly as the march factors — including, on a
+    chordless circuit, its factor memo, which lives across every
+    product of this operator.
     """
 
     def __init__(self, backend) -> None:
@@ -446,10 +457,10 @@ class Monodromy:
     :meth:`matvec` chains ``v <- A_n^{-1} (C/h - D_n) v`` along the
     march's stored states, where ``A_n`` is the matrix the march
     factored at step ``n`` (base stamps + clamped chords + ``C/h``),
-    assembled and factored again in the march backend's solver family.
-    A product refactors every step and keeps no factorization; per
-    step the operator stores only ``h``, the chords and the ``D_n``
-    coefficients — O(n_devices) numbers.  ``velocity`` is the endpoint
+    assembled and factored again in the march backend's solver family
+    (the chordless sparse backend reuses the factor of a repeated
+    step instead).  Per step the operator stores only ``h``, the
+    chords and the ``D_n`` coefficients — O(n_devices) numbers.  ``velocity`` is the endpoint
     state velocity ``f_T``, the autonomous period column.  Each
     product counts one ``n x n`` factorization and one solve per step
     into *flops*, whatever the backend.
@@ -543,6 +554,7 @@ class ShootingPSS:
         grid = np.linspace(0.0, period * periods, steps + 1)
         result = self.engine.run_grid(grid, initial_state=x0)
         flops.merge(result.flops)
+        self._factor_reuses += result.factor_reuses
         if result.aborted:
             raise PSSError(
                 f"period march aborted: {result.abort_reason}")
@@ -657,6 +669,7 @@ class ShootingPSS:
             horizon = settle_time * (2.0 ** attempt)
             settle = settle_engine.run(horizon)
             flops.merge(settle.flops)
+            self._factor_reuses += settle.factor_reuses
             phase_node = self._pick_phase_node(settle)
             tail = settle.times > settle.times[-1] / 3.0
             period, _ = self._crossing_period(
@@ -688,7 +701,7 @@ class ShootingPSS:
             period=period, mode=self.mode, iterations=iterations,
             residual=residual, residual_history=history,
             phase_node=phase_node, backend=self.backend_name,
-            flops=flops)
+            flops=flops, factor_reuses=self._factor_reuses)
 
     def run(self, initial_state: np.ndarray | None = None) -> PSSResult:
         """Execute the shooting pipeline; converged orbit or raise.
@@ -698,6 +711,7 @@ class ShootingPSS:
         brute-force march).
         """
         flops = FlopCounter()
+        self._factor_reuses = 0
         tolerance = self.options.tolerance
         history: list[float] = []
         if self.mode == "autonomous":

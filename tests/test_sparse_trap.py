@@ -313,11 +313,20 @@ def _per_step_mmd_factor(self, matrix):
         self.flops.factorizations += 1
 
 
-def _per_step_mmd_factor_solve(self, data, rhs):
-    """``SparseBackend._factor_solve`` on the unordered CSC matrix."""
-    out = np.empty((self.n_instances, self.size))
-    for k, solver in enumerate(self._solvers):
+def _per_step_mmd_backend_factor(self, data):
+    """``SparseBackend._factor`` on the unordered CSC matrix."""
+    solvers = []
+    for k in range(self.n_instances):
+        solver = SparseSolver(self.flops)
         solver.factor(self._ops[k].matrix_from_data(data[k]).tocsc())
+        solvers.append(solver)
+    return solvers
+
+
+def _per_step_mmd_backend_solve(self, solvers, rhs):
+    """``SparseBackend._solve`` without the pattern's permutation."""
+    out = np.empty((self.n_instances, self.size))
+    for k, solver in enumerate(solvers):
         out[k] = solver.solve(rhs[k])
     return out
 
@@ -339,12 +348,18 @@ def _per_step_mmd_solve_many(small, frequencies, rhs_columns):
 
 @pytest.fixture
 def per_step_mmd(monkeypatch):
-    """Switch the sparse backend to the per-factorization ordering."""
+    """Switch the sparse backend to the per-factorization ordering.
+
+    Both halves are patched, so a factor kept by the backend's memo is
+    always solved by the half that made it.
+    """
 
     def enable():
         monkeypatch.setattr(SparseSolver, "factor", _per_step_mmd_factor)
-        monkeypatch.setattr(SparseBackend, "_factor_solve",
-                            _per_step_mmd_factor_solve)
+        monkeypatch.setattr(SparseBackend, "_factor",
+                            _per_step_mmd_backend_factor)
+        monkeypatch.setattr(SparseBackend, "_solve",
+                            _per_step_mmd_backend_solve)
 
     return enable
 

@@ -9,8 +9,10 @@ fixed grid and an adaptive one (with its microseconds per step), and
 the sparse solver backend against the dense one on a grid mesh, with
 the median microseconds and ``nnz(L+U)`` of one SuperLU factorization
 of the 30x30 RTD mesh (the factorization layer) and the median
-milliseconds of its symbolic analysis (``SparseOperators``) — and
-writes one machine-readable JSON file::
+milliseconds of its symbolic analysis (``SparseOperators``), and the
+driven shooting PSS of a 16x16 power grid on the sparse backend with
+its booked factorizations and reused factors — and writes one
+machine-readable JSON file::
 
     python tools/bench_report.py --tag ci --out bench
     python tools/bench_report.py --check bench/BENCH_ci.json
@@ -310,7 +312,7 @@ def _bench_service_cache(quick: bool, repeats: int) -> list[dict]:
 
 
 def _bench_pss(quick: bool, repeats: int) -> list[dict]:
-    from repro.circuits_lib import rtd_relaxation_oscillator
+    from repro.circuits_lib import power_grid_mesh, rtd_relaxation_oscillator
     from repro.pss import run_pss
     from repro.swec import SwecOptions, SwecTransient
     from repro.swec.timestep import StepControlOptions
@@ -336,6 +338,14 @@ def _bench_pss(quick: bool, repeats: int) -> list[dict]:
         lambda: SwecTransient(rtd_relaxation_oscillator()[0],
                               brute_options).run(periods * orbit.period),
         1)
+    # A linear grid on the sparse backend: its step matrices repeat, so
+    # the backend reuses their factors (independent of ``--quick``).
+    def driven():
+        return run_pss(power_grid_mesh(DRIVEN_GRID, DRIVEN_GRID)[0],
+                       steps_per_period=100, backend="sparse")
+
+    driven_seconds = _median_seconds(driven, repeats)
+    driven_orbit = driven()
     return [{
         "name": "pss_shooting",
         "median_seconds": shooting_seconds,
@@ -343,7 +353,19 @@ def _bench_pss(quick: bool, repeats: int) -> list[dict]:
         "reference": f"{periods}-period brute-force settling",
         "axes": {"steps_per_period": steps, "brute_periods": periods,
                  "iterations": orbit.iterations},
+    }, {
+        "name": "pss_driven_sparse",
+        "median_seconds": driven_seconds,
+        "factorizations": driven_orbit.flops.factorizations,
+        "factor_reuses": driven_orbit.factor_reuses,
+        "axes": {"grid": DRIVEN_GRID, "size": driven_orbit.states.shape[1],
+                 "steps_per_period": 100,
+                 "iterations": driven_orbit.iterations},
     }]
+
+
+#: Mesh side of the driven sparse PSS probe.
+DRIVEN_GRID = 16
 
 
 def _bench_resilience(quick: bool, repeats: int) -> list[dict]:
@@ -543,6 +565,14 @@ def check(path: Path) -> list[str]:
                 problems.append(
                     f"{path}: {entry.get('name', '?')!r} has invalid "
                     f"{key} {value!r}")
+        for key, least in (("factorizations", 1), ("factor_reuses", 0)):
+            value = entry.get(key)
+            if value is not None and (
+                    not isinstance(value, int) or isinstance(value, bool)
+                    or value < least):
+                problems.append(
+                    f"{path}: {entry.get('name', '?')!r} has invalid "
+                    f"{key} {value!r}")
     return problems
 
 
@@ -588,6 +618,9 @@ def main(argv: list[str] | None = None) -> int:
             extra += (f"  [factor {entry['factor_us']:.0f} us, "
                       f"nnz(L+U) {entry['factor_fill']}, "
                       f"operators {entry['operators_ms']:.1f} ms]")
+        if "factor_reuses" in entry:
+            extra += (f"  [{entry['factorizations']} factorizations, "
+                      f"{entry['factor_reuses']} reused]")
         print(f"{entry['name']:<32} {entry['median_seconds'] * 1e3:9.2f} ms"
               f"{extra}")
     print(f"wrote {path}")
