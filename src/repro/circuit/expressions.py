@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+from functools import lru_cache
 
 __all__ = ["ExpressionError", "evaluate"]
 
@@ -51,6 +52,11 @@ FUNCTIONS: dict[str, object] = {
 #: Constants available without definition.
 CONSTANTS: dict[str, float] = {"pi": math.pi}
 
+#: Distinct expression texts whose parsed trees stay cached, least
+#: recently used out.  A netlist holds a few dozen expressions, and a
+#: sweep evaluates the same ones at every design point.
+EXPRESSION_CACHE_SIZE = 1024
+
 _BINARY = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -81,6 +87,16 @@ def _desuffix(expression: str) -> str:
         return repr(parse_value(match.group(0)))
 
     return _SUFFIXED_NUMBER.sub(replace, expression)
+
+
+@lru_cache(maxsize=EXPRESSION_CACHE_SIZE)
+def _parse(text: str) -> ast.Expression:
+    """The syntax tree of a stripped expression text, parsed once.
+
+    A text that fails to parse raises on every call and is never
+    cached; evaluation only reads the tree.
+    """
+    return ast.parse(_desuffix(text), mode="eval")
 
 
 def _eval_node(node: ast.AST, env: dict, expression: str) -> float:
@@ -142,7 +158,7 @@ def evaluate(expression: str, env: dict | None = None) -> float:
     if not text:
         raise ExpressionError("empty expression")
     try:
-        tree = ast.parse(_desuffix(text), mode="eval")
+        tree = _parse(text)
     except SyntaxError as exc:
         raise ExpressionError(
             f"cannot parse expression {expression!r}: {exc.msg}") from exc

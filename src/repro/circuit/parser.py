@@ -34,7 +34,10 @@ The full dialect is documented in ``docs/netlist_format.md``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.circuit.expressions import ExpressionError, evaluate
 from repro.circuit.netlist import Circuit, is_ground
@@ -57,6 +60,11 @@ _BRACE_RE = re.compile(r"\{([^{}]*)\}")
 
 #: Recursion limit for subcircuit expansion; hitting it means a cycle.
 MAX_SUBCKT_DEPTH = 32
+
+#: Distinct netlist texts whose card tables stay compiled, least
+#: recently used out.  A sweep parses one text at every design point;
+#: a handful of slots covers the texts one process alternates between.
+NETLIST_CACHE_SIZE = 16
 
 
 def _join_continuations(text: str) -> list[tuple[int, str]]:
@@ -213,16 +221,41 @@ def _build_model(kind: str, params: dict[str, float], line_number: int,
     return model
 
 
-@dataclass
+@dataclass(frozen=True)
+class Card:
+    """One logical line: its first physical line number, its text
+    (comments stripped, continuations joined) and its fields."""
+
+    number: int
+    line: str
+    fields: tuple[str, ...]
+    head: str  # ``fields[0].upper()``
+
+
+@dataclass(frozen=True)
 class SubcktDef:
     """One ``.SUBCKT`` definition, kept unexpanded until instantiated."""
 
     name: str
     ports: tuple[str, ...]
-    defaults: dict[str, str]
-    body: list[tuple[int, str]]
+    defaults: Mapping[str, str]
+    body: tuple[Card, ...]
     line_number: int
     line: str
+
+
+@dataclass(frozen=True)
+class CardTable:
+    """A netlist text compiled once: tokenized cards and subcircuits.
+
+    Everything here depends on the text alone, so one table serves
+    every parse of that text whatever its ``.PARAM`` overrides; parses
+    only read it.
+    """
+
+    cards: tuple[Card, ...]  # every logical line, in order
+    top: tuple[Card, ...]  # the cards outside ``.SUBCKT`` bodies
+    subckts: Mapping[str, SubcktDef]
 
 
 @dataclass
@@ -243,16 +276,16 @@ class _Scope:
 
 
 def _extract_subckts(
-    lines: list[tuple[int, str]],
-) -> tuple[list[tuple[int, str]], dict[str, SubcktDef]]:
+    cards: tuple[Card, ...],
+) -> tuple[tuple[Card, ...], Mapping[str, SubcktDef]]:
     """Split logical lines into top-level cards and subckt definitions."""
-    top: list[tuple[int, str]] = []
+    top: list[Card] = []
     subckts: dict[str, SubcktDef] = {}
     current: SubcktDef | None = None
-    for number, line in lines:
-        fields = _split_fields(line)
-        head = fields[0].upper()
-        if head == ".SUBCKT":
+    body: list[Card] = []
+    for card in cards:
+        fields, number, line = card.fields, card.number, card.line
+        if card.head == ".SUBCKT":
             if current is not None:
                 raise NetlistParseError(
                     "nested .SUBCKT definitions are not supported "
@@ -280,30 +313,49 @@ def _extract_subckts(
             if not ports:
                 raise NetlistParseError(
                     ".SUBCKT needs at least one port", number, line)
-            current = SubcktDef(name, tuple(ports), defaults, [],
-                                number, line)
-        elif head == ".ENDS":
+            current = SubcktDef(name, tuple(ports),
+                                MappingProxyType(defaults), (), number, line)
+            body = []
+        elif card.head == ".ENDS":
             if current is None:
                 raise NetlistParseError(
                     ".ENDS without a matching .SUBCKT", number, line)
-            subckts[current.name] = current
+            subckts[current.name] = replace(current, body=tuple(body))
             current = None
         elif current is not None:
-            if head == ".PARAM":
+            if card.head == ".PARAM":
                 raise NetlistParseError(
                     ".PARAM inside a .SUBCKT body; declare defaults on "
                     "the .SUBCKT line instead", number, line)
-            current.body.append((number, line))
+            body.append(card)
         else:
-            top.append((number, line))
+            top.append(card)
     if current is not None:
         raise NetlistParseError(
             f".SUBCKT {current.name!r} is never closed by .ENDS",
             current.line_number, current.line)
-    return top, subckts
+    return tuple(top), MappingProxyType(subckts)
 
 
-def _collect_params(lines: list[tuple[int, str]],
+@lru_cache(maxsize=NETLIST_CACHE_SIZE)
+def compile_netlist(text: str) -> CardTable:
+    """Compile *text* into its :class:`CardTable`, once per text.
+
+    Joins continuations, tokenizes every card and extracts the
+    ``.SUBCKT`` definitions.  Tables are kept in an LRU cache of
+    :data:`NETLIST_CACHE_SIZE` texts; a text that fails to compile
+    raises its :class:`~repro.errors.NetlistParseError` on every call
+    and is never cached.
+    """
+    cards = []
+    for number, line in _join_continuations(text):
+        fields = tuple(_split_fields(line))
+        cards.append(Card(number, line, fields, fields[0].upper()))
+    top, subckts = _extract_subckts(tuple(cards))
+    return CardTable(cards=tuple(cards), top=top, subckts=subckts)
+
+
+def _collect_params(top: tuple[Card, ...],
                     overrides: dict | None) -> dict[str, float]:
     """Process ``.PARAM`` cards in order, applying external overrides.
 
@@ -314,10 +366,10 @@ def _collect_params(lines: list[tuple[int, str]],
     """
     overrides = dict(overrides or {})
     env: dict[str, float] = {}
-    for number, line in lines:
-        fields = _split_fields(line)
-        if fields[0].upper() != ".PARAM":
+    for card in top:
+        if card.head != ".PARAM":
             continue
+        fields, number, line = card.fields, card.number, card.line
         if len(fields) < 2:
             raise NetlistParseError(
                 ".PARAM needs at least one name=value pair", number, line)
@@ -344,14 +396,14 @@ def _collect_params(lines: list[tuple[int, str]],
     return env
 
 
-def _collect_models(lines: list[tuple[int, str]],
+def _collect_models(cards: tuple[Card, ...],
                     env: dict[str, float]) -> dict[str, object]:
     """Build the (global) model table from every ``.MODEL`` card."""
     models: dict[str, object] = {}
-    for number, line in lines:
-        fields = _split_fields(line)
-        if fields[0].upper() != ".MODEL":
+    for card in cards:
+        if card.head != ".MODEL":
             continue
+        fields, number, line = card.fields, card.number, card.line
         if len(fields) < 3:
             raise NetlistParseError(".MODEL needs name and kind",
                                     number, line)
@@ -368,8 +420,7 @@ def _collect_models(lines: list[tuple[int, str]],
     return models
 
 
-def _split_bare_and_params(tokens: list[str]) -> tuple[list[str],
-                                                       list[str]]:
+def _split_bare_and_params(tokens) -> tuple[list[str], list[str]]:
     """Separate positional tokens from trailing ``name=value`` tokens."""
     bare = [t for t in tokens if _PARAM_RE.match(t) is None]
     params = [t for t in tokens if _PARAM_RE.match(t) is not None]
@@ -379,7 +430,7 @@ def _split_bare_and_params(tokens: list[str]) -> tuple[list[str],
 class _Parser:
     """Single-netlist parse state: model/subckt tables plus the circuit."""
 
-    def __init__(self, models: dict, subckts: dict[str, SubcktDef],
+    def __init__(self, models: dict, subckts: Mapping[str, SubcktDef],
                  provenance: dict | None = None) -> None:
         self.models = models
         self.subckts = subckts
@@ -393,7 +444,7 @@ class _Parser:
 
     # ------------------------------------------------------------------
 
-    def add_card(self, fields: list[str], number: int, line: str,
+    def add_card(self, fields, number: int, line: str,
                  scope: _Scope, depth: int = 0) -> None:
         """Parse one element card into the circuit, inside *scope*."""
         head = fields[0]
@@ -539,16 +590,14 @@ class _Parser:
             prefix=scope.prefix + instance + ".",
             node_map={port: scope.resolve(node)
                       for port, node in zip(definition.ports, nodes)})
-        for body_number, body_line in definition.body:
-            body_fields = _split_fields(body_line)
-            head = body_fields[0].upper()
-            if head == ".MODEL":
+        for card in definition.body:
+            if card.head == ".MODEL":
                 continue  # models are global; collected in the first pass
-            if head.startswith("."):
+            if card.head.startswith("."):
                 raise NetlistParseError(
-                    f"directive {body_fields[0]!r} not allowed inside "
-                    f".SUBCKT {definition.name!r}", body_number, body_line)
-            self.add_card(body_fields, body_number, body_line, child,
+                    f"directive {card.fields[0]!r} not allowed inside "
+                    f".SUBCKT {definition.name!r}", card.number, card.line)
+            self.add_card(card.fields, card.number, card.line, child,
                           depth + 1)
 
 
@@ -585,25 +634,24 @@ def parse_netlist(text: str, params: dict | None = None,
     >>> circuit.resistors[0].resistance
     22.0
     """
-    lines = _join_continuations(text)
-    top, subckts = _extract_subckts(lines)
-    env = _collect_params(top, params)
-    parser = _Parser(_collect_models(lines, env), subckts, provenance)
+    table = compile_netlist(text)
+    env = _collect_params(table.top, params)
+    parser = _Parser(_collect_models(table.cards, env), table.subckts,
+                     provenance)
     circuit = parser.circuit
 
-    for number, line in top:
-        fields = _split_fields(line)
-        head = fields[0]
-        upper = head.upper()
-        if upper == ".TITLE":
-            circuit.name = " ".join(fields[1:]) or circuit.name
+    for card in table.top:
+        if card.head == ".TITLE":
+            circuit.name = " ".join(card.fields[1:]) or circuit.name
             continue
         # Exact matches only: a mistyped directive (".MODELS",
         # ".PARAMS") must be reported, not silently skipped.
-        if upper in (".END", ".MODEL", ".PARAM"):
+        if card.head in (".END", ".MODEL", ".PARAM"):
             continue
-        if upper.startswith("."):
+        if card.head.startswith("."):
             raise NetlistParseError(
-                f"unsupported directive {head!r}", number, line)
-        parser.add_card(fields, number, line, _Scope(env=env))
+                f"unsupported directive {card.fields[0]!r}", card.number,
+                card.line)
+        parser.add_card(card.fields, card.number, card.line,
+                        _Scope(env=env))
     return circuit

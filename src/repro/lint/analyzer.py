@@ -2,8 +2,11 @@
 
 :func:`lint_netlist` is the full pipeline — text checks over the raw
 (logical) lines, a provenance-tracking parse, then graph checks over
-the flattened circuit.  A netlist that fails to parse still produces a
-report: the parser's line-numbered :class:`NetlistParseError` is
+the flattened circuit.  The text checks depend on the text alone and
+run once per distinct text; the parse and the graph checks run for
+every call, since ``.PARAM`` overrides change the circuit.  A netlist
+that fails to parse still produces a report: the parser's
+line-numbered :class:`NetlistParseError` is
 classified into a check id (``duplicate-element``, ``subckt-arity``,
 or the catch-all ``parse-error``) so callers see one uniform
 diagnostic stream whatever the failure mode.
@@ -19,15 +22,17 @@ expected input, and the answer is a report, not an exception.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import (
-    _extract_subckts,
-    _join_continuations,
+    NETLIST_CACHE_SIZE,
+    compile_netlist,
     parse_netlist,
 )
 from repro.errors import NanoSimError, NetlistParseError
 from repro.lint.checks import (
+    CHECKS,
     TextContext,
     run_graph_checks,
     run_text_checks,
@@ -71,6 +76,20 @@ def _classify_parse_error(exc: NetlistParseError) -> Diagnostic:
     )
 
 
+@lru_cache(maxsize=NETLIST_CACHE_SIZE)
+def _text_diagnostics(text: str, checks: tuple) -> tuple[Diagnostic, ...]:
+    """Diagnostics of the text-scope checks over a compiled *text*.
+
+    They depend on the text alone, so a sweep runs them once, not at
+    every design point.  *checks*, the registered text-scope check
+    functions, is only part of the key: a check registered later is
+    run, not served a stale answer.
+    """
+    table = compile_netlist(text)
+    return tuple(run_text_checks(TextContext(
+        lines=table.cards, top=table.top, subckts=table.subckts)))
+
+
 def lint_netlist(
     text: str,
     params: dict | None = None,
@@ -88,15 +107,14 @@ def lint_netlist(
     name:
         Label used in the report (typically the file name).
     """
-    diagnostics: list[Diagnostic] = []
     try:
-        lines = _join_continuations(text)
-        top, subckts = _extract_subckts(lines)
+        compile_netlist(text)
     except NetlistParseError as exc:
         return LintReport(name=name, diagnostics=[_classify_parse_error(exc)])
-    diagnostics.extend(
-        run_text_checks(TextContext(lines=lines, top=top, subckts=subckts))
+    text_checks = tuple(
+        check.fn for check in CHECKS.values() if check.scope == "text"
     )
+    diagnostics = list(_text_diagnostics(text, text_checks))
     provenance: dict[str, tuple[int, str]] = {}
     try:
         circuit = parse_netlist(text, params=params, provenance=provenance)

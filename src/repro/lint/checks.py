@@ -22,7 +22,7 @@ everything else that keeps a design from producing a circuit at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.circuit.elements import (
     Capacitor,
@@ -59,11 +59,11 @@ PARSE_CHECK_IDS = {
 
 @dataclass(frozen=True)
 class TextContext:
-    """Input to text-scope checks: logical lines + subckt table."""
+    """Input to text-scope checks: tokenized logical lines + subckt table."""
 
-    lines: list  # [(line_number, logical_line), ...]
-    top: list  # top-level subset of ``lines``
-    subckts: dict  # name -> SubcktDef
+    lines: tuple  # every Card of the compiled netlist, in order
+    top: tuple  # top-level subset of ``lines``
+    subckts: Mapping  # name -> SubcktDef
 
 
 @dataclass(frozen=True)
@@ -512,19 +512,19 @@ def _check_param_magnitude(graph: CircuitGraph) -> list[Diagnostic]:
 # ----------------------------------------------------------------------
 
 
-def _card_node_tokens(fields: list[str]) -> list[str]:
+def _card_node_tokens(fields: tuple[str, ...]) -> tuple[str, ...]:
     """Node-position tokens of one element card (best effort)."""
     if not fields or fields[0].startswith("."):
-        return []
+        return ()
     letter = fields[0][0].upper()
     if letter in "RCLVID":
         return fields[1:3]
     if letter == "M":
         return fields[1:4]
     if letter == "X":
-        bare = [f for f in fields[1:] if "=" not in f]
-        return bare[:-1] if len(bare) > 1 else []
-    return []
+        bare = tuple(f for f in fields[1:] if "=" not in f)
+        return bare[:-1] if len(bare) > 1 else ()
+    return ()
 
 
 @register_check(
@@ -534,13 +534,11 @@ def _card_node_tokens(fields: list[str]) -> list[str]:
     title="a .SUBCKT port is never used inside its body",
 )
 def _check_dangling_port(context: TextContext) -> list[Diagnostic]:
-    from repro.circuit.parser import _split_fields
-
     out = []
     for definition in context.subckts.values():
         used: set[str] = set()
-        for _, body_line in definition.body:
-            used.update(_card_node_tokens(_split_fields(body_line)))
+        for card in definition.body:
+            used.update(_card_node_tokens(card.fields))
         for port in definition.ports:
             if port in used:
                 continue
@@ -573,14 +571,12 @@ def _check_dangling_port(context: TextContext) -> list[Diagnostic]:
     title="a .SUBCKT is defined but never instantiated",
 )
 def _check_unused_subckt(context: TextContext) -> list[Diagnostic]:
-    from repro.circuit.parser import _split_fields
-
     referenced: set[str] = set()
     bodies = [context.top]
     bodies.extend(d.body for d in context.subckts.values())
-    for lines in bodies:
-        for _, line in lines:
-            fields = _split_fields(line)
+    for cards in bodies:
+        for card in cards:
+            fields = card.fields
             if not fields or fields[0][0].upper() != "X":
                 continue
             bare = [f for f in fields[1:] if "=" not in f]

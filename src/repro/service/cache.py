@@ -53,12 +53,17 @@ def batch_job_keys(jobs, base_seed: int) -> list[str | None]:
 
     Job *i* in a batch with base seed *s* always receives
     ``SeedSequence(s).spawn(n)[i]``, so its address is the triple
-    ``(spec, s, i)``.  Uncacheable jobs map to ``None``.
+    ``(spec, s, i)``.  Uncacheable jobs map to ``None``.  Every key is
+    exactly that job's :func:`job_key`; the objects the jobs share (a
+    sweep's measures, settings and options) are canonicalized once for
+    the whole batch, not once per job.
     """
     keys: list[str | None] = []
+    shared: dict = {}
     for index, job in enumerate(jobs):
+        seed = {"entropy": int(base_seed), "spawn": index}
         try:
-            keys.append(job_key(job, seed={"entropy": int(base_seed), "spawn": index}))
+            keys.append(job_key(job, seed=seed, shared=shared))
         except UncacheableJobError:
             keys.append(None)
     return keys
@@ -77,7 +82,6 @@ def run_batch_cached(runner, jobs, store: ResultStore) -> BatchReport:
     jobs = list(jobs)
     start = time.perf_counter()
     keys = batch_job_keys(jobs, runner.seed)
-    seeds = np.random.SeedSequence(runner.seed).spawn(max(len(jobs), 1))
     results: list[JobResult | None] = [None] * len(jobs)
     miss_jobs = []
     miss_seeds = []
@@ -95,8 +99,10 @@ def run_batch_cached(runner, jobs, store: ResultStore) -> BatchReport:
                 cached=True,
             )
         else:
+            # ``SeedSequence(seed).spawn(n)[index]``, built only for a
+            # miss: a warm batch spawns nothing.
             miss_jobs.append(job)
-            miss_seeds.append(seeds[index])
+            miss_seeds.append(np.random.SeedSequence(runner.seed, spawn_key=(index,)))
             miss_indices.append(index)
     if miss_jobs:
         # Publish each miss the moment its result is final rather than

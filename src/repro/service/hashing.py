@@ -30,9 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
-from typing import Any, Mapping
+from typing import Any
 
+import numpy as np
+
+from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -45,6 +49,9 @@ __all__ = [
 
 #: Bump when the canonicalization rules change; part of the hash salt.
 FINGERPRINT_SCHEMA = 1
+
+#: Exact types :func:`canonical_value` returns unchanged.
+_PLAIN = frozenset({bool, int, float, str})
 
 
 class UncacheableJobError(AnalysisError):
@@ -116,11 +123,9 @@ def canonical_value(value: Any) -> Any:
     circuits, waveforms and device models.  Anything callable — or
     otherwise opaque — raises :class:`UncacheableJobError`.
     """
-    import numpy as np
-
-    from repro.circuit.netlist import Circuit
-
-    if value is None or isinstance(value, (bool, int, str)):
+    if value is None or type(value) in _PLAIN:
+        return value
+    if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return float(value)
@@ -189,7 +194,7 @@ def _canonical_design(job) -> Any:
 _DESIGN_FIELDS = frozenset({"circuit", "builder", "netlist", "params"})
 
 
-def canonical_job(job) -> dict:
+def canonical_job(job, shared: dict | None = None) -> dict:
     """Canonical mapping for a runtime job (or any job-shaped object).
 
     The four runtime job dataclasses (``TransientJob``, ``ACJob``,
@@ -197,6 +202,12 @@ def canonical_job(job) -> dict:
     are all plain dataclasses; every field participates in the
     fingerprint.  Circuit-carrying jobs get their design triple
     normalized through :func:`_canonical_design`.
+
+    *shared* memoizes the canonical form of field values by identity,
+    for jobs that share objects (a sweep's measures, settings and
+    options): each shared object is canonicalized once.  It holds the
+    objects it keys on, so an id is never reused while it lives, and
+    must not outlive the jobs' current state — one batch, unmutated.
     """
     if not is_dataclass(job) or isinstance(job, type):
         raise UncacheableJobError(
@@ -206,19 +217,28 @@ def canonical_job(job) -> dict:
     record: dict[str, Any] = {"__job__": f"{cls.__module__}.{cls.__qualname__}"}
     has_design = hasattr(job, "netlist") or hasattr(job, "circuit")
     for spec in fields(job):
-        if has_design and spec.name in _DESIGN_FIELDS:
+        name = spec.name
+        if has_design and name in _DESIGN_FIELDS:
             continue
-        value = getattr(job, spec.name)
-        if is_dataclass(value) and hasattr(value, "run"):
-            record[spec.name] = canonical_job(value)
+        value = getattr(job, name)
+        if value is None or type(value) in _PLAIN:
+            record[name] = value  # its own canonical form
+        elif is_dataclass(value) and hasattr(value, "run"):
+            record[name] = canonical_job(value, shared)
+        elif shared is None:
+            record[name] = canonical_value(value)
         else:
-            record[spec.name] = canonical_value(value)
+            entry = shared.get(id(value))
+            if entry is None:
+                entry = shared[id(value)] = (value, canonical_value(value))
+            record[name] = entry[1]
     if has_design:
         record["design"] = _canonical_design(job)
     return record
 
 
-def job_key(job, *, seed: Any = None, extra: Any = None) -> str:
+def job_key(job, *, seed: Any = None, extra: Any = None,
+            shared: dict | None = None) -> str:
     """Content address of *job*: a 64-hex-digit SHA-256 fingerprint.
 
     Parameters
@@ -232,6 +252,10 @@ def job_key(job, *, seed: Any = None, extra: Any = None) -> str:
         ``(spec, seed)`` pair.
     extra:
         Additional salt (e.g. a measure list for sweep reductions).
+    shared:
+        Identity memo of field values shared between the jobs of one
+        batch (see :func:`canonical_job`); the key does not depend on
+        it.
 
     Raises
     ------
@@ -243,7 +267,7 @@ def job_key(job, *, seed: Any = None, extra: Any = None) -> str:
     envelope = {
         "fingerprint_schema": FINGERPRINT_SCHEMA,
         "repro": repro.__version__,
-        "job": canonical_job(job),
+        "job": canonical_job(job, shared),
         "seed": canonical_value(seed),
         "extra": canonical_value(extra),
     }

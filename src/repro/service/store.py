@@ -185,6 +185,7 @@ class ResultStore:
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else default_store_root()
         self.objects = self.root / "objects"
+        self._shards = str(self.objects) + os.sep
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -204,9 +205,16 @@ class ResultStore:
 
     # -- paths ----------------------------------------------------------
 
+    def _files(self, key: str) -> tuple[str, str]:
+        """Metadata and payload file names of *key*, by string joins: a
+        cache hit is cheap enough that pathlib's ``/`` would be a third
+        of it."""
+        stem = self._shards + key[:2] + os.sep + key
+        return stem + ".json", stem + ".pkl"
+
     def _paths(self, key: str) -> tuple[Path, Path]:
-        shard = self.objects / key[:2]
-        return shard / f"{key}.json", shard / f"{key}.pkl"
+        meta_file, payload_file = self._files(key)
+        return Path(meta_file), Path(payload_file)
 
     # -- read -----------------------------------------------------------
 
@@ -223,9 +231,10 @@ class ResultStore:
 
     def get(self, key: str) -> CachedResult | None:
         """Fetch an entry; any corruption reads as a miss, never raises."""
-        meta_path, payload_path = self._paths(key)
+        meta_file, payload_file = self._files(key)
         try:
-            meta = json.loads(meta_path.read_text())
+            with open(meta_file, "rb") as handle:
+                meta = json.loads(handle.read())
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -233,7 +242,8 @@ class ResultStore:
             self.misses += 1
             return None
         try:
-            payload = payload_path.read_bytes()
+            with open(payload_file, "rb") as handle:
+                payload = handle.read()
         except OSError:
             self.misses += 1
             return None

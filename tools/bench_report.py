@@ -11,8 +11,9 @@ the median microseconds and ``nnz(L+U)`` of one SuperLU factorization
 of the 30x30 RTD mesh (the factorization layer) and the median
 milliseconds of its symbolic analysis (``SparseOperators``), and the
 driven shooting PSS of a 16x16 power grid on the sparse backend with
-its booked factorizations and reused factors — and writes one
-machine-readable JSON file::
+its booked factorizations and reused factors, and the per-point
+milliseconds of a ``.PARAM`` netlist sweep's cache keys, lint gate and
+parse — and writes one machine-readable JSON file::
 
     python tools/bench_report.py --tag ci --out bench
     python tools/bench_report.py --check bench/BENCH_ci.json
@@ -308,7 +309,64 @@ def _bench_service_cache(quick: bool, repeats: int) -> list[dict]:
         "speedup": cold_seconds / warm_seconds,
         "reference": "cold sweep (every point simulated)",
         "axes": {"points": n_points},
-    }]
+    }, _sweep_front_end(max(repeats, 9))]
+
+
+#: The RTD divider of the cached ``.PARAM`` netlist sweep, and its
+#: number of design points (both independent of ``--quick``).
+FRONT_END_NETLIST = """* RTD divider for the cached sweep
+.title rtd-divider-sweep
+.param rser=10 vdrive=0.6
+.model paper RTD
+Vs in 0 {vdrive}
+R1 in out {rser}
+X1 out 0 paper
+.end
+"""
+FRONT_END_POINTS = 64
+#: Keys in ``sweep_front_end`` that hold milliseconds per design point.
+FRONT_END_KEYS = ("keys_ms_per_point", "gate_ms_per_point",
+                  "parse_ms_per_point")
+
+
+def _sweep_front_end(repeats: int) -> dict:
+    """Parent-side cost of one design point of a ``.PARAM`` netlist
+    sweep above the march: its cache key (``batch_job_keys``), its
+    strict lint gate (``gate_sweep_jobs``) and a bare
+    ``parse_netlist``, in median milliseconds per point."""
+    from repro.circuit.parser import parse_netlist
+    from repro.lint.gate import gate_sweep_jobs
+    from repro.service import batch_job_keys
+    from repro.sweep import ParameterAxis, SweepSpec
+    from repro.sweep.measures import MeasureSpec
+    from repro.sweep.runner import build_jobs
+
+    spec = SweepSpec(
+        name="sweep-front-end", netlist_text=FRONT_END_NETLIST,
+        settings={"t_stop": 2e-9,
+                  "options": {"epsilon": 0.05, "h_min": 1e-13,
+                              "h_max": 5e-11, "h_initial": 1e-12}},
+        axes=[ParameterAxis.from_range("rser", 5.0, 300.0,
+                                       FRONT_END_POINTS)],
+        measures=[MeasureSpec(kind="peak", node="out", name="v_peak"),
+                  MeasureSpec(kind="final", node="out", name="v_final")],
+        validate="strict")
+    jobs = build_jobs(spec)
+    values = [job.point["rser"] for job in jobs]
+    keys = _median_seconds(lambda: batch_job_keys(jobs, 0), repeats)
+    gate = _median_seconds(lambda: gate_sweep_jobs(jobs, "strict"), repeats)
+    parse = _median_seconds(
+        lambda: [parse_netlist(FRONT_END_NETLIST, params={"rser": value})
+                 for value in values], repeats)
+    per_point = 1e3 / FRONT_END_POINTS
+    return {
+        "name": "sweep_front_end",
+        "median_seconds": keys + gate,
+        "keys_ms_per_point": keys * per_point,
+        "gate_ms_per_point": gate * per_point,
+        "parse_ms_per_point": parse * per_point,
+        "axes": {"points": FRONT_END_POINTS},
+    }
 
 
 def _bench_pss(quick: bool, repeats: int) -> list[dict]:
@@ -558,7 +616,13 @@ def check(path: Path) -> list[str]:
             problems.append(
                 f"{path}: {entry.get('name', '?')!r} has non-positive "
                 f"median_seconds {seconds!r}")
-        for key in ("speedup", "factor_us", "factor_fill", "operators_ms"):
+        if entry.get("name") == "sweep_front_end":
+            for key in FRONT_END_KEYS:
+                if key not in entry:
+                    problems.append(
+                        f"{path}: 'sweep_front_end' missing {key!r}")
+        for key in ("speedup", "factor_us", "factor_fill", "operators_ms",
+                    *FRONT_END_KEYS):
             value = entry.get(key)
             if value is not None and (
                     not isinstance(value, (int, float)) or value <= 0.0):
@@ -621,6 +685,11 @@ def main(argv: list[str] | None = None) -> int:
         if "factor_reuses" in entry:
             extra += (f"  [{entry['factorizations']} factorizations, "
                       f"{entry['factor_reuses']} reused]")
+        if "keys_ms_per_point" in entry:
+            extra += (f"  [per point: keys "
+                      f"{entry['keys_ms_per_point']:.3f} ms, gate "
+                      f"{entry['gate_ms_per_point']:.3f} ms, parse "
+                      f"{entry['parse_ms_per_point']:.3f} ms]")
         print(f"{entry['name']:<32} {entry['median_seconds'] * 1e3:9.2f} ms"
               f"{extra}")
     print(f"wrote {path}")
