@@ -32,15 +32,23 @@ which is what the ``backend=`` knob threaded through
 :class:`~repro.swec.SwecOptions`, the runtime jobs, the sweep specs,
 the AC sweeps and the CLIs resolves against.
 
-Every solve factors afresh, with one exception: a ``sparse`` backend
-whose systems carry no chord stamps (no nonlinear device, so
-:meth:`~repro.mna.assembler.MnaSystem.chord_pairs` is empty) solves the
-exact matrix ``scale G_base + C/h`` at every step and keeps its SuperLU
-factors keyed on ``(scale, h)``, at most :data:`SPARSE_FACTOR_MEMO`
-of them, for the current run (the transient-matrix reuse of
-Telichevesky, Kundert & White, DAC 1995).  A repeated step then
-back-substitutes only and counts one
-:attr:`~SolverBackend.factor_reuses` per instance.
+``dense`` and ``stack`` factor afresh at every solve.  ``sparse``
+keeps SuperLU factors for the current run, at most
+:data:`SPARSE_FACTOR_MEMO` of them (0 factors at every step):
+
+* systems without chord stamps (no nonlinear device, so
+  :meth:`~repro.mna.assembler.MnaSystem.chord_pairs` is empty) solve
+  the exact matrix ``scale G_base + C/h`` at every step, so the factors
+  are keyed on ``(scale, h)`` and a repeated step back-substitutes only
+  (the transient-matrix reuse of Telichevesky, Kundert & White, DAC
+  1995);
+* chorded systems keep each instance's last factor and solve the next
+  step matrix by fixed-precision iterative refinement on it
+  (:meth:`~repro.mna.sparse.SparseSolver.refine`; Wilkinson 1963,
+  Higham 2002 ch. 12), refactoring when it stalls.
+
+Each such solve counts one :attr:`~SolverBackend.factor_reuses` per
+instance.
 
 Flop accounting lives *inside* the backends so the
 :class:`~repro.perf.flops.FlopCounter` event counters (factorizations,
@@ -85,11 +93,12 @@ AUTO_SPARSE_MIN_SIZE = 192
 #: Largest fill ratio for which ``auto`` considers the sparse path.
 AUTO_SPARSE_MAX_DENSITY = 0.05
 
-#: Most SuperLU factorizations a chordless sparse backend keeps, summed
-#: over its K instances.  A uniform period grid of 100 or 400 steps
-#: (``np.linspace``) has only 7-11 distinct floating-point steps, so 16
-#: holds every step matrix of a K = 1 shooting period, while a 40x40
-#: power grid (about 0.7 MB per SuperLU factor) keeps at most ~11 MB.
+#: Most SuperLU factorizations a sparse backend keeps, summed over its
+#: K instances; a chorded stack keeps K (one each) or, for K > 16,
+#: none.  A uniform period grid of 100 or 400 steps (``np.linspace``)
+#: has only 7-11 distinct floating-point steps, so 16 holds every step
+#: matrix of a K = 1 shooting period, while a 40x40 power grid (about
+#: 0.7 MB per SuperLU factor) keeps at most ~11 MB.
 SPARSE_FACTOR_MEMO = 16
 
 
@@ -118,11 +127,11 @@ class SolverBackend:
 
     ``begin_run(flops)`` rebinds the flop counter and starts a run:
     :attr:`factor_reuses` (factorizations skipped by reusing a factor
-    of the same matrix) returns to 0.  Every solve factors afresh —
-    SWEC restamps its chords at every step, so the stamped matrix
-    changes at almost every solve — except on a chordless ``sparse``
-    stack, whose step matrices depend on ``h`` alone (see
-    :class:`SparseBackend`).
+    of the same matrix, or by refining on one of a nearby matrix)
+    returns to 0.  Every solve factors afresh — SWEC
+    restamps its chords at every step, so the stamped matrix changes at
+    almost every solve — except on a ``sparse`` stack, which keeps
+    factors for the run (see :class:`SparseBackend`).
     """
 
     #: Registry key; subclasses override.
@@ -305,16 +314,18 @@ class SparseBackend(SolverBackend):
     CSR data row: the pattern's CSC plan holds the matrix already
     symmetrically ordered by the fill-reducing permutation ``q``
     computed once per pattern, so SuperLU never reorders, and each
-    right-hand side goes in as ``rhs[q]`` and its solution comes back
-    through ``x[q] = y``.
+    solver, told ``q``, takes right-hand sides as ``rhs[q]`` and
+    returns solutions through ``x[q] = y``.
 
     Without chord stamps the transient matrix is exactly
     ``scale G_base + C/h``, so a chordless stack keeps each step's K
     factors keyed on ``(scale, h)`` until the next :meth:`begin_run`,
-    least recently used first out and at most
-    :data:`SPARSE_FACTOR_MEMO` factors in all; a repeated step only
-    back-substitutes.  A chorded stack restamps every step and never
-    keeps a factor.
+    least recently used first out; a repeated step only
+    back-substitutes.  A chorded stack restamps every step, keeps the
+    K factors it made last and solves each later step on them by
+    :meth:`~repro.mna.sparse.SparseSolver.refine`; a refined step books
+    one linear solve and one reuse per instance.  Either keeps at most
+    :data:`SPARSE_FACTOR_MEMO` factors in all.
     """
 
     name = "sparse"
@@ -350,18 +361,27 @@ class SparseBackend(SolverBackend):
         self._csc = pattern.csc_matrix()
         self._csc_order = pattern.csc_order
         self._ordering = pattern.ordering
-        # (scale, h) -> the K factors of that step matrix, oldest use
-        # first; None when chord stamps make the matrix state-dependent.
+        # Chordless: (scale, h) -> the K factors of that step matrix,
+        # oldest use first.  Chorded: the K factors of the last step
+        # matrix factored, with the mask of the chords that were exactly
+        # 0 in it.  Neither when the bound cannot hold K factors.
         self._memo_entries = SPARSE_FACTOR_MEMO // K
         chordless = not self.system.chord_pairs()
         self._memo = {} if chordless and self._memo_entries else None
+        self._keep = not chordless and self._memo_entries > 0
+        self._kept = self._kept_zero = self._zero = None
+        # The unordered step matrix the kept factors refine against.
+        self._residual_matrix = pattern.matrix_from_data(np.zeros(self._nnz))
 
     def begin_run(self, flops: FlopCounter | None) -> None:
         super().begin_run(flops)
         if self._memo is not None:
             self._memo.clear()
+        self._kept = None
 
     def stamp(self, chords: np.ndarray) -> None:
+        if self._keep:
+            self._zero = np.asarray(chords) == 0.0
         np.copyto(self._g_data, self._base_data)
         if self._positions.size == 0:
             return
@@ -390,21 +410,54 @@ class SparseBackend(SolverBackend):
         for k in range(self.n_instances):
             np.take(data[k], self._csc_order, out=matrix.data)
             solver = SparseSolver(self.flops)
+            solver.ordering = self._ordering
             solver.factor(matrix)
             solvers.append(solver)
         return solvers
 
     def _solve(self, solvers: list, rhs: np.ndarray) -> np.ndarray:
         out = np.empty((self.n_instances, self.size))
-        q = self._ordering
         for k, solver in enumerate(solvers):
-            out[k][q] = solver.solve(rhs[k][q])
+            out[k] = solver.solve(rhs[k])
         return out
+
+    def _solve_kept(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Refine every instance on its kept factor, or refactor them all.
+
+        The stack factors afresh, exactly as :meth:`_factor` does, and
+        keeps the new factors when it has none, when the set of chords
+        that are exactly 0 changed since its factors were made (a
+        clamped chord can strand a node, which only SuperLU may rule
+        on) or when :meth:`~repro.mna.sparse.SparseSolver.refine` gives
+        up on any instance.
+        """
+        kept = self._kept
+        if kept is not None and np.array_equal(self._zero, self._kept_zero):
+            out = np.empty((self.n_instances, self.size))
+            matrix = self._residual_matrix
+            for k, solver in enumerate(kept):
+                np.copyto(matrix.data, data[k])
+                solution = solver.refine(matrix, rhs[k])
+                if solution is None:
+                    break
+                out[k] = solution
+            else:
+                self.factor_reuses += self.n_instances
+                if self.flops is not None:
+                    self.flops.linear_solves += self.n_instances
+                return out
+        # Cleared first: a failed factorization leaves nothing to refine on.
+        self._kept = None
+        solvers = self._factor(data)
+        self._kept, self._kept_zero = solvers, self._zero
+        return self._solve(solvers, rhs)
 
     def solve_transient(
         self, h: float, rhs: np.ndarray, trapezoidal: bool = False
     ) -> np.ndarray:
         scale = 0.5 if trapezoidal else 1.0
+        if self._keep:
+            return self._solve_kept(scale * self._g_data + self._c_data / h, rhs)
         memo = self._memo
         solvers = None if memo is None else memo.pop((scale, h), None)
         if solvers is None:

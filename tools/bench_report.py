@@ -6,8 +6,10 @@ ensemble transient against its serial loop, the vectorized AC sweep
 against its per-frequency loop, the index-gather linearization against
 the per-device Python loop, a plain single-instance SWEC march on a
 fixed grid and an adaptive one (with its microseconds per step), and
-the sparse solver backend against the dense one on a grid mesh, with
-the median microseconds and ``nnz(L+U)`` of one SuperLU factorization
+the sparse solver backend against the dense one on a grid mesh (with
+the sparse march's SuperLU factorizations, steps refined on a kept
+factor and refinement sweeps per such step), with the median
+microseconds and ``nnz(L+U)`` of one SuperLU factorization
 of the 30x30 RTD mesh (the factorization layer) and the median
 milliseconds of its symbolic analysis (``SparseOperators``), and the
 driven shooting PSS of a 16x16 power grid on the sparse backend with
@@ -198,6 +200,7 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
     from repro.circuit import Pulse
     from repro.circuits_lib import rtd_mesh
     from repro.mna.assembler import MnaSystem
+    from repro.mna.sparse import SparseOperators
     from repro.swec import SwecOptions, SwecTransient
     from repro.swec.timestep import StepControlOptions
 
@@ -220,6 +223,12 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
         x0 = np.zeros(MnaSystem(circuit).size)
         seconds[backend] = _median_seconds(
             lambda: engine.run_grid(times, initial_state=x0), repeats)
+    # The sparse march's kept-factor record: SuperLU factorizations run,
+    # steps refined on a kept factor instead, and residual-correction
+    # sweeps per refined step (each sweep books one residual product).
+    march = engine.run_grid(times, initial_state=x0)
+    sweeps = march.flops.by_category().get("residual", 0) \
+        // (2 * SparseOperators(engine.system).nnz)
     axes = {"grid": grid, "grid_points": n_points,
             "size": grid * grid + 2}
     factor_us, fill, operators_ms = _sparse_layers(
@@ -233,6 +242,10 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
         "factor_us": factor_us,
         "factor_fill": fill,
         "operators_ms": operators_ms,
+        "factorizations": march.flops.factorizations,
+        "factor_reuses": march.factor_reuses,
+        "sweeps_per_reuse": (sweeps / march.factor_reuses
+                             if march.factor_reuses else 0.0),
         "factor_axes": {"grid": FACTOR_GRID,
                         "size": FACTOR_GRID * FACTOR_GRID + 2},
     }]
@@ -327,6 +340,9 @@ FRONT_END_POINTS = 64
 #: Keys in ``sweep_front_end`` that hold milliseconds per design point.
 FRONT_END_KEYS = ("keys_ms_per_point", "gate_ms_per_point",
                   "parse_ms_per_point")
+#: Keys ``grid_mesh_sparse_backend`` must carry: the timed sparse
+#: march's kept-factor record.
+KEPT_FACTOR_KEYS = ("factorizations", "factor_reuses", "sweeps_per_reuse")
 
 
 def _sweep_front_end(repeats: int) -> dict:
@@ -616,11 +632,18 @@ def check(path: Path) -> list[str]:
             problems.append(
                 f"{path}: {entry.get('name', '?')!r} has non-positive "
                 f"median_seconds {seconds!r}")
-        if entry.get("name") == "sweep_front_end":
-            for key in FRONT_END_KEYS:
-                if key not in entry:
-                    problems.append(
-                        f"{path}: 'sweep_front_end' missing {key!r}")
+        required = {"sweep_front_end": FRONT_END_KEYS,
+                    "grid_mesh_sparse_backend": KEPT_FACTOR_KEYS}
+        for key in required.get(entry.get("name"), ()):
+            if key not in entry:
+                problems.append(
+                    f"{path}: {entry['name']!r} missing {key!r}")
+        sweeps = entry.get("sweeps_per_reuse")
+        if sweeps is not None and (
+                not isinstance(sweeps, (int, float)) or sweeps < 0.0):
+            problems.append(
+                f"{path}: {entry.get('name', '?')!r} has invalid "
+                f"sweeps_per_reuse {sweeps!r}")
         for key in ("speedup", "factor_us", "factor_fill", "operators_ms",
                     *FRONT_END_KEYS):
             value = entry.get(key)
@@ -684,7 +707,10 @@ def main(argv: list[str] | None = None) -> int:
                       f"operators {entry['operators_ms']:.1f} ms]")
         if "factor_reuses" in entry:
             extra += (f"  [{entry['factorizations']} factorizations, "
-                      f"{entry['factor_reuses']} reused]")
+                      f"{entry['factor_reuses']} reused")
+            if "sweeps_per_reuse" in entry:
+                extra += f", {entry['sweeps_per_reuse']:.1f} sweeps each"
+            extra += "]"
         if "keys_ms_per_point" in entry:
             extra += (f"  [per point: keys "
                       f"{entry['keys_ms_per_point']:.3f} ms, gate "
