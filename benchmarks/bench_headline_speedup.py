@@ -134,7 +134,7 @@ def test_headline_gather_vectorization_delta():
 
     def loop_stamp(matrix):
         for (anode, cathode), g in zip(terminals, device_g):
-            system.stamp_two_terminal(matrix, anode, cathode, float(g))
+            system.stamp_conductance(matrix, anode, cathode, float(g))
 
     assert np.array_equal(loop_voltages(),
                           linearization.device_voltages(state))

@@ -66,6 +66,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import AnalysisError, SingularMatrixError
+from repro.mna.assembler import summed_keys
 from repro.mna.batch import ConductanceStamper, solve_stack
 from repro.mna.linsolve import LinearSolver
 from repro.mna.sparse import SparseOperators, SparseSolver
@@ -503,15 +504,16 @@ def system_density(system) -> float:
     """Estimated fill ratio of the transient system matrix.
 
     Counts the union pattern the march can produce — the nonzeros of
-    ``G_base`` and ``C`` plus up to four entries per two-terminal
-    stamp — without building the sparse operators.
+    ``G_base`` and ``C`` (unique keys of the system's triplets) plus up
+    to four entries per two-terminal stamp — without building the
+    sparse operators.
     """
     n = system.size
     if n == 0:
         return 1.0
-    pattern = (system.conductance_base() != 0.0) | (system.capacitance_matrix() != 0.0)
-    nnz = int(np.count_nonzero(pattern))
-    nnz += 4 * len(system.chord_pairs())
+    g_keys, _ = summed_keys(system.conductance_triplets(), n)
+    c_keys, _ = summed_keys(system.capacitance_triplets(), n)
+    nnz = np.union1d(g_keys, c_keys).size + 4 * len(system.chord_pairs())
     return min(1.0, nnz / float(n * n))
 
 

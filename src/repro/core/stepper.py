@@ -171,11 +171,11 @@ class _DenseStepPlan:
         n = self.n = stepper.size
         self._num_nodes = stepper.system.num_nodes
         self._stepper = stepper
-        self._g_base = (stepper.system.conductance_base() + 0.0).ravel("F").tolist()
-        self._stamps = [
-            ((p % n) * n + p // n, column, sign)
-            for p, column, sign in stepper.backend._stamper.entries()
-        ]
+        self._g_base = (stepper.backend._g_base[0] + 0.0).ravel("F").tolist()
+        stamper = stepper.backend._stamper
+        positions = (stamper._positions % n) * n + stamper._positions // n
+        self._stamps = list(zip(positions.tolist(), stamper._columns.tolist(),
+                                stamper._signs.tolist()))
         values = c.tolist()
         self._c_entries = [
             (i, j, j * n + i, values[i][j]) for i, j in np.argwhere(c).tolist()
@@ -310,7 +310,6 @@ class LinearStepper:
         self.system = self.systems[0]
         self.size = self.system.size
         self.linearization = SwecLinearization(self.system, circuits)
-        self._chunk_entries = chunk_entries
         self.backend: SolverBackend = create_backend(
             self.options.backend,
             self.systems,
@@ -378,7 +377,7 @@ class LinearStepper:
             and not self.trace_instances
         ):
             return None
-        c = self.system.capacitance_matrix()
+        c = self.backend._c[0]
         if np.count_nonzero(c, axis=1).max(initial=0) > 1:
             return None
         return _DenseStepPlan(self, c)

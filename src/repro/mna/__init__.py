@@ -6,8 +6,9 @@
 .. math::  G(t)\\,V(t) + C\\,\\dot V(t) = b\\,u_s(t)
 
 with voltage sources and inductors handled through branch-current
-augmentation.  Engines own the time discretization; this package owns the
-matrix structure and the solver primitives the
+augmentation, from COO triplets of one stamp recipe.  Engines own the
+time discretization; this package owns the matrix structure and the
+solver primitives the
 :mod:`repro.core.backends` registry composes: dense LU
 (:class:`~repro.mna.linsolve.LinearSolver`), SuperLU on a cached
 symbolic pattern ordered once (:class:`~repro.mna.sparse.SparseOperators` /

@@ -7,18 +7,19 @@ Unknown vector layout::
 node voltages first, then one branch current per voltage source, then one
 per inductor.  Ground is eliminated (index ``-1`` never stamps).
 
-The assembler produces:
+:func:`stamp_entries` defines the two-terminal stamp once, and
+:class:`MnaSystem` assembles its linear elements with it into COO
+triplets ``(rows, cols, values)`` (Davis, *Direct Methods for Sparse
+Linear Systems*, SIAM 2006, ch. 2), afresh on each call:
 
-``conductance_base()``
-    Constant part of ``G``: resistor stamps plus source/inductor incidence
-    rows.  Engines copy it and add device conductances each step.
-``capacitance_matrix()``
+``conductance_triplets()`` / ``conductance_base()``
+    Constant part of ``G``: resistor stamps plus source/inductor
+    incidence rows, as triplets or densified with one ``np.add.at`` in
+    element order (sparse consumers sum them by :func:`summed_keys`).
+``capacitance_triplets()`` / ``capacitance_matrix()``
     ``C`` with capacitor stamps and ``-L`` on inductor branch diagonals.
 ``source_vector(t)``
     ``b(t)`` from the independent sources.
-``stamp_two_terminal`` / ``stamp_mosfet_*``
-    In-place stamp helpers shared by every engine (SWEC chords, Newton
-    companion models, PWL segment conductances all stamp identically).
 """
 
 from __future__ import annotations
@@ -27,6 +28,49 @@ import numpy as np
 
 from repro.circuit.netlist import Circuit, is_ground
 from repro.errors import AnalysisError, AssemblyError
+
+#: Entry slots ``(rows, cols)`` picked from an element's ends, signed
+#: ``+, +, -, -``: the stamp of ``(i, j)`` at ``(i, i), (j, j), (i, j),
+#: (j, i)``; the incidence of ``(p, n)`` on branch row ``b`` at
+#: ``(p, b), (b, p), (n, b), (b, n)``.
+_STAMP_SLOTS = (np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0]))
+_INCIDENCE_SLOTS = (np.array([0, 2, 1, 2]), np.array([2, 0, 2, 1]))
+_SLOT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _entries(ends: np.ndarray, slots):
+    """``(rows, cols, columns, signs)`` of the *slots* of every row of
+    *ends* that touch no ground (-1) index, row by row in slot order;
+    ``columns`` holds each entry's row of *ends*."""
+    rows, cols = ends.take(slots[0], axis=1), ends.take(slots[1], axis=1)
+    flat = (np.minimum(rows, cols) >= 0).ravel().nonzero()[0]
+    columns, slot = np.divmod(flat, 4)
+    return rows.take(flat), cols.take(flat), columns, _SLOT_SIGNS.take(slot)
+
+
+def stamp_entries(pairs):
+    """The two-terminal stamps between index *pairs* as matrix entries.
+
+    Entry ``e`` adds ``signs[e] * g[columns[e]]`` at ``(rows[e],
+    cols[e])`` for the conductances ``g`` of the pairs; entries run pair
+    by pair, so adding them in turn sums each matrix entry in pair order.
+    """
+    return _entries(np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                    _STAMP_SLOTS)
+
+
+def summed_keys(triplets, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ``row * size + col`` keys and summed values of *triplets*.
+
+    Duplicates sum in element order, as in the dense matrix, and exact
+    zeros are dropped: the pattern ``csr_matrix`` finds in the dense one.
+    """
+    rows, cols, values = triplets
+    keys, slots = np.unique(rows * size + cols, return_inverse=True)
+    sums = np.zeros(keys.size)
+    np.add.at(sums, slots, values)
+    kept = sums != 0.0
+    return keys[kept], sums[kept]
 
 
 class MnaSystem:
@@ -78,7 +122,7 @@ class MnaSystem:
         raise AssemblyError(f"no inductor named {name!r}")
 
     # ------------------------------------------------------------------
-    # Stamp helpers (shared by every engine)
+    # In-place stamps of one element
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -106,11 +150,6 @@ class MnaSystem:
         if j >= 0:
             vector[j] += current
 
-    def stamp_two_terminal(self, matrix: np.ndarray, anode: int,
-                           cathode: int, g: float) -> None:
-        """Stamp a device's (chord or companion) conductance."""
-        self.stamp_conductance(matrix, anode, cathode, g)
-
     def stamp_transconductance(self, matrix: np.ndarray, out_p: int,
                                out_n: int, ctrl_p: int, ctrl_n: int,
                                gm: float) -> None:
@@ -125,49 +164,57 @@ class MnaSystem:
                 matrix[row, col] += gm * sign_r * sign_c
 
     # ------------------------------------------------------------------
-    # Matrix builders
+    # Linear elements as COO triplets
     # ------------------------------------------------------------------
+
+    def _pairs(self, elements) -> list[tuple[int, int]]:
+        return [(self.node_index(e.nodes[0]), self.node_index(e.nodes[1]))
+                for e in elements]
+
+    def conductance_triplets(self):
+        """``G_base`` as COO ``(rows, cols, values)``, duplicates
+        included: resistor stamps, then the voltage-source and inductor
+        incidence, element by element."""
+        resistors = self.circuit.resistors
+        rows, cols, columns, signs = stamp_entries(self._pairs(resistors))
+        g = np.array([r.conductance for r in resistors], dtype=float)
+        # Source branch rows run on into the inductor branch rows.
+        branches = [*self.circuit.voltage_sources, *self.circuit.inductors]
+        ends = [(p, n, self._vsrc_offset + k)
+                for k, (p, n) in enumerate(self._pairs(branches))]
+        b_rows, b_cols, _, b_signs = _entries(
+            np.array(ends, dtype=np.int64).reshape(-1, 3), _INCIDENCE_SLOTS)
+        return (np.concatenate((rows, b_rows)),
+                np.concatenate((cols, b_cols)),
+                np.concatenate((g.take(columns) * signs, b_signs)))
+
+    def capacitance_triplets(self):
+        """``C`` as COO ``(rows, cols, values)``, duplicates included:
+        capacitor stamps, then ``-L`` on each inductor branch diagonal."""
+        capacitors = self.circuit.capacitors
+        rows, cols, columns, signs = stamp_entries(self._pairs(capacitors))
+        c = np.array([cap.capacitance for cap in capacitors], dtype=float)
+        inductors = self.circuit.inductors
+        branch = self._ind_offset + np.arange(len(inductors), dtype=np.int64)
+        inductance = np.array([ind.inductance for ind in inductors],
+                              dtype=float)
+        return (np.concatenate((rows, branch)),
+                np.concatenate((cols, branch)),
+                np.concatenate((c.take(columns) * signs, -inductance)))
+
+    def _densify(self, triplets) -> np.ndarray:
+        rows, cols, values = triplets
+        matrix = np.zeros((self.size, self.size))
+        np.add.at(matrix, (rows, cols), values)
+        return matrix
 
     def conductance_base(self) -> np.ndarray:
         """Constant ``G`` stamps: resistors + source/inductor incidence."""
-        g = np.zeros((self.size, self.size))
-        for resistor in self.circuit.resistors:
-            i = self.node_index(resistor.nodes[0])
-            j = self.node_index(resistor.nodes[1])
-            self.stamp_conductance(g, i, j, resistor.conductance)
-        for k, source in enumerate(self.circuit.voltage_sources):
-            row = self._vsrc_offset + k
-            p = self.node_index(source.nodes[0])
-            n = self.node_index(source.nodes[1])
-            if p >= 0:
-                g[p, row] += 1.0
-                g[row, p] += 1.0
-            if n >= 0:
-                g[n, row] -= 1.0
-                g[row, n] -= 1.0
-        for k, inductor in enumerate(self.circuit.inductors):
-            row = self._ind_offset + k
-            p = self.node_index(inductor.nodes[0])
-            n = self.node_index(inductor.nodes[1])
-            if p >= 0:
-                g[p, row] += 1.0
-                g[row, p] += 1.0
-            if n >= 0:
-                g[n, row] -= 1.0
-                g[row, n] -= 1.0
-        return g
+        return self._densify(self.conductance_triplets())
 
     def capacitance_matrix(self) -> np.ndarray:
         """``C`` matrix: capacitor stamps, ``-L`` on inductor diagonals."""
-        c = np.zeros((self.size, self.size))
-        for capacitor in self.circuit.capacitors:
-            i = self.node_index(capacitor.nodes[0])
-            j = self.node_index(capacitor.nodes[1])
-            self.stamp_conductance(c, i, j, capacitor.capacitance)
-        for k, inductor in enumerate(self.circuit.inductors):
-            row = self._ind_offset + k
-            c[row, row] -= inductor.inductance
-        return c
+        return self._densify(self.capacitance_triplets())
 
     def source_vector(self, t: float,
                       out: np.ndarray | None = None) -> np.ndarray:
@@ -183,9 +230,8 @@ class MnaSystem:
             b.fill(0.0)
         for k, source in enumerate(self.circuit.voltage_sources):
             b[self._vsrc_offset + k] = source.value(t)
-        for source in self.circuit.current_sources:
-            p = self.node_index(source.nodes[0])
-            n = self.node_index(source.nodes[1])
+        sources = self.circuit.current_sources
+        for (p, n), source in zip(self._pairs(sources), sources):
             self.stamp_current(b, p, n, source.value(t))
         return b
 
@@ -195,10 +241,7 @@ class MnaSystem:
 
     def device_terminals(self) -> list[tuple[int, int]]:
         """``(anode, cathode)`` index pairs for each two-terminal device."""
-        return [
-            (self.node_index(d.nodes[0]), self.node_index(d.nodes[1]))
-            for d in self.circuit.devices
-        ]
+        return self._pairs(self.circuit.devices)
 
     def device_branch(self, name: str, states: np.ndarray):
         """``(device, voltages)`` for the two-terminal device *name*:
@@ -219,10 +262,9 @@ class MnaSystem:
         for source in self.circuit.voltage_sources:
             if source.name == name:
                 return "v", self.vsource_index(name)
-        for source in self.circuit.current_sources:
+        sources = self.circuit.current_sources
+        for (p, n), source in zip(self._pairs(sources), sources):
             if source.name == name:
-                p = self.node_index(source.nodes[0])
-                n = self.node_index(source.nodes[1])
                 return "i", (p, n, source)
         raise AnalysisError(f"no independent source named {name!r}")
 

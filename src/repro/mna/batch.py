@@ -1,13 +1,13 @@
 """Index-based batch assembly and chunked batched dense solves.
 
-Two pieces shared by every stacked-system path in the repo:
+Three pieces shared by every stacked-system path in the repo:
 
 :class:`ConductanceStamper`
-    Precomputed scatter indices for two-terminal conductance stamps.
-    Built once per analysis from ``(i, j)`` terminal index pairs, it
-    stamps a whole column of conductances into a dense ``(n, n)``
-    matrix — or a ``(K, n, n)`` stack, one conductance row per
-    instance — without a Python loop over devices.
+    Scatter indices of the two-terminal stamps of ``(i, j)`` index
+    pairs (:func:`~repro.mna.assembler.stamp_entries`), built once per
+    analysis; it stamps a whole column of conductances into a dense
+    ``(n, n)`` matrix — or a ``(K, n, n)`` stack, one conductance row
+    per instance — without a Python loop over devices.
 
 :func:`solve_stack`
     Chunked batched ``numpy.linalg.solve`` over a ``(B, n, n)`` stack
@@ -30,6 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import SingularMatrixError
+from repro.mna.assembler import stamp_entries
 
 #: Matrix entries per solve chunk (~64 MB at complex128, ~32 MB at
 #: float64) — the same bound the AC sweeps have always used.
@@ -101,39 +102,20 @@ class ConductanceStamper:
         System dimension ``n``.
 
     ``stamp(matrix, values)`` adds each ``values[..., k]`` between
-    ``pairs[k]`` exactly like
-    :meth:`repro.mna.assembler.MnaSystem.stamp_conductance`, but as
-    one ``np.add.at`` scatter instead of a Python loop — and with an
-    optional leading batch axis on both arguments.  Scatter entries
-    are emitted in the same device-then-entry order the loop used, so
-    accumulation order (hence bitwise results) is unchanged.
+    ``pairs[k]`` as the entries of
+    :func:`~repro.mna.assembler.stamp_entries`, in one ``np.add.at``
+    scatter, with an optional leading batch axis on both arguments.
+    Entries run device by device, so each matrix entry sums its
+    stamps in device order.
     """
 
     def __init__(self, pairs, size: int) -> None:
         self.size = int(size)
         self.n_values = len(pairs)
-        positions: list[int] = []
-        columns: list[int] = []
-        signs: list[float] = []
-        for k, (i, j) in enumerate(pairs):
-            if i >= 0:
-                positions.append(i * size + i)
-                columns.append(k)
-                signs.append(1.0)
-            if j >= 0:
-                positions.append(j * size + j)
-                columns.append(k)
-                signs.append(1.0)
-            if i >= 0 and j >= 0:
-                positions.append(i * size + j)
-                columns.append(k)
-                signs.append(-1.0)
-                positions.append(j * size + i)
-                columns.append(k)
-                signs.append(-1.0)
-        self._positions = np.asarray(positions, dtype=np.intp)
-        self._columns = np.asarray(columns, dtype=np.intp)
-        self._signs = np.asarray(signs, dtype=float)
+        rows, cols, columns, signs = stamp_entries(pairs)
+        self._positions = (rows * self.size + cols).astype(np.intp)
+        self._columns = columns
+        self._signs = signs
         self._plans: dict[int, tuple] = {}
 
     def stamp(self, matrix: np.ndarray, values: np.ndarray) -> None:
@@ -155,12 +137,6 @@ class ConductanceStamper:
         positions, columns, signs = self._batch_plan(matrix.size // self.size ** 2)
         values = np.asarray(values, dtype=float).reshape(-1)
         np.add.at(matrix.reshape(-1), positions, values.take(columns) * signs)
-
-    def entries(self) -> list[tuple[int, int, float]]:
-        """``(flat position, value column, sign)`` per scatter entry, in
-        :meth:`stamp`'s accumulation order."""
-        return list(zip(self._positions.tolist(), self._columns.tolist(),
-                        self._signs.tolist()))
 
     def flat_entries(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(positions, entries)`` that stamp each row of *values*.
@@ -188,14 +164,9 @@ class ConductanceStamper:
 def _branch_incidence(pairs, size: int) -> sparse.csr_matrix:
     """``(len(pairs), size)`` map from a state to the branch voltages
     ``x[plus] - x[minus]`` of *pairs* (index -1 is ground)."""
-    rows, cols, signs = [], [], []
-    for row, (plus, minus) in enumerate(pairs):
-        for col, sign in ((plus, 1.0), (minus, -1.0)):
-            if col >= 0:
-                rows.append(row)
-                cols.append(col)
-                signs.append(sign)
-    return sparse.csr_matrix((signs, (rows, cols)),
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    row, end = np.nonzero(ends >= 0)
+    return sparse.csr_matrix((1.0 - 2.0 * end, (row, ends[row, end])),
                              shape=(len(pairs), size))
 
 

@@ -3,17 +3,19 @@
 The paper's Section 1 motivation — "the high computational complexity at
 each time step makes the traditional circuit simulators unable to
 analyze practical circuits" — only bites at scale, so the scaling
-ablations need more than dense LU.  This module mirrors the dense
-assembly with ``scipy.sparse``:
+ablations need more than dense LU.  This module assembles the same
+matrices with ``scipy.sparse`` and never builds an ``n x n`` array:
 
 * :class:`SparseOperators` caches the *symbolic* sparsity pattern once:
-  the union structure of ``G_base``, ``C`` and every device incidence is
-  one sorted array of ``row * n + col`` keys built at construction, and
-  one ``searchsorted`` into it places ``G_base``, ``C``, the diagonal
-  and each device's four stamp entries inside the shared CSR data
-  array.  The per-step system ``G_base + sum_k g_k * E_k + C/h`` is
-  then assembled by filling a data vector — O(nnz) with no structural
-  churn or Python loops over matrix entries.
+  the summed triplets of ``G_base`` and ``C``
+  (:func:`~repro.mna.assembler.summed_keys`) and every device's
+  :func:`~repro.mna.assembler.stamp_entries` form one sorted array of
+  ``row * n + col`` keys, and one ``searchsorted`` into it places
+  ``G_base``, ``C``, the diagonal and each device's four stamp
+  entries inside the shared CSR data array.  The per-step system
+  ``G_base + sum_k g_k * E_k + C/h`` is then assembled by filling a
+  data vector — O(nnz) with no structural churn or Python loops over
+  matrix entries.
 * The same construction fixes a *CSC plan* for the **ordered** matrix
   ``A[q][:, q]``: :func:`symmetric_ordering` computes the
   fill-reducing permutation :attr:`SparseOperators.ordering` once per
@@ -56,7 +58,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from repro.errors import SingularMatrixError
-from repro.mna.assembler import MnaSystem
+from repro.mna.assembler import MnaSystem, stamp_entries, summed_keys
 from repro.perf.flops import FlopCounter
 
 # The three refinement constants were measured on the benchmark march:
@@ -114,56 +116,53 @@ class SparseOperators:
     sparsity pattern of every stamp the transient march can produce, the
     scatter of ``G_base`` and ``C`` into that pattern, and the data-array
     slots (with signs) of each nonlinear device's conductance stamp.
+    :attr:`c_matrix` is ``C`` alone in CSR form, for ``C x`` products.
     """
 
     def __init__(self, system: MnaSystem) -> None:
-        self.system = system
-        self.size = system.size
-        self.g_base = sparse.csr_matrix(system.conductance_base())
-        self.c_matrix = sparse.csr_matrix(system.capacitance_matrix())
-        pairs = system.chord_pairs()
+        n = self.size = system.size
 
         # --- symbolic sparsity pattern, computed once -------------------
         # Every entry is keyed row * n + col; the sorted unique keys are
         # the union pattern in CSR order, and each lookup below is one
         # searchsorted into them.
-        n = self.size
-        g_base, c_matrix = self.g_base.tocoo(), self.c_matrix.tocoo()
-        g_keys = g_base.row.astype(np.int64) * n + g_base.col
-        c_keys = c_matrix.row.astype(np.int64) * n + c_matrix.col
-        # Stamp entries chord by chord in (i,i), (j,j), (i,j), (j,i)
-        # order; a grounded terminal (-1) drops the entries it touches.
-        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        i, j = ends[:, 0], ends[:, 1]
-        rows = np.stack((i, j, i, j), axis=1)
-        cols = np.stack((i, j, j, i), axis=1)
-        both = (i >= 0) & (j >= 0)
-        chord, slot = np.nonzero(np.stack((i >= 0, j >= 0, both, both), axis=1))
-        stamp_keys = rows[chord, slot] * n + cols[chord, slot]
+        g_keys, g_data = summed_keys(system.conductance_triplets(), n)
+        c_keys, c_data = summed_keys(system.capacitance_triplets(), n)
+        self.c_matrix = sparse.csr_matrix(
+            (c_data, (c_keys // n, c_keys % n)), shape=(n, n))
+        rows, cols, columns, signs = stamp_entries(system.chord_pairs())
+        stamp_keys = rows * n + cols
         keys = np.unique(np.concatenate((g_keys, c_keys, stamp_keys)))
-        self._nnz = keys.size
+        #: Nonzeros of the cached union pattern.
+        self.nnz = keys.size
         union = sparse.csr_matrix(
-            (np.ones(self._nnz), (keys // n, keys % n)), shape=(n, n))
+            (np.ones(self.nnz), (keys // n, keys % n)), shape=(n, n))
         self._indptr = union.indptr
         self._indices = union.indices
         # CSC plan of the ordered matrix A[q][:, q]: permuting the
         # pattern with the data positions as values yields, in CSC
         # order, the CSR slot of every entry.
-        q = self._ordering = symmetric_ordering(union)
+        #: Symmetric fill-reducing permutation ``q`` of the pattern: the
+        #: CSC plan holds ``A[q][:, q]``; solve it for ``rhs[q]`` and
+        #: scatter the solution back with ``x[q] = y``.
+        q = self.ordering = symmetric_ordering(union)
         order = sparse.csr_matrix(
-            (np.arange(self._nnz, dtype=float), union.indices,
+            (np.arange(self.nnz, dtype=float), union.indices,
              union.indptr), shape=union.shape)[q][:, q].tocsc()
         order.sort_indices()
-        self._csc_order = order.data.astype(np.intp)
+        #: CSR-to-ordered-CSC data permutation: ``data[csc_order]``
+        #: holds ``A[q][:, q]`` for the CSR data vector *data* of ``A``.
+        self.csc_order = order.data.astype(np.intp)
         self._csc_indices = order.indices
         self._csc_indptr = order.indptr
-        self._base_data = np.zeros(self._nnz)
-        self._base_data[np.searchsorted(keys, g_keys)] = g_base.data
-        self._c_data = np.zeros(self._nnz)
-        self._c_data[np.searchsorted(keys, c_keys)] = c_matrix.data
+        #: ``G_base`` and ``C`` scattered onto the union pattern.
+        self.base_data = np.zeros(self.nnz)
+        self.base_data[np.searchsorted(keys, g_keys)] = g_data
+        self.c_data = np.zeros(self.nnz)
+        self.c_data[np.searchsorted(keys, c_keys)] = c_data
         self._stamp_positions = np.searchsorted(keys, stamp_keys)
-        self._stamp_columns = chord
-        self._stamp_signs = np.array([1.0, 1.0, -1.0, -1.0])[slot]
+        self._stamp_columns = columns
+        self._stamp_signs = signs
         diagonal = np.arange(n, dtype=np.int64) * (n + 1)
         found = np.searchsorted(keys, diagonal)
         present = np.append(keys, -1)[found] == diagonal
@@ -174,32 +173,11 @@ class SparseOperators:
     # Batch-assembly views (the sparse solver backend's contract)
     # ------------------------------------------------------------------
 
-    @property
-    def nnz(self) -> int:
-        """Nonzeros of the cached union pattern."""
-        return int(self._nnz)
-
-    @property
-    def base_data(self) -> np.ndarray:
-        """``G_base`` scattered onto the union pattern (read-only view)."""
-        return self._base_data
-
-    @property
-    def c_data(self) -> np.ndarray:
-        """``C`` scattered onto the union pattern (read-only view)."""
-        return self._c_data
-
     def stamp_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened ``(positions, columns, signs)`` stamp scatter.
-
-        Mirrors :class:`~repro.mna.batch.ConductanceStamper` on the
-        union *data* array: entry ``i`` adds
-        ``values[..., columns[i]] * signs[i]`` at ``positions[i]``,
-        where ``values`` are the chord conductances in the column order
-        of :meth:`~repro.mna.assembler.MnaSystem.chord_pairs`.  Entries
-        are emitted chord-by-chord in stamp order, so batched
-        ``np.add.at`` accumulation adds each entry's contributions in
-        chord order.
+        """Flattened ``(positions, columns, signs)`` stamp scatter: the
+        :func:`~repro.mna.assembler.stamp_entries` of the chord pairs in
+        the union *data* array.  Entry ``i`` adds ``values[...,
+        columns[i]] * signs[i]`` at ``positions[i]``, in chord order.
         """
         return self._stamp_positions, self._stamp_columns, self._stamp_signs
 
@@ -219,24 +197,6 @@ class SparseOperators:
             (data, self._indices, self._indptr),
             shape=(self.size, self.size))
 
-    @property
-    def ordering(self) -> np.ndarray:
-        """Symmetric fill-reducing permutation ``q`` of the pattern.
-
-        The CSC plan holds ``A[q][:, q]``: solve it for ``rhs[q]`` and
-        scatter the solution back with ``x[q] = y``.
-        """
-        return self._ordering
-
-    @property
-    def csc_order(self) -> np.ndarray:
-        """CSR-to-ordered-CSC data permutation.
-
-        ``csc.data = data[csc_order]`` holds ``A[q][:, q]`` for the CSR
-        data vector *data* of ``A``.
-        """
-        return self._csc_order
-
     def csc_matrix(self) -> sparse.csc_matrix:
         """Zero-valued CSC matrix over the ordered pattern.
 
@@ -244,7 +204,7 @@ class SparseOperators:
         to hold ``A[q][:, q]`` for the CSR data vector *data* of ``A``.
         """
         return sparse.csc_matrix(
-            (np.zeros(self._nnz), self._csc_indices.copy(),
+            (np.zeros(self.nnz), self._csc_indices.copy(),
              self._csc_indptr.copy()), shape=(self.size, self.size))
 
 

@@ -23,11 +23,12 @@ chord/tangent identity ``g_{ch}'(v)\\,v = dI/dV - g_{ch}`` turns that
 into the device's tangent conductance minus its chord.  ``M v`` chains
 ``v <- A_n^{-1} (C/h - D_n) v`` along the march's stored states,
 factoring each ``A_n`` with the march's own solver backend (SuperLU on
-``sparse``, LAPACK on ``dense``/``stack``).  With chord stamps no
-factorization outlives its step; on a chordless (linear) circuit the
-``sparse`` backend keeps the factor of each distinct step ``h`` — at
-most 16 (:data:`~repro.core.backends.SPARSE_FACTOR_MEMO`), 7-11 on a
-uniform period grid — for all the products of one Newton solve.
+``sparse``, LAPACK on ``dense``/``stack``) and booking the work it
+runs.  ``sparse`` keeps factors across the products of one Newton solve
+as its march does: on a chordless (linear) circuit the factor of each
+distinct step ``h`` (at most 16, :data:`~repro.core.backends.
+SPARSE_FACTOR_MEMO`; 7-11 on a uniform period grid), else the last
+factor, refined on.
 Beyond the marched trajectory a product keeps O(n + n_devices)
 numbers per step.  The products are exact for the
 *discretized* map, so driven Newton converges quadratically (linear
@@ -219,14 +220,14 @@ class PSSResult:
         self.phase_node = phase_node
         #: Resolved solver backend the marches ran on.
         self.backend = backend
-        #: Merged work counters: every Newton march plus one
-        #: factorization and one solve per step of every ``M v``
-        #: product (backend-invariant events).
+        #: Merged work counters: every Newton march and every ``M v``
+        #: product, each booking the factorizations and solves its
+        #: backend ran.
         self.flops = flops if flops is not None else FlopCounter()
-        #: Factorizations the marches skipped by reusing the factor of
-        #: a repeated step (chordless circuits on ``sparse``); the
-        #: products count one factorization per step regardless, so
-        #: ``flops.factorizations + factor_reuses`` is the per-step count.
+        #: Factorizations the marches and products skipped by reusing
+        #: a kept factor (``sparse`` only), so
+        #: ``flops.factorizations + factor_reuses`` counts the step
+        #: matrices solved on every backend.
         self.factor_reuses = int(factor_reuses)
 
     def __len__(self) -> int:
@@ -393,14 +394,23 @@ class _DenseStepSolver:
     as the LAPACK work, and a product repeats them on matrices the
     march already factored through them.  A sweep checks each pivot
     through ``getrf``'s ``info``, and :class:`Monodromy` checks the
-    product's finiteness once.
+    product's finiteness once.  Each sweep books one factorization and
+    one solve per step.
     """
+
+    #: Every step factors afresh.
+    factor_reuses = 0
 
     def __init__(self, system) -> None:
         self._base = system.conductance_base()
         self._c = system.capacitance_matrix()
         self._a = np.empty(self._base.shape)
         self._stamper = ConductanceStamper(system.chord_pairs(), system.size)
+        self._flops = None
+
+    def begin(self, flops: FlopCounter | None) -> None:
+        """Book the sweeps of a new operator into *flops*."""
+        self._flops = flops
 
     def sweep(self, x, steps, chords, coefficients, sensitivity):
         """Chain ``x <- A_n^{-1} (C/h - D_n) x`` over every step."""
@@ -420,6 +430,9 @@ class _DenseStepSolver:
                 raise SingularMatrixError(
                     f"step matrix {n} of the period is singular")
             x, _ = lapack.dgetrs(lu, piv, rhs)
+        if self._flops is not None:
+            self._flops.count_factorization(len(x), count=len(steps))
+            self._flops.count_solve(len(x), count=len(steps))
         return x
 
 
@@ -427,16 +440,22 @@ class _BackendStepSolver:
     """``A_n`` through a solver backend's own stamp/factor/solve.
 
     The sparse family: the backend's cached pattern, CSC plan and
-    SuperLU factor, exactly as the march factors — including, on a
-    chordless circuit, its factor memo, which lives across every
-    product of this operator.
+    SuperLU factor, exactly as the march factors — including its kept
+    factors, which live across every product of this operator.  The
+    backend books the work it runs, reuses included.
     """
 
     def __init__(self, backend) -> None:
         self._backend = backend
-        # Start from empty caches and count nothing here: Monodromy
-        # counts each product's work itself.
-        backend.begin_run(None)
+
+    def begin(self, flops: FlopCounter | None) -> None:
+        """Start a new operator from empty caches, booking into *flops*."""
+        self._backend.begin_run(flops)
+
+    @property
+    def factor_reuses(self) -> int:
+        """Factorizations skipped since :meth:`begin`."""
+        return self._backend.factor_reuses
 
     def sweep(self, x, steps, chords, coefficients, sensitivity):
         """Chain ``x <- A_n^{-1} (C/h - D_n) x`` over every step."""
@@ -462,17 +481,17 @@ class Monodromy:
     step instead).  Per step the operator stores only ``h``, the
     chords and the ``D_n`` coefficients — O(n_devices) numbers.  ``velocity`` is the endpoint
     state velocity ``f_T``, the autonomous period column.  Each
-    product counts one ``n x n`` factorization and one solve per step
-    into *flops*, whatever the backend.
+    product books into *flops* the work its step solver ran;
+    :attr:`factor_reuses` counts the factorizations they skipped.
     """
 
     def __init__(self, step_solver, sensitivity: _ChordSensitivity,
                  times: np.ndarray, states: np.ndarray,
                  flops: FlopCounter | None = None) -> None:
         states = np.asarray(states, dtype=float)
+        step_solver.begin(flops)
         self._step_solver = step_solver
         self._sensitivity = sensitivity
-        self._flops = flops
         self._h = np.diff(np.asarray(times, dtype=float))
         self._chords, self._coefficients = sensitivity.step_terms(states)
         self.size = states.shape[1]
@@ -485,11 +504,12 @@ class Monodromy:
             self._chords, self._coefficients, self._sensitivity)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("monodromy product is non-finite")
-        if self._flops is not None:
-            count = len(self._h)
-            self._flops.count_factorization(self.size, count=count)
-            self._flops.count_solve(self.size, count=count)
         return x
+
+    @property
+    def factor_reuses(self) -> int:
+        """Factorizations the products so far skipped by reusing one."""
+        return self._step_solver.factor_reuses
 
 
 class ShootingPSS:
@@ -757,6 +777,7 @@ class ShootingPSS:
                 operator = self.newton_operator(monodromy)
                 x0 = x0 + self._krylov_solve(operator, -residual,
                                              iteration, defect)
+            self._factor_reuses += monodromy.factor_reuses
             if not np.all(np.isfinite(x0)):
                 raise PSSError(
                     "shooting Newton update diverged (non-finite state)",

@@ -134,16 +134,18 @@ class EnsembleStepController:
         self._table: list[float] = []
         self._table_stop: float | None = None
         caps: dict[int, np.ndarray] = {}
-        rows = []
+        stack = []
         for system in systems:
             if id(system) not in caps:
                 # Grounded capacitance per node: diagonal of the C
                 # matrix restricted to node rows (branch rows carry -L
-                # and are excluded).
-                caps[id(system)] = np.diag(
-                    system.capacitance_matrix())[:system.num_nodes].copy()
-            rows.append(caps[id(system)])
-        self._node_capacitance_stack = np.stack(rows)
+                # and are excluded), summed from C's triplets.
+                rows, cols, values = system.capacitance_triplets()
+                node = (rows == cols) & (rows < system.num_nodes)
+                caps[id(system)] = np.zeros(system.num_nodes)
+                np.add.at(caps[id(system)], rows[node], values[node])
+            stack.append(caps[id(system)])
+        self._node_capacitance_stack = np.stack(stack)
         # The capacitance stack is fixed for the march, so the
         # (instance, node) pairs with grounded capacitance — and their
         # eps * C_j numerators — are precomputed once; the per-step
@@ -153,7 +155,8 @@ class EnsembleStepController:
         self._rc_scaled = (self.options.epsilon
                            * c[self._rc_instances, self._rc_nodes])
         self._rc_ratio = np.empty_like(self._rc_scaled)
-        self._rc_labels = [f"node_rc:{circuits[0].nodes[j]}"
+        nodes = circuits[0].nodes
+        self._rc_labels = [f"node_rc:{nodes[j]}"
                            for j in self._rc_nodes.tolist()]
         self._theta_eps = THETA * self.options.epsilon
         # A single small instance takes the bound on Python floats: the

@@ -199,10 +199,10 @@ def test_tangent_conductances_match_per_device_loop(vin):
 def _looped_stamp(system, matrix, device_g, mosfet_partials):
     """``stamp_tangent`` as it was: one stamp call per element."""
     for k, (anode, cathode) in enumerate(system.device_terminals()):
-        system.stamp_two_terminal(matrix, anode, cathode, device_g[k])
+        system.stamp_conductance(matrix, anode, cathode, device_g[k])
     for k, (drain, gate, source) in enumerate(system.mosfet_terminals()):
         gm, gds = mosfet_partials[k]
-        system.stamp_two_terminal(matrix, drain, source, gds)
+        system.stamp_conductance(matrix, drain, source, gds)
         system.stamp_transconductance(matrix, drain, source, gate, source, gm)
 
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from repro import circuits_lib
 from repro.circuit import Circuit, Pulse
+from repro.core.backends import system_density
 from repro.errors import AssemblyError, SingularMatrixError
 from repro.mna import LinearSolver, MnaSystem, solve_dense
 from repro.perf import FlopCounter
+from repro.swec.timestep import EnsembleStepController
 
 
 class TestAssemblyStructure:
@@ -100,6 +103,110 @@ class TestAssemblyStructure:
         state = np.array([3.0, 1.0])
         assert system.branch_voltage(state, "a", "b") == pytest.approx(2.0)
         assert system.branch_voltage(state, "b", "0") == pytest.approx(1.0)
+
+
+def _loop_matrices(system):
+    """``(G_base, C)`` as once built: one in-place stamp per element."""
+    circuit, size = system.circuit, system.size
+    g = np.zeros((size, size))
+    for resistor in circuit.resistors:
+        system.stamp_conductance(g, system.node_index(resistor.nodes[0]),
+                                 system.node_index(resistor.nodes[1]),
+                                 resistor.conductance)
+    branches = list(circuit.voltage_sources) + list(circuit.inductors)
+    for k, element in enumerate(branches):
+        row = system.num_nodes + k
+        p = system.node_index(element.nodes[0])
+        n = system.node_index(element.nodes[1])
+        if p >= 0:
+            g[p, row] += 1.0
+            g[row, p] += 1.0
+        if n >= 0:
+            g[n, row] -= 1.0
+            g[row, n] -= 1.0
+    c = np.zeros((size, size))
+    for capacitor in circuit.capacitors:
+        system.stamp_conductance(c, system.node_index(capacitor.nodes[0]),
+                                 system.node_index(capacitor.nodes[1]),
+                                 capacitor.capacitance)
+    for inductor in circuit.inductors:
+        row = system.inductor_index(inductor.name)
+        c[row, row] -= inductor.inductance
+    return g, c
+
+
+def _hand_circuits():
+    parallel = Circuit("parallel")
+    parallel.add_voltage_source("V1", "a", "0", 1.0)
+    parallel.add_resistor("R1", "a", "b", 3.0)
+    parallel.add_resistor("R2", "a", "b", 7.0)
+    parallel.add_resistor("R3", "b", "0", 11.0)
+    parallel.add_resistor("R4", "0", "b", 13.0)
+    parallel.add_capacitor("C1", "b", "0", 1e-12)
+    parallel.add_capacitor("C2", "b", "0", 3e-13)
+    parallel.add_capacitor("C3", "a", "b", 7e-14)
+    parallel.add_capacitor("C4", "b", "a", 1.1e-13)
+    floating = Circuit("floating")
+    floating.add_current_source("I1", "0", "a", 1e-3)
+    floating.add_resistor("R1", "a", "0", 1e3)
+    floating.add_resistor("R2", "b", "c", 1e3)
+    floating.add_capacitor("C1", "a", "b", 1e-12)
+    floating.add_capacitor("C2", "b", "c", 2e-12)
+    floating.add_capacitor("C3", "0", "c", 3e-12)
+    branches = Circuit("branches")
+    branches.add_voltage_source("V1", "a", "0", 1.0)
+    branches.add_voltage_source("V2", "0", "c", 2.0)
+    branches.add_voltage_source("V3", "a", "b", 0.5)
+    branches.add_resistor("R1", "b", "c", 1.0)
+    branches.add_inductor("L1", "b", "0", 2e-6)
+    branches.add_inductor("L2", "a", "c", 3e-9)
+    branches.add_inductor("L3", "0", "c", 5e-9)
+    branches.add_capacitor("C1", "c", "0", 1e-12)
+    return [parallel, floating, branches]
+
+
+def _library_circuits():
+    circuits = [circuits_lib.rtd_chain(5)[0], circuits_lib.rtd_mesh(4, 3)[0],
+                circuits_lib.rc_mesh(3, 3)[0],
+                circuits_lib.power_grid_mesh(6, 6)[0],
+                circuits_lib.noisy_rc_node()[0].circuit,
+                circuits_lib.noisy_rc_ladder()[0].circuit]
+    for build in (circuits_lib.coupled_oscillator_bank,
+                  circuits_lib.fet_rtd_inverter, circuits_lib.mobile_dflipflop,
+                  circuits_lib.nanowire_divider, circuits_lib.rtd_divider,
+                  circuits_lib.rtd_memory_array,
+                  circuits_lib.rtd_relaxation_oscillator):
+        circuits.append(build()[0])
+    return circuits
+
+
+ASSEMBLY_CIRCUITS = _hand_circuits() + _library_circuits()
+
+
+@pytest.mark.parametrize("circuit", ASSEMBLY_CIRCUITS,
+                         ids=[c.name for c in ASSEMBLY_CIRCUITS])
+class TestTripletAssembly:
+    """Every consumer of the COO triplets against the element loops."""
+
+    def test_densified_triplets_equal_element_loops(self, circuit):
+        system = MnaSystem(circuit)
+        g, c = _loop_matrices(system)
+        assert np.array_equal(system.conductance_base(), g)
+        assert np.array_equal(system.capacitance_matrix(), c)
+
+    def test_system_density_equals_dense_count(self, circuit):
+        system = MnaSystem(circuit)
+        g, c = _loop_matrices(system)
+        nnz = np.count_nonzero((g != 0.0) | (c != 0.0))
+        nnz += 4 * len(system.chord_pairs())
+        assert system_density(system) == min(1.0, nnz / system.size ** 2)
+
+    def test_controller_node_capacitance_is_c_diagonal(self, circuit):
+        system = MnaSystem(circuit)
+        _, c = _loop_matrices(system)
+        controller = EnsembleStepController([system], [circuit])
+        assert np.array_equal(controller._node_capacitance_stack[0],
+                              np.diag(c)[:system.num_nodes])
 
 
 class TestDcSolutions:

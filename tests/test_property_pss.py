@@ -170,7 +170,7 @@ def dense_monodromy(shoot, states, grid):
                 continue
             w = (xn1[anode] if anode >= 0 else 0.0) \
                 - (xn1[cathode] if cathode >= 0 else 0.0)
-            system.stamp_two_terminal(
+            system.stamp_conductance(
                 b, anode, cathode, -(device_tangents[k] - g_ch) * (w / vn))
         for k, (drain, gate, source) in enumerate(system.mosfet_terminals()):
             c_ch = mosfet_chords[k]
@@ -182,7 +182,7 @@ def dense_monodromy(shoot, states, grid):
                 - (xn1[source] if source >= 0 else 0.0)
             gm, gds = mosfet_partials[k]
             scale = w / vds
-            system.stamp_two_terminal(b, drain, source, -(gds - c_ch) * scale)
+            system.stamp_conductance(b, drain, source, -(gds - c_ch) * scale)
             system.stamp_transconductance(
                 b, drain, source, gate, source, -gm * scale)
         monodromy = np.linalg.solve(a, b @ monodromy)

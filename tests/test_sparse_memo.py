@@ -155,6 +155,27 @@ class TestEquivalence:
         assert memo_calls < 50
 
 
+def _autonomous_oscillator():
+    circuit, info = rtd_relaxation_oscillator()
+    return circuit, {"period_guess": info.period_guess}
+
+
+@pytest.mark.parametrize("build", [
+    _autonomous_oscillator,
+    lambda: (power_grid_mesh(16, 16)[0], {}),
+], ids=["chorded_autonomous", "chordless_driven"])
+def test_pss_books_the_superlu_factorizations_it_runs(build, superlu_calls):
+    """Marches and monodromy products book the factorizations their
+    backend ran, and the products' reuses join the result's."""
+    circuit, kwargs = build()
+    result = run_pss(circuit, steps_per_period=100, backend="sparse",
+                     **kwargs)
+    assert result.flops.factorizations == len(superlu_calls)
+    assert result.factor_reuses > result.flops.factorizations
+    assert result.flops.factorizations + result.factor_reuses \
+        == result.flops.linear_solves
+
+
 class TestBound:
     @pytest.mark.parametrize("n_instances", [1, 3])
     def test_never_holds_more_than_the_bound(self, monkeypatch,

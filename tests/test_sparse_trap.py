@@ -1,6 +1,7 @@
 """Tests for the sparse solver path and the trapezoidal SWEC option."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +512,22 @@ class TestSparseEngine:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             SwecOptions(backend="ragged")
+
+    def test_mesh_build_allocates_no_dense_matrix(self):
+        """The sparse front end assembles from triplets: building the
+        engine on a 40x40 mesh (n = 1602, 8 n^2 bytes = 20.5 MB per dense
+        matrix) traces about 1.4 MB, where a dense ``G_base`` alone
+        would exceed the bound."""
+        options = SwecOptions(backend="sparse")
+        SwecTransient(rtd_mesh(3, 3)[0], options)
+        circuit, _ = rtd_mesh(40, 40)
+        tracemalloc.start()
+        try:
+            engine = SwecTransient(circuit, options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < engine.system.size ** 2
 
 
 class TestTrapezoidal:

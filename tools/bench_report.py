@@ -10,8 +10,11 @@ the sparse solver backend against the dense one on a grid mesh (with
 the sparse march's SuperLU factorizations, steps refined on a kept
 factor and refinement sweeps per such step), with the median
 microseconds and ``nnz(L+U)`` of one SuperLU factorization
-of the 30x30 RTD mesh (the factorization layer) and the median
+of the 30x30 RTD mesh (the factorization layer), the median
 milliseconds of its symbolic analysis (``SparseOperators``), and the
+milliseconds, ordering-probe milliseconds and tracemalloc peak of one
+sparse ``SwecTransient`` build on the 60x60 RTD mesh (the sparse front
+end), and the
 driven shooting PSS of a 16x16 power grid on the sparse backend with
 its booked factorizations and reused factors, and the per-point
 milliseconds of a ``.PARAM`` netlist sweep's cache keys, lint gate and
@@ -233,6 +236,7 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
             "size": grid * grid + 2}
     factor_us, fill, operators_ms = _sparse_layers(
         20 if quick else 100, 5 if quick else 20)
+    build_ms, probe_ms, build_peak_mb = _sparse_build(1 if quick else 3)
     return [{
         "name": "grid_mesh_sparse_backend",
         "median_seconds": seconds["sparse"],
@@ -242,6 +246,11 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
         "factor_us": factor_us,
         "factor_fill": fill,
         "operators_ms": operators_ms,
+        "build_ms": build_ms,
+        "probe_ms": probe_ms,
+        "build_peak_mb": build_peak_mb,
+        "build_axes": {"grid": BUILD_GRID,
+                       "size": BUILD_GRID * BUILD_GRID + 2},
         "factorizations": march.flops.factorizations,
         "factor_reuses": march.factor_reuses,
         "sweeps_per_reuse": (sweeps / march.factor_reuses
@@ -282,6 +291,48 @@ def _sparse_layers(factor_repeats: int,
     solver = SparseSolver()
     seconds = _median_seconds(lambda: solver.factor(matrix), factor_repeats)
     return seconds * 1e6, solver.fill, operators_ms
+
+
+#: Mesh side of the sparse front-end probe, independent of ``--quick``.
+BUILD_GRID = 60
+
+
+def _sparse_build(repeats: int) -> tuple[float, float, float]:
+    """Median ms of one sparse ``SwecTransient`` build on the 60x60 RTD
+    mesh, median ms of its ordering probe (``symmetric_ordering``) and
+    the build's tracemalloc peak in MB."""
+    import tracemalloc
+
+    from repro.circuits_lib import rtd_mesh
+    from repro.mna import sparse as sparse_module
+    from repro.swec import SwecOptions, SwecTransient
+
+    circuit = rtd_mesh(BUILD_GRID, BUILD_GRID)[0]
+    options = SwecOptions(backend="sparse")
+    ordering = sparse_module.symmetric_ordering
+    probe_seconds = []
+
+    def timed_ordering(pattern):
+        start = time.perf_counter()
+        try:
+            return ordering(pattern)
+        finally:
+            probe_seconds.append(time.perf_counter() - start)
+
+    sparse_module.symmetric_ordering = timed_ordering
+    try:
+        build_seconds = _median_seconds(
+            lambda: SwecTransient(circuit, options), repeats)
+    finally:
+        sparse_module.symmetric_ordering = ordering
+    tracemalloc.start()
+    try:
+        SwecTransient(circuit, options)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (1e3 * build_seconds, 1e3 * statistics.median(probe_seconds),
+            peak / 1e6)
 
 
 def _bench_service_cache(quick: bool, repeats: int) -> list[dict]:
@@ -343,6 +394,9 @@ FRONT_END_KEYS = ("keys_ms_per_point", "gate_ms_per_point",
 #: Keys ``grid_mesh_sparse_backend`` must carry: the timed sparse
 #: march's kept-factor record.
 KEPT_FACTOR_KEYS = ("factorizations", "factor_reuses", "sweeps_per_reuse")
+#: Keys ``grid_mesh_sparse_backend`` must carry: the sparse front end's
+#: build milliseconds, ordering-probe milliseconds and peak megabytes.
+BUILD_KEYS = ("build_ms", "probe_ms", "build_peak_mb")
 
 
 def _sweep_front_end(repeats: int) -> dict:
@@ -633,7 +687,8 @@ def check(path: Path) -> list[str]:
                 f"{path}: {entry.get('name', '?')!r} has non-positive "
                 f"median_seconds {seconds!r}")
         required = {"sweep_front_end": FRONT_END_KEYS,
-                    "grid_mesh_sparse_backend": KEPT_FACTOR_KEYS}
+                    "grid_mesh_sparse_backend": KEPT_FACTOR_KEYS
+                    + BUILD_KEYS}
         for key in required.get(entry.get("name"), ()):
             if key not in entry:
                 problems.append(
@@ -645,7 +700,7 @@ def check(path: Path) -> list[str]:
                 f"{path}: {entry.get('name', '?')!r} has invalid "
                 f"sweeps_per_reuse {sweeps!r}")
         for key in ("speedup", "factor_us", "factor_fill", "operators_ms",
-                    *FRONT_END_KEYS):
+                    *BUILD_KEYS, *FRONT_END_KEYS):
             value = entry.get(key)
             if value is not None and (
                     not isinstance(value, (int, float)) or value <= 0.0):
@@ -705,6 +760,11 @@ def main(argv: list[str] | None = None) -> int:
             extra += (f"  [factor {entry['factor_us']:.0f} us, "
                       f"nnz(L+U) {entry['factor_fill']}, "
                       f"operators {entry['operators_ms']:.1f} ms]")
+        if "build_ms" in entry:
+            extra += (f"  [{BUILD_GRID}x{BUILD_GRID} build "
+                      f"{entry['build_ms']:.0f} ms, probe "
+                      f"{entry['probe_ms']:.0f} ms, peak "
+                      f"{entry['build_peak_mb']:.1f} MB]")
         if "factor_reuses" in entry:
             extra += (f"  [{entry['factorizations']} factorizations, "
                       f"{entry['factor_reuses']} reused")
