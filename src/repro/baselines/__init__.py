@@ -2,8 +2,9 @@
 
 ``newton``
     Generic Newton-Raphson machinery (companion models, damping,
-    oscillation detection) shared by the SPICE and MLA baselines, plus the
-    scalar NR demo of paper Fig. 2.
+    oscillation detection) shared by the SPICE and MLA baselines, the
+    step-halving transient march all three baselines run, and the scalar
+    NR demo of paper Fig. 2.
 ``spice``
     A SPICE3-style simulator: NR at every time point, source/Gmin stepping
     for DC, time-step reduction on non-convergence.  Exhibits the NDR

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.waveforms import TransientResult
+from repro.baselines.newton import NewtonOutcome, step_halving_march
 from repro.circuit.netlist import Circuit
-from repro.errors import AnalysisError, SingularMatrixError
+from repro.errors import SingularMatrixError
 from repro.mna.assembler import MnaSystem
 from repro.mna.linsolve import LinearSolver
 from repro.perf.flops import FlopCounter
@@ -117,7 +118,6 @@ class AcesTransient:
         self.circuit = circuit
         self.options = options or AcesOptions()
         self.system = MnaSystem(circuit)
-        self._c_matrix = self.system.capacitance_matrix()
         self._g_base = self.system.conductance_base()
         self._terminals = self.system.device_terminals()
         self._mosfet_terminals = self.system.mosfet_terminals()
@@ -133,13 +133,15 @@ class AcesTransient:
 
     # ------------------------------------------------------------------
 
-    def _branch_voltages(self, x: np.ndarray) -> np.ndarray:
-        voltages = np.zeros(len(self._terminals))
-        for k, (anode, cathode) in enumerate(self._terminals):
+    def _segments(self, x: np.ndarray) -> list[int]:
+        """The PWL segment each device's branch voltage lies in."""
+        segments = []
+        for approx, (anode, cathode) in zip(self.approximations,
+                                            self._terminals):
             va = x[anode] if anode >= 0 else 0.0
             vc = x[cathode] if cathode >= 0 else 0.0
-            voltages[k] = va - vc
-        return voltages
+            segments.append(approx.segment_of(va - vc))
+        return segments
 
     def _solve_with_segments(self, segments: list[int], x: np.ndarray,
                              b: np.ndarray, c_over_h: np.ndarray,
@@ -169,19 +171,25 @@ class AcesTransient:
         return solver.solve(rhs)
 
     def _step(self, x: np.ndarray, b: np.ndarray, c_over_h: np.ndarray,
-              flops: FlopCounter) -> tuple[np.ndarray, bool]:
-        """Katzelson-style segment iteration for one time step."""
-        segments = [approx.segment_of(v) for approx, v in
-                    zip(self.approximations, self._branch_voltages(x))]
-        for _ in range(self.options.max_segment_iterations):
+              flops: FlopCounter) -> NewtonOutcome:
+        """Katzenelson-style segment search for one time step.
+
+        The outcome's ``iterations`` counts its linear solves; a singular
+        system fails the step.
+        """
+        segments = self._segments(x)
+        for iteration in range(1, self.options.max_segment_iterations + 1):
             self.segment_iterations += 1
-            x_new = self._solve_with_segments(segments, x, b, c_over_h,
-                                              flops)
-            new_segments = [approx.segment_of(v) for approx, v in
-                            zip(self.approximations,
-                                self._branch_voltages(x_new))]
+            try:
+                x_new = self._solve_with_segments(segments, x, b, c_over_h,
+                                                  flops)
+            except SingularMatrixError:
+                return NewtonOutcome(x=x, iterations=iteration,
+                                     converged=False)
+            new_segments = self._segments(x_new)
             if new_segments == segments:
-                return x_new, True
+                return NewtonOutcome(x=x_new, iterations=iteration,
+                                     converged=True)
             # Move each assumption one segment toward the solution to
             # avoid ping-ponging across an NDR region.
             segments = [
@@ -189,57 +197,23 @@ class AcesTransient:
                 for s, ns in zip(segments, new_segments)
             ]
             x = x_new
-        return x, False
+        return NewtonOutcome(x=x, iterations=self.options.max_segment_iterations,
+                             converged=False)
 
     # ------------------------------------------------------------------
 
     def run(self, t_stop: float, h: float | None = None,
             initial_state: np.ndarray | None = None) -> TransientResult:
-        """Simulate ``[0, t_stop]``."""
-        if t_stop <= 0.0:
-            raise AnalysisError(f"t_stop must be positive, got {t_stop!r}")
-        opts = self.options
-        system = self.system
-        result = TransientResult(system.circuit.nodes, engine="aces")
-        x = (system.initial_state() if initial_state is None
-             else np.array(initial_state, dtype=float, copy=True))
+        """Simulate ``[0, t_stop]`` from the zero state; Newton iteration
+        counts are not booked, :attr:`segment_iterations` holds the
+        search's cost."""
+        result = TransientResult(self.circuit.nodes, engine="aces")
 
-        h_base = opts.h_initial if opts.h_initial is not None else t_stop / 1000.0
-        if h is not None:
-            h_base = h
-        t = 0.0
-        result.append(t, x)
-        step = h_base
+        def attempt(x, b, c_over_h):
+            return self._step(x, b, c_over_h, result.flops)
 
-        while t < t_stop * (1.0 - 1e-12):
-            step = min(step, t_stop - t)
-            accepted = False
-            reductions = 0
-            while reductions <= opts.max_step_reductions:
-                c_over_h = self._c_matrix / step
-                b = system.source_vector(t + step)
-                try:
-                    x_new, consistent = self._step(x, b, c_over_h,
-                                                   result.flops)
-                except SingularMatrixError:
-                    consistent = False
-                    x_new = x
-                if consistent:
-                    accepted = True
-                    break
-                result.convergence_failures += 1
-                result.rejected_steps += 1
-                step *= 0.5
-                reductions += 1
-            if not accepted:
-                result.aborted = True
-                result.abort_reason = (
-                    f"segment search failed to settle at t={t:.4g}")
-                break
-            x = x_new
-            t += step
-            result.append(t, x)
-            result.accepted_steps += 1
-            step = min(step * opts.growth_factor, h_base)
-
-        return result
+        return step_halving_march(
+            result, self.system, self.options, t_stop, h, initial_state,
+            self.system.initial_state, attempt,
+            "segment search failed to settle at t={t:.4g}",
+            count_iterations=False)

@@ -36,6 +36,7 @@ from repro.baselines.newton import (
     CompanionAssembler,
     NewtonOptions,
     newton_solve,
+    step_halving_march,
 )
 
 
@@ -184,68 +185,30 @@ class MlaTransient:
         self.system = MnaSystem(circuit)
         self.limiter = RtdRegionLimiter(self.system,
                                         self.options.boundary_overshoot)
-        self._c_matrix = self.system.capacitance_matrix()
 
     def run(self, t_stop: float, h: float | None = None,
             initial_state: np.ndarray | None = None) -> TransientResult:
         """Simulate ``[0, t_stop]``."""
-        if t_stop <= 0.0:
-            raise AnalysisError(f"t_stop must be positive, got {t_stop!r}")
         opts = self.options
         system = self.system
-        result = TransientResult(system.circuit.nodes, engine="mla")
+        result = TransientResult(self.circuit.nodes, engine="mla")
         assembler = CompanionAssembler(system, flops=result.flops)
 
-        if initial_state is not None:
-            x = np.array(initial_state, dtype=float, copy=True)
-        else:
-            b0 = system.source_vector(0.0)
-            outcome = newton_solve(assembler, system.initial_state(), b0,
-                                   opts.newton, flops=result.flops,
-                                   limiter=self.limiter)
-            x = outcome.x
+        def dc_start():
+            outcome = newton_solve(assembler, system.initial_state(),
+                                   system.source_vector(0.0), opts.newton,
+                                   flops=result.flops, limiter=self.limiter)
             result.iteration_counts.append(outcome.iterations)
             if not outcome.converged:
                 result.convergence_failures += 1
+            return outcome.x
 
-        h_base = opts.h_initial if opts.h_initial is not None else t_stop / 1000.0
-        if h is not None:
-            h_base = h
-        h_min = h_base * opts.h_min_factor
-        t = 0.0
-        result.append(t, x)
-        step = h_base
+        def attempt(x, b, c_over_h):
+            return newton_solve(assembler, x, b, opts.newton,
+                                c_over_h=c_over_h, x_prev=x,
+                                flops=result.flops, limiter=self.limiter)
 
-        while t < t_stop * (1.0 - 1e-12):
-            step = min(step, t_stop - t)
-            accepted = False
-            reductions = 0
-            outcome = None
-            while reductions <= opts.max_step_reductions:
-                c_over_h = self._c_matrix / step
-                b = system.source_vector(t + step)
-                outcome = newton_solve(
-                    assembler, x, b, opts.newton, c_over_h=c_over_h,
-                    x_prev=x, flops=result.flops, limiter=self.limiter)
-                if outcome.converged:
-                    accepted = True
-                    break
-                result.convergence_failures += 1
-                result.rejected_steps += 1
-                step *= 0.5
-                reductions += 1
-                if step < h_min:
-                    break
-            if not accepted:
-                result.aborted = True
-                result.abort_reason = (
-                    f"MLA NR failed at t={t:.4g} at minimum step")
-                break
-            x = outcome.x
-            t += step
-            result.append(t, x)
-            result.iteration_counts.append(outcome.iterations)
-            result.accepted_steps += 1
-            step = min(step * opts.growth_factor, h_base)
-
-        return result
+        return step_halving_march(
+            result, system, opts, t_stop, h, initial_state, dc_start, attempt,
+            "MLA NR failed at t={t:.4g} at minimum step",
+            h_min_factor=opts.h_min_factor)

@@ -10,6 +10,9 @@ This module provides:
   When the iterates enter a two-cycle (the paper's Fig. 2 scenario: the
   initial guess is on the wrong side of a non-monotonic curve), the solver
   reports ``oscillating=True`` instead of looping forever.
+* :func:`step_halving_march` — the backward-Euler transient march with
+  step halving that the SPICE, MLA and ACES baselines share; each engine
+  supplies its initial state and its one-step attempt.
 * :func:`scalar_newton` — the one-dimensional demonstrator used by the
   Fig. 2 reproduction bench.
 """
@@ -20,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.waveforms import TransientResult
+from repro.errors import AnalysisError
 from repro.mna.assembler import MnaSystem
 from repro.mna.linsolve import LinearSolver
 from repro.perf.flops import FlopCounter
@@ -186,6 +191,84 @@ def newton_solve(assembler: CompanionAssembler, x0: np.ndarray,
 
     outcome.x = x
     return outcome
+
+
+def step_halving_march(result: TransientResult, system: MnaSystem,
+                       options, t_stop: float, h: float | None,
+                       initial_state: np.ndarray | None, start, attempt,
+                       abort_reason: str, *, h_min_factor: float = 0.0,
+                       max_failures: int = 1,
+                       count_iterations: bool = True) -> TransientResult:
+    """Backward-Euler march over ``[0, t_stop]`` with step halving.
+
+    The engine supplies ``start()``, its initial state when
+    *initial_state* is not given, and ``attempt(x, b, c_over_h)``, one
+    implicit step from the accepted state *x* to the sources *b*,
+    returning a :class:`NewtonOutcome`.  *options* supplies
+    ``h_initial``, ``max_step_reductions`` and ``growth_factor``.  The
+    base step is *h*, else ``h_initial``, else ``t_stop / 1000``, and
+    ``h_min`` is ``h_min_factor`` times it.
+
+    A failed attempt books a convergence failure and a rejected step
+    and halves the step, up to ``max_step_reductions`` times or until
+    it falls below ``h_min``.  A converged attempt is accepted and the
+    next step grows by ``growth_factor`` back toward the base.  A step
+    that fails every halving counts against a budget of *max_failures*
+    consecutive failed steps: within it the non-converged iterate is
+    accepted at ``t + max(step, h_min)`` and the step resets to the
+    base; when the budget runs out the march aborts with
+    ``abort_reason.format(t=t, outcome=outcome)``.  With
+    *count_iterations* each accepted outcome's ``iterations`` go to
+    ``result.iteration_counts``.
+    """
+    if t_stop <= 0.0:
+        raise AnalysisError(f"t_stop must be positive, got {t_stop!r}")
+    x = (start() if initial_state is None
+         else np.array(initial_state, dtype=float, copy=True))
+    c_matrix = system.capacitance_matrix()
+    h_base = h if h is not None else options.h_initial
+    if h_base is None:
+        h_base = t_stop / 1000.0
+    h_min = h_base * h_min_factor
+    t = 0.0
+    result.append(t, x)
+    step = h_base
+    failures = 0
+
+    while t < t_stop * (1.0 - 1e-12):
+        step = min(step, t_stop - t)
+        outcome = None
+        for _ in range(options.max_step_reductions + 1):
+            c_over_h = c_matrix / step
+            outcome = attempt(x, system.source_vector(t + step), c_over_h)
+            if outcome.converged:
+                break
+            result.convergence_failures += 1
+            result.rejected_steps += 1
+            step *= 0.5
+            if step < h_min:
+                break
+        if outcome is not None and outcome.converged:
+            failures = 0
+            t += step
+            step = min(step * options.growth_factor, h_base)
+        else:
+            failures += 1
+            if failures >= max_failures:
+                result.aborted = True
+                result.abort_reason = abort_reason.format(t=t, outcome=outcome)
+                break
+            # SPICE3 gives up here; to expose the *false convergence*
+            # failure mode we accept the non-converged iterate, which
+            # is what a damped simulator silently does.
+            t += max(step, h_min)
+            step = h_base
+        x = outcome.x
+        result.append(t, x)
+        if count_iterations:
+            result.iteration_counts.append(outcome.iterations)
+        result.accepted_steps += 1
+    return result
 
 
 def scalar_newton(f, dfdx, x0: float, max_iterations: int = 60,

@@ -27,6 +27,7 @@ from repro.baselines.newton import (
     CompanionAssembler,
     NewtonOptions,
     newton_solve,
+    step_halving_march,
 )
 
 
@@ -157,83 +158,33 @@ class SpiceTransient:
         self.circuit = circuit
         self.options = options or SpiceOptions()
         self.system = MnaSystem(circuit)
-        self._c_matrix = self.system.capacitance_matrix()
 
     def run(self, t_stop: float, h: float | None = None,
             initial_state: np.ndarray | None = None) -> TransientResult:
         """Simulate ``[0, t_stop]``; returns waveforms plus failure stats."""
-        if t_stop <= 0.0:
-            raise AnalysisError(f"t_stop must be positive, got {t_stop!r}")
         opts = self.options
-        system = self.system
-        result = TransientResult(system.circuit.nodes, engine="spice")
-        assembler = CompanionAssembler(system, flops=result.flops)
+        result = TransientResult(self.circuit.nodes, engine="spice")
+        assembler = CompanionAssembler(self.system, flops=result.flops)
 
-        if initial_state is not None:
-            x = np.array(initial_state, dtype=float, copy=True)
-        else:
-            dc = SpiceDC(self.circuit, opts)
+        def dc_start():
             try:
-                x, iterations, _ = dc.operating_point(result.flops)
-                result.iteration_counts.append(iterations)
+                x, iterations, _ = SpiceDC(self.circuit, opts).operating_point(
+                    result.flops)
             except ConvergenceError:
                 result.convergence_failures += 1
-                x = system.initial_state()
+                return self.system.initial_state()
+            result.iteration_counts.append(iterations)
+            return x
 
-        h_base = opts.h_initial if opts.h_initial is not None else t_stop / 1000.0
-        h_min = h_base * opts.h_min_factor
-        if h is not None:
-            h_base = h
-            h_min = h * opts.h_min_factor
-        t = 0.0
-        result.append(t, x)
-        step = h_base
-        consecutive_failures = 0
+        def attempt(x, b, c_over_h):
+            guess = x if opts.warm_start else np.zeros_like(x)
+            return newton_solve(assembler, guess, b, opts.newton,
+                                c_over_h=c_over_h, x_prev=x,
+                                flops=result.flops)
 
-        while t < t_stop * (1.0 - 1e-12):
-            step = min(step, t_stop - t)
-            accepted = False
-            reductions = 0
-            while reductions <= opts.max_step_reductions:
-                c_over_h = self._c_matrix / step
-                b = system.source_vector(t + step)
-                guess = x if opts.warm_start else np.zeros_like(x)
-                outcome = newton_solve(
-                    assembler, guess, b, opts.newton,
-                    c_over_h=c_over_h, x_prev=x, flops=result.flops)
-                if outcome.converged:
-                    accepted = True
-                    break
-                result.convergence_failures += 1
-                result.rejected_steps += 1
-                step *= 0.5
-                reductions += 1
-                if step < h_min:
-                    break
-            if not accepted:
-                consecutive_failures += 1
-                if consecutive_failures >= opts.max_consecutive_failures:
-                    result.aborted = True
-                    result.abort_reason = (
-                        f"NR failed to converge at t={t:.4g} even at "
-                        f"minimum step (oscillating={outcome.oscillating})")
-                    break
-                # SPICE3 gives up here; to expose the *false convergence*
-                # failure mode we accept the non-converged iterate, which
-                # is what a damped simulator silently does.
-                x = outcome.x
-                t += max(step, h_min)
-                result.append(t, x)
-                result.iteration_counts.append(outcome.iterations)
-                result.accepted_steps += 1
-                step = h_base
-                continue
-            consecutive_failures = 0
-            x = outcome.x
-            t += step
-            result.append(t, x)
-            result.iteration_counts.append(outcome.iterations)
-            result.accepted_steps += 1
-            step = min(step * opts.growth_factor, h_base)
-
-        return result
+        return step_halving_march(
+            result, self.system, opts, t_stop, h, initial_state, dc_start,
+            attempt, "NR failed to converge at t={t:.4g} even at minimum "
+            "step (oscillating={outcome.oscillating})",
+            h_min_factor=opts.h_min_factor,
+            max_failures=opts.max_consecutive_failures)
