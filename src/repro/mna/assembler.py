@@ -93,6 +93,13 @@ class MnaSystem:
             raise AssemblyError(
                 f"circuit {circuit.name!r} produced an empty system")
         self._node_of = {name: k for k, name in enumerate(circuit.nodes)}
+        self._device_terminals = tuple(self._pairs(circuit.devices))
+        self._mosfet_terminals = tuple(
+            (self.node_index(m.drain), self.node_index(m.gate),
+             self.node_index(m.source))
+            for m in circuit.mosfets)
+        self._chord_pairs = self._device_terminals + tuple(
+            (drain, source) for drain, _gate, source in self._mosfet_terminals)
 
     # ------------------------------------------------------------------
     # Index helpers
@@ -236,12 +243,12 @@ class MnaSystem:
         return b
 
     # ------------------------------------------------------------------
-    # Device terminal indices, precomputed once per analysis
+    # Device terminal indices, resolved once per system
     # ------------------------------------------------------------------
 
-    def device_terminals(self) -> list[tuple[int, int]]:
+    def device_terminals(self) -> tuple[tuple[int, int], ...]:
         """``(anode, cathode)`` index pairs for each two-terminal device."""
-        return self._pairs(self.circuit.devices)
+        return self._device_terminals
 
     def device_branch(self, name: str, states: np.ndarray):
         """``(device, voltages)`` for the two-terminal device *name*:
@@ -268,22 +275,16 @@ class MnaSystem:
                 return "i", (p, n, source)
         raise AnalysisError(f"no independent source named {name!r}")
 
-    def mosfet_terminals(self) -> list[tuple[int, int, int]]:
+    def mosfet_terminals(self) -> tuple[tuple[int, int, int], ...]:
         """``(drain, gate, source)`` index triples for each MOSFET."""
-        return [
-            (self.node_index(m.drain), self.node_index(m.gate),
-             self.node_index(m.source))
-            for m in self.circuit.mosfets
-        ]
+        return self._mosfet_terminals
 
-    def chord_pairs(self) -> list[tuple[int, int]]:
+    def chord_pairs(self) -> tuple[tuple[int, int], ...]:
         """The chord stamp pairs: each two-terminal device's ``(anode,
         cathode)``, then each MOSFET's ``(drain, source)`` (paper eq. 3
         stamps a MOSFET chord like a two-terminal one).  This is the
         column order of every chord stack."""
-        return self.device_terminals() + [
-            (drain, source) for drain, _gate, source in self.mosfet_terminals()
-        ]
+        return self._chord_pairs
 
     # ------------------------------------------------------------------
     # State helpers

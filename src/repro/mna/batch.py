@@ -181,7 +181,7 @@ def tangent_incidence(system) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """
     mosfets = system.mosfet_terminals()
     pairs = system.chord_pairs()
-    control = _branch_incidence(pairs + [(g, s) for _d, g, s in mosfets],
-                                system.size)
+    control = _branch_incidence(
+        pairs + tuple((g, s) for _d, g, s in mosfets), system.size)
     return control, _branch_incidence(
-        pairs + [(d, s) for d, _g, s in mosfets], system.size)
+        pairs + tuple((d, s) for d, _g, s in mosfets), system.size)

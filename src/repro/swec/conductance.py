@@ -93,10 +93,8 @@ class SwecLinearization:
         self._source_idx, self._source_mask = _gather_arrays(mosfets[:, 2])
         # The same terminals as plain index tuples, for the scalar
         # gather of branch_voltages (ground stays -1).
-        self._device_pairs = tuple(
-            (int(a), int(c)) for a, c in device_terminals)
-        self._mosfet_triples = tuple(
-            (int(d), int(g), int(s)) for d, g, s in mosfet_terminals)
+        self._device_pairs = device_terminals
+        self._mosfet_triples = mosfet_terminals
         self._devices = circuits[0].devices
         self._mosfets = circuits[0].mosfets
 
