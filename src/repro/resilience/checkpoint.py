@@ -13,20 +13,36 @@ without re-simulating (asserted in the chaos tests via factorization
 counters), the rest re-execute with their original seeds and therefore
 produce byte-identical records.
 
-Entries are written atomically (temp file + rename) like the store's
-own objects, so a crash mid-write never leaves a truncated entry that
-could poison recovery.
+Entries are written with :func:`atomic_write` (temp file + rename), as
+are the store's own objects, so a crash mid-write never leaves a
+truncated entry that could poison recovery.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["JobJournal"]
+__all__ = ["JobJournal", "atomic_write"]
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write *data* to *path* via a same-directory temp file + rename."""
+    handle, tmp_name = tempfile.mkstemp(
+        prefix=path.name + ".", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(handle, "wb") as tmp:
+            tmp.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 class JobJournal:
@@ -51,18 +67,7 @@ class JobJournal:
     def record(self, key: str, spec: dict, seed: int | None = None) -> None:
         """Journal *key* as in-flight with its job *spec* and *seed*."""
         entry = {"schema": "repro-journal/1", "spec": spec, "seed": seed}
-        payload = json.dumps(entry, sort_keys=True).encode()
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.journal_dir, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        atomic_write(self._path(key), json.dumps(entry, sort_keys=True).encode())
 
     def clear(self, key: str) -> None:
         """Remove *key* from the journal (job reached a terminal state)."""

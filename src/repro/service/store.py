@@ -17,7 +17,9 @@ Design points:
 
 atomic writes
     Both files are written to a temporary name in the same directory
-    and ``os.replace``-d into place — readers never observe a partial
+    and ``os.replace``-d into place
+    (:func:`~repro.resilience.checkpoint.atomic_write`, shared with the
+    job journal) — readers never observe a partial
     entry.  The payload lands first, the metadata last, so a metadata
     file implies a complete payload.
 corruption detection
@@ -42,11 +44,11 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.resilience.checkpoint import atomic_write
 from repro.resilience.faults import active_plan
 
 __all__ = [
@@ -155,23 +157,6 @@ class GcStats:
             f"({self.corrupt} corrupt), freed {self.bytes_freed} bytes, "
             f"{self.remaining} entries remain"
         )
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write *data* to *path* via a same-directory temp file + rename."""
-    handle, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(handle, "wb") as tmp:
-            tmp.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class ResultStore:
@@ -304,8 +289,8 @@ class ResultStore:
             "payload_bytes": len(payload),
             "summary": result_summary(value),
         }
-        _atomic_write(payload_path, payload)
-        _atomic_write(meta_path, (json.dumps(meta, sort_keys=True) + "\n").encode())
+        atomic_write(payload_path, payload)
+        atomic_write(meta_path, (json.dumps(meta, sort_keys=True) + "\n").encode())
         self.puts += 1
         return CachedResult(key=key, value=value, meta=meta)
 
