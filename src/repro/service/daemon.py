@@ -293,27 +293,48 @@ class ServiceDaemon:
                 job, self._next_id, label, int(entry.get("seed") or 0)
             )
             if result.ok:
-                self.stats.executed += 1
-                flops = getattr(result.value, "flops", None)
-                if flops is not None:
-                    self.stats.factorizations += int(flops.factorizations)
-                    self.stats.solver_flops += int(flops.total)
-                self.store.put(
-                    key,
-                    result.value,
-                    kind=job_kind(job),
-                    label=result.label,
-                    seconds=result.seconds,
-                )
+                self._publish(key, job, result)
             else:
                 self.stats.failed += 1
             self.journal.clear(key)
+
+    def _publish(self, key, job, result, *, executed: bool = True):
+        """Store the ok *result* of *job* under *key* and return the entry
+        (``None`` for an uncacheable job).  An *executed* result is also
+        counted, with its solver flops."""
+        if executed:
+            self.stats.executed += 1
+            flops = getattr(result.value, "flops", None)
+            if flops is not None:
+                self.stats.factorizations += int(flops.factorizations)
+                self.stats.solver_flops += int(flops.total)
+        if key is None:
+            return None
+        return self.store.put(
+            key,
+            result.value,
+            kind=job_kind(job),
+            label=result.label,
+            seconds=result.seconds,
+        )
 
     # -- protocol -------------------------------------------------------
 
     async def _send(self, writer: asyncio.StreamWriter, event: dict) -> None:
         writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
         await writer.drain()
+
+    async def _fail(
+        self, writer, job_id, error, *, rejected: bool = False, **fields
+    ) -> None:
+        """Count a failed (and, if *rejected*, refused) submission and
+        send its ``failed`` event with any extra *fields*."""
+        if rejected:
+            self.stats.rejected += 1
+        self.stats.failed += 1
+        await self._send(
+            writer, {"event": "failed", "id": job_id, "error": error, **fields}
+        )
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -393,15 +414,8 @@ class ServiceDaemon:
         self._next_id += 1
         job_id = self._next_id
         if self._draining:
-            self.stats.rejected += 1
-            self.stats.failed += 1
-            await self._send(
-                writer,
-                {
-                    "event": "failed",
-                    "id": job_id,
-                    "error": "daemon is draining; submission refused",
-                },
+            await self._fail(
+                writer, job_id, "daemon is draining; submission refused", rejected=True
             )
             return
         spec = request.get("job")
@@ -409,28 +423,12 @@ class ServiceDaemon:
         use_cache = bool(request.get("cache", True))
         want_payload = bool(request.get("payload", False))
         if not isinstance(spec, dict):
-            await self._send(
-                writer,
-                {
-                    "event": "failed",
-                    "id": job_id,
-                    "error": "submit needs a job= spec table",
-                },
-            )
-            self.stats.failed += 1
+            await self._fail(writer, job_id, "submit needs a job= spec table")
             return
         try:
             job = job_from_mapping(spec)
         except (NanoSimError, TypeError, ValueError) as exc:
-            await self._send(
-                writer,
-                {
-                    "event": "failed",
-                    "id": job_id,
-                    "error": f"{type(exc).__name__}: {exc}",
-                },
-            )
-            self.stats.failed += 1
+            await self._fail(writer, job_id, f"{type(exc).__name__}: {exc}")
             return
         label = getattr(job, "label", "") or f"job-{job_id}"
         key: str | None = None
@@ -450,17 +448,7 @@ class ServiceDaemon:
             refusal = self._lint_refusal(job)
             if refusal is not None:
                 message, report = refusal
-                self.stats.rejected += 1
-                self.stats.failed += 1
-                await self._send(
-                    writer,
-                    {
-                        "event": "failed",
-                        "id": job_id,
-                        "error": message,
-                        "lint": report,
-                    },
-                )
+                await self._fail(writer, job_id, message, rejected=True, lint=report)
                 return
         if key is not None:
             entry = self.store.get(key)
@@ -495,17 +483,13 @@ class ServiceDaemon:
             try:
                 result = future.result()
             except Exception as exc:  # the coalesced execution crashed
-                await self._send(
+                await self._fail(
                     writer,
-                    {
-                        "event": "failed",
-                        "id": job_id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                        "seconds": time.perf_counter() - start,
-                    },
+                    job_id,
+                    f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc(),
+                    seconds=time.perf_counter() - start,
                 )
-                self.stats.failed += 1
                 return
             if result.ok:
                 self.stats.cache_hits += 1
@@ -513,34 +497,23 @@ class ServiceDaemon:
                 # put is idempotent, so settle the record either way.
                 entry = self.store.get(key)
                 if entry is None:
-                    entry = self.store.put(
-                        key,
-                        result.value,
-                        kind=job_kind(job),
-                        label=result.label,
-                        seconds=result.seconds,
-                    )
-                record = entry.record()
+                    entry = self._publish(key, job, result, executed=False)
                 await self._finish(
                     writer,
                     job_id,
                     value=result.value,
-                    record=record,
+                    record=entry.record(),
                     cached=True,
                     seconds=time.perf_counter() - start,
                     want_payload=want_payload,
                 )
             else:
-                self.stats.failed += 1
-                await self._send(
+                await self._fail(
                     writer,
-                    {
-                        "event": "failed",
-                        "id": job_id,
-                        "error": result.error,
-                        "traceback": result.traceback,
-                        "seconds": time.perf_counter() - start,
-                    },
+                    job_id,
+                    result.error,
+                    traceback=result.traceback,
+                    seconds=time.perf_counter() - start,
                 )
             return
         else:
@@ -670,31 +643,16 @@ class ServiceDaemon:
     ) -> None:
         seconds = time.perf_counter() - start
         if not result.ok:
-            self.stats.failed += 1
-            await self._send(
+            await self._fail(
                 writer,
-                {
-                    "event": "failed",
-                    "id": job_id,
-                    "error": result.error,
-                    "traceback": result.traceback,
-                    "seconds": seconds,
-                },
+                job_id,
+                result.error,
+                traceback=result.traceback,
+                seconds=seconds,
             )
             return
-        self.stats.executed += 1
-        flops = getattr(result.value, "flops", None)
-        if flops is not None:
-            self.stats.factorizations += int(flops.factorizations)
-            self.stats.solver_flops += int(flops.total)
-        if key is not None:
-            entry = self.store.put(
-                key,
-                result.value,
-                kind=job_kind(job),
-                label=result.label,
-                seconds=result.seconds,
-            )
+        entry = self._publish(key, job, result)
+        if entry is not None:
             record = entry.record()
         else:
             record = {
