@@ -204,9 +204,9 @@ class AcesTransient:
 
     def run(self, t_stop: float, h: float | None = None,
             initial_state: np.ndarray | None = None) -> TransientResult:
-        """Simulate ``[0, t_stop]`` from the zero state; Newton iteration
-        counts are not booked, :attr:`segment_iterations` holds the
-        search's cost."""
+        """Simulate ``[0, t_stop]`` from the zero state (capacitor
+        initial voltages honoured).  No Newton iteration counts are
+        booked; :attr:`segment_iterations` holds the search's cost."""
         result = TransientResult(self.circuit.nodes, engine="aces")
 
         def attempt(x, b, c_over_h):

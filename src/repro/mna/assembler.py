@@ -24,6 +24,8 @@ Linear Systems*, SIAM 2006, ch. 2), afresh on each call:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.circuit.netlist import Circuit, is_ground
@@ -93,13 +95,6 @@ class MnaSystem:
             raise AssemblyError(
                 f"circuit {circuit.name!r} produced an empty system")
         self._node_of = {name: k for k, name in enumerate(circuit.nodes)}
-        self._device_terminals = tuple(self._pairs(circuit.devices))
-        self._mosfet_terminals = tuple(
-            (self.node_index(m.drain), self.node_index(m.gate),
-             self.node_index(m.source))
-            for m in circuit.mosfets)
-        self._chord_pairs = self._device_terminals + tuple(
-            (drain, source) for drain, _gate, source in self._mosfet_terminals)
 
     # ------------------------------------------------------------------
     # Index helpers
@@ -246,9 +241,21 @@ class MnaSystem:
     # Device terminal indices, resolved once per system
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _terminals(self):
+        """Device pairs, MOSFET triples and chord pairs, resolved on
+        first use (ensemble instances that never stamp never pay)."""
+        devices = tuple(self._pairs(self.circuit.devices))
+        mosfets = tuple(
+            (self.node_index(m.drain), self.node_index(m.gate),
+             self.node_index(m.source))
+            for m in self.circuit.mosfets)
+        return devices, mosfets, devices + tuple(
+            (drain, source) for drain, _gate, source in mosfets)
+
     def device_terminals(self) -> tuple[tuple[int, int], ...]:
         """``(anode, cathode)`` index pairs for each two-terminal device."""
-        return self._device_terminals
+        return self._terminals[0]
 
     def device_branch(self, name: str, states: np.ndarray):
         """``(device, voltages)`` for the two-terminal device *name*:
@@ -277,14 +284,14 @@ class MnaSystem:
 
     def mosfet_terminals(self) -> tuple[tuple[int, int, int], ...]:
         """``(drain, gate, source)`` index triples for each MOSFET."""
-        return self._mosfet_terminals
+        return self._terminals[1]
 
     def chord_pairs(self) -> tuple[tuple[int, int], ...]:
         """The chord stamp pairs: each two-terminal device's ``(anode,
         cathode)``, then each MOSFET's ``(drain, source)`` (paper eq. 3
         stamps a MOSFET chord like a two-terminal one).  This is the
         column order of every chord stack."""
-        return self._chord_pairs
+        return self._terminals[2]
 
     # ------------------------------------------------------------------
     # State helpers
