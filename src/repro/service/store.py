@@ -17,11 +17,10 @@ Design points:
 
 atomic writes
     Both files are written to a temporary name in the same directory
-    and ``os.replace``-d into place
-    (:func:`~repro.resilience.checkpoint.atomic_write`, shared with the
-    job journal) — readers never observe a partial
+    and ``os.replace``-d into place — readers never observe a partial
     entry.  The payload lands first, the metadata last, so a metadata
-    file implies a complete payload.
+    file implies a complete payload.  The job journal writes through
+    the same :func:`~repro.resilience.checkpoint.atomic_write`.
 corruption detection
     ``get`` re-hashes the payload against the recorded checksum and
     validates the schema version; a truncated, tampered or
