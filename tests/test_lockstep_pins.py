@@ -20,7 +20,12 @@ time.  These pins hold what such a rewrite must not move:
   from a DC start;
 * the ``mean`` / ``standard_error`` and the path and batch counts
   of naive, antithetic and control-variate estimates, serial and
-  chunked, plus the SDE twin.
+  chunked, plus the SDE twin;
+* the plain (no variance reduction) ensembles: the quantile-band
+  statistics of ``run_circuit_ensemble``, serial and chunked, its raw
+  ``return_result=True`` march, its antithetic form without a target,
+  ``run_ensemble_parallel``, and the ``EnsembleJob`` /
+  ``EnsembleTransientJob`` forms the chunked runs are made of.
 
 ``lockstep_pins.expected.json`` keeps the integer counts exact and the
 floats at full precision.  The floats are compared to ``RTOL`` of each
@@ -44,8 +49,16 @@ from repro.circuit import DC, Circuit, Pulse
 from repro.circuits_lib import arrays, fet_rtd_inverter, logic_gates, mobile_dflipflop
 from repro.circuits_lib.grids import rtd_mesh
 from repro.devices.rtd import NANO_SIM_DATE05, SCHULMAN_INGAAS, SchulmanRTD
+from repro.runtime.jobs import EnsembleJob, EnsembleTransientJob
 from repro.runtime.runner import BatchRunner
-from repro.stochastic import path_normals, run_circuit_ensemble_vr, run_sde_ensemble_vr
+from repro.stochastic import (
+    path_normals,
+    run_circuit_ensemble,
+    run_circuit_ensemble_parallel,
+    run_circuit_ensemble_vr,
+    run_ensemble_parallel,
+    run_sde_ensemble_vr,
+)
 from repro.stochastic.sde import LinearSDE
 from repro.swec import SwecEnsembleTransient, SwecOptions, SwecTransient
 from repro.swec.timestep import StepControlOptions
@@ -325,3 +338,80 @@ def test_oscillator_vr_estimate_is_pinned(golden_json, control_variate):
         target_rel_ci=0.02, control_variate=control_variate)
     key = f"oscillator-{'control-variate' if control_variate else 'naive'}"
     _pin(golden_json, key, _estimate_payload(stats))
+
+
+# ---------------------------------------------------------------------------
+# plain ensembles: no control variate, no CI target
+
+
+def _plain_payload(stats) -> dict:
+    return {
+        "mean": _floats(stats.mean),
+        "std": _floats(stats.std),
+        "lower": _floats(stats.lower),
+        "upper": _floats(stats.upper),
+        "n_paths": stats.n_paths,
+    }
+
+
+LOWPASS_NOISE = [("out", 2e-8)]
+
+
+def test_plain_circuit_ensemble_is_pinned(golden_json):
+    stats = run_circuit_ensemble(_rtd_lowpass(), LOWPASS_NOISE, 5e-9, 30, 24,
+                                 seed=21)
+    _pin(golden_json, "plain-lowpass-serial", _plain_payload(stats))
+
+
+def test_plain_circuit_ensemble_parallel_is_pinned(golden_json):
+    stats = run_circuit_ensemble_parallel(
+        "noisy_rc_node", {"n1": 1e-8}, 2e-9, 40, 24, chunks=3, seed=99,
+        params={"drive": 1e-4},
+        runner=BatchRunner(max_workers=2, executor="thread"))
+    _pin(golden_json, "plain-noisy-rc-chunks3", _plain_payload(stats))
+
+
+def test_plain_circuit_ensemble_result_is_pinned(golden_json):
+    result = run_circuit_ensemble(_rtd_lowpass(), LOWPASS_NOISE, 5e-9, 30, 8,
+                                  seed=21, return_result=True)
+    _pin(golden_json, "plain-lowpass-result", _march_payload(result))
+
+
+def test_plain_antithetic_circuit_ensemble_is_pinned(golden_json):
+    """Antithetic pairs with no CI target through the plain front door
+    (a Gaussian-band estimate over every batch)."""
+    stats = run_circuit_ensemble(_rtd_lowpass(), LOWPASS_NOISE, 5e-9, 30, 24,
+                                 seed=21, antithetic=True)
+    payload = _estimate_payload(stats)
+    payload.update(lower=_floats(stats.lower), upper=_floats(stats.upper))
+    _pin(golden_json, "plain-lowpass-antithetic", payload)
+
+
+def test_plain_sde_ensemble_parallel_is_pinned(golden_json):
+    sde = LinearSDE([[-2.0e8]], [[1.0e-2]])
+    stats = run_ensemble_parallel(
+        sde, 5e-9, 50, n_paths=24, chunks=3, x0=[0.0],
+        runner=BatchRunner(max_workers=2, executor="thread", seed=9))
+    _pin(golden_json, "plain-sde-chunks3", _plain_payload(stats))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_plain_ensemble_job_path_seeds_is_pinned(golden_json, antithetic):
+    job = EnsembleJob(
+        sde=LinearSDE([[-2.0e8]], [[1.0e-2]]), t_final=5e-9, steps=50,
+        n_paths=8, x0=[0.0], antithetic=antithetic,
+        path_seeds=np.random.SeedSequence(4).spawn(4 if antithetic else 8))
+    key = f"plain-sde-job-{'antithetic' if antithetic else 'naive'}"
+    _pin(golden_json, key, _plain_payload(job.run()))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_plain_ensemble_transient_job_is_pinned(golden_json, antithetic):
+    """``node=`` reduces worker-side; antithetic pairs without a target
+    stay a plain ensemble over all K paths."""
+    job = EnsembleTransientJob(
+        circuit=_rtd_lowpass(), t_stop=5e-9, steps=30, n_instances=16,
+        noise=LOWPASS_NOISE, node="out", antithetic=antithetic)
+    stats = job.run(np.random.SeedSequence(21))
+    key = f"plain-lowpass-job-{'antithetic' if antithetic else 'naive'}"
+    _pin(golden_json, key, _plain_payload(stats))
