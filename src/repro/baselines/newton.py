@@ -196,7 +196,7 @@ def newton_solve(assembler: CompanionAssembler, x0: np.ndarray,
 def step_halving_march(result: TransientResult, system: MnaSystem,
                        options, t_stop: float, h: float | None,
                        initial_state: np.ndarray | None, start, attempt,
-                       abort_reason: str, *, h_min_factor: float = 0.0,
+                       abort_reason: str, *, h_min_factor: float = 1e-6,
                        max_failures: int = 1,
                        count_iterations: bool = True) -> TransientResult:
     """Backward-Euler march over ``[0, t_stop]`` with step halving.

@@ -484,13 +484,10 @@ class EnsembleJob:
                 seed=seed,
             )
         if self.path_seeds is not None:
-            from repro.stochastic.vr import antithetic_normals, path_normals
+            from repro.stochastic.vr import _seeded_em
 
-            draw = antithetic_normals if self.antithetic else path_normals
-            normals = draw(self.path_seeds, self.steps, sde.num_noises)
-            dw = normals * np.sqrt(self.t_final / self.steps)
-            result = euler_maruyama(
-                sde, x0, self.t_final, self.steps, n_paths=self.n_paths, dw=dw
+            result = _seeded_em(
+                sde, x0, self.t_final, self.steps, self.path_seeds, self.antithetic
             )
         else:
             result = euler_maruyama(
@@ -528,11 +525,11 @@ class EnsembleTransientJob(_CircuitJob):
     ``noise`` injections are present; omitted, the adaptive worst-case
     grid is used).  ``noise`` lists ``(node, amplitude)`` white-noise
     current injections; ``path_seeds`` (noise ensembles only) pins one
-    RNG stream per instance (the split-invariant form used by
-    :func:`~repro.stochastic.montecarlo.run_circuit_ensemble_parallel`),
-    otherwise the runner-provided seed is spawned into K children.
-    Either way :func:`~repro.stochastic.vr.path_normals` draws the
-    normals the march takes.
+    RNG stream per instance (the split-invariant form the chunked
+    Monte-Carlo driver of :mod:`repro.stochastic.vr` uses), otherwise
+    the runner-provided seed is spawned into K children.  Either way
+    :func:`~repro.stochastic.vr.path_normals` draws the normals the
+    march takes.
 
     The job returns the raw
     :class:`~repro.swec.ensemble.EnsembleTransientResult` when
@@ -737,16 +734,17 @@ class EnsembleTransientJob(_CircuitJob):
         if self.steps is None:
             result = engine.run(self.t_stop, **kwargs)
         else:
-            from repro.stochastic.vr import antithetic_normals, path_normals
+            from repro.stochastic.vr import _seeded_normals
 
             times = np.linspace(0.0, float(self.t_stop), int(self.steps) + 1)
             if noise is not None:
-                draw = antithetic_normals if self.antithetic else path_normals
                 seeds = self.path_seeds
                 if seeds is None:
                     source = seed if seed is not None else np.random.SeedSequence()
                     seeds = source.spawn(self._n_streams)
-                kwargs["normals"] = draw(seeds, int(self.steps), len(noise))
+                kwargs["normals"] = _seeded_normals(
+                    seeds, int(self.steps), len(noise), self.antithetic
+                )
             result = engine.run_grid(times, **kwargs)
         _enforce_dc_start(self, result)
         if self.return_result or self.node is None:

@@ -6,16 +6,18 @@ standard errors, empirical confidence intervals, and convergence studies
 (weak and strong error versus step size, after Higham's SIAM Review
 exposition the paper cites as [13]).
 
-Circuit-noise ensembles additionally route through the lockstep SWEC
-engine (:func:`run_circuit_ensemble` /
-:func:`run_circuit_ensemble_parallel`): K noise realizations of one
-circuit march on a shared fixed grid with one batched solve per time
-point — the implicit Euler-Maruyama form of the paper's eq. (13), with
-per-path ``SeedSequence`` streams so results are bit-identical for any
-worker count or chunk split.  Switching on any variance-reduction knob
+Circuit-noise ensembles go through the lockstep SWEC engine
+(:func:`run_circuit_ensemble` / :func:`run_circuit_ensemble_parallel`):
+K noise realizations of one circuit march on a shared fixed grid with
+one batched solve per time point — the implicit Euler-Maruyama form of
+the paper's eq. (13), with per-path ``SeedSequence`` streams so results
+are bit-identical for any worker count or chunk split.  Both are thin
+front doors to the one Monte-Carlo driver of
+:mod:`repro.stochastic.vr`.  A plain run is that driver
+with no upgrades and keeps the empirical quantile band of
+:class:`EnsembleStatistics`; switching on any variance-reduction knob
 (``control_variate=``, ``antithetic=``, ``target_ci=`` /
-``target_rel_ci=``) routes the same entry points through
-:mod:`repro.stochastic.vr`, which returns the richer
+``target_rel_ci=``) returns the richer
 :class:`~repro.stochastic.vr.VarianceReducedStatistics`.
 """
 
@@ -74,16 +76,6 @@ def ensemble_statistics(
         upper=np.quantile(values, 1.0 - tail, axis=0),
         n_paths=n_paths,
         confidence=confidence,
-    )
-
-
-def _vr_active(control_variate, antithetic, target_ci, target_rel_ci) -> bool:
-    """Does any variance-reduction knob route a run through vr.py?"""
-    return (
-        control_variate
-        or antithetic
-        or target_ci is not None
-        or target_rel_ci is not None
     )
 
 
@@ -153,6 +145,7 @@ def run_ensemble_parallel(
     even chunks, i.e. be divisible by ``2 * chunks``.
     """
     from repro.runtime import BatchRunner, EnsembleJob
+    from repro.stochastic.vr import _spawn_children, _streams, _windows
 
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence!r}")
@@ -167,12 +160,10 @@ def run_ensemble_parallel(
         )
     runner = runner or BatchRunner()
     stride = 2 if antithetic else 1
-    path_seeds = np.random.SeedSequence(runner.seed).spawn(n_paths // stride)
-    base, extra = divmod(n_paths, chunks)
-    sizes = [base + (1 if k < extra else 0) for k in range(chunks)]
+    children = _spawn_children(runner.seed, n_paths // stride)
     direct = isinstance(sde_builder, LinearSDE)
-    jobs, offset = [], 0
-    for k, size in enumerate(sizes):
+    jobs = []
+    for k, (offset, size) in enumerate(_windows(0, n_paths, chunks, stride)):
         jobs.append(
             EnsembleJob(
                 t_final=t_final,
@@ -184,12 +175,11 @@ def run_ensemble_parallel(
                 x0=x0,
                 component=component,
                 antithetic=antithetic,
-                path_seeds=path_seeds[offset // stride : (offset + size) // stride],
+                path_seeds=_streams(children, offset, size, stride),
                 return_paths=True,
                 label=f"chunk-{k}",
             )
         )
-        offset += size
     report = runner.run(jobs)
     report.raise_failures()
     results = report.values()
@@ -224,8 +214,9 @@ def run_circuit_ensemble(
     ``(node, amplitude)`` white-noise current injections of eq. (13).
     All ``n_paths`` instances march a shared uniform grid of *steps*
     backward-Euler-Maruyama steps with one batched solve per point;
-    path *i* always draws from child *i* of ``SeedSequence(seed)``, so
-    the statistics are bit-reproducible and split-invariant.
+    path *i* always draws from child *i* of ``SeedSequence(seed)`` (or
+    of a passed ``SeedSequence``), so the statistics are
+    bit-reproducible and split-invariant.
 
     Returns :class:`EnsembleStatistics` of the voltage at *node*
     (default: the first noise injection node), or the raw
@@ -235,60 +226,26 @@ def run_circuit_ensemble(
     turns grid-mesh noise ensembles tractable); it overrides any
     ``options.backend`` setting.
 
-    Any variance-reduction knob (``control_variate=``, ``antithetic=``,
-    ``target_ci=``/``target_rel_ci=``) routes the run through
-    :func:`repro.stochastic.vr.run_circuit_ensemble_vr`: paths then run
-    in ``batch_size`` batches up to ``max_trials`` (default:
-    ``n_paths``) and the result is a
+    A thin front door to the one Monte-Carlo driver of
+    :mod:`repro.stochastic.vr`; a plain run is that driver with no
+    upgrades.  Any variance-reduction
+    knob (``control_variate=``, ``antithetic=``,
+    ``target_ci=``/``target_rel_ci=``) switches on its adaptive
+    estimator: paths then run in ``batch_size`` batches up to
+    ``max_trials`` (default: ``n_paths``) and the result is a
     :class:`~repro.stochastic.vr.VarianceReducedStatistics` with a
     Gaussian confidence band.
     """
-    from repro.runtime.jobs import apply_backend
-    from repro.stochastic.vr import path_normals
-    from repro.swec.ensemble import SwecEnsembleTransient
+    from repro.stochastic.vr import _circuit_mc
 
-    if steps < 1:
-        raise AnalysisError(f"steps must be >= 1, got {steps!r}")
-    if n_paths < 1:
-        raise AnalysisError(f"n_paths must be >= 1, got {n_paths!r}")
-    if _vr_active(control_variate, antithetic, target_ci, target_rel_ci):
-        if return_result:
-            raise AnalysisError(
-                "return_result= is incompatible with variance reduction "
-                "(the raw path stack is consumed batch by batch)"
-            )
-        from repro.stochastic.vr import run_circuit_ensemble_vr
-
-        return run_circuit_ensemble_vr(
-            circuit,
-            noise,
-            t_stop,
-            steps,
-            node=node,
-            seed=seed,
-            options=options,
-            confidence=confidence,
-            backend=backend,
-            control_variate=control_variate,
-            antithetic=antithetic,
-            target_ci=target_ci,
-            target_rel_ci=target_rel_ci,
-            max_trials=max_trials or n_paths,
-            batch_size=batch_size,
-        )
-    noise = list(noise.items()) if hasattr(noise, "items") else list(noise)
-    if not noise:
-        raise AnalysisError("need at least one (node, amplitude) injection")
-    options = apply_backend(options, backend)
-    engine = SwecEnsembleTransient(circuit, options, n_instances=n_paths, noise=noise)
-    times = np.linspace(0.0, float(t_stop), int(steps) + 1)
-    seeds = np.random.SeedSequence(seed).spawn(n_paths)
-    normals = path_normals(seeds, int(steps), len(noise))
-    result = engine.run_grid(times, normals=normals)
-    if return_result:
-        return result
-    node = noise[0][0] if node is None else node
-    return ensemble_statistics(result.times, result.voltage(node), confidence)
+    return _circuit_mc(
+        circuit, noise, t_stop, steps, n_paths, node=node, seed=seed,
+        options=options, confidence=confidence, return_result=return_result,
+        backend=backend, control_variate=control_variate,
+        antithetic=antithetic, target_ci=target_ci,
+        target_rel_ci=target_rel_ci, max_trials=max_trials,
+        batch_size=batch_size,
+    )
 
 
 def run_circuit_ensemble_parallel(
@@ -315,90 +272,33 @@ def run_circuit_ensemble_parallel(
     """One large circuit-noise ensemble as *chunks* lockstep batches.
 
     *builder* is a :mod:`repro.circuits_lib` circuit builder (or its
-    name) invoked with *params* inside each worker.  The per-path RNG
-    streams are spawned *before* chunking — path *i* uses child *i* of
-    ``SeedSequence(seed)`` no matter which chunk executes it — and
-    every path marches the same fixed grid independently, so the
-    result is bit-identical for any ``chunks`` value and any worker
-    count.
+    name), invoked once with *params*; the Monte-Carlo driver of
+    :mod:`repro.stochastic.vr` splits each march over
+    ``chunks`` :class:`~repro.runtime.EnsembleTransientJob` sub-jobs on
+    *runner*.  Path *i* uses child *i* of ``SeedSequence(seed)`` no
+    matter which chunk executes it, and every path marches the same
+    fixed grid independently, so the result is bit-identical to
+    :func:`run_circuit_ensemble` for any ``chunks`` value and any
+    worker count.
 
     The variance-reduction knobs mirror :func:`run_circuit_ensemble`;
-    when any is switched on, batches of ``batch_size`` paths are split
-    over ``chunks`` :class:`~repro.runtime.EnsembleTransientJob`
-    sub-jobs per round and the stopping decisions are made on the
-    concatenated (canonically ordered) paths, so serial and chunked
-    adaptive runs stop at the same trial count with identical
-    statistics.
+    with any switched on, the stopping decisions are made on the
+    concatenated (canonically ordered) paths of each round, so serial
+    and chunked adaptive runs stop at the same trial count with
+    identical statistics.
     """
-    from repro.runtime import BatchRunner
-    from repro.runtime.jobs import (
-        EnsembleTransientJob,
-        materialize_circuit,
-        plain_circuit,
+    from repro.runtime.jobs import materialize_circuit, plain_circuit
+    from repro.stochastic.vr import _circuit_mc
+
+    built = materialize_circuit(None, builder, None, dict(params or {}))
+    return _circuit_mc(
+        plain_circuit(built), noise, t_stop, steps, n_paths, node=node,
+        seed=seed, options=options, confidence=confidence, backend=backend,
+        control_variate=control_variate, antithetic=antithetic,
+        target_ci=target_ci, target_rel_ci=target_rel_ci,
+        max_trials=max_trials, batch_size=batch_size, chunks=chunks,
+        runner=runner,
     )
-
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence!r}")
-    if chunks < 1:
-        raise AnalysisError(f"chunks must be >= 1, got {chunks!r}")
-    if n_paths < chunks:
-        raise AnalysisError(f"n_paths ({n_paths}) must be >= chunks ({chunks})")
-    noise = list(noise.items()) if hasattr(noise, "items") else list(noise)
-    if not noise:
-        raise AnalysisError("need at least one (node, amplitude) injection")
-    if node is None:
-        node = noise[0][0]
-    if _vr_active(control_variate, antithetic, target_ci, target_rel_ci):
-        from repro.stochastic.vr import run_circuit_ensemble_vr
-
-        built = materialize_circuit(None, builder, None, dict(params or {}))
-        circuit = plain_circuit(built)
-        return run_circuit_ensemble_vr(
-            circuit,
-            noise,
-            t_stop,
-            steps,
-            node=node,
-            seed=seed,
-            options=options,
-            confidence=confidence,
-            backend=backend,
-            control_variate=control_variate,
-            antithetic=antithetic,
-            target_ci=target_ci,
-            target_rel_ci=target_rel_ci,
-            max_trials=max_trials or n_paths,
-            batch_size=batch_size,
-            chunks=chunks,
-            runner=runner,
-        )
-    path_seeds = np.random.SeedSequence(seed).spawn(n_paths)
-    base, extra = divmod(n_paths, chunks)
-    sizes = [base + (1 if k < extra else 0) for k in range(chunks)]
-    jobs, offset = [], 0
-    for k, size in enumerate(sizes):
-        jobs.append(
-            EnsembleTransientJob(
-                t_stop=t_stop,
-                builder=builder,
-                params=dict(params or {}),
-                n_instances=size,
-                steps=steps,
-                noise=noise,
-                options=options,
-                path_seeds=path_seeds[offset : offset + size],
-                return_result=True,
-                backend=backend,
-                label=f"chunk-{k}",
-            )
-        )
-        offset += size
-    runner = runner or BatchRunner()
-    report = runner.run(jobs)
-    report.raise_failures()
-    results = report.values()
-    values = np.concatenate([r.voltage(node) for r in results], axis=0)
-    return ensemble_statistics(results[0].times, values, confidence)
 
 
 def weak_error_study(

@@ -35,8 +35,12 @@ adaptive trial counts
     paths as used ones, and the statistics are bitwise those of one
     march per batch.
 
-Results come back as :class:`VarianceReducedStatistics` (pointwise, a
-drop-in extension of
+All three run over the one circuit-noise Monte-Carlo driver,
+:func:`_circuit_mc`.  A plain ensemble is that driver with no upgrades:
+one march of every path, reduced to
+:class:`~repro.stochastic.montecarlo.EnsembleStatistics` with the
+empirical quantile band.  Upgraded runs return
+:class:`VarianceReducedStatistics` (pointwise, a drop-in extension of
 :class:`~repro.stochastic.montecarlo.EnsembleStatistics`) with an
 sde_mc-style scalar :class:`MCStatistics` summary.
 """
@@ -51,7 +55,7 @@ import numpy as np
 from scipy.stats import norm
 
 from repro.errors import AnalysisError
-from repro.stochastic.montecarlo import EnsembleStatistics
+from repro.stochastic.montecarlo import EnsembleStatistics, ensemble_statistics
 
 #: Smallest conductance substituted for a dead or negative linearized
 #: branch, keeping every node of the control circuit connected.
@@ -551,18 +555,40 @@ def _spawn_children(seed, count: int):
     return _PathSeeds(np.random.SeedSequence(seed), count)
 
 
-def _batch_normals(children, offset, size, steps, m, antithetic) -> np.ndarray:
-    if antithetic:
-        half = children[offset // 2 : (offset + size) // 2]
-        return antithetic_normals(half, steps, m)
-    return path_normals(children[offset : offset + size], steps, m)
+def _streams(children, offset: int, size: int, pps: int):
+    """The seed streams of paths ``offset .. offset + size``: one per
+    path, or one per antithetic pair (*pps* = 2)."""
+    return children[offset // pps : (offset + size) // pps]
 
 
-def _chunk_sizes(size: int, chunks: int, pps: int) -> list[int]:
+def _seeded_normals(seeds, steps: int, m: int, antithetic: bool) -> np.ndarray:
+    """The normals a noisy march draws from its seed streams: one path
+    per stream, or one mirrored pair per stream with *antithetic*."""
+    draw = antithetic_normals if antithetic else path_normals
+    return draw(seeds, steps, m)
+
+
+def _seeded_em(sde, x0, t_final: float, steps: int, seeds, antithetic: bool):
+    """Euler-Maruyama paths of *sde* driven by :func:`_seeded_normals`."""
+    from repro.stochastic.em import euler_maruyama
+
+    normals = _seeded_normals(seeds, steps, sde.num_noises, antithetic)
+    dw = normals * math.sqrt(t_final / steps)
+    return euler_maruyama(sde, x0, t_final, steps, n_paths=normals.shape[0], dw=dw)
+
+
+def _windows(offset: int, size: int, chunks: int, pps: int) -> list:
+    """Split paths ``offset .. offset + size`` into at most *chunks*
+    ``(start, count)`` windows of whole units of *pps* paths."""
     units = size // pps
     parts = min(chunks, units)
     base, extra = divmod(units, parts)
-    return [pps * (base + (1 if k < extra else 0)) for k in range(parts)]
+    windows = []
+    for k in range(parts):
+        count = pps * (base + (1 if k < extra else 0))
+        windows.append((offset, count))
+        offset += count
+    return windows
 
 
 def run_circuit_ensemble_vr(
@@ -587,15 +613,40 @@ def run_circuit_ensemble_vr(
 ) -> VarianceReducedStatistics:
     """Variance-reduced circuit-noise ensemble through the SWEC engine.
 
-    The front doors
+    The adaptive estimator of the module's one circuit-noise driver,
+    with or without upgrades; the front doors
     :func:`~repro.stochastic.montecarlo.run_circuit_ensemble` and
     :func:`~repro.stochastic.montecarlo.run_circuit_ensemble_parallel`
-    delegate here whenever a variance-reduction knob is switched on;
-    *chunks*/*runner* select the parallel execution path (batches split
-    over :class:`~repro.runtime.EnsembleTransientJob` chunks).  Path
-    stream ``i`` (pair stream with *antithetic*) is child ``i`` of
+    reach it when an upgrade is switched on.  *chunks*/*runner* select
+    the parallel sampler (batches split over
+    :class:`~repro.runtime.EnsembleTransientJob` chunks).  Path stream
+    ``i`` (pair stream with *antithetic*) is child ``i`` of
     ``SeedSequence(seed)``, built when its batch runs, so serial and
     chunked runs are bit-identical at any worker count.
+    """
+    return _circuit_mc(
+        circuit, noise, t_stop, steps, max_trials, node=node, seed=seed,
+        options=options, confidence=confidence, backend=backend,
+        control_variate=control_variate, antithetic=antithetic,
+        target_ci=target_ci, target_rel_ci=target_rel_ci,
+        batch_size=batch_size, chunks=chunks, runner=runner, adaptive=True,
+    )
+
+
+def _circuit_mc(circuit, noise, t_stop, steps, n_paths, *, node=None,
+               seed=None, options=None, confidence=0.95, return_result=False,
+               backend=None, control_variate=False, antithetic=False,
+               target_ci=None, target_rel_ci=None, max_trials=None,
+               batch_size=None, chunks=None, runner=None, adaptive=False):
+    """The one circuit-noise Monte-Carlo driver.
+
+    Checks the run before anything marches, then draws every path from
+    :func:`_sampler`.  A plain run (no control variate, no antithetic
+    pairs, no CI target, not *adaptive*) is one ``sample(0, n_paths)``
+    reduced by :func:`~repro.stochastic.montecarlo.ensemble_statistics`,
+    or with *return_result* the raw result of that march.  Otherwise
+    :func:`_adaptive_mc` consumes the sampler in batches up to
+    ``max_trials`` (default *n_paths*).
     """
     from repro.runtime.jobs import _swec_options, apply_backend
 
@@ -603,42 +654,41 @@ def run_circuit_ensemble_vr(
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence!r}")
     if steps < 1:
         raise AnalysisError(f"steps must be >= 1, got {steps!r}")
+    if chunks is not None and chunks < 1:
+        raise AnalysisError(f"chunks must be >= 1, got {chunks!r}")
     noise = list(noise.items()) if hasattr(noise, "items") else list(noise)
     if not noise:
         raise AnalysisError("need at least one (node, amplitude) injection")
     node = noise[0][0] if node is None else node
-    plan = _resolve_batching(max_trials, batch_size, antithetic, control_variate)
+    adaptive = (adaptive or control_variate or antithetic
+                or target_ci is not None or target_rel_ci is not None)
+    if adaptive:
+        if return_result:
+            raise AnalysisError(
+                "return_result= is incompatible with variance reduction "
+                "(the raw path stack is consumed batch by batch)"
+            )
+        n_paths = max_trials or n_paths
+        plan = _resolve_batching(n_paths, batch_size, antithetic, control_variate)
+    elif n_paths < 1:
+        raise AnalysisError(f"n_paths must be >= 1, got {n_paths!r}")
     options = apply_backend(options, backend)
     if isinstance(options, dict):
         options = _swec_options(options)
     times = np.linspace(0.0, float(t_stop), int(steps) + 1)
-    m = len(noise)
-    children = _spawn_children(seed, max_trials // plan.pps)
-
     control = linearized_control_circuit(circuit, options) if control_variate else None
     control_mean = None
     if control is not None:
         control_mean = _control_mean(control, noise, times, options, node)
-
-    if chunks is None:
-        sample = _serial_sampler(
-            circuit, control, noise, times, options, node, children, antithetic
-        )
-    else:
-        sample = _parallel_sampler(
-            circuit,
-            control,
-            noise,
-            t_stop,
-            steps,
-            options,
-            node,
-            children,
-            antithetic,
-            chunks,
-            plan.pps,
-            runner,
-        )
+    pps = 2 if antithetic else 1
+    sample, march = _sampler(
+        circuit, control, noise, times, options, node,
+        _spawn_children(seed, n_paths // pps), pps, chunks, runner,
+    )
+    if not adaptive:
+        if return_result:
+            return march(0, n_paths)[0][0]  # one circuit, one march
+        return ensemble_statistics(times, sample(0, n_paths)[0], confidence)
     return _adaptive_mc(
         sample,
         times=times,
@@ -661,91 +711,62 @@ def _control_mean(control, noise, times, options, node) -> np.ndarray:
     return engine.run_grid(times, normals=zeros).voltage(node)[0]
 
 
-def _serial_sampler(
-    circuit, control, noise, times, options, node, children, antithetic
-):
+def _sampler(circuit, control, noise, times, options, node, children, pps,
+             chunks, runner):
+    """``(sample, march)`` over the paths of one run.
+
+    ``march(offset, size)`` marches paths ``offset .. offset + size`` of
+    *circuit* (and *control*) and returns each circuit's results: one
+    in-process march, or one per *chunks* job run by *runner*.
+    ``sample`` returns their ``(signal, control)`` voltages at *node*.
+    """
+    from repro.runtime import BatchRunner
+    from repro.runtime.jobs import EnsembleTransientJob
     from repro.swec.ensemble import SwecEnsembleTransient
 
+    circuits = [circuit] if control is None else [circuit, control]
     steps, m = times.size - 1, len(noise)
     engines: dict[tuple[int, int], object] = {}
 
-    def march(which, circ, size, normals):
-        engine = engines.get((which, size))
-        if engine is None:
-            engine = SwecEnsembleTransient(circ, options, n_instances=size, noise=noise)
-            engines[(which, size)] = engine
-        return engine.run_grid(times, normals=normals).voltage(node)
-
-    def sample(offset, size):
-        normals = _batch_normals(children, offset, size, steps, m, antithetic)
-        signal = march(0, circuit, size, normals)
-        ctrl = march(1, control, size, normals) if control is not None else None
-        return signal, ctrl
-
-    return sample
-
-
-def _parallel_sampler(
-    circuit,
-    control,
-    noise,
-    t_stop,
-    steps,
-    options,
-    node,
-    children,
-    antithetic,
-    chunks,
-    pps,
-    runner,
-):
-    from repro.runtime import BatchRunner
-    from repro.runtime.jobs import EnsembleTransientJob
-
-    if chunks < 1:
-        raise AnalysisError(f"chunks must be >= 1, got {chunks!r}")
-    runner = runner or BatchRunner()
-
-    def jobs_for(circ, offset, size, tag):
-        jobs, off = [], offset
-        for cs in _chunk_sizes(size, chunks, pps):
-            seeds = (
-                children[off // 2 : (off + cs) // 2]
-                if antithetic
-                else children[off : off + cs]
-            )
-            jobs.append(
-                EnsembleTransientJob(
-                    t_stop=t_stop,
-                    circuit=circ,
-                    n_instances=cs,
-                    steps=steps,
-                    noise=noise,
-                    options=options,
-                    path_seeds=seeds,
-                    antithetic=antithetic,
-                    return_result=True,
-                    label=f"vr-{tag}-{off}",
+    def march_in_process(offset, size):
+        seeds = _streams(children, offset, size, pps)
+        normals = _seeded_normals(seeds, steps, m, pps == 2)
+        results = []
+        for which, circ in enumerate(circuits):
+            if (which, size) not in engines:
+                engines[which, size] = SwecEnsembleTransient(
+                    circ, options, n_instances=size, noise=noise
                 )
-            )
-            off += cs
-        return jobs
+            results.append([engines[which, size].run_grid(times, normals=normals)])
+        return results
 
-    def sample(offset, size):
-        jobs = jobs_for(circuit, offset, size, "signal")
-        n_signal = len(jobs)
-        if control is not None:
-            jobs += jobs_for(control, offset, size, "control")
+    def march_chunks(offset, size):
+        windows = _windows(offset, size, chunks, pps)
+        jobs = [EnsembleTransientJob(
+            t_stop=float(times[-1]), circuit=circ, n_instances=count,
+            steps=steps, noise=noise, options=options,
+            path_seeds=_streams(children, start, count, pps),
+            antithetic=pps == 2, return_result=True, label=f"{circ.name}-{start}",
+        ) for circ in circuits for start, count in windows]
         report = runner.run(jobs)
         report.raise_failures()
         results = report.values()
-        signal = np.concatenate([r.voltage(node) for r in results[:n_signal]])
-        ctrl = None
-        if control is not None:
-            ctrl = np.concatenate([r.voltage(node) for r in results[n_signal:]])
-        return signal, ctrl
+        parts = len(windows)
+        return [results[k : k + parts] for k in range(0, len(results), parts)]
 
-    return sample
+    def sample(offset, size):
+        volts = [
+            np.concatenate([result.voltage(node) for result in results])
+            for results in march(offset, size)
+        ]
+        return volts[0], volts[1] if control is not None else None
+
+    if chunks is None:
+        march = march_in_process
+    else:
+        runner = runner or BatchRunner()
+        march = march_chunks
+    return sample, march
 
 
 def run_sde_ensemble_vr(
@@ -770,22 +791,16 @@ def run_sde_ensemble_vr(
     Control variates are a circuit-level feature (the linearized
     companion); for the already-linear SDEs they would be the identity.
     """
-    from repro.stochastic.em import euler_maruyama
-
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence!r}")
     plan = _resolve_batching(max_trials, batch_size, antithetic, False)
     times = np.linspace(0.0, float(t_final), int(steps) + 1)
-    m = sde.num_noises
     children = _spawn_children(seed, max_trials // plan.pps)
     x0 = np.zeros(sde.dimension) if x0 is None else np.asarray(x0, dtype=float)
-    scale = math.sqrt(t_final / steps)
 
     def sample(offset, size):
-        normals = _batch_normals(children, offset, size, steps, m, antithetic)
-        result = euler_maruyama(
-            sde, x0, t_final, steps, n_paths=size, dw=normals * scale
-        )
+        seeds = _streams(children, offset, size, plan.pps)
+        result = _seeded_em(sde, x0, t_final, steps, seeds, antithetic)
         return result.component(component), None
 
     return _adaptive_mc(

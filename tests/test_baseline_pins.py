@@ -254,6 +254,21 @@ def test_aces_aborts_when_segment_search_cannot_settle():
     assert result.iteration_counts == []
 
 
+def test_aces_step_floor_aborts_a_search_that_never_settles():
+    """A one-solve segment search on the divider pulse fails at every
+    halving.  The march's step floor (1e-6 of the base step) turns that
+    into an aborted result; without it the step halved until
+    ``t + step == t`` and recording the point raised."""
+    options = AcesOptions(v_min=-0.5, v_max=3.0, h_initial=0.02e-9,
+                          max_segment_iterations=1)
+    result = AcesTransient(_divider_pulse(1.0), options).run(2e-9)
+    assert result.aborted
+    assert result.abort_reason.startswith(
+        "segment search failed to settle at t=")
+    assert np.all(np.diff(result.times) > 0.0)
+    assert result.times[-1] < 2e-9
+
+
 # ---------------------------------------------------------------------------
 # All three
 

@@ -372,6 +372,19 @@ class TestStochasticEnsembles:
         assert np.max(np.abs(stats.mean - ou.mean(t))) < 0.05
         assert stats.std[-1] == pytest.approx(ou.std(t)[-1], rel=0.15)
 
+    def test_seed_sequence_seed_matches_integer_seed(self):
+        """A fresh ``SeedSequence(3)`` hands out the path streams that
+        ``seed=3`` spawns."""
+        kwargs = dict(t_stop=2e-9, steps=60, n_paths=4)
+        by_int = run_circuit_ensemble(
+            noisy_rc_circuit(), [("n1", 1e-8)], seed=3, **kwargs)
+        by_sequence = run_circuit_ensemble(
+            noisy_rc_circuit(), [("n1", 1e-8)],
+            seed=np.random.SeedSequence(3), **kwargs)
+        for name in ("mean", "std", "lower", "upper"):
+            assert np.array_equal(getattr(by_int, name),
+                                  getattr(by_sequence, name))
+
     def test_bit_identical_across_solve_chunk_sizes(self):
         circuit = noisy_rc_circuit()
         times = np.linspace(0.0, 2e-9, 81)
