@@ -12,12 +12,11 @@ K noise realizations of one circuit march on a shared fixed grid with
 one batched solve per time point — the implicit Euler-Maruyama form of
 the paper's eq. (13), with per-path ``SeedSequence`` streams so results
 are bit-identical for any worker count or chunk split.  Both are thin
-front doors to the one Monte-Carlo driver of
-:mod:`repro.stochastic.vr`.  A plain run is that driver
-with no upgrades and keeps the empirical quantile band of
-:class:`EnsembleStatistics`; switching on any variance-reduction knob
-(``control_variate=``, ``antithetic=``, ``target_ci=`` /
-``target_rel_ci=``) returns the richer
+front doors to the one Monte-Carlo driver of :mod:`repro.stochastic.vr`.
+A plain run is that driver with no upgrades and keeps the empirical
+quantile band of :class:`EnsembleStatistics`; switching on any
+variance-reduction knob (``control_variate=``, ``antithetic=``,
+``target_ci=`` / ``target_rel_ci=``) returns the richer
 :class:`~repro.stochastic.vr.VarianceReducedStatistics`.
 """
 
@@ -228,10 +227,9 @@ def run_circuit_ensemble(
 
     A thin front door to the one Monte-Carlo driver of
     :mod:`repro.stochastic.vr`; a plain run is that driver with no
-    upgrades.  Any variance-reduction
-    knob (``control_variate=``, ``antithetic=``,
-    ``target_ci=``/``target_rel_ci=``) switches on its adaptive
-    estimator: paths then run in ``batch_size`` batches up to
+    upgrades.  Any variance-reduction knob (``control_variate=``,
+    ``antithetic=``, ``target_ci=``/``target_rel_ci=``) switches on its
+    adaptive estimator: paths then run in ``batch_size`` batches up to
     ``max_trials`` (default: ``n_paths``) and the result is a
     :class:`~repro.stochastic.vr.VarianceReducedStatistics` with a
     Gaussian confidence band.
