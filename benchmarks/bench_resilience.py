@@ -10,9 +10,13 @@ thread executor:
   content-addressed ``ResultStore``.
 
 No fault fires, so the guarded pass must produce **bit-identical**
-statistics while costing at most **5 %** extra wall-clock (best of
-``BENCH_RESILIENCE_REPEATS`` interleaved repeats).  That bound is the
-contract that lets ``timeout``/``retries`` default on for long sweeps.
+statistics while costing at most **5 %** extra wall-clock.  That bound
+is the contract that lets ``timeout``/``retries`` default on for long
+sweeps.  Each of ``BENCH_RESILIENCE_REPEATS`` (at least 7) repeats runs
+one plain and one guarded batch back to back, alternating which goes
+first, and the overhead is the median of the per-repeat guarded/plain
+ratios: a slow spell of the host stretches both halves of a pair, so
+it moves a ratio far less than it moves either time.
 
 ``python tools/bench_report.py --only resilience`` records the same
 kernel (plus the retry/timeout/fallback counters) for the perf
@@ -31,7 +35,7 @@ from repro.service import ResultStore, run_batch_cached
 
 N_JOBS = int(os.environ.get("BENCH_RESILIENCE_JOBS", "12"))
 N_PATHS = int(os.environ.get("BENCH_RESILIENCE_PATHS", "64"))
-REPEATS = int(os.environ.get("BENCH_RESILIENCE_REPEATS", "3"))
+REPEATS = max(7, int(os.environ.get("BENCH_RESILIENCE_REPEATS", "7")))
 MAX_OVERHEAD = 0.05
 WORKERS = 2
 
@@ -66,14 +70,17 @@ def test_safety_net_overhead_is_bounded():
     plain_report = guarded_report = None
     with tempfile.TemporaryDirectory() as root:
         for repeat in range(REPEATS):
-            start = time.perf_counter()
-            plain_report = _plain().run(_jobs())
-            plain_seconds.append(time.perf_counter() - start)
-
             store = ResultStore(os.path.join(root, f"store-{repeat}"))
-            start = time.perf_counter()
-            guarded_report = run_batch_cached(_guarded(), _jobs(), store)
-            guarded_seconds.append(time.perf_counter() - start)
+            for guarded in ((False, True) if repeat % 2 == 0
+                            else (True, False)):
+                start = time.perf_counter()
+                if guarded:
+                    guarded_report = run_batch_cached(_guarded(), _jobs(),
+                                                      store)
+                    guarded_seconds.append(time.perf_counter() - start)
+                else:
+                    plain_report = _plain().run(_jobs())
+                    plain_seconds.append(time.perf_counter() - start)
 
             assert store.puts == N_JOBS        # checkpointed on finish
 
@@ -83,16 +90,17 @@ def test_safety_net_overhead_is_bounded():
         assert np.array_equal(a.mean, b.mean)        # bit-identical
         assert np.array_equal(a.std, b.std)
 
-    plain_best = min(plain_seconds)
-    guarded_best = min(guarded_seconds)
-    overhead = guarded_best / plain_best - 1.0
+    ratios = np.array(guarded_seconds) / np.array(plain_seconds)
+    overhead = float(np.median(ratios)) - 1.0
+    plain_median = float(np.median(plain_seconds))
+    guarded_median = float(np.median(guarded_seconds))
     print_rows(
         f"Resilience overhead: {N_JOBS} x {N_PATHS}-path ensembles, "
-        f"best of {REPEATS}",
-        ["mode", "wall s", "overhead %"],
-        [["plain", round(plain_best, 3), 0.0],
-         ["guarded", round(guarded_best, 3), round(100 * overhead, 2)]])
+        f"median of {REPEATS} paired ratios",
+        ["mode", "median wall s", "overhead %"],
+        [["plain", round(plain_median, 3), 0.0],
+         ["guarded", round(guarded_median, 3), round(100 * overhead, 2)]])
     assert overhead <= MAX_OVERHEAD, (
         f"watchdog + checkpoint overhead {100 * overhead:.1f}% exceeds "
-        f"{100 * MAX_OVERHEAD:.0f}% ({plain_best:.3f} s -> "
-        f"{guarded_best:.3f} s)")
+        f"{100 * MAX_OVERHEAD:.0f}% (paired ratios "
+        f"{np.round(ratios, 3).tolist()})")

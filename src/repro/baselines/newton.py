@@ -215,8 +215,9 @@ def step_halving_march(result: TransientResult, system: MnaSystem,
     next step grows by ``growth_factor`` back toward the base.  A step
     that fails every halving counts against a budget of *max_failures*
     consecutive failed steps: within it the non-converged iterate is
-    accepted at ``t + max(step, h_min)`` and the step resets to the
-    base; when the budget runs out the march aborts with
+    accepted at the time it was solved for, ``t`` plus the last step
+    tried (never past *t_stop*), and the step resets to the base; when
+    the budget runs out the march aborts with
     ``abort_reason.format(t=t, outcome=outcome)``.  With
     *count_iterations* each accepted outcome's ``iterations`` go to
     ``result.iteration_counts``.
@@ -239,8 +240,10 @@ def step_halving_march(result: TransientResult, system: MnaSystem,
         step = min(step, t_stop - t)
         outcome = None
         for _ in range(options.max_step_reductions + 1):
-            c_over_h = c_matrix / step
-            outcome = attempt(x, system.source_vector(t + step), c_over_h)
+            # The step the outcome solved for; never past t_stop.
+            tried = step
+            outcome = attempt(x, system.source_vector(t + tried),
+                              c_matrix / tried)
             if outcome.converged:
                 break
             result.convergence_failures += 1
@@ -250,7 +253,6 @@ def step_halving_march(result: TransientResult, system: MnaSystem,
                 break
         if outcome is not None and outcome.converged:
             failures = 0
-            t += step
             step = min(step * options.growth_factor, h_base)
         else:
             failures += 1
@@ -261,8 +263,8 @@ def step_halving_march(result: TransientResult, system: MnaSystem,
             # SPICE3 gives up here; to expose the *false convergence*
             # failure mode we accept the non-converged iterate, which
             # is what a damped simulator silently does.
-            t += max(step, h_min)
             step = h_base
+        t += tried
         x = outcome.x
         result.append(t, x)
         if count_iterations:

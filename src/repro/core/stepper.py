@@ -25,9 +25,10 @@ Per accepted point the stepper
    backend's ``solve_transient``.
 
 The classic K = 1 dense backward-Euler march of a small noiseless
-circuit runs a step plan compiled once per stepper instead
-(:class:`_DenseStepPlan`): it stamps the same chords, as a Python list,
-into its own ``G`` and is bitwise equal to the backend path.
+circuit, DC start included, runs a step plan compiled once per stepper
+instead (:class:`_DenseStepPlan`): it stamps the same chords, as a
+Python list, into its own ``G``, solves each step with one LAPACK
+``dgesv`` on lists and is bitwise equal to the backend path.
 
 One loop marches both modes: :meth:`LinearStepper.run` (the paper's
 eq.-10/12 adaptive control, worst-case over the ensemble) and
@@ -48,7 +49,7 @@ from repro.circuit.sources import waveform_state_key
 from repro.core.backends import DenseBackend, SolverBackend, create_backend
 from repro.errors import AnalysisError
 from repro.mna.assembler import MnaSystem
-from repro.mna.linsolve import LinearSolver
+from repro.mna.linsolve import solve_lists
 from repro.perf.flops import FlopCounter
 
 __all__ = ["LinearStepper"]
@@ -152,8 +153,9 @@ class _DenseStepPlan:
     """The K = 1 backward-Euler step of a small dense circuit on Python
     floats, compiled once per stepper.
 
-    Both marching modes take it in place of the backend's stamp, ``G``
-    diagonal and solve (eligibility: :meth:`LinearStepper._compile_plan`).  Each number is bitwise the
+    Both marching modes and the DC start take it in place of the
+    backend's stamp, ``G`` diagonal and solve (eligibility:
+    :meth:`LinearStepper._compile_plan`).  Each number is bitwise the
     :class:`~repro.core.backends.DenseBackend` path's:
 
     - ``G`` starts from ``G_base`` (column-major, its zeros made +0.0)
@@ -163,8 +165,13 @@ class _DenseStepPlan:
       ``0.0 + G`` is ``G``, which holds no -0.0;
     - ``C`` has at most one nonzero per row, so an entry of ``C x`` is
       one product, as in numpy's matmul;
-    - the solve is :meth:`~repro.mna.linsolve.LinearSolver.factor_solve`
-      on the column-major ``A``, so ``dgesv`` needs no transpose copy.
+    - every solve is one LAPACK ``dgesv`` on the column-major list
+      (:func:`~repro.mna.linsolve.solve_lists`), with the checks and
+      messages of :meth:`~repro.mna.linsolve.LinearSolver.factor_solve`.
+
+    A march state is a one-row list ``[x]``: the list a solve returns is
+    the next stamp's gather, the controller's input and the recorded
+    point, so a step converts no state between list and array.
     """
 
     def __init__(self, stepper: "LinearStepper", c: np.ndarray) -> None:
@@ -183,23 +190,22 @@ class _DenseStepPlan:
         sources = stepper._sources
         self._vsrc = [(row, groups[0][0]) for row, groups in sources._vsrc]
         self._isrc = [(p, q, groups[0][0]) for p, q, groups in sources._isrc]
-        self._solver = LinearSolver()
 
-    def stamp(self, states, prev_states, h_prev, h_next) -> list[list[float]]:
+    def stamp(self, states, prev_states, h_prev, h_next,
+              flops: FlopCounter | None = None) -> list[list[float]]:
         """Evaluate the chords at *states* and stamp ``G``; returns its
         diagonal as the one row of a ``(1, n)`` stack."""
-        chords = self._stepper._chords(states, prev_states, h_prev, h_next, None)
+        chords = self._stepper._chords(states, prev_states, h_prev, h_next, flops)
         g = self._g = self._g_base[:]
         for position, column, sign in self._stamps:
             g[position] += sign * chords[column]
         return [g[:: self.n + 1]]
 
-    def solve(self, t_next: float, h: float, states: np.ndarray):
-        """Solve ``(C/h + G) x = b(t_next) + C states / h``; returns the
-        ``(1, n)`` solution and its largest node-voltage change."""
-        n, g = self.n, self._g
-        x = states[0].tolist()
-        rhs = [0.0] * n
+    def solve(self, t_next: float, h: float, states: list[list[float]]):
+        """Solve ``(C/h + G) x = b(t_next) + C x_n / h`` from the state
+        ``[x_n]``; returns ``[x]`` and its largest node-voltage change."""
+        g, x = self._g, states[0]
+        rhs = [0.0] * self.n
         for row, waveform in self._vsrc:
             rhs[row] = waveform.value(t_next)
         for p, q, waveform in self._isrc:
@@ -213,11 +219,20 @@ class _DenseStepPlan:
         for i, j, position, c in self._c_entries:
             rhs[i] += c * x[j] / h
             a[position] = c * inv_h + g[position]
-        matrix = np.array(a).reshape((n, n), order="F")
-        solution = self._solver.factor_solve(matrix, np.array(rhs))
-        nodes = solution[: self._num_nodes].tolist()
+        solution = solve_lists(a, rhs)
+        nodes = solution[: self._num_nodes]
         dv = max([abs(v - u) for v, u in zip(nodes, x)], default=0.0)
-        return solution.reshape(1, n), dv
+        return [solution], dv
+
+    def chord_solve(self, b, states, flops) -> np.ndarray:
+        """Stamp ``G(states)`` and solve ``G x = b`` (the DC form),
+        booking what the backend's chord solve books."""
+        self.stamp(states, None, None, None, flops)
+        solution = solve_lists(self._g, b[0].tolist())
+        if flops is not None:
+            flops.count_factorization(self.n)
+            flops.count_solve(self.n)
+        return np.array([solution])
 
     def count_flops(self, result: EnsembleTransientResult) -> None:
         """Book the march's chord evaluations, factorizations and solves
@@ -510,7 +525,10 @@ class LinearStepper:
     def chord_solve(
         self, b: np.ndarray, states: np.ndarray, flops: FlopCounter | None
     ) -> np.ndarray:
-        """Stamp ``G(states)`` and solve ``G x = b`` for all K instances."""
+        """Stamp ``G(states)`` and solve ``G x = b`` for all K instances
+        (through the step plan when there is one)."""
+        if self._plan is not None:
+            return self._plan.chord_solve(b, states, flops)
         self._stamp(states, None, None, None, flops)
         return self.backend.solve_conductance(b)
 
@@ -670,10 +688,12 @@ class LinearStepper:
         states = self._initial_state_stack(initial_states)
         if opts.initialize_dc and initial_states is None:
             states = self._dc_initialize(states, result, t=t)
+        plan = self._plan
+        if plan is not None:
+            states = [states[0].tolist()]
 
         b_buf = np.empty((K, n))
         b2_buf = np.empty((K, n))
-        plan = self._plan
         nn = self.system.num_nodes
         n_devices = self.linearization.n_devices
 

@@ -10,6 +10,8 @@ skipping them leaves every result bitwise unchanged.  The checks live
 here instead: a square, finite matrix, no zero or non-finite pivot, a
 right-hand side of matching length and a finite solution — each
 failure raises :class:`~repro.errors.SingularMatrixError`.
+:func:`solve_lists` is the same fused solve on Python lists, for the
+K = 1 step plan that holds its matrix and right-hand side as lists.
 
 The factorization is cached between calls; engines that keep the matrix
 fixed across several solves (e.g. Newton with a frozen Jacobian, or
@@ -39,19 +41,44 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray,
 _SCALAR_CHECK_MAX = 64
 
 
-def _all_finite(array: np.ndarray) -> bool:
-    """``np.isfinite(array).all()``, cheaper for the small arrays SWEC
-    solves.
+def _finite(values: list[float]) -> bool:
+    """Whether every float in *values* is finite.
 
     A NaN or infinite entry makes the sum of the entries non-finite, so
     a finite sum settles it; a sum that overflowed from finite entries
     falls back to the per-entry test.
     """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _all_finite(array: np.ndarray) -> bool:
+    """``np.isfinite(array).all()``, cheaper for the small arrays SWEC
+    solves."""
     if array.size > _SCALAR_CHECK_MAX:
         return bool(np.isfinite(array).all())
     # Memory order: no copy of a column-major matrix, same finiteness.
-    values = array.ravel("K").tolist()
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+    return _finite(array.ravel("K").tolist())
+
+
+_SINGULAR = "MNA matrix is singular (floating node or short loop?)"
+
+
+def solve_lists(matrix: list[float], rhs: list[float]) -> list[float]:
+    """:meth:`LinearSolver.factor_solve` of the column-major ``n x n``
+    *matrix* on Python lists, bitwise: one ``dgesv``, which factors the
+    fresh array in place, with the same three checks and messages run on
+    the lists.  Returns the solution as a list; books no flops."""
+    if not _finite(matrix):
+        raise SingularMatrixError("matrix contains non-finite entries")
+    n = len(rhs)
+    lu, _piv, solution, info = lapack.dgesv(
+        np.array(matrix).reshape(n, n).T, rhs, overwrite_a=1)
+    if info > 0 or not _finite(lu.diagonal().tolist()):
+        raise SingularMatrixError(_SINGULAR)
+    x = solution.tolist()
+    if not _finite(x):
+        raise SingularMatrixError("solution contains non-finite entries")
+    return x
 
 
 class LinearSolver:
@@ -89,8 +116,7 @@ class LinearSolver:
             # that overflowed shows up non-finite on U's diagonal.
             lu, piv, info = lapack.dgetrf(matrix)
             if info > 0 or not _all_finite(lu.diagonal()):
-                raise SingularMatrixError(
-                    "MNA matrix is singular (floating node or short loop?)")
+                raise SingularMatrixError(_SINGULAR)
         else:
             lu, piv = matrix.copy(), np.empty(0, dtype=np.int32)
         self._lu, self._piv, self._n = lu, piv, n
@@ -138,8 +164,7 @@ class LinearSolver:
             raise SingularMatrixError("matrix contains non-finite entries")
         lu, piv, solution, info = lapack.dgesv(matrix, rhs)
         if info > 0 or not _all_finite(lu.diagonal()):
-            raise SingularMatrixError(
-                "MNA matrix is singular (floating node or short loop?)")
+            raise SingularMatrixError(_SINGULAR)
         n = matrix.shape[0]
         self._lu, self._piv, self._n = lu, piv, n
         if self.flops is not None:

@@ -159,18 +159,19 @@ class SwecLinearization:
         vs = state[..., self._source_idx] * self._source_mask
         return vg - vs, vd - vs
 
-    def branch_voltages(self, state: np.ndarray
+    def branch_voltages(self, state: np.ndarray | list[float]
                         ) -> tuple[list[float], list[float], list[float]]:
-        """``(device voltages, vgs, vds)`` of one ``(n,)`` state as lists.
+        """``(device voltages, vgs, vds)`` of one ``(n,)`` state (an
+        array or a list) as lists.
 
-        One ``tolist`` and precomputed index tuples instead of the
-        masked numpy gathers; the values are bitwise those of
+        At most one ``tolist`` and precomputed index tuples instead of
+        the masked numpy gathers; the values are bitwise those of
         :meth:`device_voltages` and :meth:`mosfet_vgs_vds`.
         """
-        values = state.tolist()
+        values = state if isinstance(state, list) else state.tolist()
         # Index -1 (ground) reads state[0] * 0.0, the masked gather's
         # value, so even the sign of a zero voltage matches.
-        values.append(values[0] * 0.0 if values else 0.0)
+        values = [*values, values[0] * 0.0 if values else 0.0]
         devices = [values[a] - values[c] for a, c in self._device_pairs]
         vgs = [values[g] - values[s] for _d, g, s in self._mosfet_triples]
         vds = [values[d] - values[s] for d, _g, s in self._mosfet_triples]

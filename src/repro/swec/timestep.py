@@ -137,13 +137,16 @@ class EnsembleStepController:
         stack = []
         for system in systems:
             if id(system) not in caps:
-                # Grounded capacitance per node: diagonal of the C
-                # matrix restricted to node rows (branch rows carry -L
-                # and are excluded), summed from C's triplets.
-                rows, cols, values = system.capacitance_triplets()
-                node = (rows == cols) & (rows < system.num_nodes)
+                # Grounded capacitance per node: C's diagonal on the
+                # node rows, summed at each capacitor's non-ground ends
+                # in element order, as the diagonal slots of its stamp.
+                capacitors = system.circuit.capacitors
+                ends = np.array([system.node_index(node) for c in capacitors
+                                 for node in c.nodes], dtype=np.intp)
+                values = np.repeat([c.capacitance for c in capacitors], 2)
                 caps[id(system)] = np.zeros(system.num_nodes)
-                np.add.at(caps[id(system)], rows[node], values[node])
+                np.add.at(caps[id(system)], ends[ends >= 0],
+                          values[ends >= 0])
             stack.append(caps[id(system)])
         self._node_capacitance_stack = np.stack(stack)
         # The capacitance stack is fixed for the march, so the
@@ -204,13 +207,16 @@ class EnsembleStepController:
             bound, label = math.inf, None
             if not self._rc_pairs:
                 return bound, label
-            # The K = 1 step plan hands its diagonal over as a list.
+            # The K = 1 step plan hands its diagonal and states over as
+            # lists.
             diag = diagonal_stack[0]
             if not isinstance(diag, list):
                 diag = diag.tolist()
             x = xp = None
             if prev_states is not None:
-                x, xp = states[0].tolist(), prev_states[0].tolist()
+                x, xp = states[0], prev_states[0]
+                if not isinstance(x, list):
+                    x, xp = x.tolist(), xp.tolist()
             theta_eps = self._theta_eps
             for scaled, j, name in self._rc_pairs:
                 g_j = diag[j]
@@ -230,8 +236,8 @@ class EnsembleStepController:
         rows, cols = self._rc_instances, self._rc_nodes
         g = np.asarray(diagonal_stack)[rows, cols]
         if prev_states is not None:
-            v = states[rows, cols]
-            moved = np.abs(v - prev_states[rows, cols])
+            v = np.asarray(states)[rows, cols]
+            moved = np.abs(v - np.asarray(prev_states)[rows, cols])
             ref = self._theta_eps * np.maximum(np.abs(v), floor)
             g *= np.minimum(moved / ref, 1.0)
         # Only nodes with positive (motion-weighted) conductance bound

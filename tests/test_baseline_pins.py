@@ -37,10 +37,16 @@ import pytest
 from repro.baselines import AcesTransient, MlaTransient, SpiceTransient
 from repro.baselines.aces import AcesOptions
 from repro.baselines.mla import MlaOptions
-from repro.baselines.newton import NewtonOptions
+from repro.analysis.waveforms import TransientResult
+from repro.baselines.newton import (
+    NewtonOptions,
+    NewtonOutcome,
+    step_halving_march,
+)
 from repro.baselines.spice import SpiceOptions
 from repro.circuit import DC, Circuit, Pulse
 from repro.circuits_lib import fet_rtd_inverter, mobile_dflipflop, rtd_divider
+from repro.mna import MnaSystem
 
 PINS = Path(__file__).with_name("baseline_pins.expected.json")
 
@@ -166,6 +172,37 @@ def test_spice_accepts_nonconverged_iterates_until_budget():
     assert result.rejected_steps == 3 * (options.max_step_reductions + 1)
     assert result.accepted_steps == first.accepted_steps + 2
     assert len(result.iteration_counts) == len(result.times)
+
+
+def test_nonconverged_iterates_are_stamped_where_they_were_solved():
+    """A step that fails every halving is accepted at ``t`` plus the
+    last step tried, the step its iterate solved for.  The march used
+    to stamp it at ``t + max(step, h_min)`` with the step already halved
+    once more: half the step tried, and past ``t_stop`` once less than
+    ``h_min`` was left."""
+    circuit = Circuit("ramp-rc")
+    circuit.add_voltage_source(
+        "Vin", "in", "0", Pulse(0.0, 1.0, delay=0.0, rise=2e-9, width=1.0))
+    circuit.add_resistor("R1", "in", "out", 1e3)
+    circuit.add_capacitor("C1", "out", "0", 1e-12)
+    system = MnaSystem(circuit)
+
+    def attempt(x, b, c_over_h):
+        # The iterate is the source vector it solved for: a ramp, so it
+        # names the time it belongs to.
+        return NewtonOutcome(x=b.copy(), iterations=1, converged=False)
+
+    t_stop = 1e-9
+    result = step_halving_march(
+        TransientResult(circuit.nodes, engine="spice"), system,
+        SpiceOptions(h_initial=0.25e-9, max_step_reductions=2), t_stop,
+        None, np.zeros(system.size), None, attempt, "failed at t={t:.4g}",
+        max_failures=1000)
+    assert not result.aborted
+    assert result.accepted_steps > 1
+    for t, state in zip(result.times[1:], result.states[1:]):
+        assert state.tobytes() == system.source_vector(t).tobytes()
+    assert result.times[-1] <= t_stop
 
 
 def test_spice_accept_path_never_fails():

@@ -20,10 +20,14 @@ from repro.circuits_lib import (
 )
 from repro.circuits_lib.logic_gates import GateInfo, mobile_nand
 from repro.core import stepper as stepper_module
+from repro.circuit.parser import parse_netlist
 from repro.core.stepper import LinearStepper
 from repro.devices import SCHULMAN_INGAAS, SchulmanRTD
+from repro.devices.base import TwoTerminalDevice
+from repro.errors import SingularMatrixError
 from repro.stochastic import path_normals
-from repro.swec import SwecOptions, SwecTransient
+from repro.swec import SwecDC, SwecOptions, SwecTransient
+from repro.swec.dc import SwecDCOptions
 from repro.swec.timestep import StepControlOptions
 
 
@@ -224,3 +228,115 @@ def test_floating_capacitor_keeps_the_backend_march(plan_forbidden):
     engine = SwecTransient(circuit, options(0.05, None))
     assert engine._stepper._plan is None
     assert np.all(np.isfinite(engine.run(1e-9).states))
+
+
+# A DC-driven series resistor and RTD: the DC start takes several chord
+# iterations, and with no capacitor the march is short, so the start is
+# a large share of the run (the sweep point of perfbench sweep_cached).
+DIVIDER_NETLIST = """* RTD divider
+.param rser=37.5
+.model paper RTD
+Vs in 0 0.6
+R1 in out {rser}
+X1 out 0 paper
+.end
+"""
+
+
+def divider():
+    return parse_netlist(DIVIDER_NETLIST)
+
+
+DIVIDER_OPTIONS = SwecOptions(step=StepControlOptions(
+    epsilon=0.05, h_min=1e-13, h_max=5e-11, h_initial=1e-12))
+
+
+@pytest.mark.parametrize("mode", ["run", "run_grid"])
+def test_plan_dc_start_reproduces_the_backend_start_bitwise(mode):
+    span = 2e-9
+    if mode == "run_grid":
+        span = march(divider(), DIVIDER_OPTIONS, span, plan=True).times
+    got = march(divider(), DIVIDER_OPTIONS, span, plan=True)
+    want = march(divider(), DIVIDER_OPTIONS, span, plan=False)
+    assert got.dc_iterations > 2 and got.dc_converged
+    assert_bitwise(got, want)
+
+
+def test_dc_start_runs_on_the_plan(monkeypatch):
+    calls = []
+    original = stepper_module._DenseStepPlan.chord_solve
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(stepper_module._DenseStepPlan, "chord_solve",
+                        counted)
+    result = SwecTransient(divider(), DIVIDER_OPTIONS).run(2e-9)
+    assert len(calls) == result.dc_iterations
+
+
+@pytest.mark.parametrize("mode", ["fixed_point", "stepwise"])
+def test_plan_dc_sweep_reproduces_the_backend_sweep_bitwise(mode):
+    values = np.linspace(0.0, 1.2, 13)
+    results = []
+    for plan in (True, False):
+        dc = SwecDC(divider(), SwecDCOptions(mode=mode, stepwise_solves=2))
+        assert dc._stepper._plan is not None
+        if not plan:
+            dc._stepper._plan = None
+        results.append(dc.sweep("Vs", values))
+    got, want = results
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.iteration_counts == want.iteration_counts
+    assert got.converged_flags == want.converged_flags
+    assert got.flops.by_category() == want.flops.by_category()
+    for counter in ("factorizations", "linear_solves", "device_evaluations"):
+        assert getattr(got.flops, counter) == getattr(want.flops, counter)
+
+
+class _NanAbove(TwoTerminalDevice):
+    """A resistor-like device whose law returns NaN above 0.5 V."""
+
+    def current(self, voltage):
+        return float("nan") if voltage > 0.5 else 1e-3 * voltage
+
+
+def nan_chord_circuit():
+    circuit = Circuit("nan-chord")
+    circuit.add_voltage_source(
+        "V1", "in", "0",
+        Pulse(0.0, 1.0, delay=0.1e-9, rise=0.2e-9, width=1e-9))
+    circuit.add_resistor("R1", "in", "out", 10.0)
+    circuit.add_device("X1", "out", "0", _NanAbove())
+    circuit.add_capacitor("C1", "out", "0", 1e-13)
+    return circuit
+
+
+def floating_circuit():
+    """R2 hangs between two nodes with no path to ground: ``G`` and
+    ``C/h + G`` are singular."""
+    circuit = Circuit("floating")
+    circuit.add_voltage_source("V1", "in", "0", 1.0)
+    circuit.add_resistor("R1", "in", "out", 1e3)
+    circuit.add_capacitor("C1", "out", "0", 1e-12)
+    circuit.add_resistor("R2", "a", "b", 1e3)
+    return circuit
+
+
+@pytest.mark.parametrize("build,initialize_dc,message", [
+    (nan_chord_circuit, True, "matrix contains non-finite entries"),
+    (floating_circuit, True,
+     "MNA matrix is singular (floating node or short loop?)"),
+    (floating_circuit, False,
+     "MNA matrix is singular (floating node or short loop?)"),
+], ids=["nan-chord", "singular-dc", "singular-step"])
+def test_plan_failures_raise_the_backend_messages(build, initialize_dc,
+                                                  message):
+    opts = options(0.05, None, initialize_dc=initialize_dc)
+    messages = []
+    for plan in (True, False):
+        with pytest.raises(SingularMatrixError) as failure:
+            march(build(), opts, 2e-9, plan=plan)
+        messages.append(str(failure.value))
+    assert messages == [message, message]

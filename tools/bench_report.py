@@ -5,7 +5,8 @@ Every invocation times a fixed set of hot-path kernels — the lockstep
 ensemble transient against its serial loop, the vectorized AC sweep
 against its per-frequency loop, the index-gather linearization against
 the per-device Python loop, a plain single-instance SWEC march on a
-fixed grid and an adaptive one (with its microseconds per step), and
+fixed grid and an adaptive one (with its microseconds per step), one
+RTD-divider sweep point split into build, DC start and march, and
 the sparse solver backend against the dense one on a grid mesh (with
 the sparse march's SuperLU factorizations, steps refined on a kept
 factor and refinement sweeps per such step), with the median
@@ -138,7 +139,57 @@ def _bench_adaptive(quick: bool, repeats: int) -> list[dict]:
         "accepted_steps": steps,
         "us_per_step": 1e6 * seconds / steps,
         "axes": {"t_stop": t_stop, "size": engine.system.size},
-    }]
+    }, _bench_divider_point(repeats)]
+
+
+#: perfbench sweep_cached's RTD divider at one sweep point (no
+#: capacitor, so the march is short and the front end shows).
+DIVIDER_NETLIST = """* RTD divider
+.model paper RTD
+Vs in 0 0.6
+R1 in out 10
+X1 out 0 paper
+.end
+"""
+
+
+def _bench_divider_point(repeats: int) -> dict:
+    """One K = 1 sweep point of the RTD divider, split into the
+    ``SwecTransient`` build, the DC start and the march.
+
+    The march is timed from the DC state, which is the same march
+    without the start.  Full runs and such marches alternate, and the
+    DC start is the median of each pair's difference, so a slow spell
+    of the host stretches both sides of a pair.  Each part takes the
+    median of at least 100 runs.
+    """
+    from repro.circuit.parser import parse_netlist
+    from repro.swec import SwecOptions, SwecTransient
+    from repro.swec.timestep import StepControlOptions
+
+    circuit = parse_netlist(DIVIDER_NETLIST)
+    options = SwecOptions(step=StepControlOptions(
+        epsilon=0.05, h_min=1e-13, h_max=5e-11, h_initial=1e-12))
+    t_stop, runs = 2e-9, max(repeats, 100)
+    build = _median_seconds(lambda: SwecTransient(circuit, options), runs)
+    engine = SwecTransient(circuit, options)
+    result = engine.run(t_stop)
+    start = result.states[0]
+    full, march = [], []
+    for _ in range(runs):
+        full.append(_median_seconds(lambda: engine.run(t_stop), 1))
+        march.append(_median_seconds(lambda: engine.run(t_stop, start), 1))
+    dc_start = statistics.median(a - b for a, b in zip(full, march))
+    return {
+        "name": "swec_transient_divider",
+        "median_seconds": build + statistics.median(full),
+        "build_us": 1e6 * build,
+        "dc_start_us": 1e6 * dc_start,
+        "march_us": 1e6 * statistics.median(march),
+        "dc_iterations": result.dc_iterations,
+        "accepted_steps": result.accepted_steps,
+        "axes": {"t_stop": t_stop, "size": engine.system.size},
+    }
 
 
 def _bench_ac(quick: bool, repeats: int) -> list[dict]:
