@@ -29,10 +29,11 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.errors import LintError, NanoSimError
+from repro.errors import AnalysisError, LintError, NanoSimError, SweepSpecError
 from repro.lint.analyzer import lint_circuit, lint_netlist
 from repro.lint.report import Diagnostic, LintReport
-from repro.runtime.jobs import materialize_circuit, plain_circuit
+from repro.runtime.jobs import (VALIDATE_MODES, check_validate_mode,
+                                materialize_circuit, plain_circuit)
 from repro.sweep.runner import SweepBatchJob
 
 __all__ = [
@@ -44,21 +45,9 @@ __all__ = [
     "lint_job",
 ]
 
-#: Legal values of every ``validate=`` knob.
-VALIDATE_MODES = ("off", "warn", "strict")
-
 
 class LintWarning(UserWarning):
     """Category of ``validate="warn"`` log messages."""
-
-
-def check_validate_mode(mode: str, error_class: type = ValueError) -> str:
-    """Validate a ``validate=`` knob value, returning it unchanged."""
-    if mode not in VALIDATE_MODES:
-        raise error_class(
-            f"validate must be one of {VALIDATE_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 def _build_error_report(name: str, exc: Exception) -> LintReport:
@@ -146,8 +135,6 @@ def enforce_job_lint(
     has lint errors; ``warn`` emits a :class:`LintWarning` and lets it
     run; ``off`` skips linting entirely.
     """
-    from repro.errors import AnalysisError
-
     mode = check_validate_mode(mode, AnalysisError)
     if mode == "off":
         return None
@@ -195,8 +182,6 @@ def gate_sweep_jobs(jobs: list, mode: str) -> list:
     blocks containing one) get a refuser as their inner job, clean
     jobs pass through untouched.
     """
-    from repro.errors import SweepSpecError
-
     mode = check_validate_mode(mode, SweepSpecError)
     if mode == "off":
         return list(jobs)

@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import NanoSimError
 from repro.runtime.cli import (add_circuit_arguments,
                                check_circuit_arguments, read_netlist)
+from repro.runtime.jobs import VALIDATE_MODES
 
 
 def _downsample(count: int, max_rows: int) -> np.ndarray:
@@ -107,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
                         choices=available_backends(),
                         help="solver backend for the shooting marches")
     parser.add_argument("--validate", default="off",
-                        choices=("off", "warn", "strict"),
+                        choices=VALIDATE_MODES,
                         help="pre-flight lint gating (default off)")
     parser.add_argument("--json", action="store_true",
                         help="print a JSON summary instead of tables")

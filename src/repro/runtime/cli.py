@@ -1,9 +1,12 @@
 """Command-line entry point: ``python -m repro.runtime jobs.toml``.
 
-The job-spec file is TOML (Python 3.11+, via :mod:`tomllib`) or JSON
-(any version).  Schema::
+It is also the batch front end of ``repro.sweep`` and ``repro.service
+submit``: one spec reader, one set of flags, one ``[batch]`` resolver.
 
-    [batch]                # all keys optional
+The job-spec file is TOML (Python 3.11+, via :mod:`tomllib`) or JSON
+(any version) holding one table/object.  Schema::
+
+    [batch]                # all keys optional; no others allowed
     workers = 4
     executor = "process"   # process | thread | serial
     seed = 42
@@ -43,13 +46,16 @@ The job-spec file is TOML (Python 3.11+, via :mod:`tomllib`) or JSON
         { load_capacitance = 2e-12 },
     ]
 
+Any other top-level table or ``[batch]`` key is an error.  A flag that
+is given overrides its ``[batch]`` key; one left out keeps it.
+
 Noisy ensemble jobs accept the variance-reduction knobs of
 :mod:`repro.stochastic.vr` — ``antithetic``, ``target_ci``,
 ``target_rel_ci``, ``max_trials``, ``batch_size`` and (for
 ``ensemble_transient``) ``control_variate`` — either as job keys or as
 the ``--antithetic``/``--control-variate``/``--target-ci``/
-``--target-rel-ci``/``--max-trials`` command-line overrides, which
-apply to every ensemble job in the spec.
+``--target-rel-ci``/``--max-trials`` overrides, which set that key on
+every ensemble job.  They are refused when no ensemble job takes them.
 
 The exit status is 0 when every job succeeded, 1 otherwise.
 """
@@ -71,90 +77,119 @@ except ImportError:  # Python 3.10: TOML specs need 3.11+, JSON always works
     tomllib = None
 
 
+#: Keys of a job spec's ``[batch]`` table; sweeps add ``vector`` and
+#: ``isolate``.
+BATCH_KEYS = ("workers", "executor", "seed", "timeout", "retries")
+
+#: The variance-reduction flags of :func:`add_batch_arguments`.
+VR_FLAGS = ("antithetic", "control_variate", "target_ci", "target_rel_ci", "max_trials")
+
+
 def load_spec(path: str | Path) -> dict:
-    """Parse a ``.toml`` or ``.json`` job-spec file."""
+    """Parse a ``.toml`` or ``.json`` job or sweep spec into its table."""
     path = Path(path)
     if not path.exists():
-        raise AnalysisError(f"job-spec file not found: {path}")
+        raise AnalysisError(f"spec file not found: {path}")
     if path.suffix.lower() == ".json":
-        return json.loads(path.read_text())
-    if tomllib is None:
+        document = json.loads(path.read_text())
+    elif tomllib is None:
         raise AnalysisError(
-            "TOML job specs need Python 3.11+ (tomllib); "
+            "TOML specs need Python 3.11+ (tomllib); "
             "use a .json spec on older interpreters"
         )
-    with open(path, "rb") as handle:
-        return tomllib.load(handle)
+    else:
+        with open(path, "rb") as handle:
+            document = tomllib.load(handle)
+    if not isinstance(document, dict):
+        raise AnalysisError(
+            f"a spec must be a table/object, got {type(document).__name__}"
+        )
+    return document
+
+
+def job_tables(spec: dict) -> list[dict]:
+    """The ``[[jobs]]`` tables of a job spec; ``[batch]`` is its only
+    other table."""
+    unknown = sorted(set(spec) - {"batch", "jobs"})
+    if unknown:
+        raise AnalysisError(f"unknown top-level table(s) {unknown}")
+    tables = spec.get("jobs", [])
+    if not tables:
+        raise AnalysisError("job-spec file defines no [[jobs]] entries")
+    if not all(isinstance(table, dict) for table in tables):
+        raise AnalysisError("every [[jobs]] entry must be a table")
+    return tables
 
 
 def jobs_from_spec(spec: dict) -> list:
     """Build the job list from a deserialized spec."""
-    tables = spec.get("jobs", [])
-    if not tables:
-        raise AnalysisError("job-spec file defines no [[jobs]] entries")
-    return [job_from_mapping(table) for table in tables]
+    return [job_from_mapping(table) for table in job_tables(spec)]
 
 
-def apply_vr_overrides(
-    jobs: list,
-    *,
-    antithetic: bool = False,
-    control_variate: bool = False,
-    target_ci: float | None = None,
-    target_rel_ci: float | None = None,
-    max_trials: int | None = None,
-) -> list:
-    """Apply command-line variance-reduction knobs to ensemble jobs.
+def check_batch(batch, keys: tuple = BATCH_KEYS, error: type = AnalysisError) -> None:
+    """Refuse a ``[batch]`` that is not a table of *keys*."""
+    if not isinstance(batch, dict):
+        raise error(f"[batch] must be a table, got {batch!r}")
+    unknown = sorted(set(batch) - set(keys))
+    if unknown:
+        raise error(f"unknown [batch] key(s) {unknown}; expected {', '.join(keys)}")
 
-    Overrides land on every :class:`~repro.runtime.jobs.EnsembleJob`
-    and :class:`~repro.runtime.jobs.EnsembleTransientJob` in the spec
-    (``control_variate`` on the latter only — SDE ensembles are linear
-    by construction, so a linearized control is the signal itself).
-    Other job types pass through untouched; a spec with no ensemble
-    job at all is an error, because the flags would silently do
-    nothing.
+
+def batch_runner(
+    batch,
+    flags: dict,
+    keys: tuple = BATCH_KEYS,
+    error: type = AnalysisError,
+    fault_plan=None,
+) -> tuple[BatchRunner, dict]:
+    """Merge the *flags* that are not None over the ``[batch]`` table
+    and build its :class:`BatchRunner`.
+
+    Returns the runner and the merged table, which also carries the
+    non-runner *keys* (a sweep's ``vector`` and ``isolate``).  A bad
+    ``[batch]`` raises *error* (see :func:`check_batch`).
     """
-    import dataclasses
+    check_batch(batch, keys, error)
+    merged = {**batch, **{k: v for k, v in flags.items() if v is not None}}
+    runner = BatchRunner(
+        max_workers=merged.get("workers"),
+        executor=merged.get("executor", "process"),
+        seed=merged.get("seed", 0),
+        timeout=merged.get("timeout"),
+        retries=merged.get("retries"),
+        fault_plan=fault_plan,
+    )
+    return runner, merged
 
-    from repro.runtime.jobs import EnsembleJob, EnsembleTransientJob
 
-    overrides = {
-        key: value
-        for key, value in (
-            ("target_ci", target_ci),
-            ("target_rel_ci", target_rel_ci),
-            ("max_trials", max_trials),
+def vr_settings(kinds: list, flags: dict, error: type = AnalysisError) -> list:
+    """Per-type settings from the variance-reduction *flags*
+    (:data:`VR_FLAGS`) that are not None, for job tables or a sweep of
+    types *kinds*.
+
+    Only ``ensemble_transient`` and SDE ``ensemble`` types take them;
+    *error* is raised when no type does, and for ``control_variate``
+    on an SDE ensemble, whose linear paths make the linearized control
+    the signal itself.
+    """
+    settings = {k: v for k, v in flags.items() if v is not None}
+    if not settings:
+        return [{} for _ in kinds]
+    if not {"ensemble", "ensemble_transient"} & set(kinds):
+        raise error(
+            "variance-reduction flags (antithetic/control_variate/target_ci/"
+            "target_rel_ci/max_trials) need an ensemble or "
+            "ensemble_transient job, or an ensemble sweep"
         )
-        if value is not None
-    }
-    if antithetic:
-        overrides["antithetic"] = True
-    if not overrides and not control_variate:
-        return jobs
-    updated = []
-    touched = 0
-    for job in jobs:
-        if isinstance(job, EnsembleTransientJob):
-            extra = {"control_variate": True} if control_variate else {}
-            job = dataclasses.replace(job, **overrides, **extra)
-            touched += 1
-        elif isinstance(job, EnsembleJob):
-            if control_variate:
-                raise AnalysisError(
-                    "--control-variate applies to ensemble_transient "
-                    "jobs (SDE ensembles are linear, so the linearized "
-                    "control is the signal itself)"
-                )
-            job = dataclasses.replace(job, **overrides)
-            touched += 1
-        updated.append(job)
-    if not touched:
-        raise AnalysisError(
-            "variance-reduction flags (--antithetic/--control-variate/"
-            "--target-ci/--target-rel-ci/--max-trials) need at least "
-            "one ensemble or ensemble_transient job in the spec"
+    if "ensemble" in kinds and settings.get("control_variate"):
+        raise error(
+            "control_variate applies to ensemble_transient jobs and "
+            "run_circuit_ensemble; SDE ensembles are linear, so the "
+            "linearized control is the signal itself"
         )
-    return updated
+    sde = {k: v for k, v in settings.items() if k != "control_variate"}
+    by_kind = {"ensemble_transient": settings, "ensemble": sde}
+    return [by_kind.get(kind, {}) for kind in kinds]
 
 
 def add_batch_arguments(parser: argparse.ArgumentParser) -> None:
@@ -315,35 +350,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         spec = load_spec(args.spec)
-        jobs = jobs_from_spec(spec)
-        jobs = apply_vr_overrides(
-            jobs,
-            antithetic=args.antithetic,
-            control_variate=args.control_variate,
-            target_ci=args.target_ci,
-            target_rel_ci=args.target_rel_ci,
-            max_trials=args.max_trials,
+        runner, _ = batch_runner(
+            spec.get("batch", {}), {key: getattr(args, key) for key in BATCH_KEYS}
         )
-        batch = spec.get("batch", {})
-        if not isinstance(batch, dict):
-            raise AnalysisError(f"[batch] must be a table, got {batch!r}")
-        runner = BatchRunner(
-            max_workers=(
-                args.workers if args.workers is not None else batch.get("workers")
-            ),
-            executor=(
-                args.executor
-                if args.executor is not None
-                else batch.get("executor", "process")
-            ),
-            seed=args.seed if args.seed is not None else batch.get("seed", 0),
-            timeout=(
-                args.timeout if args.timeout is not None else batch.get("timeout")
-            ),
-            retries=(
-                args.retries if args.retries is not None else batch.get("retries")
-            ),
+        tables = job_tables(spec)
+        settings = vr_settings(
+            [table.get("type", "transient") for table in tables],
+            {key: getattr(args, key) for key in VR_FLAGS},
         )
+        jobs = [
+            job_from_mapping({**table, **extra})
+            for table, extra in zip(tables, settings)
+        ]
     except (AnalysisError, TypeError, ValueError) as exc:
         # ValueError covers json.JSONDecodeError and tomllib.TOMLDecodeError.
         print(f"error: {exc}", file=sys.stderr)

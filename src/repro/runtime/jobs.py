@@ -175,12 +175,15 @@ def _swec_options(mapping: Mapping[str, Any]):
     return SwecOptions(step=StepControlOptions(**step_kwargs), **engine_kwargs)
 
 
-def _check_validate(mode: str) -> None:
-    """Reject bad ``validate=`` values at construction time."""
-    if mode not in ("off", "warn", "strict"):
-        raise AnalysisError(
-            f"validate must be 'off', 'warn' or 'strict', got {mode!r}"
-        )
+#: Legal values of every ``validate=`` knob (see :mod:`repro.lint.gate`).
+VALIDATE_MODES = ("off", "warn", "strict")
+
+
+def check_validate_mode(mode: str, error_class: type = ValueError) -> str:
+    """Validate a ``validate=`` knob value, returning it unchanged."""
+    if mode not in VALIDATE_MODES:
+        raise error_class(f"validate must be one of {VALIDATE_MODES}, got {mode!r}")
+    return mode
 
 
 def _check_circuit_source(job) -> None:
@@ -201,7 +204,7 @@ class _CircuitJob:
 
     def __post_init__(self) -> None:
         _check_circuit_source(self)
-        _check_validate(self.validate)
+        check_validate_mode(self.validate, AnalysisError)
 
     def build_circuit(self):
         """Materialize the circuit this job runs."""
@@ -297,7 +300,7 @@ class TransientJob(_CircuitJob):
             raise AnalysisError(
                 f"backend= applies to the swec engine only, not {self.engine!r}"
             )
-        _check_validate(self.validate)
+        check_validate_mode(self.validate, AnalysisError)
 
     def run(self, seed: np.random.SeedSequence | None = None):
         """Execute the job; *seed* is unused (transients are
@@ -586,7 +589,7 @@ class EnsembleTransientJob(_CircuitJob):
     validate: str = "off"
 
     def __post_init__(self) -> None:
-        _check_validate(self.validate)
+        check_validate_mode(self.validate, AnalysisError)
         self._check_vr()
         _check_circuit_source(self)
         if self.variations is not None:

@@ -66,12 +66,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from repro.runtime.cli import load_spec
+    from repro.runtime.cli import job_tables, load_spec
 
-    spec = load_spec(args.spec)
-    tables = spec.get("jobs", [])
-    if not tables:
-        raise NanoSimError("job-spec file defines no [[jobs]] entries")
+    tables = job_tables(load_spec(args.spec))
     client = ServiceClient(_socket_path(args), timeout=args.timeout)
     finals = []
     failures = 0

@@ -18,7 +18,8 @@ import argparse
 import sys
 
 from repro.errors import NanoSimError
-from repro.runtime.cli import add_batch_arguments
+from repro.runtime.cli import VR_FLAGS, add_batch_arguments
+from repro.runtime.jobs import VALIDATE_MODES
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import load_sweep_spec
 
@@ -59,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         help="solver backend for every point (default: the spec's "
              "backend setting, else each engine's default)")
     parser.add_argument(
-        "--validate", choices=("off", "warn", "strict"), default=None,
+        "--validate", choices=VALIDATE_MODES, default=None,
         help="pre-flight lint every design point (default: the spec's "
              "validate setting, else off); strict refuses broken "
              "points before any solve")
@@ -96,11 +97,7 @@ def main(argv: list[str] | None = None) -> int:
                            cache=args.cache, validate=args.validate,
                            timeout=args.timeout, retries=args.retries,
                            resume=args.resume, isolate=args.isolate,
-                           antithetic=args.antithetic,
-                           control_variate=args.control_variate,
-                           target_ci=args.target_ci,
-                           target_rel_ci=args.target_rel_ci,
-                           max_trials=args.max_trials)
+                           **{key: getattr(args, key) for key in VR_FLAGS})
     except (NanoSimError, TypeError, ValueError) as exc:
         # ValueError covers json/toml decode errors on malformed
         # files; per-point simulation failures never raise — they are

@@ -35,11 +35,13 @@ from repro.runtime.jobs import (
     PSSJob,
     TransientJob,
 )
+from repro.errors import SweepSpecError
+from repro.runtime.cli import batch_runner, vr_settings
 from repro.runtime.report import BatchReport
 from repro.runtime.runner import BatchRunner
 from repro.sweep.measures import MeasureSpec
 from repro.sweep.report import SweepReport
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SWEEP_BATCH_KEYS, SweepSpec
 
 #: Diagnostic columns every transient sweep report carries.
 _TRANSIENT_DIAGNOSTICS = ("points", "flops")
@@ -350,62 +352,30 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None,
     ``ensemble_transient`` runtime job for circuit-level control
     variates.
     """
-    vr_overrides = {
-        key: value
-        for key, value in (("antithetic", antithetic),
-                           ("target_ci", target_ci),
-                           ("target_rel_ci", target_rel_ci),
-                           ("max_trials", max_trials))
-        if value is not None
-    }
-    if control_variate:
-        from repro.errors import SweepSpecError
-
-        raise SweepSpecError(
-            "control_variate= applies to circuit-level ensembles "
-            "(run_circuit_ensemble / ensemble_transient jobs); SDE "
-            "ensemble sweeps are linear, so the linearized control "
-            "is the signal itself")
-    if vr_overrides:
-        if spec.kind != "ensemble":
-            from repro.errors import SweepSpecError
-
-            raise SweepSpecError(
-                "antithetic=/target_ci=/target_rel_ci=/max_trials= "
-                "apply to ensemble sweeps only")
-        spec = replace(spec, settings={**spec.settings, **vr_overrides})
+    (overrides,) = vr_settings(
+        [spec.kind], {"antithetic": antithetic,
+                      "control_variate": control_variate,
+                      "target_ci": target_ci, "target_rel_ci": target_rel_ci,
+                      "max_trials": max_trials}, SweepSpecError)
     if backend is not None:
         if spec.kind == "ensemble":
-            from repro.errors import SweepSpecError
-
             raise SweepSpecError(
                 "backend= applies to transient, AC and PSS sweeps only")
-        spec = replace(spec, settings={**spec.settings,
-                                       "backend": backend})
-    batch_settings = spec.batch
-    runner = BatchRunner(
-        max_workers=(max_workers if max_workers is not None
-                     else batch_settings.get("workers")),
-        executor=(executor if executor is not None
-                  else batch_settings.get("executor", "process")),
-        seed=seed if seed is not None else batch_settings.get("seed", 0),
-        timeout=(timeout if timeout is not None
-                 else batch_settings.get("timeout")),
-        retries=(retries if retries is not None
-                 else batch_settings.get("retries")),
-        fault_plan=fault_plan,
-    )
-    if isolate is None:
-        isolate = bool(batch_settings.get("isolate", False))
+        overrides["backend"] = backend
+    if overrides:
+        spec = replace(spec, settings={**spec.settings, **overrides})
+    runner, batch_settings = batch_runner(
+        spec.batch, {"workers": max_workers, "executor": executor,
+                     "seed": seed, "timeout": timeout, "retries": retries,
+                     "vector": vector, "isolate": isolate},
+        SWEEP_BATCH_KEYS, SweepSpecError, fault_plan)
+    vector = batch_settings.get("vector", 1)
+    isolate = batch_settings.get("isolate", False)
     if cache is None and resume is not None and resume is not False:
         cache = resume
-    if vector is None:
-        vector = spec.vector
     if vector > 1:
         if (spec.kind != "transient"
                 or spec.settings.get("engine", "swec") != "swec"):
-            from repro.errors import SweepSpecError
-
             raise SweepSpecError(
                 "vector > 1 needs a SWEC transient sweep")
         jobs = build_batch_jobs(spec, vector)

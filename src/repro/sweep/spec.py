@@ -16,7 +16,6 @@ template parameters and unknown measures raise
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -24,16 +23,15 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.circuits_lib.templates import CircuitTemplate, get_template
-from repro.errors import SweepSpecError
+from repro.errors import AnalysisError, SweepSpecError
+from repro.runtime.cli import BATCH_KEYS, check_batch, load_spec
+from repro.runtime.jobs import check_validate_mode
 from repro.sweep.measures import MeasureSpec, measures_from_spec
-
-try:
-    import tomllib
-except ImportError:  # Python 3.10: TOML needs 3.11+, JSON always works
-    tomllib = None
 
 _MODES = ("product", "zip")
 _KINDS = ("transient", "ensemble", "ac", "pss")
+#: A sweep's ``[batch]`` keys: the runtime's plus the lockstep knobs.
+SWEEP_BATCH_KEYS = (*BATCH_KEYS, "vector", "isolate")
 
 #: Job fields owned by the sweep runner, not the spec's settings table.
 _RUNNER_OWNED = frozenset(
@@ -181,10 +179,7 @@ class SweepSpec:
     validate: str = "off"
 
     def __post_init__(self) -> None:
-        if self.validate not in ("off", "warn", "strict"):
-            raise SweepSpecError(
-                f"validate must be 'off', 'warn' or 'strict', "
-                f"got {self.validate!r}")
+        check_validate_mode(self.validate, SweepSpecError)
         if (self.template is None) == (self.netlist_text is None):
             raise SweepSpecError(
                 "sweep needs exactly one of template= or netlist")
@@ -232,10 +227,11 @@ class SweepSpec:
             raise SweepSpecError("sweep defines no measures")
         if self.n_points == 0:
             raise SweepSpecError("sweep grid is empty")
-        self._check_vector()
+        self._check_batch()
 
-    def _check_vector(self) -> None:
-        """Validate the optional ``[batch] vector`` lockstep setting."""
+    def _check_batch(self) -> None:
+        """Validate the ``[batch]`` keys and its ``vector`` setting."""
+        check_batch(self.batch, SWEEP_BATCH_KEYS, SweepSpecError)
         vector = self.batch.get("vector", 1)
         if not isinstance(vector, int) or isinstance(vector, bool) \
                 or vector < 1:
@@ -406,19 +402,8 @@ class SweepSpec:
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Load and validate a ``.toml`` or ``.json`` sweep-spec file."""
-    path = Path(path)
-    if not path.exists():
-        raise SweepSpecError(f"sweep-spec file not found: {path}")
-    if path.suffix.lower() == ".json":
-        document = json.loads(path.read_text())
-    elif tomllib is None:
-        raise SweepSpecError(
-            "TOML sweep specs need Python 3.11+ (tomllib); "
-            "use a .json spec on older interpreters")
-    else:
-        with open(path, "rb") as handle:
-            document = tomllib.load(handle)
-    if not isinstance(document, dict):
-        raise SweepSpecError(
-            f"sweep spec must be a table/object, got {type(document)}")
-    return SweepSpec.from_mapping(document, base_dir=path.parent)
+    try:
+        document = load_spec(path)
+    except AnalysisError as exc:
+        raise SweepSpecError(str(exc)) from exc
+    return SweepSpec.from_mapping(document, base_dir=Path(path).parent)
