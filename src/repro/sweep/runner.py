@@ -362,23 +362,18 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None,
             raise SweepSpecError(
                 "backend= applies to transient, AC and PSS sweeps only")
         overrides["backend"] = backend
-    if overrides:
-        spec = replace(spec, settings={**spec.settings, **overrides})
     runner, batch_settings = batch_runner(
         spec.batch, {"workers": max_workers, "executor": executor,
                      "seed": seed, "timeout": timeout, "retries": retries,
                      "vector": vector, "isolate": isolate},
         SWEEP_BATCH_KEYS, SweepSpecError, fault_plan)
-    vector = batch_settings.get("vector", 1)
-    isolate = batch_settings.get("isolate", False)
+    # Rebuilding the spec holds the flags to the spec's [batch] rules.
+    spec = replace(spec, settings={**spec.settings, **overrides},
+                   batch=batch_settings)
     if cache is None and resume is not None and resume is not False:
         cache = resume
-    if vector > 1:
-        if (spec.kind != "transient"
-                or spec.settings.get("engine", "swec") != "swec"):
-            raise SweepSpecError(
-                "vector > 1 needs a SWEC transient sweep")
-        jobs = build_batch_jobs(spec, vector)
+    if spec.vector > 1:
+        jobs = build_batch_jobs(spec, spec.vector)
     else:
         jobs = build_jobs(spec)
     mode = validate if validate is not None else spec.validate
@@ -393,7 +388,7 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None,
         batch = run_batch_cached(runner, jobs, ResultStore.resolve(cache))
     else:
         batch = runner.run(jobs)
-    if isolate and vector > 1:
+    if batch_settings.get("isolate", False) and spec.vector > 1:
         batch = _isolate_failed_blocks(runner, spec, jobs, batch)
     return _assemble_report(spec, jobs, batch,
                             time.perf_counter() - start)

@@ -17,7 +17,8 @@ from repro.errors import SweepSpecError
 from repro.runtime.cli import main as runtime_main
 from repro.runtime.runner import BatchRunner
 from repro.service.cli import main as service_main
-from repro.sweep import MeasureSpec, ParameterAxis, SweepSpec, load_sweep_spec
+from repro.sweep import (MeasureSpec, ParameterAxis, SweepSpec,
+                         load_sweep_spec, run_sweep)
 from repro.sweep.cli import main as sweep_main
 
 DIVIDER_JOB = {"circuit": "rtd_divider", "t_stop": 2e-10,
@@ -114,3 +115,9 @@ class TestMisspelledBatchSettings:
             "workers": 1, "executor": "serial", "seed": 4, "timeout": 60.0,
             "retries": 1, "vector": 1, "isolate": True}})
         assert spec.batch["isolate"] is True
+
+    def test_vector_flag_meets_the_batch_rules(self, dispatched):
+        spec = SweepSpec.from_mapping(SWEEP)
+        with pytest.raises(SweepSpecError, match="vector"):
+            run_sweep(spec, executor="serial", vector=0)
+        assert dispatched == []
