@@ -28,6 +28,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.errors import SweepSpecError
+from repro.runtime.cli import batch_runner, vr_settings
 from repro.runtime.jobs import (
     ACJob,
     EnsembleJob,
@@ -35,8 +37,6 @@ from repro.runtime.jobs import (
     PSSJob,
     TransientJob,
 )
-from repro.errors import SweepSpecError
-from repro.runtime.cli import batch_runner, vr_settings
 from repro.runtime.report import BatchReport
 from repro.runtime.runner import BatchRunner
 from repro.sweep.measures import MeasureSpec
