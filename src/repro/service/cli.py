@@ -15,8 +15,11 @@ Examples::
     python -m repro.service status --socket /tmp/repro.sock
     python -m repro.service gc --store /tmp/repro-store --max-age-days 7
 
-``submit`` exits 0 when every job succeeded, 1 otherwise; ``--json``
-writes the final event list (records, cached flags) for scripting.
+``submit`` runs every job under ``--seed``, else the spec's ``[batch]
+seed``, else 0; any other ``[batch]`` key is an error (exit 2), since
+``serve`` owns the worker pool.  It exits 0 when every job succeeded,
+1 otherwise; ``--json`` writes the final event list (records, cached
+flags) for scripting.
 """
 
 from __future__ import annotations
@@ -66,9 +69,19 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from repro.runtime.cli import job_tables, load_spec
+    from repro.runtime.cli import check_batch, job_tables, load_spec
 
-    tables = job_tables(load_spec(args.spec))
+    spec = load_spec(args.spec)
+    tables = job_tables(spec)
+    batch = spec.get("batch", {})
+    check_batch(batch)
+    pool_keys = sorted(set(batch) - {"seed"})
+    if pool_keys:
+        raise NanoSimError(
+            f"[batch] key(s) {pool_keys} set the worker pool, which "
+            f"'serve' owns; 'submit' takes only [batch] seed"
+        )
+    seed = batch.get("seed", 0) if args.seed is None else args.seed
     client = ServiceClient(_socket_path(args), timeout=args.timeout)
     finals = []
     failures = 0
@@ -83,7 +96,7 @@ def _cmd_submit(args) -> int:
                 print(f"  {label}: running{tick}", flush=True)
 
         final = client.submit(
-            table, seed=args.seed, cache=not args.no_cache, on_event=show
+            table, seed=seed, cache=not args.no_cache, on_event=show
         )
         finals.append(final)
         if final.get("event") == "done":
@@ -172,7 +185,10 @@ def main(argv: list[str] | None = None) -> int:
     submit.add_argument("spec", help="job-spec file (.toml or .json)")
     _add_socket(submit)
     submit.add_argument(
-        "--seed", type=int, default=0, help="RNG seed per job (default: 0)"
+        "--seed",
+        type=int,
+        default=None,
+        help="RNG seed per job (default: the spec's [batch] seed, else 0)",
     )
     submit.add_argument(
         "--no-cache",

@@ -17,6 +17,7 @@ from repro.errors import SweepSpecError
 from repro.runtime.cli import main as runtime_main
 from repro.runtime.runner import BatchRunner
 from repro.service.cli import main as service_main
+from repro.service.client import ServiceClient
 from repro.sweep import (MeasureSpec, ParameterAxis, SweepSpec,
                          load_sweep_spec, run_sweep)
 from repro.sweep.cli import main as sweep_main
@@ -121,3 +122,54 @@ class TestMisspelledBatchSettings:
         with pytest.raises(SweepSpecError, match="vector"):
             run_sweep(spec, executor="serial", vector=0)
         assert dispatched == []
+
+
+class TestServiceSubmitBatch:
+    """``service submit`` takes its seed from ``--seed``, else the
+    spec's ``[batch] seed``, else 0, and refuses the pool keys, which
+    belong to ``serve``."""
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """Record the seed of every job ``submit`` sends."""
+        seeds = []
+
+        def submit(self, job, seed=0, cache=True, payload=False,
+                   on_event=None):
+            seeds.append(seed)
+            return {"event": "done", "cached": False, "seconds": 0.0}
+
+        monkeypatch.setattr(ServiceClient, "submit", submit)
+        return seeds
+
+    def _submit(self, tmp_path, batch, *flags):
+        spec = {"jobs": [DIVIDER_JOB, DIVIDER_JOB]}
+        if batch is not None:
+            spec["batch"] = batch
+        socket = str(tmp_path / "absent.sock")
+        return service_main(["submit", _write(tmp_path, spec),
+                             "--socket", socket, "--quiet", *flags])
+
+    def test_batch_seed_applies(self, tmp_path, submitted):
+        assert self._submit(tmp_path, {"seed": 42}) == 0
+        assert submitted == [42, 42]
+
+    def test_flag_overrides_batch_seed(self, tmp_path, submitted):
+        assert self._submit(tmp_path, {"seed": 42}, "--seed", "7") == 0
+        assert submitted == [7, 7]
+
+    def test_seed_defaults_to_zero(self, tmp_path, submitted):
+        assert self._submit(tmp_path, None) == 0
+        assert submitted == [0, 0]
+
+    @pytest.mark.parametrize("batch, named", [
+        ({"workers": 2}, "workers"),
+        ({"seed": 1, "executor": "serial"}, "executor"),
+        ({"seeed": 1}, "seeed"),
+    ])
+    def test_refuses_other_batch_keys(self, tmp_path, capsys, submitted,
+                                      batch, named):
+        assert self._submit(tmp_path, batch) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert submitted == []
