@@ -23,12 +23,8 @@ import numpy as np
 
 from repro.errors import AnalysisError, NanoSimError
 from repro.runtime.cli import (add_circuit_arguments,
-                               check_circuit_arguments, key_value,
-                               read_netlist)
-
-
-def _downsample(count: int, max_rows: int) -> np.ndarray:
-    return np.unique(np.linspace(0, count - 1, max_rows).astype(int))
+                               check_circuit_arguments, circuit_template,
+                               key_value, read_netlist, row_indices)
 
 
 def _print_bode(result, node: str, max_rows: int) -> None:
@@ -36,7 +32,7 @@ def _print_bode(result, node: str, max_rows: int) -> None:
           f"({len(result)} points):")
     print(f"  {'freq Hz':>12} {'|H| dB':>10} {'phase deg':>10}")
     rows = result.bode_rows(node)
-    for k in _downsample(len(rows), max_rows):
+    for k in row_indices(len(rows), max_rows):
         frequency, magnitude_db, phase = rows[k]
         print(f"  {frequency:>12.4g} {magnitude_db:>10.2f} "
               f"{phase:>10.1f}")
@@ -65,7 +61,7 @@ def _print_noise(noise, node: str, max_rows: int) -> None:
     psd = noise.psd(node)
     print(f"\nJohnson noise at {node!r} (T={noise.temperature:g} K):")
     print(f"  {'freq Hz':>12} {'S_v V^2/Hz':>12}")
-    for k in _downsample(len(noise), max_rows):
+    for k in row_indices(len(noise), max_rows):
         print(f"  {noise.frequencies[k]:>12.4g} {psd[k]:>12.4g}")
     print(f"  integrated RMS over the analysed band: "
           f"{noise.integrated_rms(node):.4g} V")
@@ -115,15 +111,12 @@ def main(argv: list[str] | None = None) -> int:
     from repro.runtime.jobs import materialize_circuit
 
     try:
+        template, params = circuit_template(args)
         source = args.source
-        if source is None and args.template is not None:
-            from repro.circuits_lib.templates import TEMPLATES
-
-            template = TEMPLATES.get(args.template)
-            if template is not None:
-                source = template.ac_source
+        if source is None and template is not None:
+            source = template.ac_source
         circuit = materialize_circuit(None, args.template,
-                                      read_netlist(args), dict(args.param))
+                                      read_netlist(args), params)
         # One ACAnalysis = one bias solve, shared by the Bode sweep
         # and the --noise spectra.
         analysis = ACAnalysis(circuit, source=source,

@@ -19,16 +19,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from repro.errors import NanoSimError
 from repro.runtime.cli import (add_circuit_arguments,
-                               check_circuit_arguments, read_netlist)
+                               check_circuit_arguments, circuit_template,
+                               read_netlist, row_indices)
 from repro.runtime.jobs import VALIDATE_MODES
-
-
-def _downsample(count: int, max_rows: int) -> np.ndarray:
-    return np.unique(np.linspace(0, count - 1, max_rows).astype(int))
 
 
 def _print_summary(orbit, node: str) -> None:
@@ -54,7 +49,7 @@ def _print_waveform(orbit, node: str, max_rows: int) -> None:
     print(f"\none period of V({node}) ({len(orbit)} points):")
     print(f"  {'t s':>12} {'V':>12}")
     voltage = orbit.voltage(node)
-    for k in _downsample(len(orbit), max_rows):
+    for k in row_indices(len(orbit), max_rows):
         print(f"  {orbit.times[k]:>12.5g} {voltage[k]:>12.6g}")
 
 
@@ -122,16 +117,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         period_guess = args.period_guess
+        template, params = circuit_template(args)
         node = args.node
-        params = dict(args.param)
-        if args.template is not None:
-            from repro.circuits_lib.templates import TEMPLATES
-
-            template = TEMPLATES.get(args.template)
-            if template is not None:
-                params = template.coerce(params)
-                if node is None:
-                    node = template.default_node
+        if node is None and template is not None:
+            node = template.default_node
         job = PSSJob(
             builder=args.template,
             netlist=read_netlist(args),

@@ -67,6 +67,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import AnalysisError
 from repro.runtime.jobs import job_from_mapping
 from repro.runtime.runner import BatchRunner
@@ -337,6 +339,24 @@ def check_circuit_arguments(parser: argparse.ArgumentParser, args) -> None:
 def read_netlist(args) -> str | None:
     """The netlist file's text, or None for a ``--template`` run."""
     return None if args.netlist is None else Path(args.netlist).read_text()
+
+
+def circuit_template(args) -> tuple:
+    """The registered template ``--template`` names (None for a netlist
+    or an unregistered builder) and the ``--param`` values, with the
+    template's integer parameters coerced."""
+    from repro.circuits_lib.templates import TEMPLATES
+
+    params = dict(args.param)
+    template = None if args.template is None else TEMPLATES.get(args.template)
+    if template is not None:
+        params = template.coerce(params)
+    return template, params
+
+
+def row_indices(count: int, max_rows: int) -> np.ndarray:
+    """At most *max_rows* evenly spread indices into *count* table rows."""
+    return np.unique(np.linspace(0, count - 1, max_rows).astype(int))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -481,6 +481,18 @@ class TestACCli:
         assert status == 0
         assert "V(out)/Vin" in captured.out
 
+    def test_template_integer_params_are_coerced(self, capsys):
+        """``--param rows=3`` parses as a float; the template's integer
+        parameters are cast before the builder sees them, as in the
+        PSS CLI."""
+        from repro.ac.cli import main
+
+        status = main(["--template", "rc_mesh", "--param", "rows=3",
+                       "--param", "cols=3", "--points", "5"])
+        captured = capsys.readouterr()
+        assert status == 0, captured.err
+        assert "Bode plot of V(n2_2)/Vs" in captured.out
+
     def test_config_errors_exit_2(self, tmp_path, capsys):
         from repro.ac.cli import main
 
