@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.circuit.netlist import is_ground
 from repro.errors import AnalysisError
 from repro.perf.flops import FlopCounter
 
@@ -65,7 +66,7 @@ class DCSweepResult:
     def branch_voltage(self, node_a: str, node_b: str) -> np.ndarray:
         """``V(node_a) - V(node_b)`` versus sweep value (ground = 0)."""
         def column(node: str) -> np.ndarray:
-            if node in ("0", "gnd", "GND", "ground"):
+            if is_ground(node):
                 return np.zeros(len(self))
             return self.voltage(node)
         return column(node_a) - column(node_b)

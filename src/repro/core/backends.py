@@ -138,13 +138,7 @@ class SolverBackend:
     #: Registry key; subclasses override.
     name = "?"
 
-    def __init__(
-        self,
-        systems,
-        *,
-        flops: FlopCounter | None = None,
-        chunk_entries: int | None = None,
-    ) -> None:
+    def __init__(self, systems, *, flops: FlopCounter | None = None) -> None:
         systems = list(systems)
         if not systems:
             raise AnalysisError("a solver backend needs >= 1 system")
@@ -153,7 +147,6 @@ class SolverBackend:
         self.n_instances = len(systems)
         self.size = self.system.size
         self.flops = flops
-        self.chunk_entries = chunk_entries
         self.factor_reuses = 0
 
     # -- interface ------------------------------------------------------
@@ -283,7 +276,7 @@ class StackBackend(_DenseStorageBackend):
     name = "stack"
 
     def _solve(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        solution = solve_stack(matrices, rhs, chunk_entries=self.chunk_entries)
+        solution = solve_stack(matrices, rhs)
         if self.flops is not None:
             self.flops.count_factorization(self.size, count=self.n_instances)
             self.flops.count_solve(self.size, count=self.n_instances)
@@ -540,7 +533,6 @@ def create_backend(
     *,
     default: str = "dense",
     flops: FlopCounter | None = None,
-    chunk_entries: int | None = None,
 ) -> SolverBackend:
     """Instantiate the backend *name* (or *default*) for *systems*.
 
@@ -552,4 +544,4 @@ def create_backend(
     if resolved == "auto":
         resolved = select_backend(systems)
     cls = get_backend(resolved)
-    return cls(systems, flops=flops, chunk_entries=chunk_entries)
+    return cls(systems, flops=flops)

@@ -134,10 +134,7 @@ class FallbackBackend:
         if next_name is None:
             return False
         replacement = create_backend(
-            next_name,
-            self._active.systems,
-            flops=self._active.flops,
-            chunk_entries=self._active.chunk_entries,
+            next_name, self._active.systems, flops=self._active.flops
         )
         if self._chords is not None:
             replacement.stamp(self._chords)

@@ -273,10 +273,6 @@ class LinearStepper:
         recorded (requires ``options.trace_conductance``); tracing is
         per-instance opt-in so the trace memory stays at
         ``8 * T * len(trace_instances) * n_devices`` bytes.
-    chunk_entries:
-        Matrix entries per batched-solve chunk on the ``stack`` backend
-        (default :data:`repro.mna.batch.CHUNK_ENTRIES`); results are
-        bit-identical for any value.
     default_backend:
         Registry name used when ``options.backend`` is ``None``
         (``"auto"`` resolves by system size and fill ratio).
@@ -290,7 +286,6 @@ class LinearStepper:
         n_instances: int | None = None,
         noise: Sequence[tuple[str, object]] | Mapping | None = None,
         trace_instances: Sequence[int] = (),
-        chunk_entries: int | None = None,
         default_backend: str = "stack",
     ) -> None:
         from repro.swec.conductance import SwecLinearization
@@ -326,10 +321,7 @@ class LinearStepper:
         self.size = self.system.size
         self.linearization = SwecLinearization(self.system, circuits)
         self.backend: SolverBackend = create_backend(
-            self.options.backend,
-            self.systems,
-            default=default_backend,
-            chunk_entries=chunk_entries,
+            self.options.backend, self.systems, default=default_backend
         )
         if getattr(self.options, "fallback", False):
             from repro.core.fallback import FallbackBackend

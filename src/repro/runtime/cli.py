@@ -123,11 +123,6 @@ def job_tables(spec: dict) -> list[dict]:
     return tables
 
 
-def jobs_from_spec(spec: dict) -> list:
-    """Build the job list from a deserialized spec."""
-    return [job_from_mapping(table) for table in job_tables(spec)]
-
-
 def check_batch(batch, keys: tuple = BATCH_KEYS, error: type = AnalysisError) -> None:
     """Refuse a ``[batch]`` that is not a table of *keys*."""
     if not isinstance(batch, dict):

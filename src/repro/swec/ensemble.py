@@ -66,7 +66,7 @@ class SwecEnsembleTransient(LinearStepper):
     ``"auto"`` to select by size.  See the module docstring and
     :class:`~repro.core.stepper.LinearStepper` for the parameters
     (``circuits``, ``options``, ``n_instances``, ``noise``,
-    ``trace_instances``, ``chunk_entries``) and the
+    ``trace_instances``) and the
     :meth:`~repro.core.stepper.LinearStepper.run` /
     :meth:`~repro.core.stepper.LinearStepper.run_grid` marching modes.
     """
