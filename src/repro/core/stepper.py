@@ -568,9 +568,14 @@ class LinearStepper:
         return result
 
     def _solve_step(
-        self, t, h, states, b_buf, b2_buf, t_next, noise_increments
+        self, t, h, states, b_buf, b2_buf, t_next, noise, prev_states, h_prev
     ) -> np.ndarray:
-        """One implicit solve for the whole stack, BE or trapezoidal."""
+        """One implicit solve for the whole stack, BE or trapezoidal.
+
+        A backend that refines on kept factors starts from the linear
+        predictor ``x_n + (h / h_prev) (x_n - x_{n-1})``, or from
+        ``x_n`` on a march's first step.
+        """
         backend = self.backend
         trapezoidal = self.options.method == "trap"
         if trapezoidal:
@@ -588,9 +593,14 @@ class LinearStepper:
             tmp = backend.c_matvec(states)
             tmp /= h
             rhs += tmp
-        if noise_increments is not None:
-            rhs += np.einsum("knm,km->kn", self._noise_matrix, noise_increments) / h
-        return backend.solve_transient(h, rhs, trapezoidal)
+        if noise is not None:
+            rhs += np.einsum("knm,km->kn", self._noise_matrix, noise) / h
+        if not backend.refines:
+            return backend.solve_transient(h, rhs, trapezoidal)
+        start = states
+        if prev_states is not None:
+            start = states + (h / h_prev) * (states - prev_states)
+        return backend.solve_transient(h, rhs, trapezoidal, start=start)
 
     def run(self, t_stop: float, initial_states=None) -> EnsembleTransientResult:
         """Adaptive lockstep march from ``t = 0`` to *t_stop*.
@@ -742,7 +752,7 @@ class LinearStepper:
                     new_states, dv = plan.solve(t_next, h, states)
                 else:
                     new_states = self._solve_step(
-                        t, h, states, b_buf, b2_buf, t_next, noise
+                        t, h, states, b_buf, b2_buf, t_next, noise, prev_states, h_prev
                     )
                     if dv_limit is not None:
                         dv = float(np.abs(new_states[:, :nn] - states[:, :nn]).max())

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro.lint.analyzer import lint_netlist
 from repro.lint.checks import CHECKS, PARSE_CHECK_IDS
+from repro.runtime.cli import cli_entry
 
 
 def _parse_params(entries: list[str]) -> dict[str, float]:
@@ -102,6 +103,7 @@ def _fails(report, threshold: str) -> bool:
     return bool(report.diagnostics)
 
 
+@cli_entry
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     parser = build_parser()

@@ -48,10 +48,17 @@ matrices with ``scipy.sparse`` and never builds an ``n x n`` array:
   Errors in Algebraic Processes*, 1963; Higham, *Accuracy and
   Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 12): a few
   back-substitutions and residual products instead of a factorization,
-  or None when the correction stalls.
+  or None when the correction stalls.  It sweeps in the factor's own
+  ordering, on the ordered matrix of the *product plan*
+  (:meth:`SparseOperators.product_matrix`: ``A[q][:, q]`` in CSR with
+  each row's entries in ``A``'s order, so its products are ``A``'s to
+  the bit), and starts from a guess at the solution when its caller
+  has one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -62,26 +69,28 @@ from repro.mna.assembler import MnaSystem, stamp_entries, summed_keys
 from repro.perf.flops import FlopCounter
 
 # The three refinement constants were measured on the benchmark march:
-# the 30x30 RTD mesh, 40 steps of 5 ps, three seeded starts (117 steps).
+# the 30x30 RTD mesh, 40 steps of 5 ps, three seeded starts (117 steps),
+# each step refined on the one factor the march keeps and started from
+# the march's linear predictor.
 
 #: Residual-correction sweeps :meth:`SparseSolver.refine` may spend.
-#: On the previous step's factor a step needs 3-5 sweeps; on the one
-#: factor a whole march keeps, 4-7 (7 on 84 of the 117 steps).  A sweep
-#: (one back-substitution and one residual product) costs 60-80 us
-#: against 1.2-1.5 ms for a SuperLU factorization, so 8 sweeps still
-#: cost under half a factorization.
+#: A step needs 4-6 (5 on 74 of the 117 steps, 6 on 23); started from
+#: ``LU^-1 rhs`` instead, it needed 4-7 (7 on 84).  A sweep (one
+#: back-substitution and one residual product) costs about 50 us
+#: against about 1.3 ms for a SuperLU factorization, so 8 sweeps still
+#: cost under a third of a factorization.
 REFINE_SWEEPS = 8
 
 #: Largest accepted correction, relative to ``max|x|`` (4.5 ulps).
 #: Continued past convergence, corrections settle at the rounding floor:
-#: at most 4.2e-16 of ``max|x|`` (median 5.4e-17) over the 117 steps.
+#: at most 3.4e-16 of ``max|x|`` (median 3.9e-17) over the 117 steps.
 REFINE_TOLERANCE = 1e-15
 
 #: Each sweep must shrink the correction at least by this factor.  While
-#: converging a sweep shrinks it at least 200-fold (10,000-fold in the
-#: median on the previous step's factor); at the rounding floor the
-#: ratio hovers around 1 and reaches 3.  So a sweep that fails to halve
-#: the correction has stalled or diverges.
+#: converging a sweep shrinks it at least 200-fold (240-fold in the
+#: median), and the sweep that reaches the floor at least 17-fold; at
+#: the rounding floor the ratio hovers around 1 and reaches 2.5.  So a
+#: sweep that fails to halve the correction has stalled or diverges.
 REFINE_RATE = 0.5
 
 
@@ -146,15 +155,25 @@ class SparseOperators:
         #: CSC plan holds ``A[q][:, q]``; solve it for ``rhs[q]`` and
         #: scatter the solution back with ``x[q] = y``.
         q = self.ordering = symmetric_ordering(union)
-        order = sparse.csr_matrix(
+        rows = sparse.csr_matrix(
             (np.arange(self.nnz, dtype=float), union.indices,
-             union.indptr), shape=union.shape)[q][:, q].tocsc()
+             union.indptr), shape=union.shape)[q]
+        order = rows[:, q].tocsc()
         order.sort_indices()
         #: CSR-to-ordered-CSC data permutation: ``data[csc_order]``
         #: holds ``A[q][:, q]`` for the CSR data vector *data* of ``A``.
         self.csc_order = order.data.astype(np.intp)
         self._csc_indices = order.indices
         self._csc_indptr = order.indptr
+        # Product plan of the same ordered matrix, in CSR: row i is row
+        # q[i] of A with its entries in A's column order, relabeled, so
+        # a product sums each row as A's own product does.
+        #: CSR-to-product-plan data permutation: ``data[product_order]``
+        #: fills :meth:`product_matrix` with ``A[q][:, q]``.
+        self.product_order = rows.data.astype(np.intp)
+        self._product_indices = np.argsort(q)[rows.indices].astype(
+            rows.indices.dtype)
+        self._product_indptr = rows.indptr
         #: ``G_base`` and ``C`` scattered onto the union pattern.
         self.base_data = np.zeros(self.nnz)
         self.base_data[np.searchsorted(keys, g_keys)] = g_data
@@ -196,6 +215,19 @@ class SparseOperators:
         return sparse.csr_matrix(
             (data, self._indices, self._indptr),
             shape=(self.size, self.size))
+
+    def product_matrix(self) -> sparse.csr_matrix:
+        """Zero-valued CSR matrix over the ordered pattern, for products.
+
+        Fill its ``.data`` with ``np.take(data, product_order, out=...)``
+        to hold ``A[q][:, q]`` for the CSR data vector *data* of ``A``.
+        Each row keeps ``A``'s entries in ``A``'s column order, so its
+        product with ``x[q]`` is ``(A @ x)[q]`` to the bit; the CSC plan,
+        summed column by column, rounds differently.
+        """
+        return sparse.csr_matrix(
+            (np.zeros(self.nnz), self._product_indices.copy(),
+             self._product_indptr.copy()), shape=(self.size, self.size))
 
     def csc_matrix(self) -> sparse.csc_matrix:
         """Zero-valued CSC matrix over the ordered pattern.
@@ -267,35 +299,50 @@ class SparseSolver:
         """
         return self._fill
 
-    def refine(self, matrix: sparse.spmatrix,
-               rhs: np.ndarray) -> np.ndarray | None:
-        """Solve ``matrix x = rhs`` by residual correction on this factor.
+    def refine(self, matrix: sparse.spmatrix, rhs: np.ndarray,
+               start: np.ndarray | None = None) -> np.ndarray | None:
+        """Solve ``A x = rhs`` by residual correction on this factor.
 
-        *matrix* is a nearby matrix on the factored one's pattern, in
-        the unpermuted order of :meth:`solve`.  Starting from
-        ``x = LU^-1 rhs``, each sweep adds ``LU^-1 (rhs - matrix x)``;
-        *x* is accepted once a correction's largest entry is at most
-        :data:`REFINE_TOLERANCE` of ``max|x|``.  A sweep that fails to
-        shrink the correction by :data:`REFINE_RATE` (the first is
-        measured against ``max|x|``), a non-finite value or
-        :data:`REFINE_SWEEPS` spent sweeps return None instead, and the
-        caller factors *matrix* afresh.
+        *matrix* is a nearby matrix on the factored one's pattern, in the
+        factor's own ordering, as :meth:`factor` is handed it: with
+        :attr:`ordering` ``q`` it holds ``A[q][:, q]``.  *rhs*, *start*
+        and the solution are vectors of ``A``'s own system, permuted
+        into and out of that ordering once each; the sweeps run in it.
+
+        Starting from ``x = LU^-1 rhs``, or, given a *start* (a guess at
+        the solution, such as the march's predictor), from
+        ``x = start + LU^-1 (rhs - A start)``, each sweep adds
+        ``LU^-1 (rhs - A x)``; *x* is accepted once a correction's
+        largest entry is at most :data:`REFINE_TOLERANCE` of ``max|x|``.
+        A sweep that fails to shrink the correction by
+        :data:`REFINE_RATE` (the first is measured against ``max|x|``),
+        a non-finite value or :data:`REFINE_SWEEPS` spent sweeps return
+        None instead, and the caller factors ``A`` afresh.
 
         Every back-substitution books its ``solve`` flops and every
-        residual product ``2 nnz`` flops under ``residual``, accepted
-        or not; counting the linear solve is the caller's.
+        residual product, the start's included, ``2 nnz`` flops under
+        ``residual``, accepted or not; counting the linear solve is the
+        caller's.
         """
         if self._lu is None:
             raise SingularMatrixError("factor() before refine()")
-        x = self._substitute(rhs)
-        previous = float(np.max(np.abs(x)))
+        q = self.ordering
+        if q is not None:
+            rhs = rhs[q]
+            start = None if start is None else start[q]
+        substitute = self._lu.solve
+        if start is None:
+            x = substitute(rhs)
+        else:
+            x = start + substitute(rhs - matrix @ start)
+        previous = float(np.abs(x).max())
         solution = None
         for sweeps in range(1, REFINE_SWEEPS + 1):
-            correction = self._substitute(rhs - matrix @ x)
+            correction = substitute(rhs - matrix @ x)
             x += correction
-            size = float(np.max(np.abs(correction)))
-            scale = float(np.max(np.abs(x)))
-            if not np.isfinite(scale) or not size <= REFINE_RATE * previous:
+            size = float(np.abs(correction).max())
+            scale = float(np.abs(x).max())
+            if not math.isfinite(scale) or not size <= REFINE_RATE * previous:
                 break
             if size <= REFINE_TOLERANCE * scale:
                 solution = x
@@ -303,17 +350,13 @@ class SparseSolver:
             previous = size
         if self.flops is not None:
             self.flops.add("solve", 2 * self._fill * (sweeps + 1))
-            self.flops.add("residual", 2 * matrix.nnz * sweeps)
-        return solution
-
-    def _substitute(self, rhs: np.ndarray) -> np.ndarray:
-        """``A^-1 rhs`` through the factor of ``A[q][:, q]``."""
-        q = self.ordering
-        if q is None:
-            return self._lu.solve(rhs)
-        solution = np.empty_like(rhs)
-        solution[q] = self._lu.solve(rhs[q])
-        return solution
+            self.flops.add("residual",
+                           2 * matrix.nnz * (sweeps + (start is not None)))
+        if solution is None or q is None:
+            return solution
+        unordered = np.empty_like(solution)
+        unordered[q] = solution
+        return unordered
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Back-substitute against the cached factorization.
@@ -325,7 +368,12 @@ class SparseSolver:
             raise SingularMatrixError("factor() before solve()")
         rhs = np.asarray(
             rhs, dtype=complex if np.iscomplexobj(rhs) else float)
-        solution = self._substitute(rhs)
+        q = self.ordering
+        if q is None:
+            solution = self._lu.solve(rhs)
+        else:
+            solution = np.empty_like(rhs)
+            solution[q] = self._lu.solve(rhs[q])
         if self.flops is not None:
             self.flops.add("solve", 2 * self._fill)
             self.flops.linear_solves += 1

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from repro.errors import NanoSimError
 from repro.runtime.cli import (add_circuit_arguments,
                                check_circuit_arguments, circuit_template,
-                               read_netlist, row_indices)
+                               cli_entry, config_error, read_netlist,
+                               row_indices)
 from repro.runtime.jobs import VALIDATE_MODES
 
 
@@ -73,6 +73,7 @@ def _json_payload(orbit, node: str) -> dict:
     }
 
 
+@cli_entry
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.pss",
@@ -143,6 +144,5 @@ def main(argv: list[str] | None = None) -> int:
             _print_summary(orbit, node)
             _print_waveform(orbit, node, args.rows)
     except (NanoSimError, OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return config_error(exc)
     return 0

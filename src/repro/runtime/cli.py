@@ -58,12 +58,20 @@ the ``--antithetic``/``--control-variate``/``--target-ci``/
 every ensemble job.  They are refused when no ensemble job takes them.
 
 The exit status is 0 when every job succeeded, 1 otherwise.
+
+Every CLI of the package runs its ``main`` through :func:`cli_entry`
+and reports a configuration error through :func:`config_error`, so a
+reader that closes the output early (``| head -1``) ends any of them
+quietly with :data:`CLOSED_STDOUT_STATUS`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import select
 import sys
 from pathlib import Path
 
@@ -85,6 +93,59 @@ BATCH_KEYS = ("workers", "executor", "seed", "timeout", "retries")
 
 #: The variance-reduction flags of :func:`add_batch_arguments`.
 VR_FLAGS = ("antithetic", "control_variate", "target_ci", "target_rel_ci", "max_trials")
+
+#: Exit status of a run whose stdout reader went away: 128 + SIGPIPE,
+#: what a shell reports for a process that SIGPIPE ended.
+CLOSED_STDOUT_STATUS = 141
+
+
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe or socket whose reader has gone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(mask & (select.POLLERR | select.POLLHUP) for _, mask in poller.poll(0))
+
+
+def cli_entry(main):
+    """Run the CLI *main* so that a closed stdout ends it quietly.
+
+    A ``BrokenPipeError`` on stdout, raised while *main* prints or
+    when its output is flushed, returns :data:`CLOSED_STDOUT_STATUS`
+    with nothing on stderr; stdout is pointed at the null device, so
+    the interpreter's flush at exit has nowhere left to fail.
+    """
+
+    @functools.wraps(main)
+    def entry(argv: list[str] | None = None) -> int:
+        try:
+            status = main(argv)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            if not _stdout_closed():
+                raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return CLOSED_STDOUT_STATUS
+        return status
+
+    return entry
+
+
+def config_error(exc: Exception) -> int:
+    """Report *exc* on stderr as a configuration error: status 2.
+
+    A broken pipe on stdout is no such error; it propagates to
+    :func:`cli_entry`.
+    """
+    if isinstance(exc, BrokenPipeError) and _stdout_closed():
+        raise exc
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def load_spec(path: str | Path) -> dict:
@@ -354,6 +415,7 @@ def row_indices(count: int, max_rows: int) -> np.ndarray:
     return np.unique(np.linspace(0, count - 1, max_rows).astype(int))
 
 
+@cli_entry
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runtime",
@@ -379,8 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         ]
     except (AnalysisError, TypeError, ValueError) as exc:
         # ValueError covers json.JSONDecodeError and tomllib.TOMLDecodeError.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return config_error(exc)
     if args.cache is not None:
         from repro.service import ResultStore, run_batch_cached
 

@@ -30,6 +30,13 @@ import sys
 from pathlib import Path
 
 from repro.errors import NanoSimError
+from repro.runtime.cli import (
+    check_batch,
+    cli_entry,
+    config_error,
+    job_tables,
+    load_spec,
+)
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import ServiceDaemon, default_socket_path
 from repro.service.store import ResultStore
@@ -69,8 +76,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from repro.runtime.cli import check_batch, job_tables, load_spec
-
     spec = load_spec(args.spec)
     tables = job_tables(spec)
     batch = spec.get("batch", {})
@@ -140,6 +145,7 @@ def _cmd_gc(args) -> int:
     return 0
 
 
+@cli_entry
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
@@ -249,8 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (NanoSimError, ServiceError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return config_error(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,7 +18,8 @@ import argparse
 import sys
 
 from repro.errors import NanoSimError
-from repro.runtime.cli import VR_FLAGS, add_batch_arguments
+from repro.runtime.cli import (VR_FLAGS, add_batch_arguments, cli_entry,
+                               config_error)
 from repro.runtime.jobs import VALIDATE_MODES
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import load_sweep_spec
@@ -41,6 +42,7 @@ def _list_templates() -> str:
     return "\n".join(lines)
 
 
+@cli_entry
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sweep",
@@ -103,8 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         # files; per-point simulation failures never raise — they are
         # captured in the report, so anything escaping here is a
         # configuration problem.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return config_error(exc)
     print(report.summary())
     for row in report.failures():
         print(f"  point {row['index']} ({row['label']}): {row['error']}",

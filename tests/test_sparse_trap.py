@@ -352,10 +352,15 @@ def per_step_mmd(monkeypatch):
     """Switch the sparse backend to the per-factorization ordering.
 
     Both halves are patched, so a factor kept by the backend's memo is
-    always solved by the half that made it.
+    always solved by the half that made it, and the pattern's ordering
+    is the identity, so a kept factor refines against the unordered
+    matrix it was made from.
     """
 
     def enable():
+        monkeypatch.setattr(
+            "repro.mna.sparse.symmetric_ordering",
+            lambda pattern: np.arange(pattern.shape[0], dtype=np.intp))
         monkeypatch.setattr(SparseSolver, "factor", _per_step_mmd_factor)
         monkeypatch.setattr(SparseBackend, "_factor",
                             _per_step_mmd_backend_factor)
@@ -416,6 +421,16 @@ class TestPatternOrdering:
                          options={"SymmetricMode": True})
         assert np.array_equal(lu.perm_c, np.arange(matrix.shape[0]))
         assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+
+    def test_product_plan_multiplies_as_the_unordered_matrix(self):
+        operators, matrix = _step_matrix(rtd_mesh(30, 30)[0])
+        q = operators.ordering
+        data = matrix.tocsr().data
+        product = operators.product_matrix()
+        np.take(data, operators.product_order, out=product.data)
+        assert (product != matrix[q][:, q]).nnz == 0
+        x = np.random.default_rng(3).standard_normal(operators.size)
+        assert np.array_equal(product @ x[q], (matrix.tocsr() @ x)[q])
 
     def test_complex_ac_pattern(self):
         from repro.ac import linearize

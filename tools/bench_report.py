@@ -279,10 +279,11 @@ def _bench_backends(quick: bool, repeats: int) -> list[dict]:
             lambda: engine.run_grid(times, initial_state=x0), repeats)
     # The sparse march's kept-factor record: SuperLU factorizations run,
     # steps refined on a kept factor instead, and residual-correction
-    # sweeps per refined step (each sweep books one residual product).
+    # sweeps per refined step (each sweep books one residual product,
+    # and each refined step one more for the march's start).
     march = engine.run_grid(times, initial_state=x0)
     sweeps = march.flops.by_category().get("residual", 0) \
-        // (2 * SparseOperators(engine.system).nnz)
+        // (2 * SparseOperators(engine.system).nnz) - march.factor_reuses
     axes = {"grid": grid, "grid_points": n_points,
             "size": grid * grid + 2}
     factor_us, fill, operators_ms = _sparse_layers(
