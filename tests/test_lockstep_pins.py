@@ -24,8 +24,11 @@ time.  These pins hold what such a rewrite must not move:
 * the plain (no variance reduction) ensembles: the quantile-band
   statistics of ``run_circuit_ensemble``, serial and chunked, its raw
   ``return_result=True`` march, its antithetic form without a target,
-  ``run_ensemble_parallel``, and the ``EnsembleJob`` /
-  ``EnsembleTransientJob`` forms the chunked runs are made of.
+  ``run_ensemble_parallel`` (thread and process chunks), and the
+  ``EnsembleJob`` / ``EnsembleTransientJob`` forms the chunked runs are
+  made of; ``run_ensemble`` and ``EnsembleJob`` (statistics and raw
+  paths) also in the one-generator ``rng`` draw that keys the stored
+  service records.
 
 ``lockstep_pins.expected.json`` keeps the integer counts exact and the
 floats at full precision.  The floats are compared to ``RTOL`` of each
@@ -56,6 +59,7 @@ from repro.stochastic import (
     run_circuit_ensemble,
     run_circuit_ensemble_parallel,
     run_circuit_ensemble_vr,
+    run_ensemble,
     run_ensemble_parallel,
     run_sde_ensemble_vr,
 )
@@ -415,3 +419,56 @@ def test_plain_ensemble_transient_job_is_pinned(golden_json, antithetic):
     stats = job.run(np.random.SeedSequence(21))
     key = f"plain-lowpass-job-{'antithetic' if antithetic else 'naive'}"
     _pin(golden_json, key, _plain_payload(stats))
+
+
+#: A 2-state, 1-noise SDE for the pins of the ``rng`` draw: one
+#: generator draws every path, in ``euler_maruyama``'s own layout.
+def _sde2() -> LinearSDE:
+    return LinearSDE([[-2.0e8, 1.0e8], [0.0, -1.0e8]], [[1.0e-2], [5.0e-3]])
+
+
+RNG_FORMS = {
+    "int": lambda: {"rng": 7},
+    "generator-component1": lambda: {
+        "rng": np.random.default_rng(7), "component": 1},
+    "antithetic": lambda: {"rng": 7, "antithetic": True},
+}
+
+
+@pytest.mark.parametrize("form", sorted(RNG_FORMS))
+def test_plain_sde_rng_ensemble_is_pinned(golden_json, form):
+    stats = run_ensemble(_sde2(), [0.0, 0.0], 5e-9, 50, 16, **RNG_FORMS[form]())
+    _pin(golden_json, f"plain-sde-rng-{form}", _plain_payload(stats))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_plain_ensemble_job_rng_is_pinned(golden_json, antithetic):
+    """The service-cached record: the runner's seed drives one
+    generator for every path."""
+    job = EnsembleJob(sde=_sde2(), t_final=5e-9, steps=50, n_paths=16,
+                      antithetic=antithetic)
+    stats = BatchRunner(executor="serial", seed=12).run([job]).values()[0]
+    key = f"plain-sde-job-rng-{'antithetic' if antithetic else 'naive'}"
+    _pin(golden_json, key, _plain_payload(stats))
+
+
+def test_plain_ensemble_job_rng_paths_is_pinned(golden_json):
+    job = EnsembleJob(sde=_sde2(), t_final=5e-9, steps=50, n_paths=8,
+                      return_paths=True)
+    result = job.run(np.random.SeedSequence(13))
+    payload = {
+        "final_paths": _floats(result.paths[:, -1]),
+        "summed_paths": _floats(result.paths.sum(axis=1)),
+        "times_end": float(result.times[-1]),
+        "n_paths": result.n_paths,
+    }
+    _pin(golden_json, "plain-sde-job-rng-paths", payload)
+
+
+def test_plain_sde_builder_chunks_process_is_pinned(golden_json):
+    """Builder-name chunks, each resolved inside its worker process."""
+    stats = run_ensemble_parallel(
+        "noisy_rc_node", 2e-9, 40, 32, chunks=4,
+        params={"noise_amplitude": 1e-8},
+        runner=BatchRunner(max_workers=2, executor="process", seed=14))
+    _pin(golden_json, "plain-noisy-rc-sde-chunks4-process", _plain_payload(stats))
