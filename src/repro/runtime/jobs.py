@@ -388,17 +388,20 @@ class EnsembleJob:
     Exactly one of ``sde`` (a picklable
     :class:`~repro.stochastic.sde.LinearSDE`) or ``builder`` (a callable
     or an :data:`SDE_BUILDERS` name, invoked with ``params`` inside the
-    worker) must be given.  The RNG seed is injected by the runner via
-    deterministic ``SeedSequence`` spawning, so a batch reproduces
-    bit-for-bit at any worker count; ``path_seeds`` instead pins one
-    stream per path (one per *pair* with ``antithetic``) — the
+    worker) must be given.  :meth:`run` is one call to the SDE driver
+    of :mod:`repro.stochastic.vr`.  The RNG seed is injected by the
+    runner via deterministic ``SeedSequence`` spawning and, without
+    ``path_seeds`` or a CI target, drives one generator for every path
+    (the ``rng`` draw stored service records are keyed on), so a batch
+    reproduces bit-for-bit at any worker count; ``path_seeds`` instead
+    pins one stream per path (one per *pair* with ``antithetic``) — the
     split-invariant form
     :func:`~repro.stochastic.montecarlo.run_ensemble_parallel` uses so
     chunked ensembles are bit-identical at any chunk count.
 
     Setting ``target_ci`` or ``target_rel_ci`` switches the job to the
-    adaptive batched estimator of
-    :func:`repro.stochastic.vr.run_sde_ensemble_vr`: paths run in
+    driver's adaptive batched estimator (as
+    :func:`repro.stochastic.vr.run_sde_ensemble_vr`): paths run in
     ``batch_size`` batches until the confidence-interval target is met,
     with ``max_trials`` (default ``n_paths``) as the backstop.
     """
@@ -436,15 +439,12 @@ class EnsembleJob:
                     f"{self.n_paths} paths (expected one per "
                     f"{'pair' if self.antithetic else 'path'})"
                 )
-        if self._adaptive and (self.return_paths or self.path_seeds is not None):
+        adaptive = self.target_ci is not None or self.target_rel_ci is not None
+        if adaptive and (self.return_paths or self.path_seeds is not None):
             raise AnalysisError(
                 "target_ci/target_rel_ci is incompatible with return_paths= "
                 "and path_seeds= (the adaptive driver owns the path streams)"
             )
-
-    @property
-    def _adaptive(self) -> bool:
-        return self.target_ci is not None or self.target_rel_ci is not None
 
     def build_sde(self):
         """Materialize the SDE this job integrates."""
@@ -460,52 +460,24 @@ class EnsembleJob:
         :class:`~repro.stochastic.montecarlo.EnsembleStatistics`, or the
         raw :class:`~repro.stochastic.em.EMResult` with
         ``return_paths=True``."""
-        from repro.stochastic.em import euler_maruyama
-        from repro.stochastic.montecarlo import ensemble_statistics
+        from repro.stochastic.vr import _sde_mc
 
-        sde = self.build_sde()
-        x0 = (
-            np.zeros(sde.dimension)
-            if self.x0 is None
-            else np.asarray(self.x0, dtype=float)
-        )
-        if self._adaptive:
-            from repro.stochastic.vr import run_sde_ensemble_vr
-
-            return run_sde_ensemble_vr(
-                sde,
-                x0,
-                self.t_final,
-                self.steps,
-                component=self.component,
-                confidence=self.confidence,
-                antithetic=self.antithetic,
-                target_ci=self.target_ci,
-                target_rel_ci=self.target_rel_ci,
-                max_trials=self.max_trials or self.n_paths,
-                batch_size=self.batch_size,
-                seed=seed,
-            )
-        if self.path_seeds is not None:
-            from repro.stochastic.vr import _seeded_em
-
-            result = _seeded_em(
-                sde, x0, self.t_final, self.steps, self.path_seeds, self.antithetic
-            )
-        else:
-            result = euler_maruyama(
-                sde,
-                x0,
-                self.t_final,
-                self.steps,
-                n_paths=self.n_paths,
-                rng=np.random.default_rng(seed),
-                antithetic=self.antithetic,
-            )
-        if self.return_paths:
-            return result
-        return ensemble_statistics(
-            result.times, result.component(self.component), self.confidence
+        return _sde_mc(
+            self.build_sde(),
+            self.x0,
+            self.t_final,
+            self.steps,
+            self.n_paths,
+            seed=seed,
+            path_seeds=self.path_seeds,
+            component=self.component,
+            confidence=self.confidence,
+            antithetic=self.antithetic,
+            return_paths=self.return_paths,
+            target_ci=self.target_ci,
+            target_rel_ci=self.target_rel_ci,
+            max_trials=self.max_trials,
+            batch_size=self.batch_size,
         )
 
 

@@ -31,7 +31,6 @@ from repro.stochastic.montecarlo import (
     run_circuit_ensemble_parallel,
     run_ensemble,
     run_ensemble_parallel,
-    run_ensembles,
 )
 from repro.stochastic.peak import (
     brownian_max_cdf,
@@ -90,7 +89,6 @@ __all__ = [
     "run_circuit_ensemble_parallel",
     "run_ensemble",
     "run_ensemble_parallel",
-    "run_ensembles",
     "stratonovich_integral",
     "VectorOrnsteinUhlenbeck",
     "WienerProcess",

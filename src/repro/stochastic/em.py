@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.stochastic.sde import LinearSDE
-from repro.stochastic.wiener import WienerProcess
 
 
 class EMResult:
@@ -130,19 +129,14 @@ def euler_maruyama(
     times = np.linspace(0.0, t_final, steps + 1)
 
     if dw is None:
-        if antithetic:
-            if n_paths % 2 != 0:
-                raise AnalysisError("antithetic sampling needs even n_paths")
-            wiener = WienerProcess(t_final, steps, rng)
-            half = wiener.rng.normal(
-                0.0, np.sqrt(dt), size=(n_paths // 2, steps, sde.num_noises)
-            )
-            dw = np.concatenate([half, -half], axis=0)
-        else:
-            generator = np.random.default_rng(rng)
-            dw = generator.normal(
-                0.0, np.sqrt(dt), size=(n_paths, steps, sde.num_noises)
-            )
+        if antithetic and n_paths % 2 != 0:
+            raise AnalysisError("antithetic sampling needs even n_paths")
+        dw = np.random.default_rng(rng).normal(
+            0.0, np.sqrt(dt), size=(n_paths // 2 if antithetic else n_paths,
+                                    steps, sde.num_noises)
+        )
+        if antithetic:  # the blocks [half, -half]
+            dw = np.concatenate([dw, -dw], axis=0)
     else:
         dw = np.asarray(dw, dtype=float)
         if dw.shape != (n_paths, steps, sde.num_noises):

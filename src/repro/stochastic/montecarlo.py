@@ -1,10 +1,13 @@
 """Monte-Carlo ensemble statistics over EM runs.
 
-Wraps :func:`~repro.stochastic.em.euler_maruyama` with the statistics the
+Summarizes Euler-Maruyama ensembles with the statistics the
 performance-prediction experiments need: pointwise mean/std bands with
 standard errors, empirical confidence intervals, and convergence studies
 (weak and strong error versus step size, after Higham's SIAM Review
-exposition the paper cites as [13]).
+exposition the paper cites as [13]).  :func:`run_ensemble` and
+:func:`run_ensemble_parallel` are thin front doors to the SDE driver of
+:mod:`repro.stochastic.vr`; the error studies call
+:func:`~repro.stochastic.em.euler_maruyama` on shared Brownian paths.
 
 Circuit-noise ensembles go through the lockstep SWEC engine
 (:func:`run_circuit_ensemble` / :func:`run_circuit_ensemble_parallel`):
@@ -12,7 +15,7 @@ K noise realizations of one circuit march on a shared fixed grid with
 one batched solve per time point — the implicit Euler-Maruyama form of
 the paper's eq. (13), with per-path ``SeedSequence`` streams so results
 are bit-identical for any worker count or chunk split.  Both are thin
-front doors to the one Monte-Carlo driver of :mod:`repro.stochastic.vr`.
+front doors to the circuit-noise driver of :mod:`repro.stochastic.vr`.
 A plain run is that driver with no upgrades and keeps the empirical
 quantile band of :class:`EnsembleStatistics`; switching on any
 variance-reduction knob (``control_variate=``, ``antithetic=``,
@@ -89,29 +92,12 @@ def run_ensemble(
     confidence: float = 0.95,
     antithetic: bool = False,
 ) -> EnsembleStatistics:
-    """Integrate an ensemble and summarize one component."""
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence!r}")
-    result = euler_maruyama(
-        sde, x0, t_final, steps, n_paths=n_paths, rng=rng, antithetic=antithetic
-    )
-    return ensemble_statistics(result.times, result.component(component), confidence)
+    """Integrate an ensemble and summarize one component; one generator
+    ``default_rng(rng)`` draws every path (the SDE driver's ``rng`` draw)."""
+    from repro.stochastic.vr import _sde_mc
 
-
-def run_ensembles(jobs, runner=None) -> list[EnsembleStatistics]:
-    """Run many :class:`~repro.runtime.EnsembleJob` specs through a
-    :class:`~repro.runtime.BatchRunner` (one worker process per job).
-
-    Seeding is handled by the runner's deterministic ``SeedSequence``
-    spawn, so the statistics reproduce bit-for-bit at any worker count.
-    Raises if any job failed; returns the statistics in job order.
-    """
-    from repro.runtime import BatchRunner
-
-    runner = runner or BatchRunner()
-    report = runner.run(list(jobs))
-    report.raise_failures()
-    return report.values()
+    return _sde_mc(sde, x0, t_final, steps, n_paths, seed=rng, component=component,
+                   confidence=confidence, antithetic=antithetic)
 
 
 def run_ensemble_parallel(
@@ -141,13 +127,12 @@ def run_ensemble_parallel(
 
     ``antithetic`` assigns each *pair* of consecutive paths one seed
     stream and mirrors its increments; ``n_paths`` must then split into
-    even chunks, i.e. be divisible by ``2 * chunks``.
+    even chunks, i.e. be divisible by ``2 * chunks``.  A thin front door
+    to the SDE driver of :mod:`repro.stochastic.vr`.
     """
-    from repro.runtime import BatchRunner, EnsembleJob
-    from repro.stochastic.vr import _spawn_children, _streams, _windows
+    from repro.runtime import BatchRunner
+    from repro.stochastic.vr import _sde_mc
 
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence!r}")
     if chunks < 1:
         raise AnalysisError(f"chunks must be >= 1, got {chunks!r}")
     if n_paths < chunks:
@@ -158,32 +143,11 @@ def run_ensemble_parallel(
             f"2 * chunks ({2 * chunks}), got {n_paths}"
         )
     runner = runner or BatchRunner()
-    stride = 2 if antithetic else 1
-    children = _spawn_children(runner.seed, n_paths // stride)
-    direct = isinstance(sde_builder, LinearSDE)
-    jobs = []
-    for k, (offset, size) in enumerate(_windows(0, n_paths, chunks, stride)):
-        jobs.append(
-            EnsembleJob(
-                t_final=t_final,
-                steps=steps,
-                n_paths=size,
-                sde=sde_builder if direct else None,
-                builder=None if direct else sde_builder,
-                params=dict(params or {}),
-                x0=x0,
-                component=component,
-                antithetic=antithetic,
-                path_seeds=_streams(children, offset, size, stride),
-                return_paths=True,
-                label=f"chunk-{k}",
-            )
-        )
-    report = runner.run(jobs)
-    report.raise_failures()
-    results = report.values()
-    values = np.concatenate([r.component(component) for r in results], axis=0)
-    return ensemble_statistics(results[0].times, values, confidence)
+    return _sde_mc(
+        sde_builder, x0, t_final, steps, n_paths, params=params, seed=runner.seed,
+        component=component, confidence=confidence, antithetic=antithetic,
+        chunks=chunks, runner=runner,
+    )
 
 
 def run_circuit_ensemble(

@@ -31,8 +31,9 @@ import numpy as np
 from scipy.stats import norm
 
 from repro.errors import AnalysisError
-from repro.stochastic.em import EMResult, euler_maruyama
+from repro.stochastic.em import EMResult
 from repro.stochastic.sde import LinearSDE
+from repro.stochastic.vr import _sde_mc
 
 
 def brownian_max_cdf(level: float, t_final: float, sigma: float = 1.0) -> float:
@@ -104,7 +105,7 @@ def predict_peak(
     """
     if not 0.0 <= t_start < t_stop:
         raise AnalysisError("need 0 <= t_start < t_stop")
-    result = euler_maruyama(sde, x0, t_stop, steps, n_paths=n_paths, rng=rng)
+    result = _sde_mc(sde, x0, t_stop, steps, n_paths, seed=rng, return_paths=True)
     peaks = result.window_peaks(t_start, t_stop, index=component)
     prediction = PeakPrediction(
         t_start=t_start,

@@ -36,9 +36,10 @@ adaptive trial counts
     march per batch.
 
 All three run over the one circuit-noise Monte-Carlo driver,
-:func:`_circuit_mc`.  A plain ensemble is that driver with no upgrades:
-one march of every path, reduced to
-:class:`~repro.stochastic.montecarlo.EnsembleStatistics` with the
+:func:`_circuit_mc`; the SDE ensembles have one driver of their own,
+:func:`_sde_mc`, with the same adaptive estimator (antithetic pairs and
+CI targets).  A plain ensemble is either driver with no upgrades: one
+march of every path, reduced to :class:`EnsembleStatistics` with the
 empirical quantile band.  Upgraded runs return
 :class:`VarianceReducedStatistics` (pointwise, a drop-in extension of
 :class:`~repro.stochastic.montecarlo.EnsembleStatistics`) with an
@@ -568,15 +569,6 @@ def _seeded_normals(seeds, steps: int, m: int, antithetic: bool) -> np.ndarray:
     return draw(seeds, steps, m)
 
 
-def _seeded_em(sde, x0, t_final: float, steps: int, seeds, antithetic: bool):
-    """Euler-Maruyama paths of *sde* driven by :func:`_seeded_normals`."""
-    from repro.stochastic.em import euler_maruyama
-
-    normals = _seeded_normals(seeds, steps, sde.num_noises, antithetic)
-    dw = normals * math.sqrt(t_final / steps)
-    return euler_maruyama(sde, x0, t_final, steps, n_paths=normals.shape[0], dw=dw)
-
-
 def _windows(offset: int, size: int, chunks: int, pps: int) -> list:
     """Split paths ``offset .. offset + size`` into at most *chunks*
     ``(start, count)`` windows of whole units of *pps* paths."""
@@ -786,31 +778,81 @@ def run_sde_ensemble_vr(
 ) -> VarianceReducedStatistics:
     """Adaptive (optionally antithetic) Euler-Maruyama ensemble.
 
-    The SDE twin of :func:`run_circuit_ensemble_vr`, used by
-    :class:`~repro.runtime.EnsembleJob` when a CI target is set.
-    Control variates are a circuit-level feature (the linearized
-    companion); for the already-linear SDEs they would be the identity.
+    The adaptive estimator of the one SDE driver, :func:`_sde_mc`, as
+    :func:`run_circuit_ensemble_vr` is of the circuit one.  Control
+    variates are a circuit-level feature (the linearized companion); for
+    the already-linear SDEs they would be the identity.
     """
+    return _sde_mc(
+        sde, x0, t_final, steps, max_trials, seed=seed, component=component,
+        confidence=confidence, antithetic=antithetic, target_ci=target_ci,
+        target_rel_ci=target_rel_ci, batch_size=batch_size, adaptive=True,
+    )
+
+
+def _sde_mc(sde, x0, t_final, steps, n_paths, *, params=None, seed=None,
+            path_seeds=None, component=0, confidence=0.95, antithetic=False,
+            return_paths=False, target_ci=None, target_rel_ci=None,
+            max_trials=None, batch_size=None, chunks=None, runner=None,
+            adaptive=False):
+    """The one SDE Monte-Carlo driver: Euler-Maruyama paths of *sde*.
+
+    With no *path_seeds*, *chunks* or CI target, one generator
+    ``default_rng(seed)`` draws every path in ``euler_maruyama``'s own
+    layout (antithetic blocks ``[half, -half]``): the draw stored service
+    records are keyed on.  Otherwise each path, or antithetic pair, has
+    its own stream (*path_seeds*, or child ``i`` of
+    ``SeedSequence(seed)``), marched in process or split over *chunks*
+    :class:`~repro.runtime.EnsembleJob` windows on *runner*, which carry
+    *sde* as given (a builder is called with *params* in the worker).
+    A plain run is one ``march(0, n_paths)``, raw with *return_paths* or
+    reduced by ``ensemble_statistics``; an adaptive one feeds
+    :func:`_adaptive_mc` batches up to ``max_trials`` (default *n_paths*).
+    """
+    from repro.runtime.jobs import EnsembleJob
+    from repro.stochastic.em import EMResult, euler_maruyama
+    from repro.stochastic.sde import LinearSDE
+
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence!r}")
-    plan = _resolve_batching(max_trials, batch_size, antithetic, False)
-    times = np.linspace(0.0, float(t_final), int(steps) + 1)
-    children = _spawn_children(seed, max_trials // plan.pps)
-    x0 = np.zeros(sde.dimension) if x0 is None else np.asarray(x0, dtype=float)
+    adaptive = adaptive or target_ci is not None or target_rel_ci is not None
+    if adaptive:
+        n_paths = max_trials or n_paths
+        plan = _resolve_batching(n_paths, batch_size, antithetic, False)
+    pps = 2 if antithetic else 1
+    if path_seeds is None and (adaptive or chunks is not None):
+        path_seeds = _spawn_children(seed, n_paths // pps)
 
-    def sample(offset, size):
-        seeds = _streams(children, offset, size, plan.pps)
-        result = _seeded_em(sde, x0, t_final, steps, seeds, antithetic)
-        return result.component(component), None
+    def march_chunks(offset, size):
+        direct = isinstance(sde, LinearSDE)
+        report = runner.run([EnsembleJob(
+            t_final=t_final, steps=steps, n_paths=count,
+            sde=sde if direct else None, builder=None if direct else sde,
+            params=dict(params or {}), x0=x0, component=component,
+            antithetic=antithetic, path_seeds=_streams(path_seeds, start, count, pps),
+            return_paths=True, label=f"chunk-{k}",
+        ) for k, (start, count) in enumerate(_windows(offset, size, chunks, pps))])
+        report.raise_failures()
+        results = report.values()
+        return EMResult(results[0].times, np.concatenate([r.paths for r in results]))
 
-    return _adaptive_mc(
-        sample,
-        times=times,
-        plan=plan,
-        confidence=confidence,
-        control_variate=False,
-        antithetic=antithetic,
-        target_ci=target_ci,
-        target_rel_ci=target_rel_ci,
-        control_mean=None,
-    )
+    def march_in_process(offset, size):
+        initial = np.zeros(sde.dimension) if x0 is None else np.asarray(x0, dtype=float)
+        if path_seeds is None:
+            return euler_maruyama(sde, initial, t_final, steps, size,
+                                  np.random.default_rng(seed), antithetic=antithetic)
+        dw = _seeded_normals(_streams(path_seeds, offset, size, pps), steps,
+                             sde.num_noises, antithetic) * math.sqrt(t_final / steps)
+        return euler_maruyama(sde, initial, t_final, steps, n_paths=size, dw=dw)
+
+    march = march_in_process if chunks is None else march_chunks
+    if adaptive:
+        return _adaptive_mc(
+            lambda offset, size: (march(offset, size).component(component), None),
+            times=np.linspace(0.0, float(t_final), int(steps) + 1), plan=plan,
+            confidence=confidence, control_variate=False, antithetic=antithetic,
+            target_ci=target_ci, target_rel_ci=target_rel_ci, control_mean=None)
+    result = march(0, n_paths)
+    if return_paths:
+        return result
+    return ensemble_statistics(result.times, result.component(component), confidence)

@@ -14,7 +14,7 @@ from repro.runtime import (
     job_from_mapping,
 )
 from repro.runtime.cli import load_spec, main
-from repro.stochastic import run_ensemble_parallel, run_ensembles
+from repro.stochastic import run_ensemble_parallel
 from repro.swec import SwecOptions, SwecTransient
 from repro.swec.timestep import StepControlOptions
 
@@ -151,8 +151,9 @@ class TestSeededEnsembles:
                         label=f"amp={amp}")
             for amp in (1e-8, 2e-8)
         ]
-        stats = run_ensembles(
-            jobs, runner=BatchRunner(executor="serial", seed=0))
+        report = BatchRunner(executor="serial", seed=0).run(jobs)
+        report.raise_failures()
+        stats = report.values()
         assert len(stats) == 2
         # doubling the noise amplitude roughly doubles the settled band
         assert stats[1].std[-1] > 1.5 * stats[0].std[-1]
