@@ -74,16 +74,19 @@ from repro.perf.flops import FlopCounter
 # the march's linear predictor.
 
 #: Residual-correction sweeps :meth:`SparseSolver.refine` may spend.
-#: A step needs 4-6 (5 on 74 of the 117 steps, 6 on 23); started from
-#: ``LU^-1 rhs`` instead, it needed 4-7 (7 on 84).  A sweep (one
+#: A step needs 3-5 (4 on 71 of the 117 steps, 5 on 26); started from
+#: ``LU^-1 rhs`` instead, it needs 3-6 (6 on 84).  A sweep (one
 #: back-substitution and one residual product) costs about 50 us
 #: against about 1.3 ms for a SuperLU factorization, so 8 sweeps still
 #: cost under a third of a factorization.
 REFINE_SWEEPS = 8
 
-#: Largest accepted correction, relative to ``max|x|`` (4.5 ulps).
-#: Continued past convergence, corrections settle at the rounding floor:
-#: at most 3.4e-16 of ``max|x|`` (median 3.9e-17) over the 117 steps.
+#: Largest estimated error of an accepted iterate, relative to
+#: ``max|x|`` (4.5 ulps); :meth:`SparseSolver.refine` says how the error
+#: is estimated.  Continued past convergence, corrections settle at the
+#: rounding floor: at most 3.4e-16 of ``max|x|`` (median 3.9e-17) over
+#: the 117 steps.  The accepted iterates lie within 9.4e-16 of
+#: ``max|x|`` (median 2.2e-16) of a fresh SuperLU solve of their step.
 REFINE_TOLERANCE = 1e-15
 
 #: Each sweep must shrink the correction at least by this factor.  While
@@ -91,6 +94,8 @@ REFINE_TOLERANCE = 1e-15
 #: median), and the sweep that reaches the floor at least 17-fold; at
 #: the rounding floor the ratio hovers around 1 and reaches 2.5.  So a
 #: sweep that fails to halve the correction has stalled or diverges.
+#: The bound also keeps the error estimate ``rate / (1 - rate)`` of a
+#: correction at most the correction itself.
 REFINE_RATE = 0.5
 
 
@@ -311,9 +316,15 @@ class SparseSolver:
 
         Starting from ``x = LU^-1 rhs``, or, given a *start* (a guess at
         the solution, such as the march's predictor), from
-        ``x = start + LU^-1 (rhs - A start)``, each sweep adds
-        ``LU^-1 (rhs - A x)``; *x* is accepted once a correction's
-        largest entry is at most :data:`REFINE_TOLERANCE` of ``max|x|``.
+        ``x = start + LU^-1 (rhs - A start)``, each sweep adds a
+        correction ``c_k = LU^-1 (rhs - A x)``.  *x* is accepted once
+        the error left in it is at most :data:`REFINE_TOLERANCE` of
+        ``max|x|``.  At the first sweep that error is taken as
+        ``max|c_1|``; from the second on it is estimated from the
+        measured contraction ``rate = max|c_k| / max|c_{k-1}|`` as
+        ``rate / (1 - rate) max|c_k|``, the stopping test of simplified
+        Newton iterations (Hairer & Wanner, *Solving ODEs II*, IV.8),
+        which saves the sweep that would only confirm the contraction.
         A sweep that fails to shrink the correction by
         :data:`REFINE_RATE` (the first is measured against ``max|x|``),
         a non-finite value or :data:`REFINE_SWEEPS` spent sweeps return
@@ -344,7 +355,11 @@ class SparseSolver:
             scale = float(np.abs(x).max())
             if not math.isfinite(scale) or not size <= REFINE_RATE * previous:
                 break
-            if size <= REFINE_TOLERANCE * scale:
+            error = size
+            if sweeps > 1:  # sweep 1's previous is max|x|, not a correction
+                rate = size / previous
+                error *= rate / (1.0 - rate)
+            if error <= REFINE_TOLERANCE * scale:
                 solution = x
                 break
             previous = size

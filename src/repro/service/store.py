@@ -170,6 +170,9 @@ class ResultStore:
         self.root = Path(root) if root is not None else default_store_root()
         self.objects = self.root / "objects"
         self._shards = str(self.objects) + os.sep
+        #: Shard prefixes whose directory this store has made, so that
+        #: :meth:`put` calls ``mkdir`` once per shard, not per entry.
+        self._made_shards: set[str] = set()
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -274,7 +277,9 @@ class ResultStore:
         import repro
 
         meta_path, payload_path = self._paths(key)
-        meta_path.parent.mkdir(parents=True, exist_ok=True)
+        if key[:2] not in self._made_shards:
+            meta_path.parent.mkdir(parents=True, exist_ok=True)
+            self._made_shards.add(key[:2])
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         meta = {
             "schema": STORE_SCHEMA,
@@ -288,8 +293,16 @@ class ResultStore:
             "payload_bytes": len(payload),
             "summary": result_summary(value),
         }
-        atomic_write(payload_path, payload)
-        atomic_write(meta_path, (json.dumps(meta, sort_keys=True) + "\n").encode())
+        meta_bytes = (json.dumps(meta, sort_keys=True) + "\n").encode()
+        try:
+            atomic_write(payload_path, payload)
+            atomic_write(meta_path, meta_bytes)
+        except FileNotFoundError:
+            # The shard was removed after this store made it (by another
+            # process or a user): make it again and write once more.
+            meta_path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write(payload_path, payload)
+            atomic_write(meta_path, meta_bytes)
         self.puts += 1
         return CachedResult(key=key, value=value, meta=meta)
 

@@ -11,7 +11,9 @@ Covers the three layers of the service subsystem:
 """
 
 import json
+import shutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +233,31 @@ class TestResultStore:
         assert entry.kind == "transient"
         assert entry.seconds == 0.25
         assert key in store and len(store) == 1
+
+    def test_put_makes_each_shard_directory_once(self, tmp_path,
+                                                 monkeypatch):
+        store = ResultStore(tmp_path)
+        store.objects.mkdir()
+        made = []
+        mkdir = Path.mkdir
+
+        def counted(self, *args, **kwargs):
+            made.append(self.name)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counted)
+        for key in ("ab" + "1" * 62, "ab" + "2" * 62, "cd" + "3" * 62):
+            store.put(key, key)
+        assert made == ["ab", "cd"]
+
+    def test_put_remakes_a_removed_shard(self, tmp_path):
+        store = ResultStore(tmp_path)
+        first, second = "ab" + "1" * 62, "ab" + "2" * 62
+        store.put(first, 1)
+        shutil.rmtree(store._paths(first)[0].parent)
+        store.put(second, 2)
+        assert store.get(second).value == 2
+        assert store.get(first) is None
 
     @pytest.mark.parametrize("estimator", [
         "ensemble", "variance-reduced", "transient", "ensemble-transient",

@@ -18,6 +18,7 @@ Either way every skipped factorization counts as a reuse.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -27,10 +28,13 @@ from repro.circuits_lib import (power_grid_mesh, rc_mesh, rtd_memory_array, rtd_
 from repro.core import backends as backends_module
 from repro.core.backends import SPARSE_FACTOR_MEMO, SparseBackend
 from repro.core.fallback import FallbackBackend
+from repro.devices import SchulmanRTD
 from repro.devices.mosfet import nmos
-from repro.errors import SingularMatrixError
+from repro.errors import NanoSimError, SingularMatrixError
+from repro.lint import lint_circuit
 from repro.mna import MnaSystem
-from repro.mna.sparse import SparseOperators, SparseSolver
+from repro.mna.sparse import (REFINE_SWEEPS, REFINE_TOLERANCE, SparseOperators,
+                              SparseSolver)
 from repro.perf.flops import FlopCounter
 from repro.pss import run_pss
 from repro.resilience import FaultPlan, fault_context
@@ -229,6 +233,20 @@ def mesh_drive():
                  width=0.3e-9, period=1e-9)
 
 
+def benchmark_mesh_march():
+    """The benchmark's march: the 30x30 RTD mesh, 40 steps of 5 ps from
+    seeded node voltages."""
+    step = StepControlOptions(epsilon=0.05, h_min=1e-13, h_max=0.05e-9,
+                              h_initial=1e-12)
+    opts = SwecOptions(step=step, backend="sparse", initialize_dc=False)
+    engine = SwecTransient(rtd_mesh(30, 30, drive=mesh_drive())[0], opts)
+    system = engine.system
+    x0 = np.zeros(system.size)
+    x0[:system.num_nodes] = np.random.default_rng(1).uniform(
+        0.0, 0.05, system.num_nodes)
+    return engine.run_grid(np.linspace(0.0, 0.2e-9, 41), initial_state=x0)
+
+
 class TestChordedRefinement:
     """Chorded sparse marches refine on kept factors; the reference
     factors every step (``SPARSE_FACTOR_MEMO = 0``)."""
@@ -264,6 +282,21 @@ class TestChordedRefinement:
         # Started from LU^-1 b, this march took 287 over its 39
         # refined steps (7.36 each); from the predictor it takes 234 (6.0).
         assert per_step <= 6.2
+
+    def test_benchmark_mesh_stops_on_the_contraction(self, per_step_factor):
+        refined = benchmark_mesh_march()
+        per_step_factor()
+        reference = benchmark_mesh_march()
+        assert_refined_march(refined, reference)
+        fill = reference.flops.by_category()["solve"] \
+            // (2 * reference.flops.linear_solves)
+        substitutions = refined.flops.by_category()["solve"] // (2 * fill)
+        per_step = (substitutions - refined.flops.factorizations) \
+            / refined.factor_reuses
+        # Stopped on its last correction, the march took 234 over its 39
+        # refined steps (6.0 each); on the estimated error left it takes
+        # 196 (5.03).
+        assert per_step <= 5.2
 
     def test_adaptive_run(self, per_step_factor):
         def run():
@@ -426,6 +459,65 @@ class TestRefine:
         assert flops.by_category()["residual"] \
             == 2 * operators.nnz * substitutions
 
+    @staticmethod
+    def column_scaled(delta):
+        """A step matrix ``A``, ordered as :meth:`SparseSolver.refine`
+        takes it, and a solver holding the factor of ``A (I + diag(
+        delta))``: each sweep shrinks the error along column ``i`` by
+        exactly ``delta_i / (1 + delta_i)``, up to rounding."""
+        _, operators, data = TestRefine.factored(None)
+        matrix = TestRefine.ordered(operators, data)
+        flops = FlopCounter()
+        solver = SparseSolver(flops)
+        solver.ordering = operators.ordering
+        solver.factor(
+            matrix @ sparse.diags(1.0 + delta * np.ones(operators.size)))
+        return solver, flops, operators, data, matrix
+
+    @staticmethod
+    def sweeps(solver, flops):
+        """Sweeps of the last refinement: one back-substitution each,
+        after the start's."""
+        return flops.by_category()["solve"] // (2 * solver.fill) - 1
+
+    @pytest.mark.parametrize("delta", [1e-8, 1e-4, 2e-3, 1e-2])
+    def test_stops_on_the_estimated_error(self, delta):
+        """Refining ``A`` on the factor of ``(1 + delta) A``, every sweep
+        contracts by ``theta = delta / (1 + delta)``.  Sweep 1 tests its
+        correction, ``theta (1 - theta) max|x|``; from sweep 2 the
+        estimate, ``theta / (1 - theta)`` of sweep k's correction, is
+        the true error left, ``theta^(k+1) max|x|``."""
+        solver, flops, operators, data, matrix = self.column_scaled(delta)
+        rhs = np.random.default_rng(7).uniform(-1.0, 1.0, operators.size)
+        theta = delta / (1.0 + delta)
+        tested = [theta * (1.0 - theta)] + [
+            theta ** (k + 1) for k in range(2, REFINE_SWEEPS + 1)]
+        expected = next(k for k, size in enumerate(tested, 1)
+                        if size <= REFINE_TOLERANCE)
+        # Clear of rounding on both sides of the tolerance.
+        assert tested[expected - 1] <= REFINE_TOLERANCE / 3
+        assert tested[expected - 2] >= 3 * REFINE_TOLERANCE
+        x = solver.refine(matrix, rhs)
+        assert self.sweeps(solver, flops) == expected
+        exact = splu(operators.matrix_from_data(data).tocsc()).solve(rhs)
+        assert_close_to_scale(x, exact, rtol=1e-14)
+
+    def test_gives_up_when_the_corrections_stop_halving(self):
+        """A fast-contracting column carries the corrections of the
+        first sweeps, then a slow one (``theta = 0.9``) takes over."""
+        delta = np.full(TestRefine.factored(None)[1].size, 1e-3)
+        delta[0] = 9.0
+        solver, flops, operators, _, matrix = self.column_scaled(delta)
+        # The solution in the factor's ordering, small along column 0.
+        solution = np.ones(operators.size)
+        solution[0] = 1e-6
+        rhs = np.empty(operators.size)
+        rhs[operators.ordering] = matrix @ solution
+        assert solver.refine(matrix, rhs) is None
+        # Sweeps 1-3 shrink the correction (the third 14-fold), the
+        # fourth only by 0.9.
+        assert self.sweeps(solver, flops) == 4
+
     def test_needs_a_factor(self):
         with pytest.raises(SingularMatrixError):
             SparseSolver().refine(sparse.identity(2, format="csr"),
@@ -530,3 +622,57 @@ def test_fill_counts_padded_supernodes_on_small_patterns():
     solver, lu = _factored(rc_mesh(3, 3)[0])
     assert solver.fill == lu.nnz == 132
     assert lu.L.nnz + lu.U.nnz == 59
+
+
+# ---------------------------------------------------------------------------
+# differential: kept factors against per-step factoring on random circuits
+
+_NODES = ("0", "a", "b", "c", "d")
+
+
+@st.composite
+def _rtd_circuits(draw):
+    """A random R/C/RTD circuit over a small node pool, driven by one
+    grounded pulse source."""
+    circuit = Circuit("kept-factor")
+    circuit.add_voltage_source("Vin", draw(st.sampled_from(_NODES[1:])),
+                               "0", mesh_drive())
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from("RRCX"))
+        n1 = draw(st.sampled_from(_NODES))
+        n2 = draw(st.sampled_from(_NODES))
+        value = draw(st.floats(min_value=0.5, max_value=1e4))
+        if kind == "R":
+            circuit.add_resistor(f"R{i}", n1, n2, value)
+        elif kind == "C":
+            circuit.add_capacitor(f"C{i}", n1, n2, value * 1e-15)
+        else:
+            circuit.add_device(f"X{i}", n1, n2, SchulmanRTD())
+    return circuit
+
+
+def _sparse_march(circuit):
+    """Times and states of a 20-step sparse march through the pulse's
+    rise, or the class of the error it raised."""
+    try:
+        result = SwecTransient(circuit, options()).run_grid(
+            np.linspace(0.0, 0.2e-9, 21))
+    except NanoSimError as exc:
+        return type(exc)
+    return result.times, result.states
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=_rtd_circuits().filter(lambda c: lint_circuit(c).ok))
+def test_kept_factors_match_per_step_factoring(circuit):
+    kept = _sparse_march(circuit)
+    # A function-scoped fixture would not reset between examples.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends_module, "SPARSE_FACTOR_MEMO", 0)
+        reference = _sparse_march(circuit)
+    if isinstance(reference, type):
+        assert kept is reference
+    else:
+        assert not isinstance(kept, type), kept
+        assert_close_to_scale(kept[0], reference[0])
+        assert_close_to_scale(kept[1], reference[1])
