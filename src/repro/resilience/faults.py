@@ -13,8 +13,10 @@ oracle the SWEC determinism guarantees provide.
 The plan is consulted at three sites:
 
 workers
-    :func:`repro.runtime.runner._execute_job` asks
-    :meth:`FaultPlan.worker_fault` before running the job body.  A
+    :func:`repro.runtime.runner._execute_job`, the job body of the one
+    attempt path that both :class:`~repro.runtime.BatchRunner` and
+    :class:`~repro.service.ServiceDaemon` run, asks
+    :meth:`FaultPlan.worker_fault` before running the job.  A
     ``crash`` really kills the worker process on the process executor
     (``os._exit``) and raises :class:`~repro.errors.WorkerCrashError`
     elsewhere; a ``hang`` really sleeps past the watchdog on the
@@ -38,8 +40,9 @@ backends
     stack→dense degradation chain can be exercised deterministically.
 
 Plans activate ambiently (:func:`activate` / :func:`fault_context`) in
-the process that consults them; the batch runner additionally pickles
-its plan into every worker invocation so process pools inject too.
+the process that consults them; the runner and the daemon additionally
+pickle their plan into every worker invocation so process pools inject
+too.
 With ``first_attempt_only=True`` (the default) a fault fires only on a
 job's first attempt, so bounded retries always recover and recovered
 results can be asserted bit-identical to an undisturbed run.

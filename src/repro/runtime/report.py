@@ -39,9 +39,10 @@ class JobResult:
         True when the value was served from the content-addressed
         result store (:mod:`repro.service`) instead of being computed.
     failure:
-        Failure classification — ``"error"`` (the job body raised),
-        ``"timeout"`` (the watchdog expired the job) or ``"crash"``
-        (the pool worker died); ``None`` on success.
+        Failure classification — ``"error"`` (the job body raised, or
+        the pool could not take the job), ``"timeout"`` (the watchdog
+        expired the job) or ``"crash"`` (the pool worker died); ``None``
+        on success.
     attempts:
         How many attempts this job consumed (1 = no retries needed).
     """

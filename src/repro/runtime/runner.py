@@ -14,7 +14,10 @@ deterministic seeding
 failure isolation
     Exceptions are caught inside the worker and returned as structured
     :class:`~repro.runtime.report.JobResult` failures, so one bad job
-    cannot take down the batch.
+    cannot take down the batch.  A job's exception, a pool's and the
+    watchdog's verdict all become one through ``_failure_result``, and
+    ``_should_retry`` alone decides on another attempt: the service
+    daemon runs its jobs through the same two.
 timeouts and the watchdog
     With ``timeout=`` set, a deadline is tracked per in-flight job.  A
     job that runs past it gets a structured ``timeout`` failure; on the
@@ -48,6 +51,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -74,8 +78,14 @@ RETRYABLE_ERRORS = (
 
 
 def _job_label(job, index: int) -> str:
-    label = getattr(job, "label", "") or ""
-    return label if label else f"job-{index}"
+    """*job*'s own label, or ``job-<index>`` when it has none."""
+    return getattr(job, "label", "") or f"job-{index}"
+
+
+def _make_pool(executor: str, max_workers: int):
+    """A process pool for the ``"process"`` executor, else a thread pool."""
+    pool_class = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
+    return pool_class(max_workers=max_workers)
 
 
 def retryable_failure(result: JobResult) -> bool:
@@ -90,13 +100,36 @@ def retryable_failure(result: JobResult) -> bool:
     return error.startswith(RETRYABLE_ERRORS)
 
 
-def _classify(exc: Exception) -> str:
-    """Map an exception to a JobResult failure kind."""
+def _should_retry(result: JobResult, attempt: int, policy: RetryPolicy) -> bool:
+    """Does *result*, the outcome of attempt *attempt*, get another one?"""
+    return not result.ok and attempt < policy.max_attempts and retryable_failure(result)
+
+
+def _failure_result(index: int, label: str, exc: Exception, seconds=0.0) -> JobResult:
+    """The failure :class:`JobResult` of *exc*.
+
+    *exc* is what a job or a pool raised, or what the watchdog made up
+    to describe a job it gave up on (that one has no traceback).  The
+    kind is the one classification: a :class:`JobTimeoutError` is a
+    ``timeout``; a :class:`WorkerCrashError` or a broken process pool
+    is a ``crash``; anything else is an ``error``.
+    """
     if isinstance(exc, JobTimeoutError):
-        return "timeout"
-    if isinstance(exc, WorkerCrashError):
-        return "crash"
-    return "error"
+        failure = "timeout"
+    elif isinstance(exc, (WorkerCrashError, BrokenProcessPool)):
+        failure = "crash"
+    else:
+        failure = "error"
+    trace = exc.__traceback__ and "".join(traceback.format_exception(exc))
+    return JobResult(
+        index=index,
+        label=label,
+        ok=False,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback=trace,
+        seconds=seconds,
+        failure=failure,
+    )
 
 
 def _execute_job(
@@ -143,15 +176,7 @@ def _execute_job(
                     )
             value = job.run(seed)
     except Exception as exc:  # noqa: BLE001 - structured failure capture
-        return JobResult(
-            index=index,
-            label=label,
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(),
-            seconds=time.perf_counter() - start,
-            failure=_classify(exc),
-        )
+        return _failure_result(index, label, exc, time.perf_counter() - start)
     return JobResult(
         index=index,
         label=label,
@@ -289,22 +314,13 @@ class BatchRunner:
             for k in pending:
                 result = round_results.get(k)
                 if result is None:  # defensive: a lost job is a crash
-                    result = JobResult(
-                        index=k,
-                        label=labels[k],
-                        ok=False,
-                        error="WorkerCrashError: job was lost by the pool",
-                        failure="crash",
-                    )
+                    lost = WorkerCrashError("job was lost by the pool")
+                    result = _failure_result(k, labels[k], lost)
                 if k in reported:
                     results[k] = result
                     continue
                 result.attempts = attempt
-                if (
-                    not result.ok
-                    and attempt < self.retry_policy.max_attempts
-                    and retryable_failure(result)
-                ):
+                if _should_retry(result, attempt, self.retry_policy):
                     retry_next.append(k)
                     continue
                 results[k] = result
@@ -335,9 +351,8 @@ class BatchRunner:
         completes — the per-job publish hook behind checkpoint/resume.
         """
         real = self.executor == "process"
-        pool_class = ProcessPoolExecutor if real else ThreadPoolExecutor
         results: dict[int, JobResult] = {}
-        pool = pool_class(max_workers=min(self.max_workers, len(indices)))
+        pool = _make_pool(self.executor, min(self.max_workers, len(indices)))
         abandoned = False
         try:
             futures: dict = {}
@@ -354,14 +369,8 @@ class BatchRunner:
                         attempt,
                         real,
                     )
-                except Exception as exc:  # unpicklable job, pool broken...
-                    results[k] = JobResult(
-                        index=k,
-                        label=labels[k],
-                        ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback.format_exc(),
-                    )
+                except Exception as exc:  # pool broken or shut down...
+                    results[k] = _failure_result(k, labels[k], exc)
                     continue
                 futures[future] = k
                 if self.timeout is not None:
@@ -381,15 +390,8 @@ class BatchRunner:
                     k = futures[future]
                     try:
                         results[k] = future.result()
-                    except Exception as exc:  # worker crash, result unpickle
-                        results[k] = JobResult(
-                            index=k,
-                            label=labels[k],
-                            ok=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                            traceback=traceback.format_exc(),
-                            failure="crash",
-                        )
+                    except Exception as exc:  # worker crash, unpicklable job...
+                        results[k] = _failure_result(k, labels[k], exc)
                     if results[k].ok and checkpoint is not None:
                         checkpoint(k, results[k])
                 if self.timeout is None or not pending:
@@ -406,42 +408,28 @@ class BatchRunner:
                         # Never started: the pool was stalled by another
                         # hung job ahead of it.  Still a timeout — the
                         # job ran out of wall-clock budget — and retryable.
-                        error = (
-                            f"JobTimeoutError: cancelled after {self.timeout}s "
+                        expired = JobTimeoutError(
+                            f"cancelled after {self.timeout}s "
                             "without starting (pool stalled)"
                         )
                     else:
                         hung.append(future)
-                        error = (
-                            f"JobTimeoutError: exceeded {self.timeout}s "
-                            "wall-clock timeout"
+                        expired = JobTimeoutError(
+                            f"exceeded {self.timeout}s wall-clock timeout"
                         )
-                    results[k] = JobResult(
-                        index=k,
-                        label=labels[k],
-                        ok=False,
-                        error=error,
-                        seconds=self.timeout,
-                        failure="timeout",
-                    )
+                    results[k] = _failure_result(k, labels[k], expired, self.timeout)
                 if hung and real:
                     # The hung workers cannot be recovered individually:
                     # kill the whole pool.  Unfinished collateral jobs
                     # become retryable crash failures.
                     self._kill_pool(pool)
                     abandoned = True
+                    torn = WorkerCrashError(
+                        "pool torn down after a hung worker was killed"
+                    )
                     for future in pending:
                         k = futures[future]
-                        results[k] = JobResult(
-                            index=k,
-                            label=labels[k],
-                            ok=False,
-                            error=(
-                                "WorkerCrashError: pool torn down after a "
-                                "hung worker was killed"
-                            ),
-                            failure="crash",
-                        )
+                        results[k] = _failure_result(k, labels[k], torn)
                     pending = set()
                 elif hung:
                     # Threads cannot be killed: stop waiting for the hung

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.report import BatchReport, JobResult
+from repro.runtime.runner import _job_label
 from repro.service.hashing import UncacheableJobError, job_key
 from repro.service.store import ResultStore
 
@@ -89,10 +90,9 @@ def run_batch_cached(runner, jobs, store: ResultStore) -> BatchReport:
     for index, (job, key) in enumerate(zip(jobs, keys)):
         entry = store.get(key) if key is not None else None
         if entry is not None:
-            label = getattr(job, "label", "") or f"job-{index}"
             results[index] = JobResult(
                 index=index,
-                label=label,
+                label=_job_label(job, index),
                 ok=True,
                 value=entry.value,
                 seconds=entry.seconds,

@@ -2,11 +2,11 @@
 
 An :mod:`asyncio` server on a local Unix socket speaking a JSON-lines
 protocol: one request object per connection, a stream of event objects
-back.  Jobs execute on a persistent worker pool (the same
-``_execute_job`` body the :class:`~repro.runtime.BatchRunner` uses, so
-failure isolation is identical: a crashing job returns a structured
-``failed`` event, never takes the daemon down), and every cacheable
-job is served through the content-addressed
+back.  Jobs execute on a persistent worker pool through the attempt
+path of :class:`~repro.runtime.BatchRunner` (one job body, one failure
+record, one retry rule, so failure isolation is identical: a crashing
+job returns a structured ``failed`` event, never takes the daemon
+down), and every cacheable job is served through the content-addressed
 :class:`~repro.service.store.ResultStore` — a resubmitted spec+seed
 returns the stored record without touching the pool.
 
@@ -33,13 +33,13 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
+import dataclasses
 import json
 import os
 import pickle
 import signal
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ import numpy as np
 from repro.errors import AnalysisError, NanoSimError
 from repro.resilience.checkpoint import JobJournal
 from repro.resilience.retry import RetryPolicy
+from repro.runtime import runner
 from repro.service.cache import job_kind
 from repro.service.hashing import UncacheableJobError, job_key
 from repro.service.store import ResultStore, result_summary
@@ -148,9 +149,7 @@ class ServiceDaemon:
             if socket_path is not None
             else default_socket_path(self.store)
         )
-        from repro.runtime.runner import default_worker_count
-
-        self.max_workers = max_workers or default_worker_count()
+        self.max_workers = max_workers or runner.default_worker_count()
         self.executor = executor
         self.progress_interval = float(progress_interval)
         self.retries = RetryPolicy.resolve(retries)
@@ -168,23 +167,10 @@ class ServiceDaemon:
 
     # -- pool -----------------------------------------------------------
 
-    def _make_pool(self):
-        pool_class = (
-            ProcessPoolExecutor
-            if self.executor == "process"
-            else ThreadPoolExecutor
-        )
-        return pool_class(max_workers=self.max_workers)
-
     def _pool_or_start(self):
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = runner._make_pool(self.executor, self.max_workers)
         return self._pool
-
-    def _reset_broken_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = self._make_pool()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -430,7 +416,7 @@ class ServiceDaemon:
         except (NanoSimError, TypeError, ValueError) as exc:
             await self._fail(writer, job_id, f"{type(exc).__name__}: {exc}")
             return
-        label = getattr(job, "label", "") or f"job-{job_id}"
+        label = runner._job_label(job, job_id)
         key: str | None = None
         if use_cache:
             try:
@@ -465,6 +451,7 @@ class ServiceDaemon:
                 )
                 return
         start = time.perf_counter()
+        journaled = False
         if key is not None and key in self._inflight:
             self.stats.coalesced += 1
             future = self._inflight[key]
@@ -481,51 +468,17 @@ class ServiceDaemon:
                         },
                     )
             try:
-                result = future.result()
+                # Another submission's execution: served as a cache hit.
+                result = dataclasses.replace(future.result(), cached=True)
             except Exception as exc:  # the coalesced execution crashed
-                await self._fail(
-                    writer,
-                    job_id,
-                    f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(),
-                    seconds=time.perf_counter() - start,
-                )
-                return
-            if result.ok:
-                self.stats.cache_hits += 1
-                # The originating request may not have published yet;
-                # put is idempotent, so settle the record either way.
-                entry = self.store.get(key)
-                if entry is None:
-                    entry = self._publish(key, job, result, executed=False)
-                await self._finish(
-                    writer,
-                    job_id,
-                    value=result.value,
-                    record=entry.record(),
-                    cached=True,
-                    seconds=time.perf_counter() - start,
-                    want_payload=want_payload,
-                )
-            else:
-                await self._fail(
-                    writer,
-                    job_id,
-                    result.error,
-                    traceback=result.traceback,
-                    seconds=time.perf_counter() - start,
-                )
-            return
+                result = runner._failure_result(job_id, label, exc)
         else:
-            if key is not None and self.journal is not None:
+            journaled = key is not None and self.journal is not None
+            if journaled:
                 self.journal.record(key, spec, seed)
-            result = await self._execute(writer, job_id, job, seed, key, start)
-            if result is None:
-                if key is not None and self.journal is not None:
-                    self.journal.clear(key)
-                return
+            result = await self._execute(writer, job_id, job, label, seed, key, start)
         await self._report_result(writer, job_id, job, key, result, start, want_payload)
-        if key is not None and self.journal is not None:
+        if journaled:
             self.journal.clear(key)
 
     def _lint_refusal(self, job) -> tuple[str, dict] | None:
@@ -550,60 +503,45 @@ class ServiceDaemon:
     async def _run_attempts(self, job, job_id, label, seed):
         """Execute one job on the pool with the daemon's retry policy.
 
-        Every failure — including a worker crash that breaks the
-        process pool — is captured as a structured
-        :class:`~repro.runtime.report.JobResult` with a traceback, so
-        callers always receive a terminal result.  Retryable failures
-        (crashes, transient solver errors) re-run under the *same*
-        seed, keeping recovered results bit-identical.
+        The attempt path is the runner's: ``runner._execute_job`` (looked
+        up per call, so a patched one is used) runs the job, a pool
+        error becomes the same structured failure and the same rule
+        decides on a retry, so callers always receive a terminal
+        result, classified as :class:`~repro.runtime.BatchRunner` would
+        classify it.  A retry re-runs under the *same* seed, keeping
+        recovered results bit-identical, after a backoff on that seed.
         """
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.runtime.report import JobResult
-        from repro.runtime.runner import _execute_job, retryable_failure
-
         loop = asyncio.get_running_loop()
-        real = self.executor == "process"
         attempt = 0
         while True:
             attempt += 1
+            pool = self._pool_or_start()
             try:
-                pool = self._pool_or_start()
                 result = await loop.run_in_executor(
                     pool,
-                    _execute_job,
+                    runner._execute_job,
                     job,
                     job_id,
                     label,
                     np.random.SeedSequence(seed),
                     self.fault_plan,
                     attempt,
-                    real,
+                    self.executor == "process",
                 )
             except Exception as exc:  # worker crash, unpicklable job...
-                broken = isinstance(exc, BrokenProcessPool)
-                if broken:
-                    self._reset_broken_pool()
-                result = JobResult(
-                    index=job_id,
-                    label=label,
-                    ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(),
-                    failure="crash" if broken else "error",
-                )
+                if isinstance(exc, BrokenProcessPool) and self._pool is pool:
+                    # Replace the pool once, not once per job it broke.
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    self._pool = None
+                result = runner._failure_result(job_id, label, exc)
             result.attempts = attempt
-            if (
-                result.ok
-                or attempt >= self.retries.max_attempts
-                or not retryable_failure(result)
-            ):
+            if not runner._should_retry(result, attempt, self.retries):
                 return result
             delay = self.retries.delay(attempt, seed)
             if delay > 0:
                 await asyncio.sleep(delay)
 
-    async def _execute(self, writer, job_id, job, seed, key, start):
+    async def _execute(self, writer, job_id, job, label, seed, key, start):
         """Run one job on the pool, streaming ``running`` heartbeats.
 
         Returns the terminal :class:`~repro.runtime.report.JobResult`
@@ -612,10 +550,7 @@ class ServiceDaemon:
         submissions of the same key share it even if this connection
         dies mid-stream.
         """
-        label = getattr(job, "label", "") or f"job-{job_id}"
-        task = asyncio.ensure_future(
-            self._run_attempts(job, job_id, label, seed)
-        )
+        task = asyncio.ensure_future(self._run_attempts(job, job_id, label, seed))
         if key is not None:
             self._inflight[key] = task
         try:
@@ -641,6 +576,10 @@ class ServiceDaemon:
     async def _report_result(
         self, writer, job_id, job, key, result, start, want_payload
     ) -> None:
+        """Send *result*'s terminal event: ``failed``, or ``done`` with
+        its record.  A ``cached`` result is another submission's
+        execution shared by coalescing: a cache hit, published here only
+        if that submission has not yet published it."""
         seconds = time.perf_counter() - start
         if not result.ok:
             await self._fail(
@@ -651,7 +590,13 @@ class ServiceDaemon:
                 seconds=seconds,
             )
             return
-        entry = self._publish(key, job, result)
+        if result.cached:
+            self.stats.cache_hits += 1
+            entry = self.store.get(key)
+            if entry is None:
+                entry = self._publish(key, job, result, executed=False)
+        else:
+            entry = self._publish(key, job, result)
         if entry is not None:
             record = entry.record()
         else:
@@ -667,7 +612,7 @@ class ServiceDaemon:
             job_id,
             value=result.value,
             record=record,
-            cached=False,
+            cached=result.cached,
             seconds=seconds,
             want_payload=want_payload,
         )

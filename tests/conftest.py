@@ -82,6 +82,23 @@ def _assert_close(fresh, stored, rtol: float, where: str) -> None:
         assert fresh == stored, f"{where}: {fresh!r} != {stored!r}"
 
 
+def _keep_unmoved(fresh, stored, rtol: float):
+    """*fresh*, except that each float or float array still within
+    *rtol* of *stored* (as :func:`_assert_close` judges it) keeps its
+    stored value, so a re-record rewrites only the values that moved."""
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        return {key: _keep_unmoved(value, stored[key], rtol)
+                if key in stored else value
+                for key, value in fresh.items()}
+    if _is_float_array(stored) and _is_float_array(fresh):
+        try:
+            _assert_close(fresh, stored, rtol, "")
+        except AssertionError:
+            return fresh
+        return stored
+    return fresh
+
+
 @pytest.fixture
 def golden_json(update_golden):
     """Compare a JSON-serializable payload against a golden snapshot.
@@ -100,7 +117,9 @@ def golden_json(update_golden):
     algorithm fails; integers, strings and keys still match exactly.
     With *key* the snapshot is a JSON object holding one entry per
     key, so parametrized cases share one file and each updates and
-    checks only its own entry.  Shared by the lint, PSS and
+    checks only its own entry; with *rtol* too, its re-record keeps
+    every stored float that is still within ``rtol`` and writes only
+    the values that moved.  Shared by the lint, PSS and
     lockstep-pin corpora; any future corpus should use this fixture
     rather than growing its own update flag.
     """
@@ -113,6 +132,8 @@ def golden_json(update_golden):
             if key is not None:
                 entries = (json.loads(path.read_text())
                            if path.exists() else {})
+                if rtol is not None and key in entries:
+                    payload = _keep_unmoved(payload, entries[key], rtol)
                 entries[key] = payload
                 text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
             rendered = (text if text is not None

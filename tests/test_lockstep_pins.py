@@ -43,6 +43,7 @@ numbers.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -472,3 +473,32 @@ def test_plain_sde_builder_chunks_process_is_pinned(golden_json):
         params={"noise_amplitude": 1e-8},
         runner=BatchRunner(max_workers=2, executor="process", seed=14))
     _pin(golden_json, "plain-noisy-rc-sde-chunks4-process", _plain_payload(stats))
+
+
+class TestKeyedRerecord:
+    """``--update-golden`` rewrites only the values of an entry that
+    moved, so a counts-only re-record leaves its floats untouched."""
+
+    @pytest.fixture
+    def update_golden(self):
+        return True
+
+    def test_floats_within_rtol_stay_byte_for_byte(self, golden_json,
+                                                    tmp_path):
+        path = tmp_path / "pins.expected.json"
+        stored = {"flops": {"factorizations": 40},
+                  "states": [[0.1, 0.7], [0.30000000000000004, 1e-09]],
+                  "t_final": 5e-10, "moved": [1.0, 2.0]}
+        other = {"flops": {"factorizations": 7}, "states": [[2.5]]}
+        path.write_text(json.dumps({"mesh": stored, "other": other},
+                                   indent=2, sort_keys=True) + "\n")
+        drifted = {"flops": {"factorizations": 41},
+                   "states": [[0.1 * (1 + 1e-12), 0.7],
+                              [0.3, 1e-09 * (1 - 1e-12)]],
+                   "t_final": 5e-10 * (1 + 1e-13), "moved": [1.0, 2.5]}
+        golden_json(path, drifted, rtol=RTOL, key="mesh")
+        expected = {"mesh": {**stored, "flops": {"factorizations": 41},
+                             "moved": [1.0, 2.5]},
+                    "other": other}
+        assert path.read_text() == json.dumps(
+            expected, indent=2, sort_keys=True) + "\n"

@@ -14,6 +14,7 @@ Covers the four pillars end to end:
   (asserted via factorization counters).
 """
 
+import asyncio
 import threading
 import time
 from dataclasses import dataclass
@@ -73,6 +74,17 @@ class BoomJob:
 
     def run(self, seed=None):
         raise ValueError("deterministic design error")
+
+
+@dataclass
+class CallJob:
+    """A job that returns ``fn()``; a lambda makes it unpicklable."""
+
+    fn: object = None
+    label: str = ""
+
+    def run(self, seed=None):
+        return self.fn()
 
 
 def _number_jobs(n=4):
@@ -277,6 +289,33 @@ class TestRunnerRetries:
         assert {r.index: r.attempts for r in seen}[1] == 2
         assert all(r.ok for r in seen)
         assert report.ok
+
+    def test_unpicklable_job_is_an_error_on_the_process_pool(self):
+        # The job never reaches a worker, so it is a plain error and is
+        # not retried -- the daemon classifies it the same way.
+        jobs = [NumberJob(label="n0"), CallJob(fn=lambda: 1.0, label="fn")]
+        report = BatchRunner(executor="process", max_workers=2, seed=0,
+                             retries=2).run(jobs)
+        good, bad = report.results
+        assert good.ok
+        assert bad.failure == "error" and bad.attempts == 1
+        assert "pickle" in bad.error
+
+    def test_refused_pool_submit_is_an_error(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.runtime.runner as runner_mod
+
+        class RefusingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise RuntimeError("cannot schedule new futures")
+
+        monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", RefusingPool)
+        report = BatchRunner(executor="thread", max_workers=2,
+                             seed=0).run(_number_jobs(2))
+        assert [r.failure for r in report.results] == ["error", "error"]
+        assert all(r.error.startswith("RuntimeError: cannot schedule")
+                   for r in report.results)
 
     def test_bad_knobs_are_rejected(self):
         with pytest.raises(AnalysisError, match="timeout"):
@@ -665,6 +704,75 @@ class TestDaemonResilience:
                                 socket_path=tmp_path / "d.sock",
                                 executor="thread", journal=False)
         assert service.journal is None
+
+
+def _daemon_attempts(service, jobs, seeds):
+    """Every job's terminal result from *service*'s attempt loop (its
+    ``failed`` events carry the error text, not the kind or attempts)."""
+
+    async def run_all():
+        return await asyncio.gather(*(
+            service._run_attempts(job, k, job.label, seed)
+            for k, (job, seed) in enumerate(zip(jobs, seeds))))
+
+    try:
+        return asyncio.run(run_all())
+    finally:
+        service._pool.shutdown()
+
+
+class TestFrontEndsAgree:
+    """The runner and the daemon share one attempt path."""
+
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_runner_and_daemon_end_every_job_alike(self, tmp_path, retries):
+        plan = FaultPlan(events=(("transient", "n1"), ("crash", "n2"),
+                                 ("hang", "n3")))
+        jobs = _number_jobs(5) + [BoomJob(label="boom")]
+        seeds = [100 + k for k in range(len(jobs))]
+        batch = BatchRunner(executor="thread", max_workers=2,
+                            retries=retries, fault_plan=plan).run(
+            jobs, seeds=[np.random.SeedSequence(s) for s in seeds])
+        service = ServiceDaemon(store=ResultStore(tmp_path / "store"),
+                                socket_path=tmp_path / "d.sock",
+                                executor="thread", max_workers=2,
+                                retries=retries, fault_plan=plan,
+                                journal=False)
+        served = _daemon_attempts(service, jobs, seeds)
+        for ours, theirs in zip(batch.results, served):
+            assert (ours.ok, ours.failure, ours.error, ours.attempts) == \
+                (theirs.ok, theirs.failure, theirs.error, theirs.attempts)
+            if ours.ok:
+                assert np.float64(ours.value).tobytes() == \
+                    np.float64(theirs.value).tobytes()
+        by_label = {r.label: r for r in batch.results}
+        if retries:
+            assert [by_label[f"n{k}"].attempts for k in range(4)] == \
+                [1, 2, 2, 2]
+        else:
+            assert [by_label[label].failure
+                    for label in ("n1", "n2", "n3")] == \
+                ["error", "crash", "timeout"]
+        assert by_label["boom"].failure == "error"
+        assert by_label["boom"].attempts == 1
+
+    def test_process_daemon_recovers_a_really_crashed_worker(self, tmp_path):
+        # n1's worker really dies, so the jobs on that pool fail with a
+        # broken pool -- a crash -- and retry on a fresh pool under
+        # their own seeds, bit-identical to an undisturbed run.
+        plan = FaultPlan(events=(("crash", "n1"),))
+        jobs = _number_jobs(3)
+        seeds = [7, 8, 9]
+        clean = BatchRunner(executor="serial").run(
+            jobs, seeds=[np.random.SeedSequence(s) for s in seeds])
+        service = ServiceDaemon(store=ResultStore(tmp_path / "store"),
+                                socket_path=tmp_path / "d.sock",
+                                executor="process", max_workers=3,
+                                retries=1, fault_plan=plan, journal=False)
+        served = _daemon_attempts(service, jobs, seeds)
+        assert all(r.ok for r in served)
+        assert served[1].attempts == 2
+        assert [r.value for r in served] == clean.values()
 
 
 # ---------------------------------------------------------------------------
