@@ -7,8 +7,9 @@ makes that literal:
 - :mod:`repro.core.backends` defines the :class:`SolverBackend`
   contract and the registry of implementations — ``dense`` (one fused
   LAPACK ``dgesv`` per solve), ``sparse`` (SuperLU on
-  the cached CSR pattern), ``stack`` (chunked batched
-  ``np.linalg.solve``) and the ``auto`` selector.
+  the cached CSR pattern), ``stack`` (a straight-line
+  LU over the instance axis, or chunked batched ``np.linalg.solve``)
+  and the ``auto`` selector.
 - :mod:`repro.core.stepper` owns the shared transient marching loop
   (:class:`LinearStepper`): chord evaluation, stamping, adaptive or
   fixed-grid advance, noise injection — with every factor/solve

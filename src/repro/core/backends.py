@@ -19,9 +19,13 @@ backend-specific half of that recipe for a stack of K same-topology
     batch axis — grid-scale circuits, now for every analysis (the
     sparse *ensemble* march did not exist before this layer).
 ``stack``
-    The chunked batched-LAPACK path of
-    :func:`~repro.mna.batch.solve_stack`: one ``np.linalg.solve`` call
-    per ``(K, n, n)`` chunk.  The lockstep-ensemble hot path.
+    Batched dense solves of the ``(K, n, n)`` stack.  Up to
+    :data:`~repro.mna.batch.PLAN_MAX_SIZE` unknowns, one straight-line
+    LU (:class:`~repro.mna.batch.StackProgram`) whose elimination
+    order is fixed once per pattern, replayed on all K instances at
+    once; an instance it rejects, and every larger system, takes the
+    chunked batched LAPACK of :func:`~repro.mna.batch.solve_stack`.
+    The lockstep-ensemble hot path.
 ``auto``
     Not a backend but a selector: :func:`select_backend` picks by
     system size, batch width and fill ratio.
@@ -75,7 +79,12 @@ import numpy as np
 
 from repro.errors import AnalysisError, SingularMatrixError
 from repro.mna.assembler import summed_keys
-from repro.mna.batch import ConductanceStamper, solve_stack
+from repro.mna.batch import (
+    PLAN_MAX_SIZE,
+    ConductanceStamper,
+    StackProgram,
+    solve_stack,
+)
 from repro.mna.linsolve import LinearSolver
 from repro.mna.sparse import SparseOperators, SparseSolver
 from repro.perf.flops import FlopCounter
@@ -289,25 +298,66 @@ class DenseBackend(_DenseStorageBackend):
 
 
 class StackBackend(_DenseStorageBackend):
-    """Chunked batched ``np.linalg.solve`` over the ``(K, n, n)`` stack.
+    """Batched dense solves over the ``(K, n, n)`` stack.
 
-    One LAPACK batch call per chunk (:func:`~repro.mna.batch.solve_stack`
-    bounds chunk memory) factors and solves the whole chunk.  The
-    lockstep-ensemble hot path, and a correct K = 1 backend.
+    Systems of at most :data:`~repro.mna.batch.PLAN_MAX_SIZE` unknowns
+    solve through one :class:`~repro.mna.batch.StackProgram`, built
+    once per backend from the union pattern of ``G_base``, ``C`` and
+    the chord stamp positions: a straight-line LU whose every call runs
+    on all K instances at once.  An instance the program rejects (a
+    non-finite solution, or growth past
+    :data:`~repro.mna.batch.PROGRAM_MAX_GROWTH`) and every instance of
+    a larger system go through :func:`~repro.mna.batch.solve_stack`
+    (one LAPACK batch call per chunk, bounded chunk memory), where
+    LAPACK factors each matrix on its own.  So an instance's solution
+    never depends on K or on its neighbours.  The lockstep-ensemble hot
+    path, and a correct K = 1 backend.
     """
 
     name = "stack"
 
+    def __init__(self, systems, **kwargs) -> None:
+        super().__init__(systems, **kwargs)
+        self._program = None
+        n = self.size
+        if not 0 < n <= PLAN_MAX_SIZE:
+            return
+        pattern = np.zeros(n * n, dtype=bool)
+        for rows, cols, _ in (self.system.conductance_triplets(),
+                              self.system.capacitance_triplets()):
+            pattern[rows * n + cols] = True
+        pattern[self._stamper._positions] = True
+        pattern = pattern.reshape(n, n)
+        # Same-topology instances share the pattern; a stack that
+        # strays from it, or one with no transversal, keeps LAPACK.
+        if self._g_base[:, ~pattern].any() or self._c[:, ~pattern].any():
+            return
+        try:
+            self._program = StackProgram(pattern, self.n_instances)
+        except ValueError:
+            pass
+
     def _solve(self, matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        solution = solve_stack(matrices, rhs)
+        if self._program is None:
+            solution = solve_stack(matrices, rhs)
+            lapack = np.arange(self.n_instances)
+        else:
+            solution, lapack = self._program.solve(matrices, rhs)
+            if lapack is not None:
+                solution[lapack] = solve_stack(
+                    matrices[lapack], rhs[lapack],
+                    describe=lambda lo, hi: (
+                        f"stack instance(s) {lapack[lo:hi].tolist()[:8]}"))
         if self.flops is not None:
             self.flops.count_factorization(self.size, count=self.n_instances)
             self.flops.count_solve(self.size, count=self.n_instances)
-        if not np.all(np.isfinite(solution)):
-            bad = np.flatnonzero(~np.all(np.isfinite(solution), axis=1))
-            raise SingularMatrixError(
-                f"non-finite solution for instance(s) {bad.tolist()[:8]}"
-            )
+        if lapack is not None:
+            finite = np.isfinite(solution[lapack]).all(axis=1)
+            if not finite.all():
+                raise SingularMatrixError(
+                    f"non-finite solution for instance(s) "
+                    f"{lapack[~finite].tolist()[:8]}"
+                )
         return solution
 
     def solve_transient(

@@ -49,6 +49,7 @@ from repro.circuit.sources import waveform_state_key
 from repro.core.backends import DenseBackend, SolverBackend, create_backend
 from repro.errors import AnalysisError
 from repro.mna.assembler import MnaSystem
+from repro.mna.batch import PLAN_MAX_SIZE
 from repro.mna.linsolve import solve_lists
 from repro.perf.flops import FlopCounter
 
@@ -143,10 +144,6 @@ class _SourceBank:
                 if q >= 0:
                     out[idx, q] += value
         return out
-
-
-#: Largest system the step plan takes; numpy's array calls are cheaper past it.
-_PLAN_MAX_SIZE = 12
 
 
 class _DenseStepPlan:
@@ -370,16 +367,17 @@ class LinearStepper:
 
         The one eligibility rule for both marching modes: backward
         Euler, no noise injections, the scalar chord loops (K = 1, at
-        most 32 nonlinear devices), at most :data:`_PLAN_MAX_SIZE`
-        unknowns, exactly ``DenseBackend`` (no fallback wrapper), no
-        conductance trace, and at most one nonzero per row of ``C``
-        (grounded capacitors, inductors).
+        most 32 nonlinear devices), at most
+        :data:`~repro.mna.batch.PLAN_MAX_SIZE` unknowns, exactly
+        ``DenseBackend`` (no fallback wrapper), no conductance trace,
+        and at most one nonzero per row of ``C`` (grounded capacitors,
+        inductors).
         """
         if not (
             self.options.method == "be"
             and self._noise_matrix is None
             and self._scalar_chords
-            and self.size <= _PLAN_MAX_SIZE
+            and self.size <= PLAN_MAX_SIZE
             and type(self.backend) is DenseBackend
             and not self.trace_instances
         ):

@@ -1,6 +1,6 @@
-"""Index-based batch assembly and chunked batched dense solves.
+"""Index-based batch assembly and batched dense solves.
 
-Three pieces shared by every stacked-system path in the repo:
+Four pieces shared by every stacked-system path in the repo:
 
 :class:`ConductanceStamper`
     Scatter indices of the two-terminal stamps of ``(i, j)`` index
@@ -12,10 +12,17 @@ Three pieces shared by every stacked-system path in the repo:
 :func:`solve_stack`
     Chunked batched ``numpy.linalg.solve`` over a ``(B, n, n)`` stack
     of systems.  The AC sweeps (:mod:`repro.ac.analysis`, complex
-    ``(F, n, n)`` frequency stacks) and the ensemble transient engine
-    (:mod:`repro.swec.ensemble`, real ``(K, n, n)`` instance stacks)
-    both route through it, so memory bounding and singular-system
-    reporting live in one place.
+    ``(F, n, n)`` frequency stacks) route through it, and so does the
+    ``stack`` solver backend for systems larger than
+    :data:`PLAN_MAX_SIZE` and for every instance its
+    :class:`StackProgram` rejects, so memory bounding and
+    singular-system reporting live in one place.
+
+:class:`StackProgram`
+    A straight-line LU of one sparsity pattern, replayed over the
+    instance axis of a real ``(K, n, n)`` stack: the ``stack``
+    backend's solve for systems of at most :data:`PLAN_MAX_SIZE`
+    unknowns.
 
 :func:`tangent_incidence`
     The branch incidences of a circuit's device stamps, shared by the
@@ -24,10 +31,12 @@ Three pieces shared by every stacked-system path in the repo:
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from repro.errors import SingularMatrixError
 from repro.mna.assembler import stamp_entries
@@ -35,6 +44,16 @@ from repro.mna.assembler import stamp_entries
 #: Matrix entries per solve chunk (~64 MB at complex128, ~32 MB at
 #: float64) — the same bound the AC sweeps have always used.
 CHUNK_ENTRIES = 4_000_000
+
+#: Largest system the straight-line solves take: the K = 1 step plan of
+#: :mod:`repro.core.stepper` and :class:`StackProgram`.  Past it a
+#: LAPACK call costs less than a program's Python-level ufunc calls.
+PLAN_MAX_SIZE = 12
+
+#: Largest growth ``max |U| / max |A|`` a :class:`StackProgram` solve
+#: accepts: partial pivoting's worst case ``2**(n - 1)`` (Wilkinson) at
+#: ``n =`` :data:`PLAN_MAX_SIZE`.
+PROGRAM_MAX_GROWTH = 2.0 ** (PLAN_MAX_SIZE - 1)
 
 
 def solve_stack(matrices, rhs, *, chunk_entries: int | None = None,
@@ -88,6 +107,152 @@ def solve_stack(matrices, rhs, *, chunk_entries: int | None = None,
             raise SingularMatrixError(
                 f"singular system in {context}: {exc}") from exc
     return out[:, :, 0] if squeeze else out
+
+
+class StackProgram:
+    """Straight-line LU of one sparsity pattern over a ``(K, n, n)`` stack.
+
+    The refactorization of KLU (Davis & Palamadai Natarajan, ACM TOMS
+    2010) and Kundert's Sparse 1.3: the elimination order is fixed once
+    per pattern and only the numeric work repeats, here for all K
+    instances at once.
+
+    Parameters
+    ----------
+    pattern:
+        ``(n, n)`` boolean union pattern: every entry any instance's
+        matrix may hold nonzero.
+    n_instances:
+        Stack width K; the program preallocates its buffers for it.
+
+    A structural transversal (a maximum bipartite matching of rows to
+    columns) orders the rows so that every pivot is structurally
+    nonzero, and symbolic elimination in that order gives the fill.
+    Each entry of ``L + U`` is then one row of an ``(nnz, K)`` work
+    array, and the elimination and both substitutions are one fixed
+    list of ufunc calls (``out=``) on those rows.  :meth:`solve`
+    gathers the stack's entries with one ``take``, replays the list
+    and returns the solutions.
+
+    The order depends on the pattern only, and every call works on one
+    instance's own column, so an instance's solution is bitwise the
+    same in any stack and any chunk of a run.  Without pivoting the
+    factors can grow, so :meth:`solve` also names the instances whose
+    solution is not finite or whose largest ``U`` entry exceeds
+    :data:`PROGRAM_MAX_GROWTH` times their largest matrix entry; the
+    caller solves those with :func:`solve_stack`.  Only the ``U``
+    entries that elimination updates can exceed it, so a pattern
+    without such entries (the FET-RTD inverter's) skips the growth
+    check.  A pattern with no transversal is structurally singular and
+    raises ``ValueError``.
+    """
+
+    def __init__(self, pattern: np.ndarray, n_instances: int) -> None:
+        pattern = np.asarray(pattern, dtype=bool)
+        n = pattern.shape[0]
+        rows = maximum_bipartite_matching(sparse.csr_matrix(pattern),
+                                          perm_type="row")
+        if np.any(rows < 0):
+            raise ValueError("pattern is structurally singular")
+        filled = pattern[rows]
+        below, right = [], []
+        for k in range(n):
+            below.append(np.flatnonzero(filled[k + 1:, k]) + k + 1)
+            right.append(np.flatnonzero(filled[k, k + 1:]) + k + 1)
+            filled[np.ix_(below[k], right[k])] = True
+        # The U entries that elimination updates come first, so the
+        # growth check reads one slice: the rest keep matrix entries.
+        # A fill slot gathers its own position, which holds 0.
+        grown = {(i, j) for k in range(n) for i in below[k]
+                 for j in right[k] if i <= j}
+        entries = sorted(map(tuple, np.argwhere(filled).tolist()),
+                         key=lambda entry: entry not in grown)
+        self._grown = len(grown)
+        # Flat positions in the stack: entry by instance, as the work.
+        positions = np.array([rows[i] * n + j for i, j in entries],
+                             dtype=np.intp)
+        self._gather = positions[:, None] \
+            + n * n * np.arange(n_instances, dtype=np.intp)
+        self._shape = (n_instances, n, n)
+        self._work = np.empty((len(entries), n_instances))
+        self._rhs = np.empty((n_instances, n))
+        self._x = np.empty((n, n_instances))
+        self._no_growth = np.zeros((1, n_instances))
+        self._ops = self._program(
+            {entry: self._work[s] for s, entry in enumerate(entries)},
+            below, right, [self._rhs[:, row] for row in rows])
+
+    def _program(self, a, below, right, b) -> list:
+        """The ufunc calls ``(ufunc, in1, in2, out)`` of one solve.
+
+        *a* maps an entry of ``L + U`` to its work row and *b* gives
+        each permuted right-hand-side row; a row of the solution reads
+        *b* until its first write.  A pivot row with no ``U`` entry
+        right of the diagonal is solved in the forward sweep, where its
+        column of ``L`` multiplies the solved unknown and is never
+        divided by the pivot.
+        """
+        x, t = self._x, np.empty(self._x.shape[1])
+        ops = []
+
+        def update(target, coefficient, value):
+            ops.append((np.multiply, coefficient, value, t))
+            ops.append((np.subtract, b[target], t, x[target]))
+            b[target] = x[target]
+
+        for k, lower in enumerate(below):
+            if right[k].size:
+                for i in lower:
+                    ops.append((np.divide, a[i, k], a[k, k], a[i, k]))
+                    for j in right[k]:
+                        ops.append((np.multiply, a[i, k], a[k, j], t))
+                        ops.append((np.subtract, a[i, j], t, a[i, j]))
+        for k, lower in enumerate(below):
+            if not right[k].size:
+                ops.append((np.divide, b[k], a[k, k], x[k]))
+                b[k] = x[k]
+            for i in lower:
+                update(i, a[i, k], b[k])
+        for k in reversed(range(len(below))):
+            if right[k].size:
+                for j in right[k]:
+                    update(k, a[k, j], x[j])
+                ops.append((np.divide, b[k], a[k, k], x[k]))
+        return ops
+
+    @np.errstate(all="ignore")
+    def solve(self, matrices: np.ndarray,
+              rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Solve the ``(K, n, n)`` stack for the ``(K, n)`` *rhs*.
+
+        Returns ``(solutions, rejected)``: the ``(K, n)`` solutions and
+        None, or the indices of the instances that failed the checks,
+        whose rows of ``solutions`` are to be solved again.
+        """
+        if matrices.shape != self._shape:
+            # The clipped take would read a wrong-sized stack silently.
+            raise ValueError(f"expected a {self._shape} stack, "
+                             f"got {matrices.shape}")
+        work, x, grown = self._work, self._x, self._grown
+        matrices.take(self._gather, out=work, mode="clip")
+        self._rhs[...] = rhs
+        if grown:
+            scale = np.maximum.reduce(np.abs(work), axis=0)
+        for ufunc, in1, in2, out in self._ops:
+            ufunc(in1, in2, out=out)
+        solutions = x.T.copy()
+        # Entries no update reached are matrix entries: only the grown
+        # ones can fail the bound.  The maximum propagates NaN and the
+        # sum any inf or NaN, so when both pass every instance passes;
+        # else each is tested alone.
+        growth = np.abs(work[:grown]) / scale if grown else self._no_growth
+        if np.maximum.reduce(growth, axis=None) <= PROGRAM_MAX_GROWTH \
+                and math.isfinite(x.sum()):
+            return solutions, None
+        accepted = ((growth <= PROGRAM_MAX_GROWTH).all(axis=0)
+                    & np.isfinite(x).all(axis=0))
+        rejected = np.flatnonzero(~accepted)
+        return solutions, rejected if rejected.size else None
 
 
 class ConductanceStamper:

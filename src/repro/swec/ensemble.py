@@ -11,8 +11,10 @@ shared time grid, with every factor/solve delegated to a
 :mod:`repro.core.backends` solver backend:
 
 ``stack`` (the default)
-    One chunked batched ``np.linalg.solve`` per time point over the
-    scatter-stamped ``(K, n, n)`` stack — the lockstep hot path.
+    One batched dense solve per time point over the scatter-stamped
+    ``(K, n, n)`` stack — the lockstep hot path: a straight-line LU
+    over the instance axis up to 12 unknowns, chunked batched
+    ``np.linalg.solve`` beyond.
 ``sparse``
     SuperLU on the cached CSR pattern, one O(nnz) factor per instance
     — grid-scale ensembles that would not fit (or crawl) as dense
@@ -61,7 +63,7 @@ class SwecEnsembleTransient(LinearStepper):
     """Lockstep SWEC transient over K same-topology circuit instances.
 
     A :class:`~repro.core.stepper.LinearStepper` whose default solver
-    backend is ``stack`` (chunked batched LAPACK); set
+    backend is ``stack`` (batched dense solves); set
     ``options.backend`` to ``"sparse"`` for grid-scale ensembles or
     ``"auto"`` to select by size.  See the module docstring and
     :class:`~repro.core.stepper.LinearStepper` for the parameters

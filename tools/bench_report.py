@@ -17,9 +17,11 @@ milliseconds, ordering-probe milliseconds and tracemalloc peak of one
 sparse ``SwecTransient`` build on the 60x60 RTD mesh (the sparse front
 end), and the
 driven shooting PSS of a 16x16 power grid on the sparse backend with
-its booked factorizations and reused factors, and the per-point
+its booked factorizations and reused factors, the per-point
 milliseconds of a ``.PARAM`` netlist sweep's cache keys, lint gate and
-parse — and writes one machine-readable JSON file::
+parse, and the microseconds of one step's solve on the ``stack``
+backend, its straight-line program against batched LAPACK — and
+writes one machine-readable JSON file::
 
     python tools/bench_report.py --tag ci --out bench
     python tools/bench_report.py --check bench/BENCH_ci.json
@@ -446,6 +448,9 @@ FRONT_END_KEYS = ("keys_ms_per_point", "gate_ms_per_point",
 #: Keys ``grid_mesh_sparse_backend`` must carry: the timed sparse
 #: march's kept-factor record.
 KEPT_FACTOR_KEYS = ("factorizations", "factor_reuses", "sweeps_per_reuse")
+#: Keys every ``stack_solve_*`` entry must carry: microseconds per
+#: solve of the program and of its LAPACK reference.
+STACK_SOLVE_KEYS = ("program_us", "lapack_us")
 #: Keys ``grid_mesh_sparse_backend`` must carry: the sparse front end's
 #: build milliseconds, ordering-probe milliseconds and peak megabytes.
 BUILD_KEYS = ("build_ms", "probe_ms", "build_peak_mb")
@@ -666,6 +671,77 @@ def _bench_mc_variance_reduction(quick: bool, repeats: int) -> list[dict]:
     return entries
 
 
+def _bench_stack_solve(quick: bool, repeats: int) -> list[dict]:
+    """One step's solve on the ``stack`` backend, its straight-line
+    program against ``solve_stack`` (batched LAPACK).
+
+    Two stacks, taken mid-march: the K = 16 RTD oscillator of the
+    Monte-Carlo batches and the K = 256 FET-RTD inverter of the
+    lockstep ensembles.  Both sides run the backend's solve, with its
+    finiteness check, on the same matrices; samples alternate, so a
+    slow spell of the host stretches both.  Reports the median
+    microseconds per solve of each side.
+    """
+    import numpy as np
+
+    from repro.circuits_lib import fet_rtd_inverter, rtd_relaxation_oscillator
+    from repro.core.backends import StackBackend
+    from repro.stochastic.vr import path_normals
+    from repro.swec import SwecEnsembleTransient, SwecOptions
+    from repro.swec.timestep import StepControlOptions
+
+    rng = np.random.default_rng(20050307)
+    oscillator, info = rtd_relaxation_oscillator()
+    inverters = [
+        fet_rtd_inverter(
+            fet_vth=float(1.0 + 0.15 * rng.uniform(-1.0, 1.0)),
+            load_capacitance=float(
+                1e-12 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0))))[0]
+        for _ in range(256)
+    ]
+    options = SwecOptions(step=StepControlOptions(
+        epsilon=0.05, h_min=1e-12, h_max=0.2e-9, h_initial=1e-12))
+    cases = (
+        ("oscillator", SwecEnsembleTransient(
+            oscillator, n_instances=16, noise=[(info.output, 1e-8)]),
+         np.linspace(0.0, float(info.period_guess), 121)),
+        ("inverter", SwecEnsembleTransient(inverters, options),
+         np.linspace(0.0, 2e-8, 401)),
+    )
+    calls = 200 if quick else 2000
+    entries = []
+    for label, engine, times in cases:
+        k = engine.n_instances
+        normals = (path_normals(np.random.SeedSequence(1).spawn(k),
+                                len(times) - 1, 1)
+                   if label == "oscillator" else None)
+        states = engine.run_grid(times, normals=normals).states
+        program = engine.backend
+        program.begin_run(None)  # neither side books flops
+        lapack = StackBackend(program.systems)
+        lapack._program = None
+        matrices = program._system_matrix(times[1] - times[0], False).copy()
+        rhs = np.matmul(matrices, states[:, len(times) // 2, :, None])[:, :, 0]
+        seconds = {"program": [], "lapack": []}
+        for _ in range(max(repeats, 5)):
+            for side, backend in (("program", program), ("lapack", lapack)):
+                seconds[side].append(_median_seconds(
+                    lambda: [backend._solve(matrices, rhs)
+                             for _ in range(calls)], 1) / calls)
+        program_s = statistics.median(seconds["program"])
+        lapack_s = statistics.median(seconds["lapack"])
+        entries.append({
+            "name": f"stack_solve_{label}",
+            "median_seconds": program_s,
+            "speedup": lapack_s / program_s,
+            "reference": "solve_stack (batched LAPACK)",
+            "program_us": 1e6 * program_s,
+            "lapack_us": 1e6 * lapack_s,
+            "axes": {"K": k, "size": engine.size, "calls": calls},
+        })
+    return entries
+
+
 #: Kernel groups addressable via ``--only``.
 KERNELS = {
     "ensemble": _bench_ensemble,
@@ -677,6 +753,7 @@ KERNELS = {
     "pss_shooting": _bench_pss,
     "resilience": _bench_resilience,
     "mc_variance_reduction": _bench_mc_variance_reduction,
+    "stack_solve": _bench_stack_solve,
 }
 
 
@@ -741,6 +818,9 @@ def check(path: Path) -> list[str]:
         required = {"sweep_front_end": FRONT_END_KEYS,
                     "grid_mesh_sparse_backend": KEPT_FACTOR_KEYS
                     + BUILD_KEYS}
+        name = str(entry.get("name", ""))
+        if name.startswith("stack_solve_"):
+            required[name] = STACK_SOLVE_KEYS
         for key in required.get(entry.get("name"), ()):
             if key not in entry:
                 problems.append(
@@ -752,7 +832,7 @@ def check(path: Path) -> list[str]:
                 f"{path}: {entry.get('name', '?')!r} has invalid "
                 f"sweeps_per_reuse {sweeps!r}")
         for key in ("speedup", "factor_us", "factor_fill", "operators_ms",
-                    *BUILD_KEYS, *FRONT_END_KEYS):
+                    *BUILD_KEYS, *FRONT_END_KEYS, *STACK_SOLVE_KEYS):
             value = entry.get(key)
             if value is not None and (
                     not isinstance(value, (int, float)) or value <= 0.0):
@@ -823,6 +903,9 @@ def main(argv: list[str] | None = None) -> int:
             if "sweeps_per_reuse" in entry:
                 extra += f", {entry['sweeps_per_reuse']:.1f} sweeps each"
             extra += "]"
+        if "program_us" in entry:
+            extra += (f"  [program {entry['program_us']:.1f} us, LAPACK "
+                      f"{entry['lapack_us']:.1f} us per solve]")
         if "keys_ms_per_point" in entry:
             extra += (f"  [per point: keys "
                       f"{entry['keys_ms_per_point']:.3f} ms, gate "
